@@ -74,8 +74,9 @@ class Direction:
         """Open half-space horoball membership: <p, v> < 0 (exact)."""
         return self.a * p[0] + self.b * p[1] < 0
 
-    def angle(self):
-        return math.atan2(self.b, self.a)
+    def halfplane_normal(self):
+        """The horoball of a direction is the half-plane of that normal."""
+        return (self.a, self.b)
 
     def unit(self):
         n = math.hypot(self.a, self.b)
@@ -107,6 +108,15 @@ def farey_directions(Q):
     return sorted(out, key=direction_sort_key)
 
 
+def parse_pair(text):
+    """The integer pair of an "a,b" descriptor."""
+    try:
+        a, b = text.split(",")
+        return (int(a), int(b))
+    except ValueError as e:
+        raise InputError(f"expected 'a,b' integer pair, got {text!r}") from e
+
+
 def parse_grid(descriptor):
     """Grid descriptors: "farey:Q", optionally "+diag" to register the
     sqrt-normalized diagonal specials; or an explicit "a,b;c,d;..." list."""
@@ -116,7 +126,11 @@ def parse_grid(descriptor):
         add_diag = rest.endswith("+diag")
         if add_diag:
             rest = rest[:-len("+diag")]
-        dirs = farey_directions(int(rest))
+        try:
+            Q = int(rest)
+        except ValueError as e:
+            raise InputError(f"bad Farey order in grid {descriptor!r}") from e
+        dirs = farey_directions(Q)
         if add_diag:
             # the sqrt-normalized diagonals share their integer direction
             # with (1,1) etc., so this relabels rather than adds
@@ -124,13 +138,7 @@ def parse_grid(descriptor):
             dirs = [Direction(d.a, d.b, "sqrt-normalized")
                     if (d.a, d.b) in specials else d for d in dirs]
         return dirs
-    dirs = []
-    for part in descriptor.split(";"):
-        a, b = part.split(",")
-        dirs.append(Direction(int(a), int(b)))
-    if not dirs:
-        raise InputError("empty direction grid")
-    return dirs
+    return [Direction(*parse_pair(part)) for part in descriptor.split(";")]
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +152,10 @@ class WindowDeterministic:
 
     def __repr__(self):
         return f"WindowDeterministic(N={self.N}, k={self.k})"
+
+    def to_dict(self):
+        return {"kind": self.kind, "N": self.N, "k": self.k,
+                "evidence": self.evidence}
 
 
 class Witness:
@@ -159,6 +171,13 @@ class Witness:
         tag = "extendable" if self.extendable else "window-only"
         return f"Witness(N={self.N}, k={self.k}, {tag})"
 
+    def to_dict(self):
+        # skew witnesses carry plain dict descriptions of their pair
+        pair = [f if isinstance(f, dict) else f.to_dict() for f in self.pair]
+        return {"kind": self.kind, "N": self.N, "k": self.k,
+                "extendable": self.extendable, "pair": pair,
+                "evidence": self.evidence}
+
 
 class Inconclusive:
     kind = "inconclusive"
@@ -168,6 +187,10 @@ class Inconclusive:
 
     def __repr__(self):
         return f"Inconclusive(N={self.N}, k={self.k}, {self.reason!r})"
+
+    def to_dict(self):
+        return {"kind": self.kind, "N": self.N, "k": self.k,
+                "reason": self.reason}
 
 
 class NDReport:
@@ -272,30 +295,20 @@ def gf2_nullspace(rows, ncols):
 
 
 class _LinearWindowKernel:
-    """Kernel of a GF(2) linear rule on the box [-M, M]^2, cached per (spec, M).
+    """Kernel of a GF(2) linear rule on the box [-M, M]^2.
 
     Fillings of a LinearGF2 spec form a GF(2) vector space; witness pairs
     (x, y) correspond to kernel vectors z = x + y.
     """
 
-    _cache = {}
-
-    def __new__(cls, spec, M):
-        key = (spec.support, M)
-        if key not in cls._cache:
-            obj = super().__new__(cls)
-            obj._build(spec, M)
-            cls._cache[key] = obj
-        return cls._cache[key]
-
-    def _build(self, spec, M):
+    def __init__(self, support, M):
         self.M = M
         self.sites = box_sites(M)
         self.index = {s: i for i, s in enumerate(self.sites)}
         rows = []
         window = set(self.sites)
         for z in self.sites:
-            cells = [(z[0] + s[0], z[1] + s[1]) for s in spec.support]
+            cells = [(z[0] + s[0], z[1] + s[1]) for s in support]
             if all(c in window for c in cells):
                 row = 0
                 for c in cells:
@@ -329,6 +342,13 @@ class _LinearWindowKernel:
 
     def vector_to_symbols(self, vec, sites):
         return {s: (vec >> self.index[s]) & 1 for s in sites}
+
+
+# a linear certificate uses two kernels, on [-N, N]^2 and [-(N + margin),
+# N + margin]^2; an nd run alternates between the same two
+@functools.lru_cache(maxsize=4)
+def _window_kernel(support, M):
+    return _LinearWindowKernel(support, M)
 
 
 # ---------------------------------------------------------------------------
@@ -382,77 +402,56 @@ def hull_outward_normals(support):
     return normals
 
 
-def _halfplane_normal_of(contains_owner):
-    """Primitive outward normal if the horoball is an exact half-plane of
-    Z^2, else None."""
-    from .horoballs import Horoball, Linear, PolyhedralZ2
-    if isinstance(contains_owner, Direction):
-        return contains_owner
-    if isinstance(contains_owner, Horoball):
-        j = contains_owner.j
-        if isinstance(j, Linear) and j.int_dir and len(j.int_dir) == 2:
-            return Direction(*j.int_dir)
-        if isinstance(j, PolyhedralZ2):
-            if j.shape == "halfplane-diagonal":
-                return Direction(j.side, -j.side)
-            if j.shape == "halfplane-antidiagonal":
-                return Direction(j.side, j.side)
-    return None
-
-
-def _linear_halfplane_status(spec, v, contains, k, N, margin):
-    """LinearGF2 certificate for an exact half-plane horoball.
-
-    The window kernel search alone cannot distinguish genuine asymptotic
-    behavior from boundary artifacts for slanted expansive directions (the
-    artifacts recede only as the margin grows without bound), so the
-    existence side is decided by the hull-normal criterion and the window
-    is used to exhibit, or to verify determinism of, the certificate.
-    """
-    trace_N, hits = dilated_trace(contains, k, N)
-    if not hits:
-        return Inconclusive(N, k, "horoball misses window")
-    if any(v == n for n in hull_outward_normals(spec.support)):
-        cert = _linear_status(spec, contains, k, N, margin)
-        if cert.kind == "witness":
-            cert.evidence["hull-normal"] = [v.a, v.b]
-            return cert
-        return Inconclusive(N, k, "hull normal direction but no window "
-                                  "witness at this scale; enlarge N")
-    small = _LinearWindowKernel(spec, N)
+def _origin_forced(spec, trace, N):
+    """Is the origin symbol of [-N, N]^2 forced by the symbols on the trace?"""
+    small = _window_kernel(spec.support, N)
     origin_bit = 1 << small.index[(0, 0)]
-    for vec in small.constrained_basis(trace_N):
-        if vec & origin_bit:
-            return Inconclusive(N, k, "origin not forced")
-    return WindowDeterministic(N, k, evidence={"trace_size": len(trace_N)})
+    return not any(vec & origin_bit for vec in small.constrained_basis(trace))
 
 
-def _linear_status(spec, contains, k, N, margin):
-    trace_N, hits = dilated_trace(contains, k, N)
+def _linear_status(spec, contains, k, N, margin, normal=None):
+    """LinearGF2 certificate from the window kernels.
+
+    ``normal`` is the primitive outward normal when the horoball is an exact
+    half-plane.  The window kernel search alone cannot distinguish genuine
+    asymptotic behavior from boundary artifacts for slanted expansive
+    directions (the artifacts recede only as the margin grows without
+    bound), so for a half-plane the existence side is decided by the
+    hull-normal criterion and the window is used to exhibit, or to verify
+    determinism of, the certificate.
+    """
+    trace, hits = dilated_trace(contains, k, N)
     if not hits:
         return Inconclusive(N, k, "horoball misses window")
+    deterministic = WindowDeterministic(N, k,
+                                        evidence={"trace_size": len(trace)})
+    if normal is not None and \
+            Direction(*normal) not in hull_outward_normals(spec.support):
+        if _origin_forced(spec, trace, N):
+            return deterministic
+        return Inconclusive(N, k, "origin not forced")
     M = N + margin
     trace_M, _ = dilated_trace(contains, k, M)
-    kern = _LinearWindowKernel(spec, M)
+    kern = _window_kernel(spec.support, M)
     inner = box_sites(N)
     inner_bits = 0
     for s in inner:
         inner_bits |= 1 << kern.index[s]
-    for vec in kern.constrained_basis(trace_M | trace_N):
+    for vec in kern.constrained_basis(trace_M):
         if vec & inner_bits:
             x = WindowFilling(N, {s: 0 for s in inner}, extendable=True)
             y = WindowFilling(N, kern.vector_to_symbols(vec, inner),
                               extendable=True)
-            return Witness((x, y), N, k, extendable=True,
-                           evidence={"margin": margin,
-                                     "trace_size": len(trace_N)})
-    # no extendable witness; is the origin forced on the bare window?
-    small = _LinearWindowKernel(spec, N)
-    origin_bit = 1 << small.index[(0, 0)]
-    for vec in small.constrained_basis(trace_N):
-        if vec & origin_bit:
-            return Inconclusive(N, k, "origin not forced; no extendable witness")
-    return WindowDeterministic(N, k, evidence={"trace_size": len(trace_N)})
+            evidence = {"margin": margin, "trace_size": len(trace)}
+            if normal is not None:
+                evidence["hull-normal"] = list(normal)
+            return Witness((x, y), N, k, extendable=True, evidence=evidence)
+    if normal is not None:
+        return Inconclusive(N, k, "hull normal direction but no window "
+                                  "witness at this scale; enlarge N")
+    if _origin_forced(spec, trace, N):
+        return deterministic
+    return Inconclusive(N, k, "origin not forced; no extendable witness")
 
 
 def _fullshift_status(spec, contains, k, N):
@@ -526,19 +525,18 @@ def _enumeration_status(spec, contains, k, N, margin, budget):
     return Inconclusive(N, k, "origin not forced; no extendable witness")
 
 
-def _status(spec, contains, k, N, margin, budget, method, owner=None):
+def _status(spec, horoball, k, N, margin, budget, method):
     if N < k or k < 1:
         raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
     if margin is None:
         margin = _default_margin(k, N)
+    contains = horoball.contains
     if method == "auto":
         if isinstance(spec, FullShift):
             return _fullshift_status(spec, contains, k, N)
         if isinstance(spec, LinearGF2):
-            v = _halfplane_normal_of(owner)
-            if v is not None:
-                return _linear_halfplane_status(spec, v, contains, k, N, margin)
-            return _linear_status(spec, contains, k, N, margin)
+            return _linear_status(spec, contains, k, N, margin,
+                                  horoball.halfplane_normal())
         method = "enumerate"
     if method == "kernel":
         if not isinstance(spec, LinearGF2):
@@ -554,14 +552,14 @@ def direction_status(spec, v, k, N, margin=None, budget=DEFAULT_ENUM_BUDGET,
     """Certificate for the open half-space horoball of direction v."""
     if not isinstance(v, Direction):
         v = Direction(*v)
-    return _status(spec, v.contains, k, N, margin, budget, method, owner=v)
+    return _status(spec, v, k, N, margin, budget, method)
 
 
 def horoball_status(spec, horoball, k, N, margin=None,
                     budget=DEFAULT_ENUM_BUDGET, method="auto"):
-    """Certificate for an arbitrary horoball (anything with .contains)."""
-    return _status(spec, horoball.contains, k, N, margin, budget, method,
-                   owner=horoball)
+    """Certificate for a ``Horoball``; exact half-planes among them get the
+    same hull-normal treatment as directions."""
+    return _status(spec, horoball, k, N, margin, budget, method)
 
 
 def nd_set(spec, k, N, grid=None, margin=None, budget=DEFAULT_ENUM_BUDGET,

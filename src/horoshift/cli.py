@@ -3,37 +3,30 @@
 One analysis per invocation; composition happens through files.  All JSON
 and CSV artifacts are deterministic (sorted keys, no timestamps); wall
 clock times go only to the ``run.log`` sidecar.  Exit codes: 0 success,
-2 invalid configuration, 3 enumeration budget exhausted (partial report).
+2 invalid configuration, 3 resource budget exhausted (partial report) or,
+for ``verify lemma2.3`` and ``verify lemma2.5``, a finite check that fails
+within its range (the report says so; no partial report).
 """
 
 import argparse
 import datetime
-import json
-import math
 import os
 import sys
 
 from . import certify, groups, horoballs, render, separation, serialize, subshifts
+from .certify import parse_pair
 from .errors import InputError, ResourceBudgetError
 
 
-def _pair(text):
-    try:
-        a, b = text.split(",")
-        return (int(a), int(b))
-    except ValueError as e:
-        raise InputError(f"expected 'a,b' integer pair, got {text!r}") from e
-
-
-def _write(out_dir, name, payload, binary=False):
+def _path(out_dir, name):
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    if binary:
-        with open(path, "wb") as f:
-            f.write(payload)
-    else:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(payload)
+    return os.path.join(out_dir, name)
+
+
+def _write(out_dir, name, text):
+    path = _path(out_dir, name)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
     return path
 
 
@@ -60,7 +53,7 @@ def _load_vectors(source):
     if os.path.exists(source):
         with open(source, encoding="utf-8") as f:
             text = f.read()
-    data = json.loads(text)
+    data = serialize.load_json(text)
     if isinstance(data, dict) and "entries" in data:
         return serialize.witness_vectors_from_report_dict(data)
     if isinstance(data, list):
@@ -79,8 +72,8 @@ def cmd_nd(args):
                             method=args.method, grid_label=args.grid)
     d = serialize.nd_report_to_dict(report)
     d["metadata"]["seed"] = args.seed
-    _write(args.out, "nd_report.csv", serialize.nd_report_to_csv(report))
-    _write(args.out, "direction_circle.svg", render.direction_circle_svg(report))
+    _write(args.out, "nd_report.csv", serialize.nd_report_to_csv(d))
+    _write(args.out, "direction_circle.svg", render.direction_circle_svg(d))
     wit = report.witness_directions()
     _emit_json(args, "nd_report.json", d, [
         f"system={args.system} k={args.k} N={args.window} grid={args.grid}",
@@ -92,12 +85,12 @@ def cmd_nd(args):
 
 def cmd_direction(args):
     spec = serialize.parse_spec(args.system)
-    v = certify.Direction(*_pair(args.dir))
+    v = certify.Direction(*parse_pair(args.dir))
     cert = certify.direction_status(spec, v, args.k, args.window,
                                     margin=args.margin, budget=args.budget,
                                     method=args.method)
     d = {"direction": serialize.direction_to_dict(v),
-         "certificate": serialize.certificate_to_dict(cert),
+         "certificate": cert.to_dict(),
          "system": spec.to_dict()}
     _emit_json(args, "direction_report.json", d,
                [f"direction {v!r}: {cert!r}"])
@@ -106,12 +99,12 @@ def cmd_direction(args):
 
 def cmd_horoball(args):
     spec = serialize.parse_spec(args.system)
-    hb = serialize.horoball_from_dict(json.loads(args.horoball))
+    hb = serialize.parse_horoball(args.horoball)
     cert = certify.horoball_status(spec, hb, args.k, args.window,
                                    margin=args.margin, budget=args.budget,
                                    method=args.method)
     d = {"horoball": serialize.horoball_to_dict(hb),
-         "certificate": serialize.certificate_to_dict(cert),
+         "certificate": cert.to_dict(),
          "system": spec.to_dict()}
     _emit_json(args, "horoball_report.json", d, [f"{hb!r}: {cert!r}"])
     return 0
@@ -119,7 +112,7 @@ def cmd_horoball(args):
 
 def cmd_busemann(args):
     group = serialize.parse_group(args.group)
-    center = group.check(_pair(args.center))
+    center = group.check(parse_pair(args.center))
     n = group.norm(center)
     if n == 0:
         raise InputError("center must differ from the identity")
@@ -162,21 +155,22 @@ def cmd_verify(args):
         return 0
     if args.check == "lemma2.3":
         group = groups.ZdLp(2, 2)
-        n0 = horoballs.tangency_threshold(group, args.M, args.eps,
-                                          _pair(args.ray), n_max=args.n_max)
+        ray = parse_pair(args.ray)
+        n0 = horoballs.tangency_threshold(group, args.M, args.eps, ray,
+                                          n_max=args.n_max)
         d = {"check": "horoball-ball-tangency", "M": args.M, "eps": args.eps,
-             "ray": list(_pair(args.ray)), "n_max": args.n_max, "n0": n0}
+             "ray": list(ray), "n_max": args.n_max, "n0": n0}
         _emit_json(args, "verify_report.json", d,
                    [f"tangency holds for all n in [{n0}, {args.n_max}]"
                     if n0 else f"tangency still fails at n = {args.n_max}"])
         return 0 if n0 else 3
     if args.check == "lemma2.5":
-        u1, u2 = (t for t in args.cone.split(":"))
-        cone = horoballs.RationalCone(_pair(u1), _pair(u2))
-        rep = horoballs.verify_cone_shift(cone, args.eta, _pair(args.g),
-                                          args.r_max)
+        u1, _, u2 = args.cone.partition(":")
+        cone = horoballs.RationalCone(parse_pair(u1), parse_pair(u2))
+        g = parse_pair(args.g)
+        rep = horoballs.verify_cone_shift(cone, args.eta, g, args.r_max)
         d = {"check": "cone-translation", "cone": [list(cone.u1), list(cone.u2)],
-             "eta": args.eta, "g": list(_pair(args.g)), "r_max": args.r_max,
+             "eta": args.eta, "g": list(g), "r_max": args.r_max,
              "n1": rep.n1,
              "failing_radii": sorted({r for r, _ in rep.failures})}
         _emit_json(args, "verify_report.json", d,
@@ -185,7 +179,7 @@ def cmd_verify(args):
         return 0 if rep.holds else 3
     if args.check == "largeness":
         group = serialize.parse_group(args.group)
-        hb = serialize.horoball_from_dict(json.loads(args.horoball))
+        hb = serialize.parse_horoball(args.horoball)
         res = horoballs.largeness_certificate(group, hb, args.R,
                                               search_bound=args.bound)
         d = {"check": "horoball-largeness", "R": args.R,
@@ -201,11 +195,10 @@ def cmd_verify(args):
 def cmd_skew(args):
     base = subshifts.FullShiftZ((0, 1))
     spec = subshifts.SkewActionSpec(base, args.alpha, args.beta)
-    hb = serialize.horoball_from_dict(json.loads(args.horoball))
+    hb = serialize.parse_horoball(args.horoball)
     cert = certify.skew_horoball_status(spec, hb, args.k, args.window)
-    cd = serialize.certificate_to_dict(cert)
     d = {"action": spec.to_dict(), "horoball": serialize.horoball_to_dict(hb),
-         "certificate": cd}
+         "certificate": cert.to_dict()}
     lines = [f"{hb!r}: {cert!r}"]
     ev = getattr(cert, "evidence", None)
     if ev:
@@ -248,40 +241,20 @@ def cmd_render(args):
         group = serialize.parse_group(args.group)
         if not args.centers.startswith("ray:"):
             raise InputError("centers descriptor must be 'ray:a,b'")
-        ray = _pair(args.centers[4:])
+        ray = parse_pair(args.centers[4:])
         center = tuple(args.t * c for c in ray)
         rows = render.ball_raster(group, center, args.window)
-        data = bytearray()
-        h = len(rows)
-        w = len(rows[0])
-        pgm = bytearray(f"P5\n{w} {h}\n255\n".encode())
-        for r in rows:
-            pgm.extend(bytes(r))
-        path = _write(args.out, "horoball.pgm", bytes(pgm), binary=True)
+        path = _path(args.out, "horoball.pgm")
+        render.write_pgm(path, rows)
         _log(args.out, "wrote horoball.pgm")
-        print(f"raster {w}x{h} of ball centered at {center}: {path}")
+        print(f"raster {len(rows[0])}x{len(rows)} of ball centered at "
+              f"{center}: {path}")
         return 0
     if args.what == "nd":
         with open(args.report, encoding="utf-8") as f:
-            data = json.loads(f.read())
-        # rebuild a minimal report shell for plotting
-        entries = []
-        for e in data["entries"]:
-            dd = serialize.direction_from_dict(e["direction"])
-            kind = e["certificate"]["kind"]
-            N, k = e["certificate"]["N"], e["certificate"]["k"]
-            if kind == "witness":
-                cert = certify.Witness(None, N, k,
-                                       e["certificate"].get("extendable", False))
-            elif kind == "window-deterministic":
-                cert = certify.WindowDeterministic(N, k)
-            else:
-                cert = certify.Inconclusive(N, k, e["certificate"].get("reason", ""))
-            entries.append((dd, cert))
-        shell = certify.NDReport(subshifts.FullShift((0, 1)), data["k"],
-                                 data["N"], entries)
+            report = serialize.load_json(f.read())
         path = _write(args.out, "direction_circle.svg",
-                      render.direction_circle_svg(shell))
+                      render.direction_circle_svg(report))
         _log(args.out, "wrote direction_circle.svg")
         print(f"direction circle: {path}")
         return 0

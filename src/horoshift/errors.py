@@ -13,3 +13,11 @@ class ResourceBudgetError(RuntimeError):
         super().__init__(message)
         self.budget = budget
         self.count = count
+
+
+def field(descriptor, key):
+    """``descriptor[key]``; a missing key is an InputError."""
+    if key not in descriptor:
+        raise InputError(f"{descriptor.get('kind')!r} descriptor needs "
+                         f"a {key!r} field")
+    return descriptor[key]

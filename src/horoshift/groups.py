@@ -45,7 +45,28 @@ def _within(value, radius_sq_or_lin, closed):
     return value <= radius_sq_or_lin if closed else value < radius_sq_or_lin
 
 
-class ZdLp:
+class MetricGroup:
+    """Right-invariant distance d(g, h) = |g h^-1| from a group's norm.
+
+    Subclasses provide ``identity``, ``op``, ``inv``, ``norm`` and ``ball``;
+    ``norm_exact`` is the norm itself unless a subclass needs another exact
+    form (the squared l2 norm of ``ZdLp``).
+    """
+
+    def norm_exact(self, g):
+        return self.norm(g)
+
+    def dist(self, g, h):
+        return self.norm(self.op(g, self.inv(h)))
+
+    def dist_lt(self, g, h, radius, closed=False):
+        return _within(Fraction(self.dist(g, h)), _as_fraction(radius), closed)
+
+    def busemann(self, g, x):
+        return self.dist(g, x) - self.norm(g)
+
+
+class ZdLp(MetricGroup):
     """Z^d with an l^p norm, p in {1, 2, inf}."""
 
     def __init__(self, dim, p):
@@ -85,9 +106,6 @@ class ZdLp:
     def norm(self, g):
         n = self.norm_exact(g)
         return math.sqrt(n) if self.p == 2 else n
-
-    def dist(self, g, h):
-        return self.norm(self.op(g, self.inv(h)))
 
     def dist_lt(self, g, h, radius, closed=False):
         """Exact comparison d(g, h) < radius (or <= when closed)."""
@@ -184,7 +202,7 @@ class _Weights:
             i += 1
 
 
-class WeightedFreeAbelian:
+class WeightedFreeAbelian(MetricGroup):
     """Free abelian group on e_1, e_2, ... with norm sum |x_i| w(i).
 
     Elements are sorted tuples of (index, coeff) pairs, coeff != 0.
@@ -229,17 +247,6 @@ class WeightedFreeAbelian:
     def norm(self, g):
         return sum(abs(c) * self.weights.fn(i) for i, c in self.check(g))
 
-    norm_exact = norm
-
-    def dist(self, g, h):
-        return self.norm(self.op(g, self.inv(h)))
-
-    def dist_lt(self, g, h, radius, closed=False):
-        return _within(Fraction(self.dist(g, h)), _as_fraction(radius), closed)
-
-    def busemann(self, g, x):
-        return self.dist(g, x) - self.norm(g)
-
     def ball(self, center, radius, closed=False, budget=DEFAULT_BALL_BUDGET):
         center = self.check(center)
         r = _as_fraction(radius)
@@ -279,7 +286,7 @@ class WeightedFreeAbelian:
         return out
 
 
-class DirectSumZ2:
+class DirectSumZ2(MetricGroup):
     """Infinite direct sum of Z/2Z with weighted norm; elements are frozensets."""
 
     def __init__(self, weight="index"):
@@ -306,17 +313,6 @@ class DirectSumZ2:
 
     def norm(self, g):
         return sum(self.weights.fn(i) for i in self.check(g))
-
-    norm_exact = norm
-
-    def dist(self, g, h):
-        return self.norm(self.op(g, h))
-
-    def dist_lt(self, g, h, radius, closed=False):
-        return _within(Fraction(self.dist(g, h)), _as_fraction(radius), closed)
-
-    def busemann(self, g, x):
-        return self.dist(g, x) - self.norm(g)
 
     def ball(self, center, radius, closed=False, budget=DEFAULT_BALL_BUDGET):
         center = self.check(center)
@@ -415,7 +411,7 @@ def ball_sequence_check(sets, cutoff=None, op=_tuple_op, inv=_tuple_inv, identit
     return BallSequenceReport(True, cutoff, group=group)
 
 
-class BallSequenceGroup:
+class BallSequenceGroup(MetricGroup):
     """Metric induced by a checked ball sequence, valid up to its cutoff."""
 
     def __init__(self, sets, cutoff, op, inv, identity_elt):
@@ -439,17 +435,6 @@ class BallSequenceGroup:
             if g in self.sets[n]:
                 return n
         raise InputError(f"element {g!r} outside the cutoff-{self.cutoff} ball sequence")
-
-    norm_exact = norm
-
-    def dist(self, g, h):
-        return self.norm(self.op(g, self.inv(h)))
-
-    def dist_lt(self, g, h, radius, closed=False):
-        return _within(Fraction(self.dist(g, h)), _as_fraction(radius), closed)
-
-    def busemann(self, g, x):
-        return self.dist(g, x) - self.norm(g)
 
     def ball(self, center, radius, closed=False, budget=DEFAULT_BALL_BUDGET):
         r = _as_fraction(radius)

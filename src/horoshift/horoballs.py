@@ -18,7 +18,7 @@ The horoball of a horofunction j is the strict sublevel set {j < 0}.
 from fractions import Fraction
 import math
 
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError
 from .groups import ZdLp, _as_fraction
 
 
@@ -66,6 +66,9 @@ class Linear:
             return (s > 0) - (s < 0)
         s = self.value(x)
         return (s > 0) - (s < 0)
+
+    def halfplane_normal(self):
+        return self.int_dir if self.dim == 2 else None
 
 
 class PolyhedralZ2:
@@ -125,6 +128,13 @@ class PolyhedralZ2:
         v = self.value(p)
         return (v > 0) - (v < 0)
 
+    def halfplane_normal(self):
+        if self.shape == "halfplane-diagonal":
+            return (self.side, -self.side)
+        if self.shape == "halfplane-antidiagonal":
+            return (self.side, self.side)
+        return None
+
     @property
     def is_horofunction(self):
         return self.value((0, 0)) == 0
@@ -156,7 +166,7 @@ class Sampled:
 
     kind = "sampled"
 
-    def __init__(self, group, gen, n_star, samples=48, span_tolerance=1e-6):
+    def __init__(self, group, gen, n_star, samples=48):
         if n_star < 1:
             raise InputError(f"truncation index must be >= 1, got {n_star}")
         self.group = group
@@ -164,7 +174,6 @@ class Sampled:
         if not callable(gen):
             n_star = min(n_star, len(list(gen)))
         self.n_star = n_star
-        self.span_tolerance = span_tolerance
         # log-spaced sample indices ending at the truncation index
         pts = sorted({max(1, round(n_star ** (k / (samples - 1)))) for k in range(samples)} | {n_star})
         self.sample_indices = pts
@@ -182,8 +191,8 @@ class Sampled:
         v = self.value(x)
         return (v > 0) - (v < 0)
 
-    def is_stable(self, x):
-        return self.value_with_span(x)[1] <= self.span_tolerance
+    def halfplane_normal(self):
+        return None
 
 
 class Horoball:
@@ -197,6 +206,11 @@ class Horoball:
 
     def contains(self, x):
         return self.j.sign(x) < 0
+
+    def halfplane_normal(self):
+        """Primitive outward normal (a, b) when the horoball is an exact
+        half-plane of Z^2, else None."""
+        return self.j.halfplane_normal()
 
 
 def l2_horoball(v):

@@ -4,8 +4,7 @@ No timestamps, fixed number formatting, stable iteration order: the same
 input always produces byte-identical files.
 """
 
-import math
-
+from .certify import Direction
 from .errors import InputError
 
 
@@ -55,8 +54,9 @@ def _fmt(x):
 
 
 def direction_circle_svg(report):
-    """Unit-circle plot of an NDReport: one dot per grid direction, filled
-    for Witness, open for WindowDeterministic, crossed for Inconclusive."""
+    """Unit-circle plot of a report dict as built by
+    ``serialize.nd_report_to_dict``: one dot per grid direction, filled for
+    Witness, open for WindowDeterministic, crossed for Inconclusive."""
     size, R = 400, 160
     cx = cy = size // 2
     parts = [
@@ -64,13 +64,14 @@ def direction_circle_svg(report):
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'<circle cx="{cx}" cy="{cy}" r="{R}" fill="none" stroke="#888"/>',
     ]
-    for d, cert in report.entries:
+    for e in report["entries"]:
+        d, kind = Direction(**e["direction"]), e["certificate"]["kind"]
         ux, uy = d.unit()
         x, y = cx + R * ux, cy - R * uy
-        if cert.kind == "witness":
+        if kind == "witness":
             parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="6" '
                          f'fill="#c00"><title>{d!r}: witness</title></circle>')
-        elif cert.kind == "window-deterministic":
+        elif kind == "window-deterministic":
             parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
                          f'fill="none" stroke="#06c">'
                          f'<title>{d!r}: deterministic</title></circle>')
@@ -80,7 +81,7 @@ def direction_circle_svg(report):
                          f'<line x1="{_fmt(x - 4)}" y1="{_fmt(y + 4)}" '
                          f'x2="{_fmt(x + 4)}" y2="{_fmt(y - 4)}"/></g>')
     parts.append(f'<text x="8" y="{size - 10}" font-size="12" fill="#444">'
-                 f'k={report.k} N={report.N} eps=2^-{report.k}</text>')
+                 f'k={report["k"]} N={report["N"]} eps=2^-{report["k"]}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -9,13 +9,21 @@ import io
 import json
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, field
 from . import groups, horoballs, subshifts
 from .certify import Direction
 
 
 def json_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def load_json(text):
+    """Parse a JSON descriptor given on the command line or read from a file."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise InputError(f"malformed JSON descriptor {text!r}: {e}") from e
 
 
 def _num(x):
@@ -31,7 +39,7 @@ def parse_group(descriptor):
     """Shorthands: "z2-l1", "z3-l2", "zd-linf" style; "wfa-index";
     "dsz2-index"; or a JSON object string."""
     if descriptor.startswith("{"):
-        return group_from_dict(json.loads(descriptor))
+        return group_from_dict(load_json(descriptor))
     d = descriptor.strip().lower()
     if d.startswith("z") and "-l" in d:
         dim_s, p_s = d[1:].split("-l")
@@ -59,7 +67,7 @@ def group_to_dict(g):
 def group_from_dict(d):
     kind = d.get("kind")
     if kind == "zd-lp":
-        return groups.ZdLp(d["dim"], d["p"])
+        return groups.ZdLp(field(d, "dim"), field(d, "p"))
     if kind == "weighted-free-abelian":
         return groups.WeightedFreeAbelian(d.get("weight", "index"))
     if kind == "direct-sum-z2":
@@ -70,19 +78,23 @@ def group_from_dict(d):
 # ---------------------------------------------------------------------------
 # horofunctions / horoballs
 
+def parse_horoball(descriptor):
+    return horoball_from_dict(load_json(descriptor))
+
+
 def horoball_from_dict(d):
     kind = d.get("kind")
     if kind == "linear":
-        return horoballs.l2_horoball(d["v"])
+        return horoballs.l2_horoball(field(d, "v"))
     if kind in ("halfplane-diagonal", "halfplane-antidiagonal"):
         return horoballs.Horoball(
-            horoballs.PolyhedralZ2(kind, side=d["side"]))
+            horoballs.PolyhedralZ2(kind, side=field(d, "side")))
     if kind == "quarter-space":
         return horoballs.Horoball(
-            horoballs.PolyhedralZ2(kind, apex=tuple(d["apex"]),
-                                   opening=d["opening"]))
+            horoballs.PolyhedralZ2(kind, apex=tuple(field(d, "apex")),
+                                   opening=field(d, "opening")))
     if kind == "sampled-l1-ray":
-        return horoballs.sampled_l1_horoball_z2(tuple(d["ray"]),
+        return horoballs.sampled_l1_horoball_z2(tuple(field(d, "ray")),
                                                 d.get("n_star", 512))
     raise InputError(f"unknown horoball kind {kind!r}")
 
@@ -111,7 +123,7 @@ def parse_spec(descriptor):
     if d in ("fullshift", "full-shift"):
         return subshifts.FullShift((0, 1))
     if descriptor.strip().startswith("{"):
-        return subshifts.spec_from_dict(json.loads(descriptor))
+        return subshifts.spec_from_dict(load_json(descriptor))
     raise InputError(f"unknown system descriptor {descriptor!r}")
 
 
@@ -137,43 +149,6 @@ def direction_to_vector_descriptor(d):
     return [d.a, d.b]
 
 
-def filling_to_dict(f):
-    if isinstance(f, subshifts.WindowFilling):
-        return {"N": f.N,
-                "symbols": [[s[0], s[1], v]
-                            for s, v in sorted(f.symbols.items(),
-                                               key=lambda kv: (kv[0][1], kv[0][0]))]}
-    return f  # skew witnesses carry plain dict descriptions
-
-
-def _evidence_to_json(e):
-    if e is None:
-        return None
-    out = {}
-    for k, v in e.items():
-        if isinstance(v, (set, frozenset)):
-            v = sorted(v)
-        if isinstance(v, tuple):
-            v = list(v)
-        if isinstance(v, list):
-            v = [list(i) if isinstance(i, tuple) else i for i in v]
-        out[k] = v
-    return out
-
-
-def certificate_to_dict(c):
-    d = {"kind": c.kind, "N": c.N, "k": c.k}
-    if c.kind == "witness":
-        d["extendable"] = c.extendable
-        d["pair"] = [filling_to_dict(c.pair[0]), filling_to_dict(c.pair[1])]
-        d["evidence"] = _evidence_to_json(c.evidence)
-    elif c.kind == "window-deterministic":
-        d["evidence"] = _evidence_to_json(c.evidence)
-    else:
-        d["reason"] = c.reason
-    return d
-
-
 def nd_report_to_dict(report):
     return {
         "epsilon": {"dyadic": f"2^-{report.k}", "value": report.epsilon},
@@ -182,7 +157,7 @@ def nd_report_to_dict(report):
         "metadata": dict(report.metadata, spec_hash=spec_hash(report.spec)),
         "entries": [
             {"direction": direction_to_dict(d),
-             "certificate": certificate_to_dict(c)}
+             "certificate": c.to_dict()}
             for d, c in report.entries
         ],
         "witness_directions": [direction_to_dict(d)
@@ -191,11 +166,13 @@ def nd_report_to_dict(report):
 
 
 def nd_report_to_csv(report):
+    """CSV rows of a report dict as built by ``nd_report_to_dict``."""
     buf = io.StringIO()
     buf.write("a,b,label,certificate,extendable\n")
-    for d, c in report.entries:
-        ext = c.extendable if c.kind == "witness" else ""
-        buf.write(f"{d.a},{d.b},{d.label},{c.kind},{ext}\n")
+    for e in report["entries"]:
+        d, c = e["direction"], e["certificate"]
+        buf.write(f"{d['a']},{d['b']},{d['label']},{c['kind']},"
+                  f"{c.get('extendable', '')}\n")
     return buf.getvalue()
 
 

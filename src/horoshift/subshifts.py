@@ -11,9 +11,7 @@ Window fillings are total assignments of the centered box [-N, N]^2;
 deterministic raster-order backtracking.
 """
 
-import itertools
-
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, ResourceBudgetError, field
 
 DEFAULT_FILLING_BUDGET = 2_000_000
 
@@ -151,11 +149,11 @@ def spec_from_dict(d):
     if kind == "full-shift":
         return FullShift(d.get("alphabet", (0, 1)))
     if kind == "linear-gf2":
-        return LinearGF2(d["support"])
+        return LinearGF2(field(d, "support"))
     if kind == "sft":
         forbidden = [Pattern({tuple(s): v for s, v in entries})
-                     for entries in d["forbidden"]]
-        return SFT(d["alphabet"], forbidden)
+                     for entries in field(d, "forbidden")]
+        return SFT(field(d, "alphabet"), forbidden)
     raise InputError(f"unknown subshift kind {kind!r}")
 
 
@@ -178,17 +176,9 @@ def validate(spec, pattern):
     for z in anchors:
         if any(all((z[0] + s[0], z[1] + s[1]) in sites for s in sup)
                for sup in supports):
-            if not _check_all_anchored(spec, pattern.symbols, z):
+            if not spec.check_at(pattern.symbols, z):
                 return False
     return True
-
-
-def _check_all_anchored(spec, symbols, z):
-    if isinstance(spec, LinearGF2):
-        if all((z[0] + s[0], z[1] + s[1]) in symbols for s in spec.support):
-            return spec.check_at(symbols, z)
-        return True
-    return spec.check_at(symbols, z)
 
 
 class WindowFilling:
@@ -211,8 +201,9 @@ class WindowFilling:
     def __hash__(self):
         return hash((self.N, tuple(sorted(self.symbols.items()))))
 
-    def restrict(self, sites):
-        return {s: self.symbols[s] for s in sites}
+    def to_dict(self):
+        cells = sorted(self.symbols.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        return {"N": self.N, "symbols": [[s[0], s[1], v] for s, v in cells]}
 
     def __repr__(self):
         return f"WindowFilling(N={self.N}, {len(self.symbols)} sites)"

@@ -123,6 +123,28 @@ class TestVerify:
         assert d["found"] is True
 
 
+MALFORMED = {
+    "grid-empty-pair": ["nd", "--system", "ledrappier", "--k", "2",
+                        "--window", "4", "--grid", "1,0;"],
+    "grid-farey-order": ["nd", "--system", "ledrappier", "--k", "2",
+                         "--window", "4", "--grid", "farey:x"],
+    "system-json": ["nd", "--system", "{bad", "--k", "2", "--window", "4"],
+    "horoball-json": ["horoball", "--system", "ledrappier", "--horoball",
+                      "{bad", "--k", "2", "--window", "4"],
+    "horoball-missing-key": ["horoball", "--system", "ledrappier",
+                             "--horoball", '{"kind":"linear"}', "--k", "2",
+                             "--window", "4"],
+    "cone-one-ray": ["verify", "lemma2.5", "--cone", "1,0"],
+    "vectors-json": ["convex", "origin-test", "--vectors", "[1,"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_descriptor_exit_2(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestSkewConvexRender:
     def test_skew_witness(self, tmp_path):
         rc = run(tmp_path, "skew", "--alpha", "1", "--beta=-2",

@@ -7,7 +7,7 @@ from horoshift import (Direction, FullShift, InputError, ZdLp, ledrappier,
 from horoshift.horoballs import PolyhedralZ2, polyhedral_from_ray
 from horoshift.render import (ball_raster, direction_circle_svg,
                               lattice_set_svg, sublevel_raster, write_pgm)
-from horoshift.serialize import (certificate_to_dict, coverage_report_to_dict,
+from horoshift.serialize import (coverage_report_to_dict,
                                  direction_from_dict, direction_to_dict,
                                  direction_to_vector_descriptor,
                                  group_from_dict, group_to_dict,
@@ -63,10 +63,11 @@ class TestSVG:
     def test_direction_circle(self):
         report = nd_set(ledrappier(), 2, 4, grid=parse_grid("farey:1"),
                         grid_label="farey:1")
-        svg = direction_circle_svg(report)
+        d = nd_report_to_dict(report)
+        svg = direction_circle_svg(d)
         assert svg.startswith("<svg")
         assert svg.count('fill="#c00"') == len(report.witness_directions())
-        assert direction_circle_svg(report) == svg  # byte identical
+        assert direction_circle_svg(d) == svg  # byte identical
 
     def test_lattice_set(self):
         svg = lattice_set_svg({(0, 0), (1, 2)}, 3, title="pts")
@@ -143,7 +144,7 @@ class TestReportSerialization:
     def test_certificate_dicts(self):
         report = self.make_report()
         for direction, cert in report.entries:
-            d = certificate_to_dict(cert)
+            d = cert.to_dict()
             assert d["kind"] == cert.kind
             if cert.kind == "witness":
                 assert d["extendable"] is True
@@ -151,7 +152,7 @@ class TestReportSerialization:
                 assert d["pair"][0]["N"] == cert.N
 
     def test_csv_format(self):
-        csv = nd_report_to_csv(self.make_report())
+        csv = nd_report_to_csv(nd_report_to_dict(self.make_report()))
         lines = csv.strip().split("\n")
         assert lines[0] == "a,b,label,certificate,extendable"
         assert len(lines) == 9
