@@ -26,6 +26,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ResourceBudgetError
 from .subshifts import (FullShift, LinearGF2, WindowFilling, box_sites,
@@ -218,29 +219,8 @@ class NDReport:
 
 def horoball_box_mask(contains, B):
     """Boolean mask of H on [-B, B]^2; mask[x + B, y + B] = membership."""
-    size = 2 * B + 1
-    mask = np.zeros((size, size), dtype=bool)
-    for x in range(-B, B + 1):
-        for y in range(-B, B + 1):
-            if contains((x, y)):
-                mask[x + B, y + B] = True
-    return mask
-
-
-def _dilate_linf(mask, steps):
-    out = mask.copy()
-    for _ in range(steps):
-        grown = out.copy()
-        grown[1:, :] |= out[:-1, :]
-        grown[:-1, :] |= out[1:, :]
-        grown[:, 1:] |= out[:, :-1]
-        grown[:, :-1] |= out[:, 1:]
-        grown[1:, 1:] |= out[:-1, :-1]
-        grown[:-1, :-1] |= out[1:, 1:]
-        grown[1:, :-1] |= out[:-1, 1:]
-        grown[:-1, 1:] |= out[1:, :-1]
-        out = grown
-    return out
+    r = range(-B, B + 1)
+    return np.array([[contains((x, y)) for y in r] for x in r], dtype=bool)
 
 
 def dilated_trace(contains, k, N):
@@ -248,17 +228,16 @@ def dilated_trace(contains, k, N):
 
     Returns (trace set, horoball-hits-box flag).
     """
-    B = 2 * N
-    mask = horoball_box_mask(contains, B)
+    if not 1 <= k <= N:
+        raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
+    mask = horoball_box_mask(contains, 2 * N)
     if not mask.any():
         return set(), False
-    dil = _dilate_linf(mask, k - 1)
-    trace = set()
-    for x in range(-N, N + 1):
-        for y in range(-N, N + 1):
-            if dil[x + B, y + B]:
-                trace.add((x, y))
-    return trace, True
+    # site x sits at mask index x + 2N; it is in the trace iff the w-wide
+    # square around it meets H, and k <= N keeps those squares in the mask
+    lo, hi, w = N - k + 1, 3 * N + k, 2 * k - 1
+    hit = sliding_window_view(mask[lo:hi, lo:hi], (w, w)).any(axis=(2, 3))
+    return {(x - N, y - N) for x, y in np.argwhere(hit).tolist()}, True
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +246,6 @@ def dilated_trace(contains, k, N):
 def gf2_nullspace(rows, ncols):
     """Basis of the null space of the GF(2) matrix given as bitmask rows
     (bit j = column j).  Deterministic: columns processed in order."""
-    rows = [r for r in rows if r]
     pivots = {}  # column -> reduced row
     for r in rows:
         while r:
@@ -278,16 +256,15 @@ def gf2_nullspace(rows, ncols):
                 pivots[lead] = r
                 break
     basis = []
-    pivot_cols = set(pivots)
+    # a pivot row's equation involves only columns below its lead, so
+    # resolve pivots in increasing column order
+    order = sorted(pivots.items())
     for j in range(ncols):
-        if j in pivot_cols:
+        if j in pivots:
             continue
-        # free column j: back-substitute a vector with bit j set; a pivot
-        # row's equation involves only columns below its lead, so resolve
-        # pivots in increasing column order
+        # free column j: back-substitute a vector with bit j set
         vec = 1 << j
-        for lead in sorted(pivot_cols):
-            row = pivots[lead]
+        for lead, row in order:
             if (row & vec).bit_count() % 2:
                 vec |= 1 << lead
         basis.append(vec)
@@ -298,50 +275,35 @@ class _LinearWindowKernel:
     """Kernel of a GF(2) linear rule on the box [-M, M]^2.
 
     Fillings of a LinearGF2 spec form a GF(2) vector space; witness pairs
-    (x, y) correspond to kernel vectors z = x + y.
+    (x, y) correspond to kernel vectors z = x + y.  The basis is kept as one
+    mask per site: bit j of ``mask[s]`` is basis vector j's symbol at s, so a
+    combination c of basis vectors has symbol parity(c & mask[s]) at s.
     """
 
     def __init__(self, support, M):
-        self.M = M
-        self.sites = box_sites(M)
-        self.index = {s: i for i, s in enumerate(self.sites)}
+        sites = box_sites(M)
+        index = {s: i for i, s in enumerate(sites)}
         rows = []
-        window = set(self.sites)
-        for z in self.sites:
+        for z in sites:
             cells = [(z[0] + s[0], z[1] + s[1]) for s in support]
-            if all(c in window for c in cells):
+            if all(c in index for c in cells):
                 row = 0
                 for c in cells:
-                    row ^= 1 << self.index[c]
+                    row ^= 1 << index[c]
                 rows.append(row)
-        self.basis = gf2_nullspace(rows, len(self.sites))
+        basis = gf2_nullspace(rows, len(sites))
+        self.dim = len(basis)
+        # transpose once: column i of ``bits``, read in binary, is mask i
+        bits = [format(v, f"0{len(sites)}b")[::-1] for v in reversed(basis)]
+        self.mask = {s: int("".join(c), 2) for s, c in zip(sites, zip(*bits))}
 
-    def constrained_basis(self, zero_sites):
-        """Basis of kernel vectors vanishing on the given sites."""
-        idx = [self.index[s] for s in sorted(zero_sites)]
-        nb = len(self.basis)
-        rows = []
-        for i in idx:
-            row = 0
-            for j, vec in enumerate(self.basis):
-                if (vec >> i) & 1:
-                    row |= 1 << j
-            rows.append(row)
-        combos = gf2_nullspace(rows, nb)
-        out = []
-        for c in combos:
-            vec = 0
-            j = 0
-            while c:
-                if c & 1:
-                    vec ^= self.basis[j]
-                c >>= 1
-                j += 1
-            out.append(vec)
-        return out
+    def vanishing_on(self, sites):
+        """Combinations whose kernel vectors vanish on the given sites."""
+        return gf2_nullspace([self.mask[s] for s in sites], self.dim)
 
-    def vector_to_symbols(self, vec, sites):
-        return {s: (vec >> self.index[s]) & 1 for s in sites}
+    def symbol(self, c, s):
+        """Symbol at site s of the kernel vector of combination c."""
+        return (c & self.mask[s]).bit_count() & 1
 
 
 # a linear certificate uses two kernels, on [-N, N]^2 and [-(N + margin),
@@ -405,8 +367,7 @@ def hull_outward_normals(support):
 def _origin_forced(spec, trace, N):
     """Is the origin symbol of [-N, N]^2 forced by the symbols on the trace?"""
     small = _window_kernel(spec.support, N)
-    origin_bit = 1 << small.index[(0, 0)]
-    return not any(vec & origin_bit for vec in small.constrained_basis(trace))
+    return not any(small.symbol(c, (0, 0)) for c in small.vanishing_on(trace))
 
 
 def _linear_status(spec, contains, k, N, margin, normal=None):
@@ -434,13 +395,10 @@ def _linear_status(spec, contains, k, N, margin, normal=None):
     trace_M, _ = dilated_trace(contains, k, M)
     kern = _window_kernel(spec.support, M)
     inner = box_sites(N)
-    inner_bits = 0
-    for s in inner:
-        inner_bits |= 1 << kern.index[s]
-    for vec in kern.constrained_basis(trace_M):
-        if vec & inner_bits:
+    for c in kern.vanishing_on(trace_M):
+        if any(kern.symbol(c, s) for s in inner):
             x = WindowFilling(N, {s: 0 for s in inner}, extendable=True)
-            y = WindowFilling(N, kern.vector_to_symbols(vec, inner),
+            y = WindowFilling(N, {s: kern.symbol(c, s) for s in inner},
                               extendable=True)
             evidence = {"margin": margin, "trace_size": len(trace)}
             if normal is not None:
@@ -683,9 +641,7 @@ def skew_horoball_status(spec, horoball, k, N, B_max=None):
     evidence = {"stages": stages, "B_max": B_max}
     if stages[-1][1] is None:
         return Inconclusive(N, k, "horoball misses window")
-    lo, hi = stages[-1][1]
-    final_E = set(exponent_image(spec, contains, stages[-1][0]))
-    if all(e in final_E for e in range(-N, N + 1)):
+    if set(range(-N, N + 1)) <= set(E):
         evidence["covers"] = [-N, N]
         return WindowDeterministic(N, k, evidence=evidence)
     mins = [s[1][0] for s in stages if s[1] is not None]

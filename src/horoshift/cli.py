@@ -139,12 +139,10 @@ def cmd_busemann(args):
 
 def cmd_verify(args):
     if args.check == "lemma2.2":
-        group = groups.ZdLp(args.dim, 2)
-        dirs = horoballs.direction_grid_2d(args.directions) if args.dim == 2 \
-            else None
-        if dirs is None:
+        if args.dim != 2:
             raise InputError("lemma2.2 grid is implemented for dim 2")
-        rep = horoballs.meeting_radius(group, dirs)
+        rep = horoballs.meeting_radius(
+            groups.ZdLp(2, 2), separation.uniform_probes(args.directions))
         worst = max(n2 for _, n2 in rep.witnesses.values())
         d = {"check": "horoball-meeting-radius", "N": rep.N,
              "directions": args.directions,
@@ -251,10 +249,13 @@ def cmd_render(args):
               f"{center}: {path}")
         return 0
     if args.what == "nd":
-        with open(args.report, encoding="utf-8") as f:
-            report = serialize.load_json(f.read())
+        try:
+            with open(args.report, encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise InputError(f"cannot read report: {e}") from e
         path = _write(args.out, "direction_circle.svg",
-                      render.direction_circle_svg(report))
+                      render.direction_circle_svg(serialize.load_json(text)))
         _log(args.out, "wrote direction_circle.svg")
         print(f"direction circle: {path}")
         return 0

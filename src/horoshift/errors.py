@@ -16,8 +16,11 @@ class ResourceBudgetError(RuntimeError):
 
 
 def field(descriptor, key):
-    """``descriptor[key]``; a missing key is an InputError."""
+    """``descriptor[key]``; a non-object or a missing key is an InputError."""
+    if not isinstance(descriptor, dict):
+        raise InputError(f"expected a JSON object, got {descriptor!r}")
     if key not in descriptor:
-        raise InputError(f"{descriptor.get('kind')!r} descriptor needs "
-                         f"a {key!r} field")
+        kind = descriptor.get("kind")
+        what = "descriptor" if kind is None else f"{kind!r} descriptor"
+        raise InputError(f"{what} needs a {key!r} field")
     return descriptor[key]

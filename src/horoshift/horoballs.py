@@ -338,12 +338,6 @@ class MeetingRadiusReport:
         self.witnesses = witnesses  # direction -> (lattice point, squared norm)
 
 
-def direction_grid_2d(n):
-    """n unit directions uniformly spaced on the circle."""
-    return [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n))
-            for k in range(n)]
-
-
 def meeting_radius(group, directions):
     """Smallest integer N with H_v meeting the open ball B_N(0) for every v.
 

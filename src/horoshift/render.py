@@ -5,7 +5,7 @@ input always produces byte-identical files.
 """
 
 from .certify import Direction
-from .errors import InputError
+from .errors import InputError, field
 
 
 def write_pgm(path, rows):
@@ -59,13 +59,15 @@ def direction_circle_svg(report):
     Witness, open for WindowDeterministic, crossed for Inconclusive."""
     size, R = 400, 160
     cx = cy = size // 2
+    k = field(report, "k")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'<circle cx="{cx}" cy="{cy}" r="{R}" fill="none" stroke="#888"/>',
     ]
-    for e in report["entries"]:
-        d, kind = Direction(**e["direction"]), e["certificate"]["kind"]
+    for e in field(report, "entries"):
+        d = Direction(**field(e, "direction"))
+        kind = field(field(e, "certificate"), "kind")
         ux, uy = d.unit()
         x, y = cx + R * ux, cy - R * uy
         if kind == "witness":
@@ -81,7 +83,7 @@ def direction_circle_svg(report):
                          f'<line x1="{_fmt(x - 4)}" y1="{_fmt(y + 4)}" '
                          f'x2="{_fmt(x + 4)}" y2="{_fmt(y - 4)}"/></g>')
     parts.append(f'<text x="8" y="{size - 10}" font-size="12" fill="#444">'
-                 f'k={report["k"]} N={report["N"]} eps=2^-{report["k"]}</text>')
+                 f'k={k} N={field(report, "N")} eps=2^-{k}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -83,7 +83,7 @@ def parse_horoball(descriptor):
 
 
 def horoball_from_dict(d):
-    kind = d.get("kind")
+    kind = field(d, "kind")
     if kind == "linear":
         return horoballs.l2_horoball(field(d, "v"))
     if kind in ("halfplane-diagonal", "halfplane-antidiagonal"):

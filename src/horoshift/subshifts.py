@@ -21,11 +21,20 @@ def box_sites(N):
     return [(x, y) for y in range(-N, N + 1) for x in range(-N, N + 1)]
 
 
+def _site(s):
+    """A site given as a pair of integers, as a tuple of ints."""
+    try:
+        x, y = s
+        return (int(x), int(y))
+    except (TypeError, ValueError) as e:
+        raise InputError(f"a site must be an integer pair, got {s!r}") from e
+
+
 class Pattern:
     """A symbol assignment on a finite set of Z^2 sites."""
 
     def __init__(self, symbols):
-        self.symbols = {(int(s[0]), int(s[1])): v for s, v in symbols.items()}
+        self.symbols = {_site(s): v for s, v in symbols.items()}
 
     @property
     def support(self):
@@ -71,7 +80,7 @@ class LinearGF2:
     kind = "linear-gf2"
 
     def __init__(self, support):
-        sup = sorted((int(s[0]), int(s[1])) for s in support)
+        sup = sorted(_site(s) for s in support)
         if len(set(sup)) < 2:
             raise InputError("linear-gf2 support needs at least 2 distinct sites")
         self.support = tuple(sup)

@@ -11,7 +11,7 @@ from horoshift import (DirectSumZ2, Horoball, ZdLp, halfspace_coverage,
                        uniform_probes, verify_cone_shift, verify_tangency)
 from horoshift.certify import verify_witness
 from horoshift.cli import main
-from horoshift.horoballs import (RationalCone, Sampled, direction_grid_2d,
+from horoshift.horoballs import (RationalCone, Sampled,
                                  l2_horoball, largeness_certificate,
                                  meeting_radius, polyhedral_from_ray,
                                  tangency_threshold)
@@ -127,7 +127,7 @@ def test_criterion_6_busemann_and_raster(tmp_path):
 
 
 def test_criterion_7_meeting_radius():
-    rep = meeting_radius(ZdLp(2, 2), direction_grid_2d(10_000))
+    rep = meeting_radius(ZdLp(2, 2), uniform_probes(10_000))
     ok = rep.N == 2 and len(rep.witnesses) == 10_000
     for v, (p, n2) in rep.witnesses.items():
         if not (sum(a * b for a, b in zip(p, v)) < 0 and n2 < rep.N ** 2):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from horoshift import (Direction, FullShift, InputError, PolyhedralZ2,
@@ -105,6 +107,35 @@ class TestDilatedTrace:
         far = PolyhedralZ2("quarter-space", apex=(100, 0), opening="+x")
         trace, hits = dilated_trace(lambda p: far.sign(p) < 0, 2, 3)
         assert not hits and trace == set()
+
+    HOROBALLS = {
+        "direction-0,1": Direction(0, 1).contains,
+        "direction-1,2": Direction(1, 2).contains,
+        "direction--3,1": Direction(-3, 1).contains,
+        "quarter-apex-inside": Horoball(PolyhedralZ2(
+            "quarter-space", apex=(1, -2), opening="+x")).contains,
+        "quarter-apex-outside": Horoball(PolyhedralZ2(
+            "quarter-space", apex=(0, 7), opening="-y")).contains,
+        # meets [-2N, 2N]^2 only at N = 5, in the single site (0, 10)
+        "quarter-apex-far": Horoball(PolyhedralZ2(
+            "quarter-space", apex=(0, 9), opening="+y")).contains,
+        "irrational-linear": l2_horoball((1, math.sqrt(2))).contains,
+    }
+
+    @pytest.mark.parametrize("name", HOROBALLS)
+    def test_matches_definition(self, name):
+        """{p in [-N, N]^2 : linf-dist(p, H /\\ [-2N, 2N]^2) < k}, by brute
+        force, for every 1 <= k <= N <= 5; k = N reaches the mask border."""
+        contains = self.HOROBALLS[name]
+        for N in range(1, 6):
+            box = [(x, y) for x in range(-N, N + 1) for y in range(-N, N + 1)]
+            ball = [(x, y) for x in range(-2 * N, 2 * N + 1)
+                    for y in range(-2 * N, 2 * N + 1) if contains((x, y))]
+            for k in range(1, N + 1):
+                want = {p for p in box if any(
+                    max(abs(p[0] - h[0]), abs(p[1] - h[1])) < k for h in ball)}
+                assert dilated_trace(contains, k, N) == (want, bool(ball)), \
+                    (N, k)
 
 
 class TestDirectionStatus:

@@ -5,6 +5,8 @@ import pytest
 
 from horoshift.cli import main
 
+HERE = os.path.dirname(os.path.abspath(__file__))
+
 
 def run(tmp_path, *argv):
     return main(list(argv) + ["--out", str(tmp_path)])
@@ -134,6 +136,22 @@ MALFORMED = {
     "horoball-missing-key": ["horoball", "--system", "ledrappier",
                              "--horoball", '{"kind":"linear"}', "--k", "2",
                              "--window", "4"],
+    "horoball-not-object": ["horoball", "--system", "ledrappier",
+                            "--horoball", "[1]", "--k", "2", "--window", "4"],
+    "support-short-site": ["nd", "--system",
+                           '{"kind":"linear-gf2","support":[[0]]}',
+                           "--k", "2", "--window", "4"],
+    "support-non-integer": ["nd", "--system",
+                            '{"kind":"linear-gf2","support":[["a",0],[1,0]]}',
+                            "--k", "2", "--window", "4"],
+    "forbidden-short-site": ["nd", "--system",
+                             '{"kind":"sft","alphabet":[0,1],'
+                             '"forbidden":[[[[0],1]]]}',
+                             "--k", "2", "--window", "4"],
+    "report-missing": ["render", "nd", "--report",
+                       os.path.join(HERE, "no-such-report.json")],
+    "report-not-nd": ["render", "nd", "--report",
+                      os.path.join(HERE, "readme_cli_digests.json")],
     "cone-one-ray": ["verify", "lemma2.5", "--cone", "1,0"],
     "vectors-json": ["convex", "origin-test", "--vectors", "[1,"],
 }

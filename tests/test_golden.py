@@ -1,15 +1,18 @@
 """The README's CLI commands, run in README order into one output directory,
-reproduce the recorded SHA-256 of every artifact they write.
+reproduce the recorded SHA-256 of every artifact they write; so do two
+``nd`` commands the README does not run.
 
 ``readme_cli_digests.json`` maps "<command index>/<artifact>" to the digest
-of that artifact right after the command ran; re-record it when an artifact
-changes on purpose.
+of that artifact right after the command ran; re-record it, and
+``ND_DIGESTS``, when an artifact changes on purpose.
 """
 
 import hashlib
 import json
 import os
 import shlex
+
+import pytest
 
 from horoshift.cli import main
 
@@ -41,3 +44,33 @@ def test_readme_cli_artifacts(tmp_path, monkeypatch):
             if int(index) == i:
                 got = hashlib.sha256((tmp_path / "out" / name).read_bytes())
                 assert got.hexdigest() == want, (argv, name)
+
+
+# the margin-kernel witness search on every farey:4 direction, and the
+# Ledrappier k=3 scan at N=18 over farey:8+diag
+ND_DIGESTS = {
+    "nd --system ledrappier --k 2 --window 5 --grid farey:4 --method kernel": {
+        "nd_report.json": "5d1d45d3e7555b7e0563963f0d30f6ca"
+                          "3fb7be5986a4df8f0998e6caa98aed60",
+        "nd_report.csv": "5bdefb9e2d2a6aba264ace60c16483c5"
+                         "7107777ccf47baf9f2f5590b05cd3650",
+        "direction_circle.svg": "c499ba18a5e2c34bc7308a8847dca7ca"
+                                "75e6590caea389ab106cea834d90acd8",
+    },
+    "nd --system ledrappier --k 3 --window 18 --grid farey:8+diag": {
+        "nd_report.json": "9957abb3b8abab228d803ac9ad755dc3"
+                          "26fdeeabc8e200d4dfad4f59de4fcdda",
+        "nd_report.csv": "28441c454c34dea5b5f9001c319bec71"
+                         "bf80288126d6744917fd9fe4f4a4e768",
+        "direction_circle.svg": "72bf37d02fcd392a053b020063222984"
+                                "96d5e6095fb8ac652a61d613d6b3c165",
+    },
+}
+
+
+@pytest.mark.parametrize("command", ND_DIGESTS)
+def test_nd_artifacts(tmp_path, command):
+    assert main(shlex.split(command) + ["--out", str(tmp_path)]) == 0
+    for name, want in ND_DIGESTS[command].items():
+        got = hashlib.sha256((tmp_path / name).read_bytes())
+        assert got.hexdigest() == want, name

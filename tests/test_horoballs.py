@@ -9,8 +9,8 @@ from horoshift import (DirectSumZ2, Horoball, InputError, Linear,
                        enumerate_l1_horoballs_z2, l2_horoball,
                        largeness_certificate, meeting_radius,
                        polyhedral_from_ray, sampled_l1_horoball_z2,
-                       verify_cone_shift, verify_tangency)
-from horoshift.horoballs import direction_grid_2d, tangency_threshold
+                       uniform_probes, verify_cone_shift, verify_tangency)
+from horoshift.horoballs import tangency_threshold
 
 site = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
 
@@ -166,11 +166,11 @@ class TestLargeness:
 
 class TestMeetingRadius:
     def test_small_grid(self):
-        rep = meeting_radius(ZdLp(2, 2), direction_grid_2d(360))
+        rep = meeting_radius(ZdLp(2, 2), uniform_probes(360))
         assert rep.N == 2
 
     def test_witnesses_verified(self):
-        rep = meeting_radius(ZdLp(2, 2), direction_grid_2d(100))
+        rep = meeting_radius(ZdLp(2, 2), uniform_probes(100))
         for v, (p, n2) in rep.witnesses.items():
             assert sum(a * b for a, b in zip(p, v)) < 0
             assert n2 == sum(c * c for c in p)
