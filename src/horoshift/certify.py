@@ -24,13 +24,14 @@ as the independent oracle.
 
 import functools
 import math
+from operator import itemgetter, xor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ResourceBudgetError
 from .subshifts import (FullShift, LinearGF2, WindowFilling, box_sites,
-                        enumerate_fillings, skew_exponent)
+                        enumerate_fillings, placements, skew_exponent)
 
 DEFAULT_ENUM_BUDGET = 400_000
 
@@ -283,14 +284,9 @@ class _LinearWindowKernel:
     def __init__(self, support, M):
         sites = box_sites(M)
         index = {s: i for i, s in enumerate(sites)}
-        rows = []
-        for z in sites:
-            cells = [(z[0] + s[0], z[1] + s[1]) for s in support]
-            if all(c in index for c in cells):
-                row = 0
-                for c in cells:
-                    row ^= 1 << index[c]
-                rows.append(row)
+        # xor, not sum: a repeated support site cancels in GF(2)
+        rows = [functools.reduce(xor, (1 << index[c] for c in cells))
+                for cells in placements(support, index)]
         basis = gf2_nullspace(rows, len(sites))
         self.dim = len(basis)
         # transpose once: column i of ``bits``, read in binary, is mask i
@@ -460,10 +456,11 @@ def _enumeration_status(spec, contains, k, N, margin, budget):
     M = N + margin
     trace_M, _ = dilated_trace(contains, k, M)
     classes = {}
+    # a filling's class is its symbols on the trace, read in one fixed order
+    key = itemgetter(*sorted(trace)) if trace else (lambda symbols: ())
     try:
         for f in enumerate_fillings(spec, N, budget=budget):
-            key = tuple(sorted((s, f.symbols[s]) for s in trace))
-            classes.setdefault(key, []).append(f)
+            classes.setdefault(key(f.symbols), []).append(f)
     except ResourceBudgetError:
         return Inconclusive(N, k, "budget")
     origin_forced = True
@@ -484,8 +481,6 @@ def _enumeration_status(spec, contains, k, N, margin, budget):
 
 
 def _status(spec, horoball, k, N, margin, budget, method):
-    if N < k or k < 1:
-        raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
     if margin is None:
         margin = _default_margin(k, N)
     contains = horoball.contains

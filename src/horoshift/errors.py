@@ -15,12 +15,15 @@ class ResourceBudgetError(RuntimeError):
         self.count = count
 
 
-def field(descriptor, key):
-    """``descriptor[key]``; a non-object or a missing key is an InputError."""
+def field(descriptor, key, kind=object):
+    """``descriptor[key]``, which must be a ``kind``, else an InputError."""
     if not isinstance(descriptor, dict):
         raise InputError(f"expected a JSON object, got {descriptor!r}")
     if key not in descriptor:
-        kind = descriptor.get("kind")
-        what = "descriptor" if kind is None else f"{kind!r} descriptor"
+        name = descriptor.get("kind")
+        what = "descriptor" if name is None else f"{name!r} descriptor"
         raise InputError(f"{what} needs a {key!r} field")
-    return descriptor[key]
+    value = descriptor[key]
+    if not isinstance(value, kind):
+        raise InputError(f"{key!r} must be a {kind.__name__}, got {value!r}")
+    return value

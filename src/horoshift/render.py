@@ -4,8 +4,8 @@ No timestamps, fixed number formatting, stable iteration order: the same
 input always produces byte-identical files.
 """
 
-from .certify import Direction
 from .errors import InputError, field
+from .serialize import direction_from_dict
 
 
 def write_pgm(path, rows):
@@ -65,8 +65,8 @@ def direction_circle_svg(report):
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         f'<circle cx="{cx}" cy="{cy}" r="{R}" fill="none" stroke="#888"/>',
     ]
-    for e in field(report, "entries"):
-        d = Direction(**field(e, "direction"))
+    for e in field(report, "entries", list):
+        d = direction_from_dict(field(e, "direction"))
         kind = field(field(e, "certificate"), "kind")
         ux, uy = d.unit()
         x, y = cx + R * ux, cy - R * uy

@@ -28,6 +28,14 @@ class _Vec:
 
     def __init__(self, desc):
         self.raw = desc
+        try:
+            self._parse(desc)
+        except InputError:
+            raise
+        except (TypeError, ValueError) as e:
+            raise InputError(f"a vector must be numbers, got {desc!r}") from e
+
+    def _parse(self, desc):
         if (isinstance(desc, (tuple, list)) and desc
                 and desc[0] == "sqrt-normalized"):
             ints = tuple(int(c) for c in desc[1:])

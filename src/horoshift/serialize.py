@@ -139,7 +139,7 @@ def direction_to_dict(d):
 
 
 def direction_from_dict(d):
-    return Direction(d["a"], d["b"], d.get("label", "rational"))
+    return Direction(field(d, "a"), field(d, "b"), d.get("label", "rational"))
 
 
 def direction_to_vector_descriptor(d):
@@ -179,10 +179,10 @@ def nd_report_to_csv(report):
 def witness_vectors_from_report_dict(d):
     """Vector descriptors of the Witness directions of a serialized NDReport."""
     out = []
-    for entry in d["entries"]:
-        if entry["certificate"]["kind"] == "witness":
-            dd = entry["direction"]
-            out.append(direction_to_vector_descriptor(direction_from_dict(dd)))
+    for entry in field(d, "entries", list):
+        if field(field(entry, "certificate"), "kind") == "witness":
+            v = direction_from_dict(field(entry, "direction"))
+            out.append(direction_to_vector_descriptor(v))
     if not out:
         raise InputError("report contains no witness directions")
     return out

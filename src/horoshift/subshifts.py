@@ -6,10 +6,16 @@ x_{z+s} = 0 mod 2 for every z), and full shifts.  Skew actions are a
 Z-subshift together with an exponent homomorphism (n, m) -> alpha*n +
 beta*m; their Z^2 configurations are never materialized.
 
-Window fillings are total assignments of the centered box [-N, N]^2;
-``enumerate_fillings`` streams all locally admissible ones in a
-deterministic raster-order backtracking.
+Every spec gives its rule as ``constraints()``, a list of ``(support,
+allowed)``: ``allowed(values)`` judges the symbols read at z + support (a
+bare symbol for a one-site support).  ``placements`` is the one rule for
+where a support fits inside a finite set of sites.  ``enumerate_fillings``
+streams the locally admissible total assignments (window fillings) of the
+box [-N, N]^2 in a deterministic raster-order backtracking.
 """
+
+from functools import partial
+from operator import itemgetter, ne
 
 from .errors import InputError, ResourceBudgetError, field
 
@@ -31,14 +37,15 @@ def _site(s):
 
 
 class Pattern:
-    """A symbol assignment on a finite set of Z^2 sites."""
+    """A symbol assignment on finitely many sites: a dict or [site, v] pairs."""
 
     def __init__(self, symbols):
-        self.symbols = {_site(s): v for s, v in symbols.items()}
-
-    @property
-    def support(self):
-        return set(self.symbols)
+        pairs = symbols.items() if isinstance(symbols, dict) else symbols
+        try:
+            pairs = [(s, v) for s, v in pairs]
+        except (TypeError, ValueError) as e:
+            raise InputError(f"bad [site, symbol] pairs {symbols!r}") from e
+        self.symbols = {_site(s): v for s, v in pairs}
 
     def __getitem__(self, site):
         return self.symbols[site]
@@ -61,11 +68,8 @@ class FullShift:
         if len(self.alphabet) < 1:
             raise InputError("alphabet must be nonempty")
 
-    def constraint_supports(self):
+    def constraints(self):
         return []
-
-    def check_at(self, symbols, z):
-        return True
 
     def to_dict(self):
         return {"kind": self.kind, "alphabet": list(self.alphabet)}
@@ -86,18 +90,8 @@ class LinearGF2:
         self.support = tuple(sup)
         self.alphabet = (0, 1)
 
-    def constraint_supports(self):
-        return [self.support]
-
-    def check_at(self, symbols, z):
-        """Check the constraint anchored at z; True if some cell is unassigned."""
-        total = 0
-        for s in self.support:
-            v = symbols.get((z[0] + s[0], z[1] + s[1]))
-            if v is None:
-                return True
-            total ^= v
-        return total == 0
+    def constraints(self):
+        return [(self.support, lambda values: not sum(values) & 1)]
 
     def to_dict(self):
         return {"kind": self.kind, "support": [list(s) for s in self.support]}
@@ -113,31 +107,24 @@ class SFT:
 
     def __init__(self, alphabet, forbidden):
         self.alphabet = tuple(sorted(set(alphabet)))
+        if len(self.alphabet) < 1:
+            raise InputError("alphabet must be nonempty")
         self.forbidden = []
         for p in forbidden:
             if not isinstance(p, Pattern):
                 p = Pattern(p)
-            if not p.support:
+            if not p.symbols:
                 raise InputError("forbidden patterns must have nonempty support")
             self.forbidden.append(p)
         if not self.forbidden:
             raise InputError("an SFT needs at least one forbidden pattern; "
                              "use FullShift otherwise")
 
-    def constraint_supports(self):
-        return [tuple(sorted(p.support)) for p in self.forbidden]
-
-    def check_at(self, symbols, z):
-        for p in self.forbidden:
-            hit = True
-            for s, v in p.symbols.items():
-                got = symbols.get((z[0] + s[0], z[1] + s[1]))
-                if got is None or got != v:
-                    hit = False
-                    break
-            if hit:
-                return False
-        return True
+    def constraints(self):
+        # read each pattern with its getter's shape: one site gives a symbol
+        supports = [tuple(sorted(p.symbols)) for p in self.forbidden]
+        return [(s, partial(ne, itemgetter(*s)(p.symbols)))
+                for s, p in zip(supports, self.forbidden)]
 
     def to_dict(self):
         return {"kind": self.kind, "alphabet": list(self.alphabet),
@@ -156,38 +143,34 @@ def ledrappier():
 def spec_from_dict(d):
     kind = d.get("kind")
     if kind == "full-shift":
-        return FullShift(d.get("alphabet", (0, 1)))
+        return FullShift(field(d, "alphabet", list) if "alphabet" in d else (0, 1))
     if kind == "linear-gf2":
-        return LinearGF2(field(d, "support"))
+        return LinearGF2(field(d, "support", list))
     if kind == "sft":
-        forbidden = [Pattern({tuple(s): v for s, v in entries})
-                     for entries in field(d, "forbidden")]
-        return SFT(field(d, "alphabet"), forbidden)
+        return SFT(field(d, "alphabet", list), field(d, "forbidden", list))
     raise InputError(f"unknown subshift kind {kind!r}")
+
+
+def placements(support, sites):
+    """Iterates the cells z + support for every anchor z that puts the support
+    inside ``sites`` (a set or dict); anchors sites - support[0] give each once."""
+    x0, y0 = support[0]
+    shifted = (tuple((x - x0 + sx, y - y0 + sy) for sx, sy in support)
+               for x, y in sites)
+    return (cells for cells in shifted if all(c in sites for c in cells))
 
 
 def validate(spec, pattern):
     """True iff no constraint is violated fully inside the pattern support."""
     if not isinstance(pattern, Pattern):
         pattern = Pattern(pattern)
-    for v in pattern.symbols.values():
+    symbols = pattern.symbols
+    for v in symbols.values():
         if v not in spec.alphabet:
             raise InputError(f"symbol {v!r} outside alphabet {spec.alphabet}")
-    supports = spec.constraint_supports()
-    if not supports:
-        return True
-    sites = pattern.support
-    anchors = set()
-    for sup in supports:
-        for site in sites:
-            for s in sup:
-                anchors.add((site[0] - s[0], site[1] - s[1]))
-    for z in anchors:
-        if any(all((z[0] + s[0], z[1] + s[1]) in sites for s in sup)
-               for sup in supports):
-            if not spec.check_at(pattern.symbols, z):
-                return False
-    return True
+    return all(allowed(itemgetter(*cells)(symbols))
+               for support, allowed in spec.constraints()
+               for cells in placements(support, symbols))
 
 
 class WindowFilling:
@@ -230,22 +213,12 @@ def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
     for s in clamp:
         if not (abs(s[0]) <= N and abs(s[1]) <= N):
             raise InputError(f"clamp site {s} outside window [-{N},{N}]^2")
-    window = set(sites)
-    supports = spec.constraint_supports()
-    # constraints to check when a site gets its value: those anchored so that
-    # the site is the raster-last cell of the constraint inside the window
-    order = {s: i for i, s in enumerate(sites)}
+    # each placement is checked once, when its raster-last cell gets a value
     check_plan = {s: [] for s in sites}
-    anchors = set()
-    for sup in supports:
-        for site in sites:
-            for s in sup:
-                anchors.add(((site[0] - s[0], site[1] - s[1]), sup))
-    for z, sup in anchors:
-        cells = [(z[0] + s[0], z[1] + s[1]) for s in sup]
-        if all(c in window for c in cells):
-            last = max(cells, key=order.__getitem__)
-            check_plan[last].append(z)
+    for support, allowed in spec.constraints():
+        for cells in placements(support, check_plan):
+            last = max(cells, key=lambda c: (c[1], c[0]))
+            check_plan[last].append((itemgetter(*cells), allowed))
     alphabet = sorted(spec.alphabet)
     symbols = {}
     count = 0
@@ -263,7 +236,7 @@ def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
         choices = [clamp[site]] if site in clamp else alphabet
         for v in choices:
             symbols[site] = v
-            if all(spec.check_at(symbols, z) for z in check_plan[site]):
+            if all(allowed(get(symbols)) for get, allowed in check_plan[site]):
                 yield from backtrack(i + 1)
             del symbols[site]
 

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from horoshift import (Direction, FullShift, InputError, PolyhedralZ2,
+from horoshift import (Direction, FullShift, InputError, LinearGF2,
+                       PolyhedralZ2,
                        SkewActionSpec, FullShiftZ, direction_status,
                        farey_directions, horoball_status, l2_horoball,
                        ledrappier, nd_set, parse_grid, skew_horoball_status)
@@ -175,6 +176,14 @@ class TestDirectionStatus:
             if kcert.kind == "witness":
                 assert verify_witness(spec, Direction(*v).contains, kcert)
                 assert verify_witness(spec, Direction(*v).contains, ecert)
+
+    def test_kernel_vs_enumeration_repeated_site(self):
+        # a repeated support site cancels in GF(2): this rule is x_{1,0} = x_{0,1}
+        spec = LinearGF2([(0, 0), (0, 0), (1, 0), (0, 1)])
+        for v in ((0, 1), (1, 0), (1, -1), (-1, 1)):
+            kcert = direction_status(spec, v, 1, 2, margin=1, method="kernel")
+            ecert = direction_status(spec, v, 1, 2, margin=1, method="enumerate")
+            assert kcert.kind == ecert.kind, (v, kcert, ecert)
 
     def test_fullshift_all_witness(self):
         spec = FullShift((0, 1))

@@ -154,11 +154,46 @@ MALFORMED = {
                       os.path.join(HERE, "readme_cli_digests.json")],
     "cone-one-ray": ["verify", "lemma2.5", "--cone", "1,0"],
     "vectors-json": ["convex", "origin-test", "--vectors", "[1,"],
+    "report-entries-not-list": ["render", "nd", "--report",
+                                {"k": 1, "N": 1, "entries": 5}],
+    "report-direction-not-pair": [
+        "render", "nd", "--report",
+        {"k": 1, "N": 1, "entries": [{"direction": {"x": 1},
+                                      "certificate": {"kind": "witness"}}]}],
+    "vectors-entry-not-object": ["convex", "origin-test", "--vectors",
+                                 '{"entries":[1]}'],
+    "vectors-not-vector": ["convex", "origin-test", "--vectors", "[5]"],
+    "vectors-not-number": ["convex", "origin-test", "--vectors",
+                           '[["a",1]]'],
+    "directions-zero": ["verify", "lemma2.2", "--directions", "0"],
 }
+# systems that ``direction --dir 1,0 --k 1 --window 1`` must reject
+BAD_SYSTEMS = {
+    "forbidden-not-pattern": '{"kind":"sft","alphabet":[0,1],"forbidden":[5]}',
+    "forbidden-entry-not-pair": '{"kind":"sft","alphabet":[0,1],'
+                                '"forbidden":[[5]]}',
+    "forbidden-entry-no-symbol": '{"kind":"sft","alphabet":[0,1],'
+                                 '"forbidden":[[[[0,0]]]]}',
+    "sft-alphabet-not-list": '{"kind":"sft","alphabet":5,'
+                             '"forbidden":[[[[0,0],1]]]}',
+    "fullshift-alphabet-not-list": '{"kind":"full-shift","alphabet":5}',
+    "support-not-list": '{"kind":"linear-gf2","support":5}',
+    "sft-alphabet-empty": '{"kind":"sft","alphabet":[],'
+                          '"forbidden":[[[[0,0],1]]]}',
+}
+MALFORMED.update({name: ["direction", "--system", system, "--dir", "1,0",
+                         "--k", "1", "--window", "1"]
+                  for name, system in BAD_SYSTEMS.items()})
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_descriptor_exit_2(tmp_path, capsys, argv):
+    # a dict stands for a JSON file holding it
+    report = tmp_path / "input.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            report.write_text(json.dumps(arg), encoding="utf-8")
+    argv = [str(report) if isinstance(arg, dict) else arg for arg in argv]
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -1,10 +1,11 @@
 """The README's CLI commands, run in README order into one output directory,
-reproduce the recorded SHA-256 of every artifact they write; so do two
-``nd`` commands the README does not run.
+reproduce the recorded SHA-256 of every artifact they write; so do a few
+``nd`` and ``direction`` commands the README does not run.
 
 ``readme_cli_digests.json`` maps "<command index>/<artifact>" to the digest
-of that artifact right after the command ran; re-record it, and
-``ND_DIGESTS``, when an artifact changes on purpose.
+of that artifact right after the command ran; re-record it,
+``ND_DIGESTS`` and ``DIRECTION_DIGESTS`` when an artifact changes on
+purpose.
 """
 
 import hashlib
@@ -64,6 +65,30 @@ ND_DIGESTS = {
                          "bf80288126d6744917fd9fe4f4a4e768",
         "direction_circle.svg": "72bf37d02fcd392a053b020063222984"
                                 "96d5e6095fb8ac652a61d613d6b3c165",
+    },
+    # filling enumeration on an SFT: every farey:1 direction of the hard
+    # square (forbids 11 horizontally and vertically)
+    "nd --system '{\"kind\":\"sft\",\"alphabet\":[0,1],\"forbidden\":"
+    "[[[[0,0],1],[[1,0],1]],[[[0,0],1],[[0,1],1]]]}' "
+    "--k 1 --window 1 --grid farey:1": {
+        "nd_report.json": "44716fc3f5ba9495625d740d96c748cd"
+                          "5018a8c65053412ffb41b25f46c218fc",
+        "nd_report.csv": "9714f333f3f436368b970d21ca53e2a4"
+                         "e0d72adacfdcaa2626b34da7b3fdf3b9",
+        "direction_circle.svg": "8e89f59c5672fdceb6a546c4fc57933b"
+                                "f4aa2ce1a1585ee3680260523987d7e3",
+    },
+    # the enumeration oracle on Ledrappier: an extendable witness, then a
+    # deterministic window
+    "direction --system ledrappier --dir 0,-1 --method enumerate --k 1 "
+    "--window 2": {
+        "direction_report.json": "773d64fb3c0e0289080528eae3936a43"
+                                 "30820992183ad45c92e82f53ea2a90b8",
+    },
+    "direction --system ledrappier --dir 1,0 --method enumerate --k 1 "
+    "--window 1": {
+        "direction_report.json": "039e3218856fb13d67cb5a40e9282330"
+                                 "9be11abe600acdf54648d559ba7a1389",
     },
 }
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,10 +18,10 @@ class TestSpecs:
 
     def test_linear_check_at(self):
         spec = ledrappier()
-        assert spec.check_at({(0, 0): 1, (1, 0): 1, (0, 1): 0}, (0, 0))
-        assert not spec.check_at({(0, 0): 1, (1, 0): 1, (0, 1): 1}, (0, 0))
+        assert validate(spec, {(0, 0): 1, (1, 0): 1, (0, 1): 0})
+        assert not validate(spec, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         # partial assignments never reject
-        assert spec.check_at({(0, 0): 1, (1, 0): 1}, (0, 0))
+        assert validate(spec, {(0, 0): 1, (1, 0): 1})
 
     def test_sft_needs_forbidden(self):
         with pytest.raises(InputError):
@@ -108,6 +110,62 @@ class TestEnumerate:
         assert box_sites(1) == [(-1, -1), (0, -1), (1, -1),
                                 (-1, 0), (0, 0), (1, 0),
                                 (-1, 1), (0, 1), (1, 1)]
+
+
+HARD_SQUARE = SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1}),
+                           Pattern({(0, 0): 1, (0, 1): 1})])
+
+
+def _placed(support, sites):
+    """Every translate of ``support`` lying inside ``sites``, by definition;
+    the anchors cover the windows (within [-2, 2]^2) and supports (offsets
+    in 0..2) of these tests."""
+    return [[(z[0] + s[0], z[1] + s[1]) for s in support]
+            for z in itertools.product(range(-4, 3), repeat=2)
+            if all((z[0] + s[0], z[1] + s[1]) in sites for s in support)]
+
+
+def _admissible(spec, symbols):
+    """The spec's rule on every translate inside the assigned sites."""
+    if isinstance(spec, LinearGF2):
+        return all(sum(symbols[c] for c in cells) % 2 == 0
+                   for cells in _placed(spec.support, symbols))
+    if isinstance(spec, SFT):
+        return not any(
+            all(symbols[c] == v for c, v in zip(cells, p.symbols.values()))
+            for p in spec.forbidden for cells in _placed(list(p.symbols), symbols))
+    return True
+
+
+def _brute_force(spec, N, clamp):
+    """All admissible assignments of the window, lexicographic in raster order."""
+    sites = box_sites(N)
+    choices = [[clamp[s]] if s in clamp else sorted(spec.alphabet) for s in sites]
+    fillings = (dict(zip(sites, values)) for values in itertools.product(*choices))
+    return [f for f in fillings if _admissible(spec, f)]
+
+
+class TestCheckPlan:
+    @pytest.mark.parametrize("spec, clamp", [
+        (FullShift((0, 1)), {}),
+        (ledrappier(), {}),
+        (ledrappier(), {(x, -1): 0 for x in (-1, 0, 1)}),
+        (HARD_SQUARE, {}),
+        (SFT((0, 1, 2), [Pattern({(0, 0): 2})]), {}),
+        (SFT((0, 1), [Pattern({(0, 0): 1, (2, 0): 0, (1, 2): 1})]), {}),
+    ], ids=["fullshift", "ledrappier", "ledrappier-clamped", "hard-square",
+            "single-site", "three-cells-apart"])
+    def test_stream_equals_brute_force(self, spec, clamp):
+        stream = [f.symbols for f in enumerate_fillings(spec, 1, clamp=clamp)]
+        assert stream == _brute_force(spec, 1, clamp)
+
+    @pytest.mark.parametrize("spec", [ledrappier(), HARD_SQUARE],
+                             ids=["ledrappier", "hard-square"])
+    @given(symbols=st.dictionaries(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(0, 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_validate_is_the_definition(self, spec, symbols):
+        assert validate(spec, symbols) == _admissible(spec, symbols)
 
 
 class TestCompleteUpward:
