@@ -39,10 +39,6 @@ DEFAULT_ENUM_BUDGET = 400_000
 # ---------------------------------------------------------------------------
 # directions
 
-def _gcd2(a, b):
-    return math.gcd(abs(a), abs(b))
-
-
 class Direction:
     """A nonzero direction of the plane, stored as a primitive integer
     vector so half-plane membership <p, v> < 0 is exact.
@@ -58,7 +54,7 @@ class Direction:
         a, b = int(a), int(b)
         if a == 0 and b == 0:
             raise InputError("direction must be nonzero")
-        g = _gcd2(a, b)
+        g = math.gcd(a, b)
         self.a, self.b = a // g, b // g
         self.label = label
 
@@ -105,7 +101,7 @@ def farey_directions(Q):
     out = set()
     for a in range(-Q, Q + 1):
         for b in range(-Q, Q + 1):
-            if (a, b) != (0, 0) and _gcd2(a, b) == 1:
+            if (a, b) != (0, 0) and math.gcd(a, b) == 1:
                 out.add(Direction(a, b))
     return sorted(out, key=direction_sort_key)
 
@@ -162,16 +158,17 @@ class WindowDeterministic:
 
 class Witness:
     kind = "witness"
+    # linear and enumeration pairs extend to the margin window; a full-shift
+    # or skew pair (a constant and a one-site change) extends everywhere
+    extendable = True
 
-    def __init__(self, pair, N, k, extendable, evidence=None):
+    def __init__(self, pair, N, k, evidence=None):
         self.pair = pair
         self.N, self.k = N, k
-        self.extendable = extendable
         self.evidence = evidence
 
     def __repr__(self):
-        tag = "extendable" if self.extendable else "window-only"
-        return f"Witness(N={self.N}, k={self.k}, {tag})"
+        return f"Witness(N={self.N}, k={self.k}, extendable)"
 
     def to_dict(self):
         # skew witnesses carry plain dict descriptions of their pair
@@ -312,15 +309,12 @@ def _window_kernel(support, M):
 # ---------------------------------------------------------------------------
 # status computation
 
-def _default_margin(k, N):
-    # wide enough that boundary effects of the margin window cannot
-    # propagate into [-N, N]^2 along a rule of unit step
-    return N - k + 2 if N > k else 2
+def is_hull_normal(support, v):
+    """Is v an outward edge normal of the convex hull of a GF(2) support?
 
-
-def hull_outward_normals(support):
-    """Primitive outward edge normals of the convex hull of a finite
-    subset of Z^2.
+    It is exactly when <p, v> takes its maximum over the support at two or
+    more sites; a site repeated an even number of times cancels in GF(2), so
+    only sites of odd multiplicity count.
 
     For a GF(2) linear rule these are exactly the directions v whose
     half-plane admits nonzero rule-respecting configurations supported in
@@ -330,34 +324,9 @@ def hull_outward_normals(support):
     the extreme support site is alone on its supporting line and forces
     the configuration to vanish line by line.
     """
-    pts = sorted(set(support))
-    if len(pts) < 2:
-        return []
-    # Andrew monotone chain
-    def half(points):
-        out = []
-        for p in points:
-            while len(out) >= 2 and \
-                    ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # collinear support: both perpendiculars qualify
-        u = (pts[-1][0] - pts[0][0], pts[-1][1] - pts[0][1])
-        g = math.gcd(abs(u[0]), abs(u[1]))
-        u = (u[0] // g, u[1] // g)
-        return [Direction(u[1], -u[0]), Direction(-u[1], u[0])]
-    normals = []
-    n = len(hull)
-    for i in range(n):
-        p, q = hull[i], hull[(i + 1) % n]
-        e = (q[0] - p[0], q[1] - p[1])
-        normals.append(Direction(e[1], -e[0]))  # outward for a ccw hull
-    return normals
+    heights = [p[0] * v[0] + p[1] * v[1]
+               for p in set(support) if support.count(p) % 2]
+    return heights.count(max(heights)) >= 2
 
 
 def _origin_forced(spec, trace, N):
@@ -366,7 +335,7 @@ def _origin_forced(spec, trace, N):
     return not any(small.symbol(c, (0, 0)) for c in small.vanishing_on(trace))
 
 
-def _linear_status(spec, contains, k, N, margin, normal=None):
+def _linear_status(spec, contains, trace, k, N, margin, normal=None):
     """LinearGF2 certificate from the window kernels.
 
     ``normal`` is the primitive outward normal when the horoball is an exact
@@ -377,13 +346,9 @@ def _linear_status(spec, contains, k, N, margin, normal=None):
     hull-normal criterion and the window is used to exhibit, or to verify
     determinism of, the certificate.
     """
-    trace, hits = dilated_trace(contains, k, N)
-    if not hits:
-        return Inconclusive(N, k, "horoball misses window")
     deterministic = WindowDeterministic(N, k,
                                         evidence={"trace_size": len(trace)})
-    if normal is not None and \
-            Direction(*normal) not in hull_outward_normals(spec.support):
+    if normal is not None and not is_hull_normal(spec.support, normal):
         if _origin_forced(spec, trace, N):
             return deterministic
         return Inconclusive(N, k, "origin not forced")
@@ -393,13 +358,12 @@ def _linear_status(spec, contains, k, N, margin, normal=None):
     inner = box_sites(N)
     for c in kern.vanishing_on(trace_M):
         if any(kern.symbol(c, s) for s in inner):
-            x = WindowFilling(N, {s: 0 for s in inner}, extendable=True)
-            y = WindowFilling(N, {s: kern.symbol(c, s) for s in inner},
-                              extendable=True)
+            x = WindowFilling(N, {s: 0 for s in inner})
+            y = WindowFilling(N, {s: kern.symbol(c, s) for s in inner})
             evidence = {"margin": margin, "trace_size": len(trace)}
             if normal is not None:
                 evidence["hull-normal"] = list(normal)
-            return Witness((x, y), N, k, extendable=True, evidence=evidence)
+            return Witness((x, y), N, k, evidence=evidence)
     if normal is not None:
         return Inconclusive(N, k, "hull normal direction but no window "
                                   "witness at this scale; enlarge N")
@@ -408,10 +372,7 @@ def _linear_status(spec, contains, k, N, margin, normal=None):
     return Inconclusive(N, k, "origin not forced; no extendable witness")
 
 
-def _fullshift_status(spec, contains, k, N):
-    trace, hits = dilated_trace(contains, k, N)
-    if not hits:
-        return Inconclusive(N, k, "horoball misses window")
+def _fullshift_status(spec, trace, k, N):
     inner = box_sites(N)
     free = [s for s in inner if s not in trace]
     if not free:
@@ -422,37 +383,23 @@ def _fullshift_status(spec, contains, k, N):
     a0, a1 = spec.alphabet[0], spec.alphabet[1] if len(spec.alphabet) > 1 else spec.alphabet[0]
     if a0 == a1:
         return WindowDeterministic(N, k, evidence={"alphabet": "singleton"})
-    x = WindowFilling(N, {s: a0 for s in inner}, extendable=True)
-    ys = {s: a0 for s in inner}
-    ys[site] = a1
-    y = WindowFilling(N, ys, extendable=True)
-    return Witness((x, y), N, k, extendable=True,
+    x = WindowFilling(N, {s: a0 for s in inner})
+    y = WindowFilling(N, {**x.symbols, site: a1})
+    return Witness((x, y), N, k,
                    evidence={"difference_site": site, "trace_size": len(trace)})
 
 
-def _pair_extends(spec, x, y, trace_M, k, N, M, budget):
+def _pair_extends(spec, x, y, trace_M, M):
     """Does the window witness (x, y) extend to a pair on [-M, M]^2 that
     agrees on the larger dilated trace?"""
-    try:
-        xhat = next(iter(enumerate_fillings(spec, M, clamp=x.symbols,
-                                            budget=budget)), None)
-        if xhat is None:
-            return False
-        clamp = dict(y.symbols)
-        for s in trace_M:
-            if s not in clamp:
-                clamp[s] = xhat.symbols[s]
-        yhat = next(iter(enumerate_fillings(spec, M, clamp=clamp,
-                                            budget=budget)), None)
-        return yhat is not None
-    except ResourceBudgetError:
+    xhat = next(enumerate_fillings(spec, M, clamp=x.symbols), None)
+    if xhat is None:
         return False
+    clamp = {s: xhat[s] for s in trace_M} | y.symbols
+    return next(enumerate_fillings(spec, M, clamp=clamp), None) is not None
 
 
-def _enumeration_status(spec, contains, k, N, margin, budget):
-    trace, hits = dilated_trace(contains, k, N)
-    if not hits:
-        return Inconclusive(N, k, "horoball misses window")
+def _enumeration_status(spec, contains, trace, k, N, margin, budget):
     M = N + margin
     trace_M, _ = dilated_trace(contains, k, M)
     classes = {}
@@ -470,9 +417,8 @@ def _enumeration_status(spec, contains, k, N, margin, budget):
         rep = members[0]
         for other in members[1:]:
             if other.symbols != rep.symbols:
-                if _pair_extends(spec, rep, other, trace_M, k, N, M, budget):
-                    rep.extendable = other.extendable = True
-                    return Witness((rep, other), N, k, extendable=True,
+                if _pair_extends(spec, rep, other, trace_M, M):
+                    return Witness((rep, other), N, k,
                                    evidence={"margin": margin,
                                              "trace_size": len(trace)})
     if origin_forced:
@@ -481,30 +427,31 @@ def _enumeration_status(spec, contains, k, N, margin, budget):
 
 
 def _status(spec, horoball, k, N, margin, budget, method):
-    if margin is None:
-        margin = _default_margin(k, N)
+    if method not in ("auto", "kernel", "enumerate"):
+        raise InputError(f"unknown method {method!r}")
+    linear = isinstance(spec, LinearGF2)
+    if method == "kernel" and not linear:
+        raise InputError("kernel method needs a linear-gf2 spec")
     contains = horoball.contains
-    if method == "auto":
-        if isinstance(spec, FullShift):
-            return _fullshift_status(spec, contains, k, N)
-        if isinstance(spec, LinearGF2):
-            return _linear_status(spec, contains, k, N, margin,
-                                  horoball.halfplane_normal())
-        method = "enumerate"
-    if method == "kernel":
-        if not isinstance(spec, LinearGF2):
-            raise InputError("kernel method needs a linear-gf2 spec")
-        return _linear_status(spec, contains, k, N, margin)
-    if method == "enumerate":
-        return _enumeration_status(spec, contains, k, N, margin, budget)
-    raise InputError(f"unknown method {method!r}")
+    trace, hits = dilated_trace(contains, k, N)
+    if not hits:
+        return Inconclusive(N, k, "horoball misses window")
+    if margin is None:
+        # wide enough that boundary effects of the margin window cannot
+        # propagate into [-N, N]^2 along a rule of unit step
+        margin = N - k + 2
+    if method == "auto" and isinstance(spec, FullShift):
+        return _fullshift_status(spec, trace, k, N)
+    if method == "kernel" or (method == "auto" and linear):
+        normal = horoball.halfplane_normal() if method == "auto" else None
+        return _linear_status(spec, contains, trace, k, N, margin, normal)
+    return _enumeration_status(spec, contains, trace, k, N, margin, budget)
 
 
 def direction_status(spec, v, k, N, margin=None, budget=DEFAULT_ENUM_BUDGET,
                      method="auto"):
     """Certificate for the open half-space horoball of direction v."""
-    if not isinstance(v, Direction):
-        v = Direction(*v)
+    v = v if isinstance(v, Direction) else Direction(*v)
     return _status(spec, v, k, N, margin, budget, method)
 
 
@@ -657,6 +604,6 @@ def skew_horoball_status(spec, horoball, k, N, B_max=None):
                 {"base_point": "constant-with-difference", "symbol": a0,
                  "difference_position": q, "difference_symbol": a1})
         evidence["difference_position"] = q
-        return Witness(pair, N, k, extendable=True, evidence=evidence)
+        return Witness(pair, N, k, evidence=evidence)
     return Inconclusive(N, k, "exponent image unbounded both sides "
                               "but does not cover the window")

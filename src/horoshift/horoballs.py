@@ -161,15 +161,18 @@ class Sampled:
     ``gen`` maps n >= 1 to a group element; ``n_star`` is the truncation
     index.  Evaluations return the value of b_{g_{n*}} together with a
     stabilization span, the max-min of the sampled values over the last
-    quarter of the sample indices.
+    quarter of the sample indices.  ``ray`` is set for the l1 horoballs of
+    ``sampled_l1_horoball_z2`` (g_n = n * ray), so they can be described again.
     """
 
     kind = "sampled"
 
-    def __init__(self, group, gen, n_star, samples=48):
-        if n_star < 1:
-            raise InputError(f"truncation index must be >= 1, got {n_star}")
+    def __init__(self, group, gen, n_star, samples=48, ray=None):
+        if not isinstance(n_star, int) or n_star < 1:
+            raise InputError(f"truncation index must be an integer >= 1, "
+                             f"got {n_star!r}")
         self.group = group
+        self.ray = ray
         self.gen = gen if callable(gen) else (lambda n, seq=list(gen): seq[n - 1])
         if not callable(gen):
             n_star = min(n_star, len(list(gen)))
@@ -178,6 +181,9 @@ class Sampled:
         pts = sorted({max(1, round(n_star ** (k / (samples - 1)))) for k in range(samples)} | {n_star})
         self.sample_indices = pts
 
+    def __repr__(self):
+        return f"Sampled({self.group!r}, ray={self.ray}, n_star={self.n_star})"
+
     def value_with_span(self, x):
         vals = [self.group.busemann(self.gen(n), x) for n in self.sample_indices]
         tail = vals[-max(1, len(vals) // 4):]
@@ -185,7 +191,7 @@ class Sampled:
         return vals[-1], span
 
     def value(self, x):
-        return self.value_with_span(x)[0]
+        return self.group.busemann(self.gen(self.n_star), x)
 
     def sign(self, x):
         v = self.value(x)
@@ -224,7 +230,8 @@ def sampled_l1_horoball_z2(ray, n_star=512):
     if ray == (0, 0):
         raise InputError("ray must be nonzero")
     group = ZdLp(2, 1)
-    return Horoball(Sampled(group, lambda n: (n * ray[0], n * ray[1]), n_star))
+    return Horoball(Sampled(group, lambda n: (n * ray[0], n * ray[1]), n_star,
+                            ray=ray))
 
 
 def polyhedral_from_ray(ray):

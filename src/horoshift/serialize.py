@@ -82,19 +82,27 @@ def parse_horoball(descriptor):
     return horoball_from_dict(load_json(descriptor))
 
 
+def _numbers(d, key, kind=(int, float), length=None):
+    """``d[key]`` as a tuple of numbers of the given kind (and length)."""
+    v = field(d, key, list)
+    if all(isinstance(c, kind) for c in v) and len(v) == (length or len(v)):
+        return tuple(v)
+    raise InputError(f"bad {key!r} vector {v!r}")
+
+
 def horoball_from_dict(d):
     kind = field(d, "kind")
     if kind == "linear":
-        return horoballs.l2_horoball(field(d, "v"))
+        return horoballs.l2_horoball(_numbers(d, "v"))
     if kind in ("halfplane-diagonal", "halfplane-antidiagonal"):
         return horoballs.Horoball(
             horoballs.PolyhedralZ2(kind, side=field(d, "side")))
     if kind == "quarter-space":
         return horoballs.Horoball(
-            horoballs.PolyhedralZ2(kind, apex=tuple(field(d, "apex")),
+            horoballs.PolyhedralZ2(kind, apex=_numbers(d, "apex", int, 2),
                                    opening=field(d, "opening")))
     if kind == "sampled-l1-ray":
-        return horoballs.sampled_l1_horoball_z2(tuple(field(d, "ray")),
+        return horoballs.sampled_l1_horoball_z2(_numbers(d, "ray", int, 2),
                                                 d.get("n_star", 512))
     raise InputError(f"unknown horoball kind {kind!r}")
 
@@ -108,8 +116,9 @@ def horoball_to_dict(h):
         if j.shape == "quarter-space":
             return {"kind": j.shape, "apex": list(j.apex), "opening": j.opening}
         return {"kind": j.shape, "side": j.side}
-    if isinstance(j, horoballs.Sampled):
-        return {"kind": "sampled", "n_star": j.n_star}
+    if isinstance(j, horoballs.Sampled) and j.ray is not None:
+        return {"kind": "sampled-l1-ray", "ray": list(j.ray),
+                "n_star": j.n_star}
     raise InputError(f"unserializable horoball {h!r}")
 
 
@@ -139,7 +148,8 @@ def direction_to_dict(d):
 
 
 def direction_from_dict(d):
-    return Direction(field(d, "a"), field(d, "b"), d.get("label", "rational"))
+    return Direction(field(d, "a", int), field(d, "b", int),
+                     d.get("label", "rational"))
 
 
 def direction_to_vector_descriptor(d):

@@ -27,6 +27,17 @@ def box_sites(N):
     return [(x, y) for y in range(-N, N + 1) for x in range(-N, N + 1)]
 
 
+def _alphabet(symbols):
+    """A nonempty alphabet of hashable, mutually ordered symbols, sorted."""
+    try:
+        alphabet = tuple(sorted(set(symbols)))
+    except TypeError as e:
+        raise InputError(f"bad alphabet {symbols!r}") from e
+    if not alphabet:
+        raise InputError("alphabet must be nonempty")
+    return alphabet
+
+
 def _site(s):
     """A site given as a pair of integers, as a tuple of ints."""
     try:
@@ -64,9 +75,7 @@ class FullShift:
     kind = "full-shift"
 
     def __init__(self, alphabet=(0, 1)):
-        self.alphabet = tuple(sorted(set(alphabet)))
-        if len(self.alphabet) < 1:
-            raise InputError("alphabet must be nonempty")
+        self.alphabet = _alphabet(alphabet)
 
     def constraints(self):
         return []
@@ -85,8 +94,10 @@ class LinearGF2:
 
     def __init__(self, support):
         sup = sorted(_site(s) for s in support)
-        if len(set(sup)) < 2:
-            raise InputError("linear-gf2 support needs at least 2 distinct sites")
+        # a site repeated an even number of times cancels in GF(2)
+        if sum(sup.count(s) % 2 for s in set(sup)) < 2:
+            raise InputError("linear-gf2 support needs at least 2 sites of "
+                             "odd multiplicity")
         self.support = tuple(sup)
         self.alphabet = (0, 1)
 
@@ -106,9 +117,7 @@ class SFT:
     kind = "sft"
 
     def __init__(self, alphabet, forbidden):
-        self.alphabet = tuple(sorted(set(alphabet)))
-        if len(self.alphabet) < 1:
-            raise InputError("alphabet must be nonempty")
+        self.alphabet = _alphabet(alphabet)
         self.forbidden = []
         for p in forbidden:
             if not isinstance(p, Pattern):
@@ -176,12 +185,11 @@ def validate(spec, pattern):
 class WindowFilling:
     """A total, locally admissible assignment of [-N, N]^2."""
 
-    __slots__ = ("N", "symbols", "extendable")
+    __slots__ = ("N", "symbols")
 
-    def __init__(self, N, symbols, extendable=None):
+    def __init__(self, N, symbols):
         self.N = N
         self.symbols = symbols
-        self.extendable = extendable
 
     def __getitem__(self, site):
         return self.symbols[site]

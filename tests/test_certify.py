@@ -9,7 +9,7 @@ from horoshift import (Direction, FullShift, InputError, LinearGF2,
                        ledrappier, nd_set, parse_grid, skew_horoball_status)
 from horoshift.certify import (ExponentPreimage, dilated_trace,
                                exponent_image, gf2_nullspace,
-                               hull_outward_normals, verify_window_deterministic,
+                               is_hull_normal, verify_window_deterministic,
                                verify_witness)
 from horoshift.horoballs import Horoball, polyhedral_from_ray
 
@@ -75,19 +75,27 @@ class TestGF2Nullspace:
             seen.add(vec)
 
 
+def hull_normals(support):
+    """The farey:2 directions the hull predicate accepts for a support."""
+    return {(d.a, d.b) for d in farey_directions(2)
+            if is_hull_normal(support, (d.a, d.b))}
+
+
 class TestHullNormals:
     def test_ledrappier_normals(self):
-        normals = hull_outward_normals(ledrappier().support)
-        assert {(d.a, d.b) for d in normals} == {(0, -1), (-1, 0), (1, 1)}
+        assert hull_normals(ledrappier().support) == {(0, -1), (-1, 0), (1, 1)}
 
     def test_square_support(self):
-        normals = hull_outward_normals([(0, 0), (1, 0), (0, 1), (1, 1)])
-        assert {(d.a, d.b) for d in normals} == \
+        assert hull_normals([(0, 0), (1, 0), (0, 1), (1, 1)]) == \
             {(1, 0), (-1, 0), (0, 1), (0, -1)}
 
     def test_collinear_support(self):
-        normals = hull_outward_normals([(0, 0), (1, 0), (2, 0)])
-        assert {(d.a, d.b) for d in normals} == {(0, 1), (0, -1)}
+        assert hull_normals([(0, 0), (1, 0), (2, 0)]) == {(0, 1), (0, -1)}
+
+    def test_repeated_site_cancels(self):
+        # (0, 0) twice cancels in GF(2): the hull is the edge (1,0)-(0,1)
+        assert hull_normals([(0, 0), (0, 0), (1, 0), (0, 1)]) == \
+            {(1, 1), (-1, -1)}
 
 
 class TestDilatedTrace:
@@ -184,6 +192,14 @@ class TestDirectionStatus:
             kcert = direction_status(spec, v, 1, 2, margin=1, method="kernel")
             ecert = direction_status(spec, v, 1, 2, margin=1, method="enumerate")
             assert kcert.kind == ecert.kind, (v, kcert, ecert)
+
+    def test_auto_vs_kernel_repeated_site(self):
+        # the hull criterion of ``auto`` must see the GF(2) support too
+        spec = LinearGF2([(0, 0), (0, 0), (1, 0), (0, 1)])
+        for v in farey_directions(1):
+            auto = direction_status(spec, v, 1, 2)
+            kernel = direction_status(spec, v, 1, 2, method="kernel")
+            assert auto.kind == kernel.kind, (v, auto, kernel)
 
     def test_fullshift_all_witness(self):
         spec = FullShift((0, 1))

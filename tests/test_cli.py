@@ -166,7 +166,23 @@ MALFORMED = {
     "vectors-not-number": ["convex", "origin-test", "--vectors",
                            '[["a",1]]'],
     "directions-zero": ["verify", "lemma2.2", "--directions", "0"],
+    "report-direction-not-integer": [
+        "render", "nd", "--report",
+        {"k": 1, "N": 1, "entries": [{"direction": {"a": "x", "b": 1},
+                                      "certificate": {"kind": "witness"}}]}],
 }
+# horoballs that ``horoball --system ledrappier --k 1 --window 1`` must reject
+BAD_HOROBALLS = {
+    "linear-not-number": '{"kind":"linear","v":["a",1]}',
+    "apex-not-integer": '{"kind":"quarter-space","apex":["a",1],'
+                        '"opening":"+x"}',
+    "apex-short": '{"kind":"quarter-space","apex":[1],"opening":"+x"}',
+    "n-star-not-integer": '{"kind":"sampled-l1-ray","ray":[1,0],'
+                          '"n_star":"x"}',
+}
+MALFORMED.update({name: ["horoball", "--system", "ledrappier", "--horoball",
+                         horoball, "--k", "1", "--window", "1"]
+                  for name, horoball in BAD_HOROBALLS.items()})
 # systems that ``direction --dir 1,0 --k 1 --window 1`` must reject
 BAD_SYSTEMS = {
     "forbidden-not-pattern": '{"kind":"sft","alphabet":[0,1],"forbidden":[5]}',
@@ -180,6 +196,11 @@ BAD_SYSTEMS = {
     "support-not-list": '{"kind":"linear-gf2","support":5}',
     "sft-alphabet-empty": '{"kind":"sft","alphabet":[],'
                           '"forbidden":[[[[0,0],1]]]}',
+    "sft-alphabet-unhashable": '{"kind":"sft","alphabet":[[0],[1]],'
+                               '"forbidden":[[[[0,0],[1]]]]}',
+    # the repeated sites cancel: a full shift in disguise
+    "support-cancels": '{"kind":"linear-gf2",'
+                       '"support":[[0,0],[0,0],[1,0],[1,0]]}',
 }
 MALFORMED.update({name: ["direction", "--system", system, "--dir", "1,0",
                          "--k", "1", "--window", "1"]

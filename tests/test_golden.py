@@ -3,9 +3,8 @@ reproduce the recorded SHA-256 of every artifact they write; so do a few
 ``nd`` and ``direction`` commands the README does not run.
 
 ``readme_cli_digests.json`` maps "<command index>/<artifact>" to the digest
-of that artifact right after the command ran; re-record it,
-``ND_DIGESTS`` and ``DIRECTION_DIGESTS`` when an artifact changes on
-purpose.
+of that artifact right after the command ran; re-record it and
+``ND_DIGESTS`` when an artifact changes on purpose.
 """
 
 import hashlib
@@ -77,6 +76,15 @@ ND_DIGESTS = {
                          "e0d72adacfdcaa2626b34da7b3fdf3b9",
         "direction_circle.svg": "8e89f59c5672fdceb6a546c4fc57933b"
                                 "f4aa2ce1a1585ee3680260523987d7e3",
+    },
+    # the full shift: a single-difference witness on every farey:2 direction
+    "nd --system fullshift --k 2 --window 4 --grid farey:2": {
+        "nd_report.json": "56f14571f1e1baae9e4753e3146d2f86"
+                          "d4aac22c4987cc34b24847875feb42eb",
+        "nd_report.csv": "b6c56a3cffe463bfd1b97bee87bcc2f8"
+                         "27b5af98ee873037be0bedfc85891cf7",
+        "direction_circle.svg": "e1737df5dcdba963c20d66550f09aa7e"
+                                "ed5b42cab7cb89e26c8b494fb1f43ed5",
     },
     # the enumeration oracle on Ledrappier: an extendable witness, then a
     # deterministic window

@@ -104,6 +104,8 @@ class TestSampledCrossValidation:
         value, span = h.j.value_with_span((3, 2))
         assert span == 0  # l1 Busemann values stabilize exactly
         assert value == polyhedral_from_ray((1, 0)).value((3, 2))
+        for x in ((3, 2), (-5, 1), (0, -7), (40, 40)):
+            assert h.j.value(x) == h.j.value_with_span(x)[0]
 
     def test_sampled_sign_on_directsum(self):
         ds = DirectSumZ2("index")

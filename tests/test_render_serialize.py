@@ -95,6 +95,7 @@ class TestSerializers:
             {"kind": "linear", "v": [1, 2]},
             {"kind": "halfplane-diagonal", "side": -1},
             {"kind": "quarter-space", "apex": [0, 0], "opening": "+x"},
+            {"kind": "sampled-l1-ray", "ray": [1, 0], "n_star": 64},
         ]
         for d in samples:
             h = horoball_from_dict(d)
