@@ -23,15 +23,16 @@ as the independent oracle.
 """
 
 import functools
+import itertools
 import math
-from operator import itemgetter, xor
+from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ResourceBudgetError
 from .subshifts import (FullShift, LinearGF2, WindowFilling, box_sites,
-                        enumerate_fillings, placements, skew_exponent)
+                        enumerate_fillings, solve_forward)
 
 DEFAULT_ENUM_BUDGET = 400_000
 
@@ -276,23 +277,17 @@ class _LinearWindowKernel:
     (x, y) correspond to kernel vectors z = x + y.  The basis is kept as one
     mask per site: bit j of ``mask[s]`` is basis vector j's symbol at s, so a
     combination c of basis vectors has symbol parity(c & mask[s]) at s.
+    ``solve_forward`` gives the j-th free site of the raster walk bit j.
     """
 
     def __init__(self, support, M):
-        sites = box_sites(M)
-        index = {s: i for i, s in enumerate(sites)}
-        # xor, not sum: a repeated support site cancels in GF(2)
-        rows = [functools.reduce(xor, (1 << index[c] for c in cells))
-                for cells in placements(support, index)]
-        basis = gf2_nullspace(rows, len(sites))
-        self.dim = len(basis)
-        # transpose once: column i of ``bits``, read in binary, is mask i
-        bits = [format(v, f"0{len(sites)}b")[::-1] for v in reversed(basis)]
-        self.mask = {s: int("".join(c), 2) for s, c in zip(sites, zip(*bits))}
+        free = itertools.count()  # after the solve, the number of free sites
+        self.mask = solve_forward(support, box_sites(M), (1 << j for j in free))
+        self.dim = next(free)
 
     def vanishing_on(self, sites):
         """Combinations whose kernel vectors vanish on the given sites."""
-        return gf2_nullspace([self.mask[s] for s in sites], self.dim)
+        return gf2_nullspace([self.mask[s] for s in sorted(sites)], self.dim)
 
     def symbol(self, c, s):
         """Symbol at site s of the kernel vector of combination c."""
@@ -432,6 +427,8 @@ def _status(spec, horoball, k, N, margin, budget, method):
     linear = isinstance(spec, LinearGF2)
     if method == "kernel" and not linear:
         raise InputError("kernel method needs a linear-gf2 spec")
+    if margin is not None and margin < 0:
+        raise InputError(f"margin must be >= 0, got {margin}")
     contains = horoball.contains
     trace, hits = dilated_trace(contains, k, N)
     if not hits:
@@ -529,17 +526,6 @@ def verify_window_deterministic(spec, contains, cert,
 
 # ---------------------------------------------------------------------------
 # skew actions
-
-class ExponentPreimage:
-    """Diagnostic subset of Z^2: {g : exponent(g) >= threshold}."""
-
-    def __init__(self, spec, threshold):
-        self.spec = spec
-        self.threshold = threshold
-
-    def contains(self, g):
-        return skew_exponent(self.spec, g) >= self.threshold
-
 
 def exponent_image(spec, contains, B):
     """Sorted exponent values over H /\\ [-B, B]^2."""

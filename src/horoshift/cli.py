@@ -112,6 +112,8 @@ def cmd_horoball(args):
 
 def cmd_busemann(args):
     group = serialize.parse_group(args.group)
+    if not isinstance(group, groups.ZdLp):
+        raise InputError("busemann compares with <x, v> and needs a Z^d group")
     center = group.check(parse_pair(args.center))
     n = group.norm(center)
     if n == 0:
@@ -141,8 +143,6 @@ def cmd_verify(args):
     if args.check == "lemma2.2":
         if args.dim != 2:
             raise InputError("lemma2.2 grid is implemented for dim 2")
-        if args.directions < 1:
-            raise InputError("--directions must be at least 1")
         rep = horoballs.meeting_radius(
             groups.ZdLp(2, 2), separation.uniform_probes(args.directions))
         worst = max(n2 for _, n2 in rep.witnesses.values())

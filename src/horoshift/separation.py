@@ -258,7 +258,9 @@ class CoverageReport:
 
 
 def uniform_probes(n):
-    """n unit probe directions uniformly spaced on the circle."""
+    """n >= 1 unit probe directions uniformly spaced on the circle."""
+    if n < 1:
+        raise InputError(f"need at least one probe direction, got {n}")
     return [(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n))
             for i in range(n)]
 

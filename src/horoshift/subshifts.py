@@ -9,13 +9,14 @@ beta*m; their Z^2 configurations are never materialized.
 Every spec gives its rule as ``constraints()``, a list of ``(support,
 allowed)``: ``allowed(values)`` judges the symbols read at z + support (a
 bare symbol for a one-site support).  ``placements`` is the one rule for
-where a support fits inside a finite set of sites.  ``enumerate_fillings``
-streams the locally admissible total assignments (window fillings) of the
-box [-N, N]^2 in a deterministic raster-order backtracking.
+where a support fits inside a finite set of sites; ``solve_forward`` solves a
+GF(2) rule on them in raster order.  ``enumerate_fillings`` streams the
+locally admissible total assignments (window fillings) of the box [-N, N]^2
+in a deterministic raster-order backtracking.
 """
 
-from functools import partial
-from operator import itemgetter, ne
+from functools import partial, reduce
+from operator import itemgetter, ne, xor
 
 from .errors import InputError, ResourceBudgetError, field
 
@@ -169,6 +170,21 @@ def placements(support, sites):
     return (cells for cells in shifted if all(c in sites for c in cells))
 
 
+def solve_forward(support, sites, free):
+    """Solve the GF(2) rule with ``support`` on ``sites``, given in raster
+    order: the raster-last odd-multiplicity cell of each placement (taken with
+    the full support, so a repeated site cancels) is the xor of the
+    placement's other odd cells, and every other site takes ``next(free)``."""
+    odd = sorted((s for s in set(support) if support.count(s) % 2),
+                 key=lambda s: (s[1], s[0]))
+    values = dict.fromkeys(sites)
+    get = itemgetter(*map(support.index, odd))
+    lead = {c[-1]: c[:-1] for c in map(get, placements(support, values))}
+    for s in values:
+        values[s] = reduce(xor, map(values.get, lead[s])) if s in lead else next(free)
+    return values
+
+
 def validate(spec, pattern):
     """True iff no constraint is violated fully inside the pattern support."""
     if not isinstance(pattern, Pattern):
@@ -256,7 +272,8 @@ def count_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
 
 
 def complete_upward(spec, rows, x_start=0, y_start=0):
-    """Deterministic upward completion of the Ledrappier rule.
+    """Deterministic upward completion of the Ledrappier rule by
+    ``solve_forward`` from the bottom row.
 
     ``rows`` is a list of bit rows, bottom first, each one shorter than the
     previous (the rule x_{i,j+1} = x_{i,j} + x_{i+1,j} shrinks width by 1).
@@ -269,20 +286,14 @@ def complete_upward(spec, rows, x_start=0, y_start=0):
     rows = [tuple(int(b) & 1 for b in r) for r in rows]
     if not rows or not rows[0]:
         raise InputError("need at least one nonempty initial row")
-    for a, b in zip(rows, rows[1:]):
-        if len(b) != len(a) - 1:
-            raise InputError("each initial row must be one shorter than the last")
-        if any((a[i] ^ a[i + 1] ^ b[i]) for i in range(len(b))):
-            raise InputError("initial rows violate the rule")
-    tri = list(rows)
-    while len(tri[-1]) > 1:
-        prev = tri[-1]
-        tri.append(tuple(prev[i] ^ prev[i + 1] for i in range(len(prev) - 1)))
-    symbols = {}
-    for j, row in enumerate(tri):
-        for i, v in enumerate(row):
-            symbols[(x_start + i, y_start + j)] = v
-    return Pattern(symbols)
+    if any(len(b) != len(a) - 1 for a, b in zip(rows, rows[1:])):
+        raise InputError("each initial row must be one shorter than the last")
+    w = len(rows[0])
+    sites = [(x_start + i, y_start + j) for j in range(w) for i in range(w - j)]
+    tri = solve_forward(spec.support, sites, iter(rows[0]))
+    if any(tri[s] != b for s, b in zip(sites, [b for r in rows for b in r])):
+        raise InputError("initial rows violate the rule")
+    return Pattern(tri)
 
 
 def config_distance(x, y):

@@ -6,12 +6,14 @@ from horoshift import (Direction, FullShift, InputError, LinearGF2,
                        PolyhedralZ2,
                        SkewActionSpec, FullShiftZ, direction_status,
                        farey_directions, horoball_status, l2_horoball,
-                       ledrappier, nd_set, parse_grid, skew_horoball_status)
-from horoshift.certify import (ExponentPreimage, dilated_trace,
+                       ledrappier, nd_set, parse_grid, skew_exponent,
+                       skew_horoball_status)
+from horoshift.certify import (_LinearWindowKernel, dilated_trace,
                                exponent_image, gf2_nullspace,
                                is_hull_normal, verify_window_deterministic,
                                verify_witness)
 from horoshift.horoballs import Horoball, polyhedral_from_ray
+from horoshift.subshifts import box_sites, enumerate_fillings
 
 
 class TestDirection:
@@ -73,6 +75,26 @@ class TestGF2Nullspace:
         for vec in basis:
             assert vec not in seen and vec != 0
             seen.add(vec)
+
+
+class TestWindowKernel:
+    SUPPORTS = [ledrappier().support, [(0, 0), (1, 0), (0, 1), (1, 1)],
+                [(0, 0), (0, 0), (1, 0), (0, 1)],
+                [(0, 0), (0, 1), (1, 2), (2, 0)]]
+
+    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("support", SUPPORTS, ids=str)
+    def test_spans_exactly_the_fillings(self, support, M):
+        spec = LinearGF2(support)
+        kern = _LinearWindowKernel(spec.support, M)
+        sites = box_sites(M)
+        assert kern.dim <= 16
+        spanned = {tuple(kern.symbol(c, s) for s in sites)
+                   for c in range(2 ** kern.dim)}
+        fillings = [tuple(f[s] for s in sites)
+                    for f in enumerate_fillings(spec, M)]
+        assert len(spanned) == len(fillings) == 2 ** kern.dim
+        assert spanned == set(fillings)
 
 
 def hull_normals(support):
@@ -305,9 +327,9 @@ class TestSkew:
         assert cert.evidence["covers"] == [-4, 4]
 
     def test_exponent_preimage_witness(self):
-        pre = ExponentPreimage(self.spec, 1)
+        pre = _SetHoroball(lambda g: skew_exponent(self.spec, g) >= 1)
         assert pre.contains((1, 0)) and not pre.contains((0, 1))
-        cert = skew_horoball_status(self.spec, _SetHoroball(pre.contains), 1, 4)
+        cert = skew_horoball_status(self.spec, pre, 1, 4)
         assert cert.kind == "witness"
         assert cert.evidence["bounded"] == ("below", 1)
 

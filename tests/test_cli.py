@@ -166,6 +166,15 @@ MALFORMED = {
     "vectors-not-number": ["convex", "origin-test", "--vectors",
                            '[["a",1]]'],
     "directions-zero": ["verify", "lemma2.2", "--directions", "0"],
+    "probes-zero": ["convex", "coverage", "--probes", "0",
+                    "--vectors", "[[1,0]]"],
+    "margin-negative": ["direction", "--system", "ledrappier", "--dir", "0,-1",
+                        "--k", "1", "--window", "5", "--margin", "-2"],
+    "margin-negative-enumerate": ["direction", "--system", "ledrappier",
+                                  "--dir", "0,-1", "--k", "1", "--window", "2",
+                                  "--margin", "-1", "--method", "enumerate"],
+    "busemann-wfa": ["busemann", "--group", "wfa-index", "--center", "1,0"],
+    "busemann-dsz2": ["busemann", "--group", "dsz2-index", "--center", "1,2"],
     "report-direction-not-integer": [
         "render", "nd", "--report",
         {"k": 1, "N": 1, "entries": [{"direction": {"a": "x", "b": 1},

@@ -198,6 +198,14 @@ class TestCompleteUpward:
         with pytest.raises(InputError):
             complete_upward(LinearGF2([(0, 0), (2, 0)]), [(1, 0)])
 
+    def test_repeated_site_rule_completes(self):
+        # (0, 0) twice cancels: the rule is x_{i,j+1} = x_{i+1,j}, not
+        # Ledrappier's, and the completion must respect it
+        spec = LinearGF2([(0, 0), (0, 0), (1, 0), (0, 1)])
+        pat = complete_upward(spec, [(1, 0, 1)])
+        assert validate(spec, pat)
+        assert [pat[(0, j)] for j in range(3)] == [1, 0, 1]
+
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=9))
     @settings(max_examples=100, deadline=None)
     def test_any_bottom_row_completes(self, row):
