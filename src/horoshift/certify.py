@@ -31,10 +31,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ResourceBudgetError
-from .subshifts import (FullShift, LinearGF2, WindowFilling, box_sites,
-                        enumerate_fillings, solve_forward)
-
-DEFAULT_ENUM_BUDGET = 400_000
+from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
+                        WindowFilling, box_sites, enumerate_fillings,
+                        solve_forward)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +444,7 @@ def _status(spec, horoball, k, N, margin, budget, method):
     return _enumeration_status(spec, contains, trace, k, N, margin, budget)
 
 
-def direction_status(spec, v, k, N, margin=None, budget=DEFAULT_ENUM_BUDGET,
+def direction_status(spec, v, k, N, margin=None, budget=DEFAULT_FILLING_BUDGET,
                      method="auto"):
     """Certificate for the open half-space horoball of direction v."""
     v = v if isinstance(v, Direction) else Direction(*v)
@@ -453,27 +452,22 @@ def direction_status(spec, v, k, N, margin=None, budget=DEFAULT_ENUM_BUDGET,
 
 
 def horoball_status(spec, horoball, k, N, margin=None,
-                    budget=DEFAULT_ENUM_BUDGET, method="auto"):
+                    budget=DEFAULT_FILLING_BUDGET, method="auto"):
     """Certificate for a ``Horoball``; exact half-planes among them get the
     same hull-normal treatment as directions."""
     return _status(spec, horoball, k, N, margin, budget, method)
 
 
-def nd_set(spec, k, N, grid=None, margin=None, budget=DEFAULT_ENUM_BUDGET,
-           method="auto", grid_label=None):
-    """Per-direction certificates over a grid; Witness entries form the
-    window-scale nondeterministic set."""
-    if grid is None:
-        grid = parse_grid("farey:8+diag")
-        grid_label = grid_label or "farey:8+diag"
-    if not grid:
-        raise InputError("direction grid must be nonempty")
+def nd_set(spec, k, N, grid="farey:8+diag", margin=None,
+           budget=DEFAULT_FILLING_BUDGET, method="auto"):
+    """Per-direction certificates over the directions of a grid descriptor
+    (see ``parse_grid``); Witness entries form the window-scale
+    nondeterministic set."""
     entries = []
-    for v in grid:
+    for v in parse_grid(grid):
         entries.append((v, direction_status(spec, v, k, N, margin=margin,
                                             budget=budget, method=method)))
-    meta = {"grid": grid_label or f"{len(grid)} directions",
-            "spec": spec.to_dict()}
+    meta = {"grid": grid, "spec": spec.to_dict()}
     return NDReport(spec, k, N, entries, metadata=meta)
 
 
@@ -508,15 +502,14 @@ def verify_witness(spec, contains, cert):
     return True
 
 
-def verify_window_deterministic(spec, contains, cert,
-                                budget=DEFAULT_ENUM_BUDGET):
+def verify_window_deterministic(spec, contains, cert):
     """Exhaustive re-check that the origin symbol is forced in every
     admissibility class of the dilated trace (small windows only)."""
     trace, hits = dilated_trace(contains, cert.k, cert.N)
     if not hits:
         return False
     classes = {}
-    for f in enumerate_fillings(spec, cert.N, budget=budget):
+    for f in enumerate_fillings(spec, cert.N):
         key = tuple(sorted((s, f.symbols[s]) for s in trace))
         prev = classes.setdefault(key, f.symbols[(0, 0)])
         if prev != f.symbols[(0, 0)]:
@@ -537,7 +530,7 @@ def exponent_image(spec, contains, B):
     return sorted(out)
 
 
-def skew_horoball_status(spec, horoball, k, N, B_max=None):
+def skew_horoball_status(spec, horoball, k, N):
     """Certificate for a skew action T_{(n,m)} = sigma^{alpha n + beta m}.
 
     Decides through the exponent image E = exponent(H /\\ [-B, B]^2):
@@ -558,8 +551,7 @@ def skew_horoball_status(spec, horoball, k, N, B_max=None):
     if k < exp_k:
         return Inconclusive(N, k, f"k below base expansivity level {exp_k}")
     contains = horoball.contains
-    if B_max is None:
-        B_max = 16 * N
+    B_max = 16 * N
     stages = []
     B = N
     while B <= B_max:

@@ -66,10 +66,9 @@ def _load_vectors(source):
 
 def cmd_nd(args):
     spec = serialize.parse_spec(args.system)
-    grid = certify.parse_grid(args.grid)
-    report = certify.nd_set(spec, args.k, args.window, grid=grid,
+    report = certify.nd_set(spec, args.k, args.window, grid=args.grid,
                             margin=args.margin, budget=args.budget,
-                            method=args.method, grid_label=args.grid)
+                            method=args.method)
     d = serialize.nd_report_to_dict(report)
     d["metadata"]["seed"] = args.seed
     _write(args.out, "nd_report.csv", serialize.nd_report_to_csv(d))
@@ -141,8 +140,6 @@ def cmd_busemann(args):
 
 def cmd_verify(args):
     if args.check == "lemma2.2":
-        if args.dim != 2:
-            raise InputError("lemma2.2 grid is implemented for dim 2")
         rep = horoballs.meeting_radius(
             groups.ZdLp(2, 2), separation.uniform_probes(args.directions))
         worst = max(n2 for _, n2 in rep.witnesses.values())
@@ -288,7 +285,7 @@ def build_parser():
                         help="half-width N of the centered window")
         sp.add_argument("--margin", type=int, default=None)
         sp.add_argument("--budget", type=int,
-                        default=certify.DEFAULT_ENUM_BUDGET)
+                        default=subshifts.DEFAULT_FILLING_BUDGET)
         sp.add_argument("--method", default="auto",
                         choices=["auto", "kernel", "enumerate"])
 
@@ -321,7 +318,6 @@ def build_parser():
     sp.add_argument("check",
                     choices=["lemma2.2", "lemma2.3", "lemma2.5", "largeness"])
     sp.add_argument("--directions", type=int, default=10000)
-    sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--M", type=float, default=5)
     sp.add_argument("--eps", type=float, default=0.5)
     sp.add_argument("--ray", default="1,0")

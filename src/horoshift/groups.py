@@ -14,13 +14,14 @@ Four families are supported:
 * ``BallSequenceGroup`` -- a metric induced by an explicit nested sequence
   of finite symmetric sets, checked by :func:`ball_sequence_check`.
 
-Weighted instances require weights tending to infinity (finitely many
-indices per weight bound); properness is enforced at construction time and
-again during every enumeration.
+The two weighted families share ``WeightedSum``, which holds their weights
+and the one ball walk.  They require weights tending to infinity (finitely
+many indices per weight bound); properness is enforced at construction time
+and again during every enumeration.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 import math
 
 from .errors import InputError, ResourceBudgetError
@@ -165,6 +166,8 @@ class _Weights:
             if weight != "index":
                 raise InputError(f"unknown weight rule {weight!r}")
             weight = lambda i: i  # noqa: E731
+        elif not callable(weight):
+            raise InputError(f"weight must be 'index' or a function, got {weight!r}")
         self.fn = weight
         prev = None
         for i in range(1, 65):
@@ -202,17 +205,68 @@ class _Weights:
             i += 1
 
 
-class WeightedFreeAbelian(MetricGroup):
-    """Free abelian group on e_1, e_2, ... with norm sum |x_i| w(i).
+class WeightedSum(MetricGroup):
+    """Direct sum over generators e_1, e_2, ... with norm sum |x_i| w(i).
 
-    Elements are sorted tuples of (index, coeff) pairs, coeff != 0.
+    Subclasses give ``coefficients()``, the coefficients of one generator in
+    the order the ball walk tries them (0 first, then nondecreasing in
+    absolute value), and ``from_pairs``, which turns the walk's list of
+    (index, coefficient) pairs, zeros included, into an element.
     """
 
     def __init__(self, weight="index"):
         self.weights = _Weights(weight)
 
     def __repr__(self):
-        return "WeightedFreeAbelian()"
+        return f"{type(self).__name__}()"
+
+    def ball(self, center, radius, closed=False, budget=DEFAULT_BALL_BUDGET):
+        """Depth-first enumeration of the (open or closed) ball: one generator
+        index per level, its coefficients tried while their cost fits."""
+        center = self.check(center)
+        r = _as_fraction(radius)
+        if r < 0:
+            raise InputError(f"radius must be >= 0, got {radius}")
+        idxs = self.weights.indices_upto(r, closed)
+        out = set()
+
+        def rec(pos, remaining, acc):
+            if len(out) > budget:
+                raise ResourceBudgetError(
+                    f"ball enumeration exceeds budget {budget}", budget=budget,
+                    count=len(out),
+                )
+            if pos == len(idxs):
+                if _within(r - remaining, r, closed):
+                    out.add(self.op(self.from_pairs(acc), center))
+                return
+            i = idxs[pos]
+            w = Fraction(self.weights.fn(i))
+            for c in self.coefficients():
+                cost = abs(c) * w
+                if cost > remaining:
+                    return
+                acc.append((i, c))
+                rec(pos + 1, remaining - cost, acc)
+                acc.pop()
+
+        rec(0, r, [])
+        return out
+
+
+class WeightedFreeAbelian(WeightedSum):
+    """Free abelian group on e_1, e_2, ... with norm sum |x_i| w(i).
+
+    Elements are sorted tuples of (index, coeff) pairs, coeff != 0.
+    """
+
+    @staticmethod
+    def coefficients():
+        """0, 1, -1, 2, -2, ..."""
+        yield 0
+        for c in count(1):
+            yield c
+            yield -c
 
     def identity(self):
         return ()
@@ -235,6 +289,8 @@ class WeightedFreeAbelian(MetricGroup):
         """Build an element from an index -> coefficient mapping."""
         return tuple(sorted((i, c) for i, c in dict(mapping).items() if c != 0))
 
+    from_pairs = element
+
     def op(self, g, h):
         acc = dict(self.check(g))
         for i, c in self.check(h):
@@ -247,53 +303,17 @@ class WeightedFreeAbelian(MetricGroup):
     def norm(self, g):
         return sum(abs(c) * self.weights.fn(i) for i, c in self.check(g))
 
-    def ball(self, center, radius, closed=False, budget=DEFAULT_BALL_BUDGET):
-        center = self.check(center)
-        r = _as_fraction(radius)
-        if r < 0:
-            raise InputError(f"radius must be >= 0, got {radius}")
-        idxs = self.weights.indices_upto(r, closed)
-        out = set()
 
-        def rec(pos, remaining, acc):
-            if len(out) > budget:
-                raise ResourceBudgetError(
-                    f"ball enumeration exceeds budget {budget}", budget=budget,
-                    count=len(out),
-                )
-            if pos == len(idxs):
-                g = tuple(acc)
-                if _within(r - remaining, r, closed):
-                    out.add(self.op(g, center))
-                return
-            i = idxs[pos]
-            w = Fraction(self.weights.fn(i))
-            c = 0
-            while Fraction(abs(c)) * w <= remaining:
-                cost = Fraction(abs(c)) * w
-                if c:
-                    acc.append((i, c))
-                rec(pos + 1, remaining - cost, acc)
-                if c:
-                    acc.pop()
-                    acc.append((i, -c))
-                    rec(pos + 1, remaining - cost, acc)
-                    acc.pop()
-                c += 1
-            return
-
-        rec(0, r, [])
-        return out
-
-
-class DirectSumZ2(MetricGroup):
+class DirectSumZ2(WeightedSum):
     """Infinite direct sum of Z/2Z with weighted norm; elements are frozensets."""
 
-    def __init__(self, weight="index"):
-        self.weights = _Weights(weight)
+    @staticmethod
+    def coefficients():
+        return (0, 1)
 
-    def __repr__(self):
-        return "DirectSumZ2()"
+    @staticmethod
+    def from_pairs(pairs):
+        return frozenset(i for i, c in pairs if c)
 
     def identity(self):
         return frozenset()
@@ -313,35 +333,6 @@ class DirectSumZ2(MetricGroup):
 
     def norm(self, g):
         return sum(self.weights.fn(i) for i in self.check(g))
-
-    def ball(self, center, radius, closed=False, budget=DEFAULT_BALL_BUDGET):
-        center = self.check(center)
-        r = _as_fraction(radius)
-        if r < 0:
-            raise InputError(f"radius must be >= 0, got {radius}")
-        idxs = self.weights.indices_upto(r, closed)
-        out = set()
-
-        def rec(pos, remaining, acc):
-            if len(out) > budget:
-                raise ResourceBudgetError(
-                    f"ball enumeration exceeds budget {budget}", budget=budget,
-                    count=len(out),
-                )
-            if pos == len(idxs):
-                g = frozenset(acc)
-                if _within(Fraction(self.norm(g)), r, closed):
-                    out.add(g ^ center)
-                return
-            rec(pos + 1, remaining, acc)
-            w = Fraction(self.weights.fn(idxs[pos]))
-            if w <= remaining:
-                acc.append(idxs[pos])
-                rec(pos + 1, remaining - w, acc)
-                acc.pop()
-
-        rec(0, r, [])
-        return out
 
 
 class BallSequenceViolation:

@@ -21,6 +21,9 @@ import math
 from .errors import InputError
 from .groups import ZdLp, _as_fraction
 
+# sample indices of a truncated limit (see ``Sampled``)
+_SAMPLES = 48
+
 
 def _gcd_reduce(vec):
     g = 0
@@ -167,18 +170,17 @@ class Sampled:
 
     kind = "sampled"
 
-    def __init__(self, group, gen, n_star, samples=48, ray=None):
+    def __init__(self, group, gen, n_star, ray=None):
         if not isinstance(n_star, int) or n_star < 1:
             raise InputError(f"truncation index must be an integer >= 1, "
                              f"got {n_star!r}")
         self.group = group
         self.ray = ray
-        self.gen = gen if callable(gen) else (lambda n, seq=list(gen): seq[n - 1])
-        if not callable(gen):
-            n_star = min(n_star, len(list(gen)))
+        self.gen = gen
         self.n_star = n_star
         # log-spaced sample indices ending at the truncation index
-        pts = sorted({max(1, round(n_star ** (k / (samples - 1)))) for k in range(samples)} | {n_star})
+        pts = sorted({max(1, round(n_star ** (k / (_SAMPLES - 1))))
+                      for k in range(_SAMPLES)} | {n_star})
         self.sample_indices = pts
 
     def __repr__(self):
@@ -315,7 +317,7 @@ class LargenessResult:
         return f"LargenessResult(not found within bound {self.search_bound})"
 
 
-def largeness_certificate(group, horoball, R, search_bound, ball_budget=500_000):
+def largeness_certificate(group, horoball, R, search_bound):
     """Search for g with j(g) < -4R, then certify B_R(g) inside the horoball.
 
     Follows the large-horoball argument: a point deep enough below level 0
@@ -325,13 +327,12 @@ def largeness_certificate(group, horoball, R, search_bound, ball_budget=500_000)
     """
     if R <= 0:
         raise InputError(f"R must be > 0, got {R}")
-    candidates = group.ball(group.identity(), search_bound, closed=True,
-                            budget=ball_budget)
+    candidates = group.ball(group.identity(), search_bound, closed=True)
     ordered = sorted(candidates, key=lambda g: (group.norm_exact(g), repr(g)))
     j = horoball.j
     for g in ordered:
         if j.value(g) < -4 * R:
-            ball = group.ball(g, R, closed=False, budget=ball_budget)
+            ball = group.ball(g, R, closed=False)
             if all(horoball.contains(x) for x in ball):
                 return LargenessResult(True, center=g, radius=R,
                                        search_bound=search_bound,
@@ -350,26 +351,21 @@ def meeting_radius(group, directions):
 
     Works for ZdLp l2 instances.  For each direction the witness is the
     minimum-norm lattice point with <p, v> < 0; N is the smallest integer
-    exceeding every witness norm.
+    exceeding every witness norm.  Every nonzero v has some +-e_i with
+    <+-e_i, v> < 0, so the witnesses come from the closed unit ball.
     """
     if not isinstance(group, ZdLp) or group.p != 2:
         raise InputError("meeting_radius expects a ZdLp l2 group")
-    d = group.dim
-    from itertools import product as iproduct
-    candidates = sorted(
-        (p for p in iproduct((-1, 0, 1), repeat=d) if any(p)),
-        key=lambda p: (sum(c * c for c in p), p))
+    e = group.identity()
+    candidates = sorted(group.ball(e, 1, closed=True) - {e})
     witnesses = {}
     worst = 0
     for v in directions:
-        found = None
-        for p in candidates:
-            if sum(a * b for a, b in zip(p, v)) < 0:
-                found = p
-                break
+        found = next((p for p in candidates
+                      if sum(a * b for a, b in zip(p, v)) < 0), None)
         if found is None:
-            raise InputError(f"no witness among unit-box lattice points for {v}")
-        n2 = sum(c * c for c in found)
+            raise InputError(f"no witness among unit vectors for {v}")
+        n2 = group.norm_exact(found)
         witnesses[tuple(v)] = (found, n2)
         worst = max(worst, n2)
     N = math.isqrt(worst) + 1
@@ -408,17 +404,10 @@ def verify_tangency(group, M, eps, g):
         return TangencyCheck(False, g=g)
     hb = Horoball(Linear(g))
     g2 = group.norm_exact(g)
-    reach = math.isqrt(int(M * M)) + 1 if not isinstance(M, int) else M
-    from itertools import product as iproduct
-    M2 = _as_fraction(M) ** 2
-    for p in iproduct(range(-reach, reach + 1), repeat=group.dim):
-        p2 = sum(c * c for c in p)
-        if Fraction(p2) > M2:
-            continue
+    for p in sorted(group.ball(group.identity(), M, closed=True)):
         if sum(a * b for a, b in zip(p, g)) > 0:
             continue
-        pg2 = sum((a + b) ** 2 for a, b in zip(p, g))
-        if not _lt_sqrt_plus(pg2, g2, eps):
+        if not _lt_sqrt_plus(group.norm_exact(group.op(p, g)), g2, eps):
             return TangencyCheck(False, horoball=hb, offending=p, g=g)
     return TangencyCheck(True, horoball=hb, g=g)
 
@@ -427,13 +416,9 @@ def tangency_threshold(group, M, eps, ray, n_max=100):
     """Smallest n0 such that verify_tangency passes for all n in [n0, n_max]
     along g = n * ray.  Returns None if it still fails at n_max."""
     ray = group.check(ray)
-    passes = []
-    for n in range(1, n_max + 1):
-        g = tuple(n * c for c in ray)
-        passes.append(verify_tangency(group, M, eps, g).passed)
     n0 = None
     for n in range(n_max, 0, -1):
-        if not passes[n - 1]:
+        if not verify_tangency(group, M, eps, tuple(n * c for c in ray)).passed:
             break
         n0 = n
     return n0
@@ -480,14 +465,6 @@ class RationalCone:
     def extreme_directions(self):
         return [self.u1, self.u2]
 
-    def contains_direction(self, g):
-        """Is the direction of g within the closed angular arc of the cone?"""
-        c1 = _cross(self.u1, g)
-        c2 = _cross(g, self.u2)
-        if self.halfplane:
-            return c1 >= 0
-        return c1 >= 0 and c2 >= 0
-
 
 class ConeShiftReport:
     def __init__(self, n1, r_max, failures):
@@ -513,7 +490,7 @@ def verify_cone_shift(cone, eta, g, r_max):
     if eta <= 0:
         raise InputError(f"eta must be > 0, got {eta}")
     g = (int(g[0]), int(g[1]))
-    if cone.contains_direction(g) and g != (0, 0):
+    if RationalCone(cone.u1, cone.u2, closed=True).contains(g):
         raise InputError(f"direction of g={g} lies inside the cone arc; "
                          "horofunction value would be positive")
     for u in cone.extreme_directions():

@@ -28,11 +28,12 @@ def write_pgm(path, rows):
     return len(data)
 
 
-def sublevel_raster(sign, N, inside=0, outside=255):
-    """(2N+1)^2 raster of {sign < 0}: row 0 is y = N, column 0 is x = -N."""
+def sublevel_raster(sign, N):
+    """(2N+1)^2 raster of {sign < 0}, black inside and white outside: row 0
+    is y = N, column 0 is x = -N."""
     rows = []
     for y in range(N, -N - 1, -1):
-        rows.append([inside if sign((x, y)) < 0 else outside
+        rows.append([0 if sign((x, y)) < 0 else 255
                      for x in range(-N, N + 1)])
     return rows
 
@@ -87,22 +88,3 @@ def direction_circle_svg(report):
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def lattice_set_svg(points, N, title=""):
-    """Dot plot of a finite lattice subset of [-N, N]^2."""
-    cell = 12
-    size = cell * (2 * N + 2)
-    off = cell * (N + 1)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        f'<line x1="0" y1="{off}" x2="{size}" y2="{off}" stroke="#ccc"/>',
-        f'<line x1="{off}" y1="0" x2="{off}" y2="{size}" stroke="#ccc"/>',
-    ]
-    for x, y in sorted(points, key=lambda p: (p[1], p[0])):
-        px, py = off + cell * x, off - cell * y
-        parts.append(f'<circle cx="{px}" cy="{py}" r="3" fill="#06c"/>')
-    if title:
-        parts.append(f'<text x="8" y="14" font-size="12" fill="#444">{title}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -67,7 +67,7 @@ def group_to_dict(g):
 def group_from_dict(d):
     kind = d.get("kind")
     if kind == "zd-lp":
-        return groups.ZdLp(field(d, "dim"), field(d, "p"))
+        return groups.ZdLp(field(d, "dim", int), field(d, "p"))
     if kind == "weighted-free-abelian":
         return groups.WeightedFreeAbelian(d.get("weight", "index"))
     if kind == "direct-sum-z2":

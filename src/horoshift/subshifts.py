@@ -20,7 +20,7 @@ from operator import itemgetter, ne, xor
 
 from .errors import InputError, ResourceBudgetError, field
 
-DEFAULT_FILLING_BUDGET = 2_000_000
+DEFAULT_FILLING_BUDGET = 400_000
 
 
 def box_sites(N):
@@ -265,10 +265,6 @@ def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
             del symbols[site]
 
     yield from backtrack(0)
-
-
-def count_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
-    return sum(1 for _ in enumerate_fillings(spec, N, clamp, budget))
 
 
 def complete_upward(spec, rows, x_start=0, y_start=0):

@@ -190,7 +190,7 @@ def test_criterion_10_property_suite():
                          (rng.randint(-20, 20), rng.randint(-20, 20)))
                         for _ in range(500)))
 
-    from horoshift import direction_status, Direction, parse_grid
+    from horoshift import direction_status, Direction
     spec = ledrappier()
     checks["witness-reverification"] = all(
         verify_witness(spec, Direction(*v).contains,
@@ -198,11 +198,10 @@ def test_criterion_10_property_suite():
         for v in ((0, -1), (-1, 0), (1, 1)))
 
     from horoshift import nd_set
-    rep = nd_set(spec, 2, 4, grid=parse_grid("farey:2"), grid_label="farey:2")
+    rep = nd_set(spec, 2, 4, grid="farey:2")
     d = nd_report_to_dict(rep)
     checks["serialization-determinism"] = json_dumps(d) == json_dumps(
-        nd_report_to_dict(nd_set(spec, 2, 4, grid=parse_grid("farey:2"),
-                                 grid_label="farey:2")))
+        nd_report_to_dict(nd_set(spec, 2, 4, grid="farey:2")))
     checks["witness-vector-pipeline"] = (
         origin_in_hull(witness_vectors_from_report_dict(d)).variant
         == "in-hull")

@@ -287,19 +287,18 @@ class TestNDSet:
         assert report.epsilon == 0.25
 
     def test_witness_directions_are_hull_normals(self):
-        report = nd_set(ledrappier(), 2, 5, grid=parse_grid("farey:2"),
-                        grid_label="farey:2")
+        report = nd_set(ledrappier(), 2, 5, grid="farey:2")
         wit = {(d.a, d.b) for d in report.witness_directions()}
         assert wit == {(0, -1), (-1, 0), (1, 1)}
 
     def test_entries_cover_grid_in_order(self):
         grid = parse_grid("farey:1")
-        report = nd_set(ledrappier(), 2, 4, grid=grid, grid_label="farey:1")
+        report = nd_set(ledrappier(), 2, 4, grid="farey:1")
         assert [d for d, _ in report.entries] == grid
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
-            nd_set(ledrappier(), 2, 4, grid=[])
+            nd_set(ledrappier(), 2, 4, grid="")
 
 
 class _SetHoroball:

@@ -175,6 +175,14 @@ MALFORMED = {
                                   "--margin", "-1", "--method", "enumerate"],
     "busemann-wfa": ["busemann", "--group", "wfa-index", "--center", "1,0"],
     "busemann-dsz2": ["busemann", "--group", "dsz2-index", "--center", "1,2"],
+    "group-dim-not-integer": ["verify", "largeness", "--group",
+                              '{"kind":"zd-lp","dim":"x","p":1}'],
+    "group-dim-fractional": ["verify", "largeness", "--group",
+                             '{"kind":"zd-lp","dim":2.5,"p":1}'],
+    "wfa-weight-number": ["verify", "largeness", "--group",
+                          '{"kind":"weighted-free-abelian","weight":5}'],
+    "dsz2-weight-list": ["verify", "largeness", "--group",
+                         '{"kind":"direct-sum-z2","weight":[1]}'],
     "report-direction-not-integer": [
         "render", "nd", "--report",
         {"k": 1, "N": 1, "entries": [{"direction": {"a": "x", "b": 1},

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,45 @@ class TestDirectSumZ2:
         ball = d.ball(d.identity(), 6, closed=True)
         assert all(d.norm(e) <= 6 for e in ball)
         assert len(ball) == len(set(ball))
+
+
+def _index_weight_box(group):
+    """Every element supported on e_1..e_6 with |x_i| * i <= 6: a superset
+    of the closed index-weight ball of radius 6 at the identity."""
+    if isinstance(group, DirectSumZ2):
+        ranges = [(0, 1)] * 6
+    else:
+        ranges = [range(-(6 // i), 6 // i + 1) for i in range(1, 7)]
+    for cs in product(*ranges):
+        pairs = [(i, c) for i, c in enumerate(cs, start=1) if c]
+        if sum(abs(c) * i for i, c in pairs) <= 6:
+            yield (frozenset(i for i, _ in pairs)
+                   if isinstance(group, DirectSumZ2) else tuple(pairs))
+
+
+WEIGHTED = {"wfa": (WeightedFreeAbelian, [(2, 1), (3, -1)]),
+            "dsz2": (DirectSumZ2, [1, 4])}
+
+
+class TestWeightedBall:
+    @pytest.mark.parametrize("name", WEIGHTED)
+    @pytest.mark.parametrize("radius", [0, 1, Fraction(5, 2), 3, 6])
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_matches_brute_force(self, name, radius, closed):
+        cls, other = WEIGHTED[name]
+        grp = cls("index")
+        for center in (grp.identity(), grp.check(other)):
+            expected = {x for x in (grp.op(e, center)
+                                    for e in _index_weight_box(grp))
+                        if grp.dist_lt(x, center, radius, closed)}
+            assert grp.ball(center, radius, closed=closed) == expected
+
+    @pytest.mark.parametrize("name", WEIGHTED)
+    def test_budget(self, name):
+        grp = WEIGHTED[name][0]("index")
+        with pytest.raises(ResourceBudgetError) as exc:
+            grp.ball(grp.identity(), 6, closed=True, budget=5)
+        assert exc.value.budget == 5 and exc.value.count == 6
 
 
 def _l1_balls(n_max):

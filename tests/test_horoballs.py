@@ -207,6 +207,14 @@ class TestTangency:
     def test_identity_center_fails(self):
         assert not verify_tangency(ZdLp(2, 2), 5, 0.5, (0, 0)).passed
 
+    @pytest.mark.parametrize("ray", [(1, 1), (2, 1)])
+    def test_threshold_matches_full_scan(self, ray):
+        g, n_max = ZdLp(2, 2), 30
+        passes = [verify_tangency(g, 5, 0.25, (n * ray[0], n * ray[1])).passed
+                  for n in range(1, n_max + 1)]
+        n0 = next(n for n in range(1, n_max + 1) if all(passes[n - 1:]))
+        assert tangency_threshold(g, 5, 0.25, ray, n_max=n_max) == n0
+
 
 class TestConeShift:
     def test_right_cone_shift_left(self):

@@ -3,10 +3,10 @@ import json
 import pytest
 
 from horoshift import (Direction, FullShift, InputError, ZdLp, ledrappier,
-                       nd_set, parse_grid)
+                       nd_set)
 from horoshift.horoballs import PolyhedralZ2, polyhedral_from_ray
 from horoshift.render import (ball_raster, direction_circle_svg,
-                              lattice_set_svg, sublevel_raster, write_pgm)
+                              sublevel_raster, write_pgm)
 from horoshift.serialize import (coverage_report_to_dict,
                                  direction_from_dict, direction_to_dict,
                                  direction_to_vector_descriptor,
@@ -61,18 +61,12 @@ class TestPGM:
 
 class TestSVG:
     def test_direction_circle(self):
-        report = nd_set(ledrappier(), 2, 4, grid=parse_grid("farey:1"),
-                        grid_label="farey:1")
+        report = nd_set(ledrappier(), 2, 4, grid="farey:1")
         d = nd_report_to_dict(report)
         svg = direction_circle_svg(d)
         assert svg.startswith("<svg")
         assert svg.count('fill="#c00"') == len(report.witness_directions())
         assert direction_circle_svg(d) == svg  # byte identical
-
-    def test_lattice_set(self):
-        svg = lattice_set_svg({(0, 0), (1, 2)}, 3, title="pts")
-        assert svg.count("<circle") == 2
-        assert "pts" in svg
 
 
 class TestSerializers:
@@ -128,8 +122,7 @@ class TestSerializers:
 
 class TestReportSerialization:
     def make_report(self):
-        return nd_set(ledrappier(), 2, 5, grid=parse_grid("farey:1"),
-                      grid_label="farey:1")
+        return nd_set(ledrappier(), 2, 5, grid="farey:1")
 
     def test_report_dict_shape(self):
         d = nd_report_to_dict(self.make_report())
@@ -166,8 +159,7 @@ class TestReportSerialization:
         assert len(vecs) == 3
 
     def test_witness_vectors_require_witnesses(self):
-        report = nd_set(FullShift((0, 1)), 2, 4, grid=parse_grid("1,0"),
-                        grid_label="single")
+        report = nd_set(FullShift((0, 1)), 2, 4, grid="1,0")
         d = nd_report_to_dict(report)
         assert witness_vectors_from_report_dict(d) == [[1, 0]]
         d["entries"] = []
