@@ -30,10 +30,10 @@ from operator import itemgetter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        WindowFilling, box_sites, enumerate_fillings,
-                        solve_forward)
+                        WindowFilling, box_sites, count_fillings,
+                        enumerate_fillings, solve_forward)
 
 
 # ---------------------------------------------------------------------------
@@ -383,38 +383,40 @@ def _fullshift_status(spec, trace, k, N):
                    evidence={"difference_site": site, "trace_size": len(trace)})
 
 
-def _pair_extends(spec, x, y, trace_M, M):
-    """Does the window witness (x, y) extend to a pair on [-M, M]^2 that
-    agrees on the larger dilated trace?"""
-    xhat = next(enumerate_fillings(spec, M, clamp=x.symbols), None)
-    if xhat is None:
-        return False
+def _pair_extends(spec, xhat, y, trace_M, M):
+    """Does the window filling y extend to [-M, M]^2 agreeing on the larger
+    dilated trace with ``xhat``, an extension of the class representative?"""
     clamp = {s: xhat[s] for s in trace_M} | y.symbols
     return next(enumerate_fillings(spec, M, clamp=clamp), None) is not None
 
 
 def _enumeration_status(spec, contains, trace, k, N, margin, budget):
+    # settle the budget before keeping any filling
+    if count_fillings(spec, N, cap=budget) > budget:
+        return Inconclusive(N, k, "budget")
     M = N + margin
     trace_M, _ = dilated_trace(contains, k, M)
     classes = {}
     # a filling's class is its symbols on the trace, read in one fixed order
     key = itemgetter(*sorted(trace)) if trace else (lambda symbols: ())
-    try:
-        for f in enumerate_fillings(spec, N, budget=budget):
-            classes.setdefault(key(f.symbols), []).append(f)
-    except ResourceBudgetError:
-        return Inconclusive(N, k, "budget")
+    for f in enumerate_fillings(spec, N, budget=budget):
+        classes.setdefault(key(f.symbols), []).append(f)
     origin_forced = True
     for members in classes.values():
         if len({f.symbols[(0, 0)] for f in members}) > 1:
             origin_forced = False
-        rep = members[0]
-        for other in members[1:]:
-            if other.symbols != rep.symbols:
-                if _pair_extends(spec, rep, other, trace_M, M):
-                    return Witness((rep, other), N, k,
-                                   evidence={"margin": margin,
-                                             "trace_size": len(trace)})
+        # the stream has no repeats, so every other member differs from rep
+        rep, *others = members
+        if not others:
+            continue
+        xhat = next(enumerate_fillings(spec, M, clamp=rep.symbols), None)
+        if xhat is None:
+            continue
+        for other in others:
+            if _pair_extends(spec, xhat, other, trace_M, M):
+                return Witness((rep, other), N, k,
+                               evidence={"margin": margin,
+                                         "trace_size": len(trace)})
     if origin_forced:
         return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
     return Inconclusive(N, k, "origin not forced; no extendable witness")

@@ -24,6 +24,7 @@ def field(descriptor, key, kind=object):
         what = "descriptor" if name is None else f"{name!r} descriptor"
         raise InputError(f"{what} needs a {key!r} field")
     value = descriptor[key]
-    if not isinstance(value, kind):
+    # JSON true/false are bools, and bool is a subclass of int
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
         raise InputError(f"{key!r} must be a {kind.__name__}, got {value!r}")
     return value

@@ -73,7 +73,7 @@ class ZdLp(MetricGroup):
     def __init__(self, dim, p):
         if dim < 1:
             raise InputError(f"dimension must be >= 1, got {dim}")
-        if p not in (1, 2, "inf", math.inf):
+        if isinstance(p, bool) or p not in (1, 2, "inf", math.inf):
             raise InputError(f"p must be 1, 2 or 'inf', got {p!r}")
         self.dim = dim
         self.p = "inf" if p == math.inf else p

@@ -12,10 +12,12 @@ bare symbol for a one-site support).  ``placements`` is the one rule for
 where a support fits inside a finite set of sites; ``solve_forward`` solves a
 GF(2) rule on them in raster order.  ``enumerate_fillings`` streams the
 locally admissible total assignments (window fillings) of the box [-N, N]^2
-in a deterministic raster-order backtracking.
+in raster-lexicographic order by a walk over its rows, and
+``count_fillings`` counts them over the same rows without keeping any.
 """
 
 from functools import partial, reduce
+from itertools import chain
 from operator import itemgetter, ne, xor
 
 from .errors import InputError, ResourceBudgetError, field
@@ -225,46 +227,144 @@ class WindowFilling:
         return f"WindowFilling(N={self.N}, {len(self.symbols)} sites)"
 
 
+def _state_after(state, row, keep):
+    """The last ``keep`` rows of ``state`` followed by ``row``."""
+    rows = (*state, row)
+    return rows[max(0, len(rows) - keep):]
+
+
+class _RowTransfer:
+    """The locally admissible fillings of [-N, N]^2 as walks over its rows,
+    bottom to top, for one spec and clamp.
+
+    A state is the tuple of the last h - 1 rows placed, h the tallest row
+    span of a support, since a row's checks read no row below those.  The
+    admissible next rows of a state come from the check plan, which checks
+    each placement once, at its raster-last cell: they are produced lazily,
+    cell by cell with symbols in sorted order, so in lexicographic order, and
+    kept for the life of the object once fully walked.
+    """
+
+    def __init__(self, spec, N, clamp):
+        sites = box_sites(N)
+        clamp = dict(clamp or {})
+        for s in clamp:
+            if not (abs(s[0]) <= N and abs(s[1]) <= N):
+                raise InputError(f"clamp site {s} outside window [-{N},{N}]^2")
+        check_plan = {s: [] for s in sites}
+        height = 1
+        for support, allowed in spec.constraints():
+            ys = [y for _, y in support]
+            height = max(height, max(ys) - min(ys) + 1)
+            for cells in placements(support, check_plan):
+                last = max(cells, key=lambda c: (c[1], c[0]))
+                check_plan[last].append((itemgetter(*cells), allowed))
+        alphabet = sorted(spec.alphabet)
+        width = 2 * N + 1
+        self.sites = sites
+        self.rows = [sites[i:i + width] for i in range(0, len(sites), width)]
+        # per row, each cell's site, candidate symbols and checks
+        self.cells = [[(s, [clamp[s]] if s in clamp else alphabet, check_plan[s])
+                       for s in row] for row in self.rows]
+        self.keep = height - 1
+        self.walked = {}
+
+    def _next_rows(self, r, state):
+        """The admissible rows r above the rows ``state``, lexicographically."""
+        below = chain.from_iterable(self.rows[r - len(state):r])
+        symbols = dict(zip(below, chain.from_iterable(state)))
+        cells = self.cells[r]
+        last = len(cells) - 1
+        values = [None] * len(cells)
+        # tried[i] iterates the candidates of cell i under the values chosen
+        # for cells 0..i-1
+        tried = [iter(cells[0][1])] + [None] * last
+        i = 0
+        while i >= 0:
+            site, _, checks = cells[i]
+            for v in tried[i]:
+                symbols[site] = v
+                for get, allowed in checks:
+                    if not allowed(get(symbols)):
+                        break
+                else:  # every check passed: keep v
+                    break
+            else:
+                i -= 1
+                continue
+            values[i] = v
+            if i == last:
+                yield tuple(values)
+            else:
+                i += 1
+                tried[i] = iter(cells[i][1])
+
+    def _keep(self, r, state):
+        rows = []
+        for row in self._next_rows(r, state):
+            rows.append(row)
+            yield row
+        self.walked[r, state] = rows
+
+    def successors(self, r, state):
+        rows = self.walked.get((r, state))
+        return iter(rows) if rows is not None else self._keep(r, state)
+
+    def fillings(self):
+        """Every filling as its tuple of rows, lexicographic in raster order."""
+        top = len(self.rows) - 1
+        path = []
+        stack = [(self.successors(0, ()), ())]
+        while stack:
+            r = len(stack) - 1
+            rows, state = stack[-1]
+            row = next(rows, None)
+            if row is None:
+                stack.pop()
+                continue
+            del path[r:]
+            path.append(row)
+            if r == top:
+                yield tuple(path)
+            else:
+                after = _state_after(state, row, self.keep)
+                stack.append((self.successors(r + 1, after), after))
+
+    def count(self, cap):
+        """The number of fillings, saturated at ``cap + 1``: paths are
+        counted per state, row by row, each count capped on the way."""
+        layer = {(): 1}
+        for r in range(len(self.rows)):
+            counts = {}
+            for state, n in layer.items():
+                for row in self.successors(r, state):
+                    after = _state_after(state, row, self.keep)
+                    counts[after] = min(cap + 1, counts.get(after, 0) + n)
+            layer = counts
+        return min(cap + 1, sum(layer.values()))
+
+
 def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
     """Stream all locally admissible fillings of [-N, N]^2 extending clamp.
 
-    Backtracking in raster order with symbols tried in sorted order, so the
-    stream order is deterministic.  Raises a resource error (carrying the
-    count so far) after ``budget`` fillings.
+    Raster-lexicographic order (symbols in sorted order), so the stream is
+    deterministic.  Raises a resource error (carrying the count so far)
+    after ``budget`` fillings.
     """
-    sites = box_sites(N)
-    clamp = dict(clamp or {})
-    for s in clamp:
-        if not (abs(s[0]) <= N and abs(s[1]) <= N):
-            raise InputError(f"clamp site {s} outside window [-{N},{N}]^2")
-    # each placement is checked once, when its raster-last cell gets a value
-    check_plan = {s: [] for s in sites}
-    for support, allowed in spec.constraints():
-        for cells in placements(support, check_plan):
-            last = max(cells, key=lambda c: (c[1], c[0]))
-            check_plan[last].append((itemgetter(*cells), allowed))
-    alphabet = sorted(spec.alphabet)
-    symbols = {}
+    engine = _RowTransfer(spec, N, clamp)
     count = 0
+    for rows in engine.fillings():
+        count += 1
+        if count > budget:
+            raise ResourceBudgetError(
+                f"filling budget {budget} exceeded", budget, count - 1)
+        yield WindowFilling(N, dict(zip(engine.sites, chain.from_iterable(rows))))
 
-    def backtrack(i):
-        nonlocal count
-        if i == len(sites):
-            count += 1
-            if count > budget:
-                raise ResourceBudgetError(
-                    f"filling budget {budget} exceeded", budget, count - 1)
-            yield WindowFilling(N, dict(symbols))
-            return
-        site = sites[i]
-        choices = [clamp[site]] if site in clamp else alphabet
-        for v in choices:
-            symbols[site] = v
-            if all(allowed(get(symbols)) for get, allowed in check_plan[site]):
-                yield from backtrack(i + 1)
-            del symbols[site]
 
-    yield from backtrack(0)
+def count_fillings(spec, N, clamp=None, cap=DEFAULT_FILLING_BUDGET):
+    """The number of fillings ``enumerate_fillings`` streams, saturated at
+    ``cap + 1``, without keeping any of them."""
+    return _RowTransfer(spec, N, clamp).count(cap)
 
 
 def complete_upward(spec, rows, x_start=0, y_start=0):

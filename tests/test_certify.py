@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from horoshift import (Direction, FullShift, InputError, LinearGF2,
-                       PolyhedralZ2,
+from horoshift import (Direction, FullShift, InputError, LinearGF2, Pattern,
+                       PolyhedralZ2, SFT,
                        SkewActionSpec, FullShiftZ, direction_status,
                        farey_directions, horoball_status, l2_horoball,
                        ledrappier, nd_set, parse_grid, skew_exponent,
@@ -244,6 +244,17 @@ class TestDirectionStatus:
         cert = direction_status(ledrappier(), (0, 1), 2, 2,
                                 method="enumerate", budget=10)
         assert cert.kind == "inconclusive" and cert.reason == "budget"
+
+    def test_enumeration_budget_boundary(self):
+        # the hard square has exactly 55,447 fillings of [-2, 2]^2
+        hard_square = SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1}),
+                                   Pattern({(0, 0): 1, (0, 1): 1})])
+        short = direction_status(hard_square, (1, 0), 1, 2,
+                                 method="enumerate", budget=55_446)
+        assert short.kind == "inconclusive" and short.reason == "budget"
+        enough = direction_status(hard_square, (1, 0), 1, 2,
+                                  method="enumerate", budget=55_447)
+        assert enough.kind == "witness"
 
 
 class TestHoroballStatus:

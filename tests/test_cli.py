@@ -125,6 +125,9 @@ class TestVerify:
         assert d["found"] is True
 
 
+BOOL_DIRECTION = {"k": 1, "N": 1,
+                  "entries": [{"direction": {"a": True, "b": 0},
+                               "certificate": {"kind": "witness"}}]}
 MALFORMED = {
     "grid-empty-pair": ["nd", "--system", "ledrappier", "--k", "2",
                         "--window", "4", "--grid", "1,0;"],
@@ -187,6 +190,14 @@ MALFORMED = {
         "render", "nd", "--report",
         {"k": 1, "N": 1, "entries": [{"direction": {"a": "x", "b": 1},
                                       "certificate": {"kind": "witness"}}]}],
+    # JSON booleans are not integers, although bool is an int in Python
+    "group-dim-bool": ["verify", "largeness", "--group",
+                       '{"kind":"zd-lp","dim":true,"p":1}'],
+    "group-p-bool": ["verify", "largeness", "--group",
+                     '{"kind":"zd-lp","dim":2,"p":true}'],
+    "report-direction-bool": ["render", "nd", "--report", BOOL_DIRECTION],
+    "vectors-direction-bool": ["convex", "origin-test", "--vectors",
+                               BOOL_DIRECTION],
 }
 # horoballs that ``horoball --system ledrappier --k 1 --window 1`` must reject
 BAD_HOROBALLS = {

@@ -77,6 +77,24 @@ ND_DIGESTS = {
         "direction_circle.svg": "8e89f59c5672fdceb6a546c4fc57933b"
                                 "f4aa2ce1a1585ee3680260523987d7e3",
     },
+    # the same at N=2, where each direction walks all 55,447 fillings
+    "nd --system '{\"kind\":\"sft\",\"alphabet\":[0,1],\"forbidden\":"
+    "[[[[0,0],1],[[1,0],1]],[[[0,0],1],[[0,1],1]]]}' "
+    "--k 1 --window 2 --grid farey:1": {
+        "nd_report.json": "56646a04c4687ad0bb1105378ebf4726"
+                          "9a54aafc46f73691eef8782958820e36",
+        "nd_report.csv": "9714f333f3f436368b970d21ca53e2a4"
+                         "e0d72adacfdcaa2626b34da7b3fdf3b9",
+        "direction_circle.svg": "c2ae19ae27a88cd41831eb288f1efe63"
+                                "06883a4f288f052bd9631f7527286b43",
+    },
+    # and at N=3, where the fillings outnumber the default budget
+    "direction --system '{\"kind\":\"sft\",\"alphabet\":[0,1],"
+    "\"forbidden\":[[[[0,0],1],[[1,0],1]],[[[0,0],1],[[0,1],1]]]}' "
+    "--dir 1,0 --k 1 --window 3": {
+        "direction_report.json": "7a2855ff87e0853010dc59a6740b191d"
+                                 "ac7cac0cfd1d661f8ac97d1e72d2aef2",
+    },
     # the full shift: a single-difference witness on every farey:2 direction
     "nd --system fullshift --k 2 --window 4 --grid farey:2": {
         "nd_report.json": "56f14571f1e1baae9e4753e3146d2f86"

@@ -7,7 +7,7 @@ from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2, Pattern,
                        ResourceBudgetError, SFT, SkewActionSpec, WindowFilling,
                        complete_upward, config_distance, enumerate_fillings,
                        ledrappier, skew_exponent, validate)
-from horoshift.subshifts import box_sites, spec_from_dict
+from horoshift.subshifts import box_sites, count_fillings, spec_from_dict
 
 
 class TestSpecs:
@@ -145,16 +145,25 @@ def _brute_force(spec, N, clamp):
     return [f for f in fillings if _admissible(spec, f)]
 
 
+# a rule three rows tall, so a row's checks read the two rows below it
+TALL = LinearGF2([(0, 0), (1, 0), (0, 2)])
+# (spec, clamp) pairs whose window-1 streams are checked against brute force
+CHECK_PLAN_CASES = {
+    "fullshift": (FullShift((0, 1)), {}),
+    "ledrappier": (ledrappier(), {}),
+    "ledrappier-clamped": (ledrappier(), {(x, -1): 0 for x in (-1, 0, 1)}),
+    "hard-square": (HARD_SQUARE, {}),
+    "single-site": (SFT((0, 1, 2), [Pattern({(0, 0): 2})]), {}),
+    "three-cells-apart": (
+        SFT((0, 1), [Pattern({(0, 0): 1, (2, 0): 0, (1, 2): 1})]), {}),
+    "tall": (TALL, {}),
+    "tall-clamped": (TALL, {(0, 0): 1, (1, 1): 0}),
+}
+
+
 class TestCheckPlan:
-    @pytest.mark.parametrize("spec, clamp", [
-        (FullShift((0, 1)), {}),
-        (ledrappier(), {}),
-        (ledrappier(), {(x, -1): 0 for x in (-1, 0, 1)}),
-        (HARD_SQUARE, {}),
-        (SFT((0, 1, 2), [Pattern({(0, 0): 2})]), {}),
-        (SFT((0, 1), [Pattern({(0, 0): 1, (2, 0): 0, (1, 2): 1})]), {}),
-    ], ids=["fullshift", "ledrappier", "ledrappier-clamped", "hard-square",
-            "single-site", "three-cells-apart"])
+    @pytest.mark.parametrize("spec, clamp", CHECK_PLAN_CASES.values(),
+                             ids=CHECK_PLAN_CASES.keys())
     def test_stream_equals_brute_force(self, spec, clamp):
         stream = [f.symbols for f in enumerate_fillings(spec, 1, clamp=clamp)]
         assert stream == _brute_force(spec, 1, clamp)
@@ -166,6 +175,39 @@ class TestCheckPlan:
     @settings(max_examples=200, deadline=None)
     def test_validate_is_the_definition(self, spec, symbols):
         assert validate(spec, symbols) == _admissible(spec, symbols)
+
+
+COUNT_CASES = {
+    **{name: (spec, clamp, 1) for name, (spec, clamp) in CHECK_PLAN_CASES.items()},
+    "tall-window-2": (TALL, {}, 2),
+    "hard-square-window-2": (HARD_SQUARE, {}, 2),
+    "hard-square-clamped": (HARD_SQUARE, {(0, 0): 1, (2, -1): 0}, 2),
+    "ledrappier-window-2-clamped": (ledrappier(), {(-2, 2): 1, (0, 0): 1}, 2),
+}
+
+
+class TestCountFillings:
+    @pytest.mark.parametrize("spec, clamp, N", COUNT_CASES.values(),
+                             ids=COUNT_CASES.keys())
+    def test_count_equals_stream(self, spec, clamp, N):
+        streamed = sum(1 for _ in enumerate_fillings(spec, N, clamp=clamp))
+        assert count_fillings(spec, N, clamp=clamp) == streamed
+
+    def test_saturates_past_cap(self):
+        # the hard square has 55,447 fillings of [-2, 2]^2
+        for cap in (0, 1, 100, 55_446, 55_447, 10**6):
+            assert count_fillings(HARD_SQUARE, 2, cap=cap) == min(cap + 1, 55_447)
+        # 2^25 fillings of the full shift, counted without walking them
+        assert count_fillings(FullShift((0, 1)), 2, cap=10) == 11
+        assert count_fillings(FullShift((0, 1)), 2, cap=2**25) == 2**25
+
+    def test_contradictory_clamp_counts_zero(self):
+        clamp = {(0, 0): 1, (1, 0): 0, (0, 1): 0}
+        assert count_fillings(ledrappier(), 1, clamp=clamp) == 0
+
+    def test_clamp_outside_window(self):
+        with pytest.raises(InputError):
+            count_fillings(ledrappier(), 1, clamp={(0, 2): 0})
 
 
 class TestCompleteUpward:
