@@ -25,15 +25,14 @@ as the independent oracle.
 import functools
 import itertools
 import math
-from operator import itemgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        WindowFilling, box_sites, count_fillings,
-                        enumerate_fillings, solve_forward)
+                        WindowFilling, box_sites, enumerate_fillings,
+                        filling_rows, solve_forward)
 
 
 # ---------------------------------------------------------------------------
@@ -391,28 +390,37 @@ def _pair_extends(spec, xhat, y, trace_M, M):
 
 
 def _enumeration_status(spec, contains, trace, k, N, margin, budget):
-    # settle the budget before keeping any filling
-    if count_fillings(spec, N, cap=budget) > budget:
+    # at most budget + 1 fillings, kept as bare tuples of rows
+    stream = list(itertools.islice(filling_rows(spec, N), budget + 1))
+    if len(stream) > budget:
         return Inconclusive(N, k, "budget")
     M = N + margin
     trace_M, _ = dilated_trace(contains, k, M)
+    sites = box_sites(N)
+
+    def filling(rows):
+        symbols = itertools.chain.from_iterable(rows)
+        return WindowFilling(N, dict(zip(sites, symbols)))
+
     classes = {}
     # a filling's class is its symbols on the trace, read in one fixed order
-    key = itemgetter(*sorted(trace)) if trace else (lambda symbols: ())
-    for f in enumerate_fillings(spec, N, budget=budget):
-        classes.setdefault(key(f.symbols), []).append(f)
+    cells = [(y + N, x + N) for x, y in sorted(trace)]
+    for rows in stream:
+        key = tuple([rows[r][c] for r, c in cells])
+        classes.setdefault(key, []).append(rows)
     origin_forced = True
     for members in classes.values():
-        if len({f.symbols[(0, 0)] for f in members}) > 1:
+        if len({rows[N][N] for rows in members}) > 1:
             origin_forced = False
         # the stream has no repeats, so every other member differs from rep
         rep, *others = members
         if not others:
             continue
+        rep = filling(rep)
         xhat = next(enumerate_fillings(spec, M, clamp=rep.symbols), None)
         if xhat is None:
             continue
-        for other in others:
+        for other in map(filling, others):
             if _pair_extends(spec, xhat, other, trace_M, M):
                 return Witness((rep, other), N, k,
                                evidence={"margin": margin,
@@ -430,6 +438,8 @@ def _status(spec, horoball, k, N, margin, budget, method):
         raise InputError("kernel method needs a linear-gf2 spec")
     if margin is not None and margin < 0:
         raise InputError(f"margin must be >= 0, got {margin}")
+    if budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
     contains = horoball.contains
     trace, hits = dilated_trace(contains, k, N)
     if not hits:

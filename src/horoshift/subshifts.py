@@ -12,8 +12,8 @@ bare symbol for a one-site support).  ``placements`` is the one rule for
 where a support fits inside a finite set of sites; ``solve_forward`` solves a
 GF(2) rule on them in raster order.  ``enumerate_fillings`` streams the
 locally admissible total assignments (window fillings) of the box [-N, N]^2
-in raster-lexicographic order by a walk over its rows, and
-``count_fillings`` counts them over the same rows without keeping any.
+in raster-lexicographic order by a walk over its rows; ``filling_rows``
+streams the same fillings as bare tuples of rows.
 """
 
 from functools import partial, reduce
@@ -261,7 +261,6 @@ class _RowTransfer:
                 check_plan[last].append((itemgetter(*cells), allowed))
         alphabet = sorted(spec.alphabet)
         width = 2 * N + 1
-        self.sites = sites
         self.rows = [sites[i:i + width] for i in range(0, len(sites), width)]
         # per row, each cell's site, candidate symbols and checks
         self.cells = [[(s, [clamp[s]] if s in clamp else alphabet, check_plan[s])
@@ -330,18 +329,11 @@ class _RowTransfer:
                 after = _state_after(state, row, self.keep)
                 stack.append((self.successors(r + 1, after), after))
 
-    def count(self, cap):
-        """The number of fillings, saturated at ``cap + 1``: paths are
-        counted per state, row by row, each count capped on the way."""
-        layer = {(): 1}
-        for r in range(len(self.rows)):
-            counts = {}
-            for state, n in layer.items():
-                for row in self.successors(r, state):
-                    after = _state_after(state, row, self.keep)
-                    counts[after] = min(cap + 1, counts.get(after, 0) + n)
-            layer = counts
-        return min(cap + 1, sum(layer.values()))
+
+def filling_rows(spec, N, clamp=None):
+    """The fillings ``enumerate_fillings`` streams, in the same order, each
+    as its tuple of rows (bottom first, each row left to right)."""
+    return _RowTransfer(spec, N, clamp).fillings()
 
 
 def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
@@ -351,20 +343,12 @@ def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
     deterministic.  Raises a resource error (carrying the count so far)
     after ``budget`` fillings.
     """
-    engine = _RowTransfer(spec, N, clamp)
-    count = 0
-    for rows in engine.fillings():
-        count += 1
+    sites = box_sites(N)
+    for count, rows in enumerate(filling_rows(spec, N, clamp), 1):
         if count > budget:
             raise ResourceBudgetError(
                 f"filling budget {budget} exceeded", budget, count - 1)
-        yield WindowFilling(N, dict(zip(engine.sites, chain.from_iterable(rows))))
-
-
-def count_fillings(spec, N, clamp=None, cap=DEFAULT_FILLING_BUDGET):
-    """The number of fillings ``enumerate_fillings`` streams, saturated at
-    ``cap + 1``, without keeping any of them."""
-    return _RowTransfer(spec, N, clamp).count(cap)
+        yield WindowFilling(N, dict(zip(sites, chain.from_iterable(rows))))
 
 
 def complete_upward(spec, rows, x_start=0, y_start=0):

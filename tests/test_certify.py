@@ -256,6 +256,20 @@ class TestDirectionStatus:
                                   method="enumerate", budget=55_447)
         assert enough.kind == "witness"
 
+    def test_enumeration_budget_bounds_work(self):
+        # 3^9 states per row of [-4, 4]^2, each with up to 3^9 next rows:
+        # the verdict must come after budget + 1 fillings, not a full walk
+        vertical = SFT((0, 1, 2), [Pattern({(0, 0): 2, (0, 1): 2})])
+        cert = direction_status(vertical, (1, 0), 1, 4,
+                                method="enumerate", budget=1000)
+        assert cert.kind == "inconclusive" and cert.reason == "budget"
+
+    def test_negative_budget(self):
+        for method in ("auto", "enumerate"):
+            with pytest.raises(InputError):
+                direction_status(ledrappier(), (1, 0), 1, 1, budget=-1,
+                                 method=method)
+
 
 class TestHoroballStatus:
     def test_polyhedral_halfplane_matches_direction(self):

@@ -198,6 +198,8 @@ MALFORMED = {
     "report-direction-bool": ["render", "nd", "--report", BOOL_DIRECTION],
     "vectors-direction-bool": ["convex", "origin-test", "--vectors",
                                BOOL_DIRECTION],
+    "budget-negative": ["direction", "--system", "ledrappier", "--dir", "1,0",
+                        "--k", "1", "--window", "1", "--budget", "-1"],
 }
 # horoballs that ``horoball --system ledrappier --k 1 --window 1`` must reject
 BAD_HOROBALLS = {

@@ -7,7 +7,7 @@ from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2, Pattern,
                        ResourceBudgetError, SFT, SkewActionSpec, WindowFilling,
                        complete_upward, config_distance, enumerate_fillings,
                        ledrappier, skew_exponent, validate)
-from horoshift.subshifts import box_sites, count_fillings, spec_from_dict
+from horoshift.subshifts import box_sites, filling_rows, spec_from_dict
 
 
 class TestSpecs:
@@ -177,7 +177,7 @@ class TestCheckPlan:
         assert validate(spec, symbols) == _admissible(spec, symbols)
 
 
-COUNT_CASES = {
+ROW_CASES = {
     **{name: (spec, clamp, 1) for name, (spec, clamp) in CHECK_PLAN_CASES.items()},
     "tall-window-2": (TALL, {}, 2),
     "hard-square-window-2": (HARD_SQUARE, {}, 2),
@@ -186,28 +186,26 @@ COUNT_CASES = {
 }
 
 
-class TestCountFillings:
-    @pytest.mark.parametrize("spec, clamp, N", COUNT_CASES.values(),
-                             ids=COUNT_CASES.keys())
-    def test_count_equals_stream(self, spec, clamp, N):
-        streamed = sum(1 for _ in enumerate_fillings(spec, N, clamp=clamp))
-        assert count_fillings(spec, N, clamp=clamp) == streamed
+class TestFillingRows:
+    @pytest.mark.parametrize("spec, clamp, N", ROW_CASES.values(),
+                             ids=ROW_CASES.keys())
+    def test_rows_match_stream(self, spec, clamp, N):
+        sites = box_sites(N)
+        rows = list(filling_rows(spec, N, clamp=clamp))
+        assert rows
+        assert all(len(f) == 2 * N + 1 and all(len(r) == 2 * N + 1 for r in f)
+                   for f in rows)
+        assert [tuple(itertools.chain(*f)) for f in rows] == [
+            tuple(f[s] for s in sites)
+            for f in enumerate_fillings(spec, N, clamp=clamp)]
 
-    def test_saturates_past_cap(self):
-        # the hard square has 55,447 fillings of [-2, 2]^2
-        for cap in (0, 1, 100, 55_446, 55_447, 10**6):
-            assert count_fillings(HARD_SQUARE, 2, cap=cap) == min(cap + 1, 55_447)
-        # 2^25 fillings of the full shift, counted without walking them
-        assert count_fillings(FullShift((0, 1)), 2, cap=10) == 11
-        assert count_fillings(FullShift((0, 1)), 2, cap=2**25) == 2**25
-
-    def test_contradictory_clamp_counts_zero(self):
+    def test_contradictory_clamp_is_empty(self):
         clamp = {(0, 0): 1, (1, 0): 0, (0, 1): 0}
-        assert count_fillings(ledrappier(), 1, clamp=clamp) == 0
+        assert next(filling_rows(ledrappier(), 1, clamp=clamp), None) is None
 
     def test_clamp_outside_window(self):
         with pytest.raises(InputError):
-            count_fillings(ledrappier(), 1, clamp={(0, 2): 0})
+            filling_rows(ledrappier(), 1, clamp={(0, 2): 0})
 
 
 class TestCompleteUpward:
