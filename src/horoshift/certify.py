@@ -389,10 +389,18 @@ def _pair_extends(spec, xhat, y, trace_M, M):
     return next(enumerate_fillings(spec, M, clamp=clamp), None) is not None
 
 
-def _enumeration_status(spec, contains, trace, k, N, margin, budget):
-    # at most budget + 1 fillings, kept as bare tuples of rows
+# every direction of an nd run reads the same free window stream
+@functools.lru_cache(maxsize=1)
+def _window_stream(spec, N, budget):
+    """The fillings of [-N, N]^2 as bare tuples of rows, from at most
+    budget + 1 of one walk; None when the window has more than budget."""
     stream = list(itertools.islice(filling_rows(spec, N), budget + 1))
-    if len(stream) > budget:
+    return None if len(stream) > budget else tuple(stream)
+
+
+def _enumeration_status(spec, contains, trace, k, N, margin, budget):
+    stream = _window_stream(spec, N, budget)
+    if stream is None:
         return Inconclusive(N, k, "budget")
     M = N + margin
     trace_M, _ = dilated_trace(contains, k, M)

@@ -16,7 +16,7 @@ in raster-lexicographic order by a walk over its rows; ``filling_rows``
 streams the same fillings as bare tuples of rows.
 """
 
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain
 from operator import itemgetter, ne, xor
 
@@ -28,6 +28,10 @@ DEFAULT_FILLING_BUDGET = 400_000
 def box_sites(N):
     """Sites of [-N, N]^2 in raster order (row by row, left to right)."""
     return [(x, y) for y in range(-N, N + 1) for x in range(-N, N + 1)]
+
+
+def _raster_key(site):
+    return (site[1], site[0])
 
 
 def _alphabet(symbols):
@@ -178,7 +182,7 @@ def solve_forward(support, sites, free):
     the full support, so a repeated site cancels) is the xor of the
     placement's other odd cells, and every other site takes ``next(free)``."""
     odd = sorted((s for s in set(support) if support.count(s) % 2),
-                 key=lambda s: (s[1], s[0]))
+                 key=_raster_key)
     values = dict.fromkeys(sites)
     get = itemgetter(*map(support.index, odd))
     lead = {c[-1]: c[:-1] for c in map(get, placements(support, values))}
@@ -233,6 +237,17 @@ def _state_after(state, row, keep):
     return rows[max(0, len(rows) - keep):]
 
 
+# the clamped searches of an oracle run place the same supports in one window
+@lru_cache(maxsize=16)
+def _box_placements(support, N):
+    """Each placement of ``support`` in [-N, N]^2, in ``placements`` order
+    over the raster-ordered sites, as its getter and its cells raster-last
+    first."""
+    return tuple((itemgetter(*cells),
+                  tuple(sorted(cells, key=_raster_key, reverse=True)))
+                 for cells in placements(support, dict.fromkeys(box_sites(N))))
+
+
 class _RowTransfer:
     """The locally admissible fillings of [-N, N]^2 as walks over its rows,
     bottom to top, for one spec and clamp.
@@ -240,14 +255,17 @@ class _RowTransfer:
     A state is the tuple of the last h - 1 rows placed, h the tallest row
     span of a support, since a row's checks read no row below those.  The
     admissible next rows of a state come from the check plan, which checks
-    each placement once, at its raster-last cell: they are produced lazily,
-    cell by cell with symbols in sorted order, so in lexicographic order, and
-    kept for the life of the object once fully walked.
+    each placement once, at its raster-last unclamped cell (its raster-last
+    cell when all are clamped): a clamped symbol never changes, so a partial
+    row is rejected as soon as it contradicts the clamp, and no filling is
+    lost.  They are produced lazily, cell by cell with symbols in sorted
+    order, so in lexicographic order, and kept for the life of the object
+    once fully walked.
     """
 
     def __init__(self, spec, N, clamp):
         sites = box_sites(N)
-        clamp = dict(clamp or {})
+        self.clamp = clamp = dict(clamp or {})
         for s in clamp:
             if not (abs(s[0]) <= N and abs(s[1]) <= N):
                 raise InputError(f"clamp site {s} outside window [-{N},{N}]^2")
@@ -256,9 +274,9 @@ class _RowTransfer:
         for support, allowed in spec.constraints():
             ys = [y for _, y in support]
             height = max(height, max(ys) - min(ys) + 1)
-            for cells in placements(support, check_plan):
-                last = max(cells, key=lambda c: (c[1], c[0]))
-                check_plan[last].append((itemgetter(*cells), allowed))
+            for get, cells in _box_placements(support, N):
+                last = next((c for c in cells if c not in clamp), cells[0])
+                check_plan[last].append((get, allowed))
         alphabet = sorted(spec.alphabet)
         width = 2 * N + 1
         self.rows = [sites[i:i + width] for i in range(0, len(sites), width)]
@@ -271,7 +289,9 @@ class _RowTransfer:
     def _next_rows(self, r, state):
         """The admissible rows r above the rows ``state``, lexicographically."""
         below = chain.from_iterable(self.rows[r - len(state):r])
-        symbols = dict(zip(below, chain.from_iterable(state)))
+        # a check may read a clamped cell of a row above r
+        symbols = self.clamp.copy()
+        symbols.update(zip(below, chain.from_iterable(state)))
         cells = self.cells[r]
         last = len(cells) - 1
         values = [None] * len(cells)

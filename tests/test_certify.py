@@ -8,12 +8,13 @@ from horoshift import (Direction, FullShift, InputError, LinearGF2, Pattern,
                        farey_directions, horoball_status, l2_horoball,
                        ledrappier, nd_set, parse_grid, skew_exponent,
                        skew_horoball_status)
-from horoshift.certify import (_LinearWindowKernel, dilated_trace,
-                               exponent_image, gf2_nullspace,
+from horoshift import certify
+from horoshift.certify import (_LinearWindowKernel, _window_stream,
+                               dilated_trace, exponent_image, gf2_nullspace,
                                is_hull_normal, verify_window_deterministic,
                                verify_witness)
 from horoshift.horoballs import Horoball, polyhedral_from_ray
-from horoshift.subshifts import box_sites, enumerate_fillings
+from horoshift.subshifts import box_sites, enumerate_fillings, filling_rows
 
 
 class TestDirection:
@@ -324,6 +325,29 @@ class TestNDSet:
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
             nd_set(ledrappier(), 2, 4, grid="")
+
+    def test_enumeration_walks_the_window_once(self, monkeypatch):
+        hard_square = SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1}),
+                                   Pattern({(0, 0): 1, (0, 1): 1})])
+        walks = []
+
+        def counted(spec, N, clamp=None):
+            if clamp is None:
+                walks.append(N)
+            return filling_rows(spec, N, clamp)
+
+        monkeypatch.setattr(certify, "filling_rows", counted)
+        _window_stream.cache_clear()
+        report = nd_set(hard_square, 1, 2, grid="farey:1")
+        assert walks == [2]  # one free walk for the 8 directions
+        for v, cert in report.entries:
+            _window_stream.cache_clear()  # each direction walks on its own
+            assert cert.to_dict() == \
+                direction_status(hard_square, v, 1, 2).to_dict()
+        # the window has 55,447 fillings, one more than this budget
+        short = nd_set(hard_square, 1, 2, grid="farey:1", budget=55_446)
+        assert [(c.kind, c.reason) for _, c in short.entries] == \
+            [("inconclusive", "budget")] * 8
 
 
 class _SetHoroball:

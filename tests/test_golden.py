@@ -116,6 +116,18 @@ ND_DIGESTS = {
         "direction_report.json": "039e3218856fb13d67cb5a40e9282330"
                                  "9be11abe600acdf54648d559ba7a1389",
     },
+    # the benchmark's oracle-extend commands: 1,024 clamped extension
+    # searches over [-5, 5]^2 and [-4, 4]^2, 832 of them with no filling
+    "direction --system ledrappier --dir 1,0 --method enumerate --window 2 "
+    "--k 1": {
+        "direction_report.json": "e3d8dd67a01c0ee8e45edd9c547fe67d"
+                                 "6aa2ccb5d7c47803c1b95799bc6ca6c0",
+    },
+    "direction --system ledrappier --dir 1,0 --method enumerate --window 2 "
+    "--k 2": {
+        "direction_report.json": "157bd60eb6ceadec7945702644ba0278"
+                                 "5fdc1bd432a9336dd1454fa686654865",
+    },
 }
 
 

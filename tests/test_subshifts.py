@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -120,6 +121,11 @@ def _placed(support, sites):
     """Every translate of ``support`` lying inside ``sites``, by definition;
     the anchors cover the windows (within [-2, 2]^2) and supports (offsets
     in 0..2) of these tests."""
+    return _placed_in(tuple(support), frozenset(sites))
+
+
+@functools.lru_cache(maxsize=1024)
+def _placed_in(support, sites):
     return [[(z[0] + s[0], z[1] + s[1]) for s in support]
             for z in itertools.product(range(-4, 3), repeat=2)
             if all((z[0] + s[0], z[1] + s[1]) in sites for s in support)]
@@ -138,7 +144,8 @@ def _admissible(spec, symbols):
 
 
 def _brute_force(spec, N, clamp):
-    """All admissible assignments of the window, lexicographic in raster order."""
+    """All admissible assignments of the window extending ``clamp``, trying
+    every symbol on the free cells only, lexicographic in raster order."""
     sites = box_sites(N)
     choices = [[clamp[s]] if s in clamp else sorted(spec.alphabet) for s in sites]
     fillings = (dict(zip(sites, values)) for values in itertools.product(*choices))
@@ -175,6 +182,72 @@ class TestCheckPlan:
     @settings(max_examples=200, deadline=None)
     def test_validate_is_the_definition(self, spec, symbols):
         assert validate(spec, symbols) == _admissible(spec, symbols)
+
+
+@st.composite
+def _clamps(draw, alphabet, contradiction, N=1):
+    """Random clamps of [-N, N]^2: some sites, perhaps a whole row and a whole
+    column, and perhaps a placement clamped to a pattern the rule forbids."""
+    r = range(-N, N + 1)
+    sites = set(draw(st.lists(st.sampled_from(box_sites(N)), max_size=6)))
+    if draw(st.booleans()):
+        y = draw(st.sampled_from(r))
+        sites |= {(x, y) for x in r}
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(r))
+        sites |= {(x, y) for y in r}
+    clamp = {s: draw(st.sampled_from(alphabet)) for s in sorted(sites)}
+    if draw(st.booleans()):
+        clamp.update(contradiction)
+    return clamp
+
+
+# a 3-symbol rule with a vertical and a horizontal pattern
+THREE_SYMBOL = SFT((0, 1, 2), [Pattern({(0, 0): 2, (0, 1): 2}),
+                               Pattern({(0, 0): 1, (1, 0): 0})])
+# (spec, a placement in [-1, 1]^2 clamped to symbols the rule forbids)
+CLAMPED_CASES = {
+    "ledrappier": (ledrappier(), {(0, 0): 1, (1, 0): 0, (0, 1): 0}),
+    "hard-square": (HARD_SQUARE, {(0, 0): 1, (1, 0): 1}),
+    "tall": (TALL, {(-1, -1): 1, (0, -1): 0, (-1, 1): 0}),
+    "three-cells-apart": (
+        CHECK_PLAN_CASES["three-cells-apart"][0],
+        {(-1, -1): 1, (1, -1): 0, (0, 1): 1}),
+    "three-symbol": (THREE_SYMBOL, {(0, 0): 2, (0, 1): 2}),
+}
+
+
+@functools.lru_cache(maxsize=1)
+def _ledrappier_window_2():
+    return list(filling_rows(ledrappier(), 2))
+
+
+class TestClampedStream:
+    @pytest.mark.parametrize("spec, contradiction", CLAMPED_CASES.values(),
+                             ids=CLAMPED_CASES.keys())
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stream_equals_brute_force(self, spec, contradiction, data):
+        clamp = data.draw(_clamps(spec.alphabet, contradiction))
+        stream = [f.symbols for f in enumerate_fillings(spec, 1, clamp=clamp)]
+        assert stream == _brute_force(spec, 1, clamp)
+        if contradiction.items() <= clamp.items():
+            assert stream == []
+
+    @given(i=st.integers(0, 511), j=st.integers(0, 511))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_extension_shape(self, i, j):
+        # as in an extension search: the inner rows of one filling and the
+        # left columns of another clamped, the margin rows free
+        fillings = _ledrappier_window_2()
+        sites = box_sites(2)
+        inner = dict(zip(sites, itertools.chain(*fillings[i])))
+        outer = dict(zip(sites, itertools.chain(*fillings[j])))
+        clamp = {s: outer[s] for s in sites if s[0] < 0} | \
+            {s: inner[s] for s in sites if abs(s[1]) < 2}
+        stream = [f.symbols for f in enumerate_fillings(ledrappier(), 2,
+                                                        clamp=clamp)]
+        assert stream == _brute_force(ledrappier(), 2, clamp)
 
 
 ROW_CASES = {
