@@ -31,8 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        WindowFilling, box_sites, enumerate_fillings,
-                        filling_rows, solve_forward)
+                        WindowFilling, box_sites, count_fillings,
+                        enumerate_fillings, filling_rows, solve_forward)
 
 
 # ---------------------------------------------------------------------------
@@ -214,20 +214,30 @@ class NDReport:
 # ---------------------------------------------------------------------------
 # dilated traces
 
-def horoball_box_mask(contains, B):
-    """Boolean mask of H on [-B, B]^2; mask[x + B, y + B] = membership."""
+def horoball_box_mask(contains, B, normal=None):
+    """Boolean mask of H on [-B, B]^2; mask[x + B, y + B] = membership.
+
+    ``normal`` (a, b), when given, says that H is the half-plane
+    {a*x + b*y < 0}; the mask is then computed in exact int64 arithmetic
+    rather than by calling ``contains`` once per cell.
+    """
+    if normal is not None and (abs(normal[0]) + abs(normal[1])) * B < 2 ** 63:
+        a, b = normal
+        r = np.arange(-B, B + 1, dtype=np.int64)
+        return a * r[:, None] + b * r[None, :] < 0
     r = range(-B, B + 1)
     return np.array([[contains((x, y)) for y in r] for x in r], dtype=bool)
 
 
-def dilated_trace(contains, k, N):
-    """Sites of [-N, N]^2 at l-infinity distance < k from H /\\ [-2N, 2N]^2.
+def dilated_trace(contains, k, N, normal=None):
+    """Sites of [-N, N]^2 at l-infinity distance < k from H /\\ [-2N, 2N]^2;
+    ``normal`` as for ``horoball_box_mask``.
 
     Returns (trace set, horoball-hits-box flag).
     """
     if not 1 <= k <= N:
         raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
-    mask = horoball_box_mask(contains, 2 * N)
+    mask = horoball_box_mask(contains, 2 * N, normal)
     if not mask.any():
         return set(), False
     # site x sits at mask index x + 2N; it is in the trace iff the w-wide
@@ -240,18 +250,21 @@ def dilated_trace(contains, k, N):
 # ---------------------------------------------------------------------------
 # GF(2) linear algebra (bitmask rows)
 
+def _reduce(r, pivots):
+    """The bitmask row r less the ``pivots`` rows (lead column -> row) that
+    its leading bits call for: 0 exactly when r lies in their span."""
+    while r and (lead := r.bit_length() - 1) in pivots:
+        r ^= pivots[lead]
+    return r
+
+
 def gf2_nullspace(rows, ncols):
     """Basis of the null space of the GF(2) matrix given as bitmask rows
     (bit j = column j).  Deterministic: columns processed in order."""
     pivots = {}  # column -> reduced row
     for r in rows:
-        while r:
-            lead = r.bit_length() - 1
-            if lead in pivots:
-                r ^= pivots[lead]
-            else:
-                pivots[lead] = r
-                break
+        if r := _reduce(r, pivots):
+            pivots[r.bit_length() - 1] = r
     basis = []
     # a pivot row's equation involves only columns below its lead, so
     # resolve pivots in increasing column order
@@ -323,21 +336,35 @@ def is_hull_normal(support, v):
 
 
 def _origin_forced(spec, trace, N):
-    """Is the origin symbol of [-N, N]^2 forced by the symbols on the trace?"""
-    small = _window_kernel(spec.support, N)
-    return not any(small.symbol(c, (0, 0)) for c in small.vanishing_on(trace))
+    """Is the origin symbol of [-N, N]^2 forced by the symbols on the trace?
+
+    It is exactly when the origin's mask lies in the span of the trace's
+    masks, so the trace rows are eliminated in sorted site order until the
+    origin's mask reduces to 0 or the rows run out.
+    """
+    mask = _window_kernel(spec.support, N).mask
+    origin = mask[(0, 0)]
+    pivots = {}
+    for s in sorted(trace):
+        if not origin:
+            break
+        if r := _reduce(mask[s], pivots):
+            pivots[r.bit_length() - 1] = r
+            origin = _reduce(origin, pivots)
+    return not origin
 
 
-def _linear_status(spec, contains, trace, k, N, margin, normal=None):
+def _linear_status(spec, trace_at, trace, k, N, margin, normal=None):
     """LinearGF2 certificate from the window kernels.
 
-    ``normal`` is the primitive outward normal when the horoball is an exact
-    half-plane.  The window kernel search alone cannot distinguish genuine
-    asymptotic behavior from boundary artifacts for slanted expansive
-    directions (the artifacts recede only as the margin grows without
-    bound), so for a half-plane the existence side is decided by the
-    hull-normal criterion and the window is used to exhibit, or to verify
-    determinism of, the certificate.
+    ``trace_at(M)`` is the dilated trace on [-M, M]^2.  ``normal`` is the
+    primitive outward normal when the horoball is an exact half-plane.  The
+    window kernel search alone cannot distinguish genuine asymptotic
+    behavior from boundary artifacts for slanted expansive directions (the
+    artifacts recede only as the margin grows without bound), so for a
+    half-plane the existence side is decided by the hull-normal criterion
+    and the window is used to exhibit, or to verify determinism of, the
+    certificate.
     """
     deterministic = WindowDeterministic(N, k,
                                         evidence={"trace_size": len(trace)})
@@ -346,7 +373,7 @@ def _linear_status(spec, contains, trace, k, N, margin, normal=None):
             return deterministic
         return Inconclusive(N, k, "origin not forced")
     M = N + margin
-    trace_M, _ = dilated_trace(contains, k, M)
+    trace_M, _ = trace_at(M)
     kern = _window_kernel(spec.support, M)
     inner = box_sites(N)
     for c in kern.vanishing_on(trace_M):
@@ -392,38 +419,82 @@ def _pair_extends(spec, xhat, y, trace_M, M):
 # every direction of an nd run reads the same free window stream
 @functools.lru_cache(maxsize=1)
 def _window_stream(spec, N, budget):
-    """The fillings of [-N, N]^2 as bare tuples of rows, from at most
-    budget + 1 of one walk; None when the window has more than budget."""
-    stream = list(itertools.islice(filling_rows(spec, N), budget + 1))
-    return None if len(stream) > budget else tuple(stream)
+    """The fillings of [-N, N]^2 in stream order as one array of indices
+    into ``spec.alphabet``, shaped (filling, row, column) with the rows
+    bottom first; None when the window has more than budget fillings.
+
+    ``count_fillings`` settles the budget first, so a window over it walks
+    no filling; one under it is walked once, through a table of its
+    distinct rows.
+    """
+    if count_fillings(spec, N, budget) > budget:
+        return None
+    distinct = {}  # row -> its number, in order of first appearance
+    ids = np.fromiter((distinct.setdefault(row, len(distinct))
+                       for rows in filling_rows(spec, N) for row in rows),
+                      dtype=np.intp)
+    index = {v: i for i, v in enumerate(spec.alphabet)}
+    width = 2 * N + 1
+    table = np.array([[index[v] for v in row] for row in distinct],
+                     dtype=np.min_scalar_type(len(index) - 1))
+    return table.reshape(len(distinct), width)[ids.reshape(-1, width)]
 
 
-def _enumeration_status(spec, contains, trace, k, N, margin, budget):
-    stream = _window_stream(spec, N, budget)
-    if stream is None:
+def _trace_classes(values, base):
+    """Group the rows of ``values``, an (n, t) array of symbol indices below
+    ``base``, by equality.
+
+    Returns ``order``, the row numbers class after class, and ``starts``,
+    the offset in ``order`` of each class: the classes come in the order of
+    their first rows, and each lists its rows in ascending order.
+    """
+    # pack each row into one int64 in base ``base``, renumbering the keys
+    # densely before the next column could overflow
+    key = np.zeros(len(values), dtype=np.int64)
+    size = 1  # every key lies in range(size)
+    for column in values.T:
+        if size * base > 2 ** 63:
+            _, key = np.unique(key, return_inverse=True)
+            size = len(values)
+        key = key * base + column
+        size *= base
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    head = first[inverse]  # each row's class, named by its first row
+    order = np.argsort(head, kind="stable")
+    starts = np.flatnonzero(np.diff(head[order], prepend=-1))
+    return order, starts
+
+
+def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
+    """Enumeration oracle: the window's fillings fall into classes by their
+    symbols on the trace; the first pair of a class, in stream order, whose
+    second filling extends to [-M, M]^2 agreeing on the larger trace with an
+    extension of the first is a witness.  Classes are keyed in one array
+    pass, and a ``WindowFilling`` is built only for a compared member.
+    """
+    symbols = _window_stream(spec, N, budget)
+    if symbols is None:
         return Inconclusive(N, k, "budget")
     M = N + margin
-    trace_M, _ = dilated_trace(contains, k, M)
+    trace_M, _ = trace_at(M)
     sites = box_sites(N)
 
-    def filling(rows):
-        symbols = itertools.chain.from_iterable(rows)
-        return WindowFilling(N, dict(zip(sites, symbols)))
+    def filling(i):
+        values = map(spec.alphabet.__getitem__, symbols[i].ravel().tolist())
+        return WindowFilling(N, dict(zip(sites, values)))
 
-    classes = {}
     # a filling's class is its symbols on the trace, read in one fixed order
-    cells = [(y + N, x + N) for x, y in sorted(trace)]
-    for rows in stream:
-        key = tuple([rows[r][c] for r, c in cells])
-        classes.setdefault(key, []).append(rows)
-    origin_forced = True
-    for members in classes.values():
-        if len({rows[N][N] for rows in members}) > 1:
-            origin_forced = False
+    cells = np.array(sorted(trace), dtype=np.intp).reshape(-1, 2) + N
+    order, starts = _trace_classes(symbols[:, cells[:, 1], cells[:, 0]],
+                                   len(spec.alphabet))
+    origin = symbols[order, N, N]
+    origin_forced = np.array_equal(np.minimum.reduceat(origin, starts),
+                                   np.maximum.reduceat(origin, starts))
+    stops = np.append(starts[1:], len(order))
+    shared = stops - starts > 1
+    for start, stop in zip(starts[shared].tolist(), stops[shared].tolist()):
         # the stream has no repeats, so every other member differs from rep
-        rep, *others = members
-        if not others:
-            continue
+        rep, *others = order[start:stop].tolist()
         rep = filling(rep)
         xhat = next(enumerate_fillings(spec, M, clamp=rep.symbols), None)
         if xhat is None:
@@ -448,8 +519,10 @@ def _status(spec, horoball, k, N, margin, budget, method):
         raise InputError(f"margin must be >= 0, got {margin}")
     if budget < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
-    contains = horoball.contains
-    trace, hits = dilated_trace(contains, k, N)
+    halfplane = horoball.halfplane_normal()
+    trace_at = functools.partial(dilated_trace, horoball.contains, k,
+                                 normal=halfplane)
+    trace, hits = trace_at(N)
     if not hits:
         return Inconclusive(N, k, "horoball misses window")
     if margin is None:
@@ -459,9 +532,9 @@ def _status(spec, horoball, k, N, margin, budget, method):
     if method == "auto" and isinstance(spec, FullShift):
         return _fullshift_status(spec, trace, k, N)
     if method == "kernel" or (method == "auto" and linear):
-        normal = horoball.halfplane_normal() if method == "auto" else None
-        return _linear_status(spec, contains, trace, k, N, margin, normal)
-    return _enumeration_status(spec, contains, trace, k, N, margin, budget)
+        normal = halfplane if method == "auto" else None
+        return _linear_status(spec, trace_at, trace, k, N, margin, normal)
+    return _enumeration_status(spec, trace_at, trace, k, N, margin, budget)
 
 
 def direction_status(spec, v, k, N, margin=None, budget=DEFAULT_FILLING_BUDGET,

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from horoshift import (Direction, FullShift, InputError, LinearGF2, Pattern,
@@ -9,10 +10,11 @@ from horoshift import (Direction, FullShift, InputError, LinearGF2, Pattern,
                        ledrappier, nd_set, parse_grid, skew_exponent,
                        skew_horoball_status)
 from horoshift import certify
-from horoshift.certify import (_LinearWindowKernel, _window_stream,
-                               dilated_trace, exponent_image, gf2_nullspace,
-                               is_hull_normal, verify_window_deterministic,
-                               verify_witness)
+from horoshift.certify import (_LinearWindowKernel, _origin_forced,
+                               _trace_classes, _window_stream, dilated_trace,
+                               exponent_image, gf2_nullspace,
+                               horoball_box_mask, is_hull_normal,
+                               verify_window_deterministic, verify_witness)
 from horoshift.horoballs import Horoball, polyhedral_from_ray
 from horoshift.subshifts import box_sites, enumerate_fillings, filling_rows
 
@@ -168,6 +170,114 @@ class TestDilatedTrace:
                     max(abs(p[0] - h[0]), abs(p[1] - h[1])) < k for h in ball)}
                 assert dilated_trace(contains, k, N) == (want, bool(ball)), \
                     (N, k)
+
+
+def _refuse(p):
+    raise AssertionError(f"contains called at {p}")
+
+
+class TestHalfPlaneMask:
+    HALF_PLANES = {
+        **{f"direction-{v.a},{v.b}": v for v in farey_directions(8)},
+        "linear-integer": l2_horoball((2, -3)),
+        "linear-rational": l2_horoball((0.5, -0.125)),
+        # beyond int64 at B = 6, so the mask falls back to contains there
+        "linear-huge": l2_horoball((10 ** 18 + 1, -10 ** 18)),
+        **{f"{shape}-{side}": Horoball(PolyhedralZ2(f"halfplane-{shape}",
+                                                    side=side))
+           for shape in ("diagonal", "antidiagonal") for side in (1, -1)},
+    }
+
+    def test_equals_contains_scan(self):
+        for name, h in self.HALF_PLANES.items():
+            normal = h.halfplane_normal()
+            assert normal is not None, name
+            for B in (1, 6):
+                scan = horoball_box_mask(h.contains, B)
+                scan_only = h.contains if name == "linear-huge" else _refuse
+                fast = horoball_box_mask(scan_only, B, normal)
+                assert np.array_equal(fast, scan), (name, B)
+
+
+def _dict_classes(keys):
+    """Row numbers grouped by equal key in a dict of tuples, classes in the
+    order of their first rows."""
+    classes = {}
+    for i, key in enumerate(keys):
+        classes.setdefault(tuple(key), []).append(i)
+    return list(classes.values())
+
+
+def _array_classes(values, base):
+    order, starts = _trace_classes(np.asarray(values), base)
+    if not len(order):
+        return []
+    return [c.tolist() for c in np.split(order, starts[1:])]
+
+
+class TestTraceClasses:
+    SPECS = {
+        "three-symbol": SFT((0, 1, 2), [Pattern({(0, 0): 2, (0, 1): 2}),
+                                        Pattern({(0, 0): 1, (1, 0): 0})]),
+        "strings": SFT(("a", "b", "c"), [Pattern({(0, 0): "c", (0, 1): "c"}),
+                                         Pattern({(0, 0): "b", (1, 0): "a"})]),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_window_stream_classes(self, name):
+        spec, N = self.SPECS[name], 1
+        _window_stream.cache_clear()
+        symbols = _window_stream(spec, N, 10 ** 6)
+        _window_stream.cache_clear()
+        rows = list(filling_rows(spec, N))
+        index = {v: i for i, v in enumerate(spec.alphabet)}
+        assert symbols.tolist() == [[[index[v] for v in row] for row in f]
+                                    for f in rows]
+        for v in (Direction(1, 0), Direction(1, 2), Direction(-1, -1)):
+            cells = sorted(dilated_trace(v.contains, 1, N)[0])
+            want = _dict_classes([[f[y + N][x + N] for x, y in cells]
+                                  for f in rows])
+            ys, xs = [y + N for _, y in cells], [x + N for x, _ in cells]
+            assert _array_classes(symbols[:, ys, xs], len(index)) == want
+            assert len(want) < len(rows)
+
+    def test_wide_keys_are_renumbered(self):
+        # 45 ternary or 70 binary columns need more than 63 bits of key;
+        # the rows differ in their first columns only, which an int64 key
+        # that wrapped around would lose
+        rng = np.random.default_rng(0)
+        for base, width in ((3, 45), (2, 70)):
+            rows = rng.integers(0, base, size=(30, width))
+            rows[:, 6:] = rows[0, 6:]
+            values = rows[rng.integers(0, 30, size=400)].astype(np.uint8)
+            want = _dict_classes(values.tolist())
+            assert _array_classes(values, base) == want
+            assert 1 < len(want) < 400
+
+    def test_empty_and_single_class(self):
+        assert _array_classes(np.zeros((0, 4), dtype=np.uint8), 2) == []
+        assert _array_classes(np.ones((7, 3), dtype=np.uint8), 2) == \
+            [list(range(7))]
+        # an empty trace puts every filling in one class
+        assert _array_classes(np.zeros((5, 0), dtype=np.uint8), 3) == \
+            [list(range(5))]
+
+
+class TestOriginForced:
+    @pytest.mark.parametrize("support", TestWindowKernel.SUPPORTS, ids=str)
+    def test_equals_nullspace_answer(self, support):
+        spec = LinearGF2(support)
+        seen = set()
+        for N in (3, 5, 8):
+            small = _LinearWindowKernel(spec.support, N)
+            for v in farey_directions(4):
+                for k in (1, 2, 3):
+                    trace, _ = dilated_trace(v.contains, k, N)
+                    want = not any(small.symbol(c, (0, 0))
+                                   for c in small.vanishing_on(trace))
+                    assert _origin_forced(spec, trace, N) == want, (N, v, k)
+                    seen.add(want)
+        assert seen == {True, False}
 
 
 class TestDirectionStatus:

@@ -8,7 +8,9 @@ from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2, Pattern,
                        ResourceBudgetError, SFT, SkewActionSpec, WindowFilling,
                        complete_upward, config_distance, enumerate_fillings,
                        ledrappier, skew_exponent, validate)
-from horoshift.subshifts import box_sites, filling_rows, spec_from_dict
+from horoshift.subshifts import (DEFAULT_FILLING_BUDGET, _RowTransfer,
+                                 box_sites, count_fillings, filling_rows,
+                                 spec_from_dict)
 
 
 class TestSpecs:
@@ -279,6 +281,66 @@ class TestFillingRows:
     def test_clamp_outside_window(self):
         with pytest.raises(InputError):
             filling_rows(ledrappier(), 1, clamp={(0, 2): 0})
+
+
+# (spec, N) windows whose counts are checked against the walk
+COUNT_CASES = {
+    **{name: (spec, N) for name, (spec, clamp, N) in ROW_CASES.items()
+       if not clamp},
+    "ledrappier-window-2": (ledrappier(), 2),
+    "three-symbol": (THREE_SYMBOL, 1),
+}
+
+# a 3-symbol rule forbidding one vertical pattern: 3^9 rows of the N=4
+# window follow almost every row, so no count may expand them all
+VERTICAL_3 = SFT((0, 1, 2), [Pattern({(0, 0): 2, (0, 1): 2})])
+
+
+def _with_resumes(monkeypatch, run):
+    """``run()``, and how often it resumed a ``_RowTransfer._next_rows``
+    walk."""
+    resumes = 0
+    next_rows = _RowTransfer._next_rows
+
+    def counted(self, r, state):
+        nonlocal resumes
+        for row in next_rows(self, r, state):
+            resumes += 1
+            yield row
+        resumes += 1
+
+    with monkeypatch.context() as m:
+        m.setattr(_RowTransfer, "_next_rows", counted)
+        result = run()
+    return result, resumes
+
+
+class TestCountFillings:
+    @pytest.mark.parametrize("spec, N", COUNT_CASES.values(),
+                             ids=COUNT_CASES.keys())
+    def test_count_matches_walk(self, spec, N):
+        n = sum(1 for _ in filling_rows(spec, N))
+        for cap in (0, n - 1, n, n + 1, 10 ** 6):
+            if cap < 0:
+                continue
+            count = count_fillings(spec, N, cap)
+            if n <= cap:
+                assert count == n, cap
+            else:
+                assert count > cap, cap
+
+    @pytest.mark.parametrize(
+        "spec, N", [(VERTICAL_3, 4), (HARD_SQUARE, 3)],
+        ids=["vertical-3-window-4", "hard-square-window-3"])
+    def test_no_more_row_work_than_the_walk(self, monkeypatch, spec, N):
+        cap = DEFAULT_FILLING_BUDGET
+        walked, walk_resumes = _with_resumes(monkeypatch, lambda: sum(
+            1 for _ in itertools.islice(filling_rows(spec, N), cap + 1)))
+        count, count_resumes = _with_resumes(
+            monkeypatch, lambda: count_fillings(spec, N, cap))
+        # both windows have more fillings than the budget
+        assert walked == cap + 1 and count > cap
+        assert count_resumes <= walk_resumes
 
 
 class TestCompleteUpward:
