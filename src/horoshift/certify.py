@@ -19,7 +19,8 @@ unconstrained edge cells can fake a disagreement.
 For GF(2) linear rules the search is linear algebra: valid fillings form a
 GF(2) vector space, so witness pairs correspond to kernel vectors
 vanishing on the trace.  The generic path enumerates fillings and serves
-as the independent oracle.
+as the independent oracle, settling each trace class of fillings with one
+clamped walk of the larger window.
 """
 
 import functools
@@ -32,7 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InputError
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
                         WindowFilling, box_sites, count_fillings,
-                        enumerate_fillings, filling_rows, solve_forward)
+                        enumerate_fillings, filling_rows, solve_forward,
+                        varies_inside)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +471,13 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
     """Enumeration oracle: the window's fillings fall into classes by their
     symbols on the trace; the first pair of a class, in stream order, whose
     second filling extends to [-M, M]^2 agreeing on the larger trace with an
-    extension of the first is a witness.  Classes are keyed in one array
-    pass, and a ``WindowFilling`` is built only for a compared member.
+    extension xhat of the first is a witness.  Classes are keyed in one
+    array pass, and a ``WindowFilling`` is built only for a compared member.
+
+    The larger trace meets [-N, N]^2 in the trace, so some member extends
+    exactly when a filling agreeing with xhat on the larger trace differs
+    from it inside [-N, N]^2: one ``varies_inside`` walk per class asks
+    that, and only a class where it hits searches its members.
     """
     symbols = _window_stream(spec, N, budget)
     if symbols is None:
@@ -497,7 +504,8 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
         rep, *others = order[start:stop].tolist()
         rep = filling(rep)
         xhat = next(enumerate_fillings(spec, M, clamp=rep.symbols), None)
-        if xhat is None:
+        if xhat is None or not varies_inside(
+                spec, M, {s: xhat[s] for s in trace_M}, xhat, N):
             continue
         for other in map(filling, others):
             if _pair_extends(spec, xhat, other, trace_M, M):

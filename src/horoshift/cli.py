@@ -285,7 +285,10 @@ def build_parser():
                         help="half-width N of the centered window")
         sp.add_argument("--margin", type=int, default=None)
         sp.add_argument("--budget", type=int,
-                        default=subshifts.DEFAULT_FILLING_BUDGET)
+                        default=subshifts.DEFAULT_FILLING_BUDGET,
+                        help="most fillings of the free window the "
+                             "enumeration oracle keeps (default %(default)s); "
+                             "its extension walks are not budgeted")
         sp.add_argument("--method", default="auto",
                         choices=["auto", "kernel", "enumerate"])
 

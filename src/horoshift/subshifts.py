@@ -14,7 +14,8 @@ GF(2) rule on them in raster order.  ``enumerate_fillings`` streams the
 locally admissible total assignments (window fillings) of the box [-N, N]^2
 in raster-lexicographic order by a walk over its rows; ``filling_rows``
 streams the same fillings as bare tuples of rows, and ``count_fillings``
-counts them up to a cap without walking them one by one.
+counts them up to a cap without walking them one by one.  ``varies_inside``
+asks whether a clamped window's fillings vary inside a smaller box.
 """
 
 from functools import lru_cache, partial, reduce
@@ -392,6 +393,35 @@ def count_fillings(spec, N, cap):
         if total > cap:
             return total
     return total
+
+
+def varies_inside(spec, M, clamp, reference, N):
+    """Does some filling of [-M, M]^2 extending ``clamp`` differ from
+    ``reference``, a mapping over [-N, N]^2 (N <= M), inside [-N, N]^2?
+
+    One depth-first walk over (row, state, differs): each row state's next
+    rows are made once, a triple that led nowhere is not walked again, and
+    a path that differs nowhere yet stops at the last row of [-N, N]^2.
+    """
+    walk = _RowTransfer(spec, M, clamp)
+    lo, hi = M - N, M + N  # the inner rows, and the inner columns of a row
+    inner = {r: tuple(map(reference.__getitem__, walk.rows[r][lo:hi + 1]))
+             for r in range(lo, hi + 1)}
+    dead = set()
+    stack = [(0, (), False, walk.successors(0, ()))]
+    while stack:
+        r, state, differs, rows = stack[-1]
+        row = next(rows, None)
+        if row is None:
+            dead.add(stack.pop()[:3])
+            continue
+        differs = differs or (r in inner and row[lo:hi + 1] != inner[r])
+        if differs and r == 2 * M:
+            return True
+        frame = (r + 1, _state_after(state, row, walk.keep), differs)
+        if (differs or r < hi) and frame not in dead:
+            stack.append((*frame, walk.successors(*frame[:2])))
+    return False
 
 
 def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):

@@ -9,14 +9,15 @@ from horoshift import (Direction, FullShift, InputError, LinearGF2, Pattern,
                        farey_directions, horoball_status, l2_horoball,
                        ledrappier, nd_set, parse_grid, skew_exponent,
                        skew_horoball_status)
-from horoshift import certify
+from horoshift import certify, subshifts
 from horoshift.certify import (_LinearWindowKernel, _origin_forced,
                                _trace_classes, _window_stream, dilated_trace,
                                exponent_image, gf2_nullspace,
                                horoball_box_mask, is_hull_normal,
                                verify_window_deterministic, verify_witness)
 from horoshift.horoballs import Horoball, polyhedral_from_ray
-from horoshift.subshifts import box_sites, enumerate_fillings, filling_rows
+from horoshift.subshifts import (WindowFilling, box_sites, enumerate_fillings,
+                                 filling_rows, varies_inside)
 
 
 class TestDirection:
@@ -458,6 +459,84 @@ class TestNDSet:
         short = nd_set(hard_square, 1, 2, grid="farey:1", budget=55_446)
         assert [(c.kind, c.reason) for _, c in short.entries] == \
             [("inconclusive", "budget")] * 8
+
+
+def _shared_classes(spec, v, k, N):
+    """The trace classes of two or more fillings that the enumeration oracle
+    compares at direction v, each as its fillings in stream order."""
+    trace, _ = dilated_trace(v.contains, k, N)
+    symbols = _window_stream(spec, N, certify.DEFAULT_FILLING_BUDGET)
+    sites = box_sites(N)
+    cells = np.array(sorted(trace)).reshape(-1, 2) + N
+    order, starts = _trace_classes(symbols[:, cells[:, 1], cells[:, 0]],
+                                   len(spec.alphabet))
+    return [[WindowFilling(N, dict(zip(sites, map(
+        spec.alphabet.__getitem__, symbols[m].ravel().tolist()))))
+        for m in members.tolist()]
+        for members in np.split(order, starts[1:]) if len(members) > 1]
+
+
+def _class_answers(spec, v, k, N, margin=None):
+    """For each shared trace class whose first filling extends to the
+    margin window: the extension walk's answer, and whether some other
+    member extends by the per-member search."""
+    margin = N - k + 2 if margin is None else margin
+    M = N + margin
+    trace_M, _ = dilated_trace(v.contains, k, M)
+    answers = []
+    for rep, *others in _shared_classes(spec, v, k, N):
+        xhat = next(enumerate_fillings(spec, M, clamp=rep.symbols), None)
+        if xhat is not None:
+            walk = varies_inside(spec, M, {s: xhat[s] for s in trace_M},
+                                 xhat, N)
+            answers.append((walk, any(certify._pair_extends(
+                spec, xhat, y, trace_M, M) for y in others)))
+    return answers
+
+
+# the fast farey:1 directions of each case; Ledrappier (-1,-1) and (1,-1)
+# at k=1 take 4 to 30 s
+CLASS_CASES = {
+    "ledrappier-k1": (ledrappier(), 1, 2, None, [
+        v for v in farey_directions(1) if (v.a, v.b) not in {(-1, -1), (1, -1)}]),
+    "ledrappier-k2": (ledrappier(), 2, 2, None, farey_directions(1)),
+    "hard-square": (SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1}),
+                                 Pattern({(0, 0): 1, (0, 1): 1})]),
+                    1, 2, None, farey_directions(1)),
+    "repeated-site": (LinearGF2([(0, 0), (0, 0), (1, 0), (0, 1)]), 1, 2, 1,
+                      farey_directions(1)),
+    "full-shift": (FullShift((0, 1)), 1, 1, None, farey_directions(1)),
+}
+
+
+class TestExtensionWalk:
+    @pytest.mark.parametrize("spec, k, N, margin, directions",
+                             CLASS_CASES.values(), ids=CLASS_CASES.keys())
+    def test_walk_answers_every_class(self, spec, k, N, margin, directions):
+        seen = set()
+        for v in directions:
+            for walk, member in _class_answers(spec, v, k, N, margin):
+                assert walk == member, v
+                seen.add(walk)
+        assert seen
+
+    def test_at_most_two_walks_per_class(self, monkeypatch):
+        walks = []
+
+        class Counted(subshifts._RowTransfer):
+            def __init__(self, spec, N, clamp):
+                if clamp:
+                    walks.append(N)
+                super().__init__(spec, N, clamp)
+
+        monkeypatch.setattr(subshifts, "_RowTransfer", Counted)
+        for k, most in ((1, 128), (2, 256)):
+            walks.clear()
+            cert = direction_status(ledrappier(), (1, 0), k, 2,
+                                    method="enumerate")
+            assert cert.kind == "window-deterministic"
+            shared = len(_shared_classes(ledrappier(), Direction(1, 0), k, 2))
+            assert len(walks) <= 2 * shared <= most
 
 
 class _SetHoroball:

@@ -116,8 +116,9 @@ ND_DIGESTS = {
         "direction_report.json": "039e3218856fb13d67cb5a40e9282330"
                                  "9be11abe600acdf54648d559ba7a1389",
     },
-    # the benchmark's oracle-extend commands: 1,024 clamped extension
-    # searches over [-5, 5]^2 and [-4, 4]^2, 832 of them with no filling
+    # the benchmark's oracle-extend commands: 192 trace classes of two or
+    # more fillings, each settled by one clamped extension walk over
+    # [-5, 5]^2 or [-4, 4]^2, none of which finds a witness
     "direction --system ledrappier --dir 1,0 --method enumerate --window 2 "
     "--k 1": {
         "direction_report.json": "e3d8dd67a01c0ee8e45edd9c547fe67d"

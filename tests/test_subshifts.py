@@ -10,7 +10,7 @@ from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2, Pattern,
                        ledrappier, skew_exponent, validate)
 from horoshift.subshifts import (DEFAULT_FILLING_BUDGET, _RowTransfer,
                                  box_sites, count_fillings, filling_rows,
-                                 spec_from_dict)
+                                 spec_from_dict, varies_inside)
 
 
 class TestSpecs:
@@ -341,6 +341,38 @@ class TestCountFillings:
         # both windows have more fillings than the budget
         assert walked == cap + 1 and count > cap
         assert count_resumes <= walk_resumes
+
+
+def _varies_by_brute_force(spec, M, clamp, reference, N):
+    return any(any(f[s] != reference[s] for s in box_sites(N))
+               for f in enumerate_fillings(spec, M, clamp=clamp))
+
+
+class TestVariesInside:
+    # with N >= M - 1 a clamp that leaves the inner box free lets the stream
+    # reach a change inside it after a few thousand fillings; N = M is a
+    # zero margin
+    @pytest.mark.parametrize("M, N", [(2, 1), (3, 2), (2, 2)])
+    @pytest.mark.parametrize("name", ["ledrappier", "hard-square", "tall",
+                                      "three-symbol"])
+    def test_walk_equals_brute_force(self, name, M, N):
+        spec, contradiction = CLAMPED_CASES[name]
+        sites = box_sites(M)
+        first = [dict(zip(sites, itertools.chain(*rows)))
+                 for rows in itertools.islice(filling_rows(spec, M), 50)]
+        z = first[-1]
+        halfplane = {s: z[s] for s in sites if s[0] + 2 * s[1] < 0}
+        # a clamp under which the linear rules can force every free inner cell
+        forcing = {s: z[s] for s in sites if 2 * s[1] < s[0]}
+        clamps = {"empty": {}, "half-plane": halfplane, "forcing": forcing,
+                  "full": z, "contradictory": halfplane | contradiction}
+        for kind, clamp in clamps.items():
+            for reference in (z, first[len(first) // 2]):
+                walk = varies_inside(spec, M, clamp, reference, N)
+                assert walk == _varies_by_brute_force(
+                    spec, M, clamp, reference, N), kind
+                if kind == "contradictory":
+                    assert walk is False
 
 
 class TestCompleteUpward:
