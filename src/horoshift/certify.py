@@ -32,9 +32,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        WindowFilling, box_sites, count_fillings,
-                        enumerate_fillings, filling_rows, solve_forward,
-                        varies_inside)
+                        WindowFilling, _RowTransfer, box_sites,
+                        enumerate_fillings, solve_forward, varies_inside)
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +234,19 @@ def dilated_trace(contains, k, N, normal=None):
     """Sites of [-N, N]^2 at l-infinity distance < k from H /\\ [-2N, 2N]^2;
     ``normal`` as for ``horoball_box_mask``.
 
-    Returns (trace set, horoball-hits-box flag).
+    Returns (trace sites in sorted order, horoball-hits-box flag).
     """
     if not 1 <= k <= N:
         raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
     mask = horoball_box_mask(contains, 2 * N, normal)
     if not mask.any():
-        return set(), False
+        return [], False
     # site x sits at mask index x + 2N; it is in the trace iff the w-wide
     # square around it meets H, and k <= N keeps those squares in the mask
     lo, hi, w = N - k + 1, 3 * N + k, 2 * k - 1
     hit = sliding_window_view(mask[lo:hi, lo:hi], (w, w)).any(axis=(2, 3))
-    return {(x - N, y - N) for x, y in np.argwhere(hit).tolist()}, True
+    # argwhere lists the hits in C order, which is sorted (x, y) order
+    return [(x - N, y - N) for x, y in np.argwhere(hit).tolist()], True
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +300,7 @@ class _LinearWindowKernel:
 
     def vanishing_on(self, sites):
         """Combinations whose kernel vectors vanish on the given sites."""
-        return gf2_nullspace([self.mask[s] for s in sorted(sites)], self.dim)
+        return gf2_nullspace([self.mask[s] for s in sites], self.dim)
 
     def symbol(self, c, s):
         """Symbol at site s of the kernel vector of combination c."""
@@ -347,7 +347,7 @@ def _origin_forced(spec, trace, N):
     mask = _window_kernel(spec.support, N).mask
     origin = mask[(0, 0)]
     pivots = {}
-    for s in sorted(trace):
+    for s in trace:
         if not origin:
             break
         if r := _reduce(mask[s], pivots):
@@ -396,15 +396,15 @@ def _linear_status(spec, trace_at, trace, k, N, margin, normal=None):
 
 def _fullshift_status(spec, trace, k, N):
     inner = box_sites(N)
-    free = [s for s in inner if s not in trace]
+    free = set(inner).difference(trace)
     if not free:
         return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
+    if len(spec.alphabet) == 1:
+        return WindowDeterministic(N, k, evidence={"alphabet": "singleton"})
     # single-difference witness at the free site farthest from the window
     # center (deterministic tie-break by raster order)
     site = max(free, key=lambda s: (max(abs(s[0]), abs(s[1])), s[1], s[0]))
-    a0, a1 = spec.alphabet[0], spec.alphabet[1] if len(spec.alphabet) > 1 else spec.alphabet[0]
-    if a0 == a1:
-        return WindowDeterministic(N, k, evidence={"alphabet": "singleton"})
+    a0, a1 = spec.alphabet[:2]
     x = WindowFilling(N, {s: a0 for s in inner})
     y = WindowFilling(N, {**x.symbols, site: a1})
     return Witness((x, y), N, k,
@@ -425,21 +425,22 @@ def _window_stream(spec, N, budget):
     into ``spec.alphabet``, shaped (filling, row, column) with the rows
     bottom first; None when the window has more than budget fillings.
 
-    ``count_fillings`` settles the budget first, so a window over it walks
-    no filling; one under it is walked once, through a table of its
-    distinct rows.
+    One free walk settles the budget with its capped count, so a window over
+    it walks no filling; one under it streams the rows the count kept, each
+    numbered through a table of the distinct rows of every finished state.
     """
-    if count_fillings(spec, N, budget) > budget:
+    walk = _RowTransfer(spec, N, None)
+    if walk.count(budget) > budget:
         return None
-    distinct = {}  # row -> its number, in order of first appearance
-    ids = np.fromiter((distinct.setdefault(row, len(distinct))
-                       for rows in filling_rows(spec, N) for row in rows),
+    rows = itertools.chain.from_iterable(walk.walked.values())
+    number = {row: i for i, row in enumerate(dict.fromkeys(rows))}
+    ids = np.fromiter(map(number.__getitem__,
+                          itertools.chain.from_iterable(walk.fillings())),
                       dtype=np.intp)
-    index = {v: i for i, v in enumerate(spec.alphabet)}
     width = 2 * N + 1
-    table = np.array([[index[v] for v in row] for row in distinct],
-                     dtype=np.min_scalar_type(len(index) - 1))
-    return table.reshape(len(distinct), width)[ids.reshape(-1, width)]
+    table = np.array([[spec.alphabet.index(v) for v in row] for row in number],
+                     dtype=np.min_scalar_type(len(spec.alphabet) - 1))
+    return table.reshape(len(number), width)[ids.reshape(-1, width)]
 
 
 def _trace_classes(values, base):
@@ -491,7 +492,7 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
         return WindowFilling(N, dict(zip(sites, values)))
 
     # a filling's class is its symbols on the trace, read in one fixed order
-    cells = np.array(sorted(trace), dtype=np.intp).reshape(-1, 2) + N
+    cells = np.array(trace, dtype=np.intp).reshape(-1, 2) + N
     order, starts = _trace_classes(symbols[:, cells[:, 1], cells[:, 0]],
                                    len(spec.alphabet))
     origin = symbols[order, N, N]
@@ -611,7 +612,7 @@ def verify_window_deterministic(spec, contains, cert):
         return False
     classes = {}
     for f in enumerate_fillings(spec, cert.N):
-        key = tuple(sorted((s, f.symbols[s]) for s in trace))
+        key = tuple(map(f.symbols.__getitem__, trace))
         prev = classes.setdefault(key, f.symbols[(0, 0)])
         if prev != f.symbols[(0, 0)]:
             return False

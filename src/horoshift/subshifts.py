@@ -13,8 +13,8 @@ where a support fits inside a finite set of sites; ``solve_forward`` solves a
 GF(2) rule on them in raster order.  ``enumerate_fillings`` streams the
 locally admissible total assignments (window fillings) of the box [-N, N]^2
 in raster-lexicographic order by a walk over its rows; ``filling_rows``
-streams the same fillings as bare tuples of rows, and ``count_fillings``
-counts them up to a cap without walking them one by one.  ``varies_inside``
+streams the same fillings as bare tuples of rows, and a walk counts them up
+to a cap before streaming them from the row states it kept.  ``varies_inside``
 asks whether a clamped window's fillings vary inside a smaller box.
 """
 
@@ -331,6 +331,42 @@ class _RowTransfer:
         rows = self.walked.get((r, state))
         return iter(rows) if rows is not None else self._keep(r, state)
 
+    def count(self, cap):
+        """The number of fillings ``fillings()`` streams, or some number
+        above ``cap`` as soon as the count passes it.
+
+        The count walks the row states depth-first in the stream's own order
+        through ``successors``, so a state it finishes keeps its rows for the
+        stream, and it keeps the exact count above every finished state, so a
+        state met again adds its count at once.  It expands no row state that
+        ``islice(self.fillings(), cap + 1)`` would not, and stops no later:
+        the work is bounded by the cap, not by the window.
+        """
+        top = len(self.rows) - 1
+        done = {}  # (r, state) -> number of fillings of rows r.. above state
+        total = 0
+        # frames of (r, state, the rows r left to try, total on entering)
+        stack = [(0, (), self.successors(0, ()), 0)]
+        while stack:
+            r, state, rows, before = stack[-1]
+            row = next(rows, None)
+            if row is None:
+                stack.pop()
+                done[r, state] = total - before
+                continue
+            if r == top:
+                total += 1
+            else:
+                after = (r + 1, _state_after(state, row, self.keep))
+                if after in done:
+                    total += done[after]
+                else:
+                    stack.append((*after, self.successors(*after), total))
+                    continue
+            if total > cap:
+                return total
+        return total
+
     def fillings(self):
         """Every filling as its tuple of rows, lexicographic in raster order."""
         top = len(self.rows) - 1
@@ -356,43 +392,6 @@ def filling_rows(spec, N, clamp=None):
     """The fillings ``enumerate_fillings`` streams, in the same order, each
     as its tuple of rows (bottom first, each row left to right)."""
     return _RowTransfer(spec, N, clamp).fillings()
-
-
-def count_fillings(spec, N, cap):
-    """The number of fillings ``filling_rows(spec, N)`` streams, or some
-    number above ``cap`` as soon as the count passes it.
-
-    The count walks the row states depth-first in the stream's own order
-    and keeps the exact count above every state it has finished, so a state
-    met again adds its count at once.  It therefore expands no row state
-    that ``islice(filling_rows(...), cap + 1)`` would not expand, and stops
-    no later: the work is bounded by the cap, not by the window.
-    """
-    walk = _RowTransfer(spec, N, None)
-    top = len(walk.rows) - 1
-    done = {}  # (r, state) -> the number of fillings of rows r.. above state
-    total = 0
-    # frames of (r, state, the rows r left to try, total on entering)
-    stack = [(0, (), walk._next_rows(0, ()), 0)]
-    while stack:
-        r, state, rows, before = stack[-1]
-        row = next(rows, None)
-        if row is None:
-            stack.pop()
-            done[r, state] = total - before
-            continue
-        if r == top:
-            total += 1
-        else:
-            after = (r + 1, _state_after(state, row, walk.keep))
-            if after in done:
-                total += done[after]
-            else:
-                stack.append((*after, walk._next_rows(*after), total))
-                continue
-        if total > cap:
-            return total
-    return total
 
 
 def varies_inside(spec, M, clamp, reference, N):

@@ -129,19 +129,20 @@ class TestDilatedTrace:
         v = Direction(0, 1)  # H = {y < 0}
         trace, hits = dilated_trace(v.contains, 1, 3)
         assert hits
-        assert trace == {(x, y) for x in range(-3, 4) for y in range(-3, 0)}
+        assert trace == sorted((x, y) for x in range(-3, 4)
+                               for y in range(-3, 0))
 
     def test_monotone_in_k(self):
         v = Direction(1, 1)
         t1, _ = dilated_trace(v.contains, 1, 4)
         t2, _ = dilated_trace(v.contains, 2, 4)
         t3, _ = dilated_trace(v.contains, 3, 4)
-        assert t1 < t2 < t3
+        assert set(t1) < set(t2) < set(t3)
 
     def test_missing_horoball(self):
         far = PolyhedralZ2("quarter-space", apex=(100, 0), opening="+x")
         trace, hits = dilated_trace(lambda p: far.sign(p) < 0, 2, 3)
-        assert not hits and trace == set()
+        assert not hits and trace == []
 
     HOROBALLS = {
         "direction-0,1": Direction(0, 1).contains,
@@ -169,8 +170,8 @@ class TestDilatedTrace:
             for k in range(1, N + 1):
                 want = {p for p in box if any(
                     max(abs(p[0] - h[0]), abs(p[1] - h[1])) < k for h in ball)}
-                assert dilated_trace(contains, k, N) == (want, bool(ball)), \
-                    (N, k)
+                assert dilated_trace(contains, k, N) == \
+                    (sorted(want), bool(ball)), (N, k)
 
 
 def _refuse(p):
@@ -342,6 +343,13 @@ class TestDirectionStatus:
             assert cert.kind == "witness"
             assert verify_witness(spec, v.contains, cert)
 
+    def test_fullshift_singleton_deterministic(self):
+        # one symbol leaves no second filling, even off the trace
+        for v in parse_grid("farey:1"):
+            cert = direction_status(FullShift((0,)), v, 1, 2)
+            assert cert.kind == "window-deterministic"
+            assert cert.evidence == {"alphabet": "singleton"}
+
     def test_bad_scales(self):
         with pytest.raises(InputError):
             direction_status(ledrappier(), (0, 1), 3, 2)
@@ -441,13 +449,14 @@ class TestNDSet:
         hard_square = SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1}),
                                    Pattern({(0, 0): 1, (0, 1): 1})])
         walks = []
+        init = subshifts._RowTransfer.__init__
 
-        def counted(spec, N, clamp=None):
-            if clamp is None:
+        def counted(self, spec, N, clamp):
+            if not clamp:
                 walks.append(N)
-            return filling_rows(spec, N, clamp)
+            init(self, spec, N, clamp)
 
-        monkeypatch.setattr(certify, "filling_rows", counted)
+        monkeypatch.setattr(subshifts._RowTransfer, "__init__", counted)
         _window_stream.cache_clear()
         report = nd_set(hard_square, 1, 2, grid="farey:1")
         assert walks == [2]  # one free walk for the 8 directions

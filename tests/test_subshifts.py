@@ -9,8 +9,8 @@ from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2, Pattern,
                        complete_upward, config_distance, enumerate_fillings,
                        ledrappier, skew_exponent, validate)
 from horoshift.subshifts import (DEFAULT_FILLING_BUDGET, _RowTransfer,
-                                 box_sites, count_fillings, filling_rows,
-                                 spec_from_dict, varies_inside)
+                                 box_sites, filling_rows, spec_from_dict,
+                                 varies_inside)
 
 
 class TestSpecs:
@@ -323,7 +323,7 @@ class TestCountFillings:
         for cap in (0, n - 1, n, n + 1, 10 ** 6):
             if cap < 0:
                 continue
-            count = count_fillings(spec, N, cap)
+            count = _RowTransfer(spec, N, None).count(cap)
             if n <= cap:
                 assert count == n, cap
             else:
@@ -337,10 +337,21 @@ class TestCountFillings:
         walked, walk_resumes = _with_resumes(monkeypatch, lambda: sum(
             1 for _ in itertools.islice(filling_rows(spec, N), cap + 1)))
         count, count_resumes = _with_resumes(
-            monkeypatch, lambda: count_fillings(spec, N, cap))
+            monkeypatch, lambda: _RowTransfer(spec, N, None).count(cap))
         # both windows have more fillings than the budget
         assert walked == cap + 1 and count > cap
         assert count_resumes <= walk_resumes
+
+    @pytest.mark.parametrize("spec, N", COUNT_CASES.values(),
+                             ids=COUNT_CASES.keys())
+    def test_stream_after_count_expands_nothing(self, monkeypatch, spec, N):
+        walk = _RowTransfer(spec, N, None)
+        count = walk.count(10 ** 6)
+        rows, resumes = _with_resumes(monkeypatch,
+                                      lambda: list(walk.fillings()))
+        assert resumes == 0
+        assert count == len(rows)
+        assert rows == list(filling_rows(spec, N))
 
 
 def _varies_by_brute_force(spec, M, clamp, reference, N):
