@@ -16,10 +16,11 @@ The horoball of a horofunction j is the strict sublevel set {j < 0}.
 """
 
 from fractions import Fraction
+from itertools import chain
 import math
 
-from .errors import InputError
-from .groups import ZdLp, _as_fraction
+from .errors import InputError, ResourceBudgetError
+from .groups import DEFAULT_BALL_BUDGET, ZdLp, _as_fraction
 
 # sample indices of a truncated limit (see ``Sampled``)
 _SAMPLES = 48
@@ -352,23 +353,45 @@ def meeting_radius(group, directions):
     Works for ZdLp l2 instances.  For each direction the witness is the
     minimum-norm lattice point with <p, v> < 0; N is the smallest integer
     exceeding every witness norm.  Every nonzero v has some +-e_i with
-    <+-e_i, v> < 0, so the witnesses come from the closed unit ball.
+    <+-e_i, v> < 0, so the witnesses come from the closed unit ball: the
+    first of its points in sorted order with a negative product, found
+    from the exact signs of the components of v in one pass over the
+    direction matrix.
     """
+    # numpy is imported on use: a module-level import would load it ahead of
+    # the rest of the package, which raises every command's peak RSS by
+    # about 0.2 MB
+    import numpy as np
+
     if not isinstance(group, ZdLp) or group.p != 2:
         raise InputError("meeting_radius expects a ZdLp l2 group")
-    e = group.identity()
-    candidates = sorted(group.ball(e, 1, closed=True) - {e})
-    witnesses = {}
-    worst = 0
-    for v in directions:
-        found = next((p for p in candidates
-                      if sum(a * b for a, b in zip(p, v)) < 0), None)
-        if found is None:
-            raise InputError(f"no witness among unit vectors for {v}")
-        n2 = group.norm_exact(found)
-        witnesses[tuple(v)] = (found, n2)
-        worst = max(worst, n2)
-    N = math.isqrt(worst) + 1
+    d = group.dim
+    dirs = [tuple(v) for v in directions]
+    for v in dirs:
+        if len(v) != d:
+            raise InputError(f"direction {v} has dimension {len(v)}, "
+                             f"group has {d}")
+    # the unit ball's points other than 0 in sorted order: -e_0, ..., -e_{d-1},
+    # e_{d-1}, ..., e_0; <-e_i, v> < 0 exactly when v_i > 0, and <e_i, v> < 0
+    # exactly when v_i < 0
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    candidates = [tuple(-c for c in u) for u in units] + units[::-1]
+    # object dtype: Python comparisons keep the signs of ints, floats and
+    # Fractions exact; fromiter builds no temporaries
+    V = np.fromiter(chain.from_iterable(dirs), dtype=object,
+                    count=len(dirs) * d).reshape(len(dirs), d)
+    negative = np.concatenate([V > 0, (V < 0)[:, ::-1]], axis=1)
+    has_witness = negative.any(axis=1)
+    if not has_witness.all():
+        v = dirs[int(np.argmin(has_witness))]
+        raise InputError(f"no witness among unit vectors for {v}")
+    first = negative.argmax(axis=1).tolist()
+    # one (point, squared norm) tuple per distinct witness, shared by its
+    # directions rather than built once per direction
+    pairs = {k: (candidates[k], group.norm_exact(candidates[k]))
+             for k in set(first)}
+    witnesses = {v: pairs[k] for v, k in zip(dirs, first)}
+    N = math.isqrt(max((n2 for _, n2 in pairs.values()), default=0)) + 1
     return MeetingRadiusReport(N, witnesses)
 
 
@@ -432,8 +455,10 @@ class RationalCone:
     """Cone in Z^2 spanned counterclockwise from u1 to u2 (angle <= pi).
 
     Membership of lattice points is strict (boundary rays excluded) unless
-    ``closed`` is set.  The extreme directions drive the horofunction
-    precondition of the cone-translation check.
+    ``closed`` is set.  The angle must be positive: u2 strictly
+    counterclockwise of u1, or a negative multiple of u1 for a half-plane.
+    The extreme directions drive the horofunction precondition of the
+    cone-translation check.
     """
 
     def __init__(self, u1, u2, closed=False):
@@ -441,26 +466,36 @@ class RationalCone:
         self.u2 = (int(u2[0]), int(u2[1]))
         if self.u1 == (0, 0) or self.u2 == (0, 0):
             raise InputError("cone directions must be nonzero")
+        turn = _cross(self.u1, self.u2)
+        if turn < 0:
+            raise InputError(f"cone from {self.u1} to {self.u2} turns "
+                             "clockwise (angle above pi)")
+        if turn == 0 and self.u1[0] * self.u2[0] + self.u1[1] * self.u2[1] > 0:
+            raise InputError(f"cone directions {self.u1} and {self.u2} lie on "
+                             "one ray (angle 0)")
         self.closed = closed
-        self.halfplane = _cross(self.u1, self.u2) == 0  # spans exactly pi
 
     def __repr__(self):
         return f"RationalCone({self.u1}, {self.u2}, closed={self.closed})"
 
-    def contains(self, p):
-        p = (int(p[0]), int(p[1]))
-        if p == (0, 0):
-            return False
-        c1 = _cross(self.u1, p)
-        c2 = _cross(p, self.u2)
-        if self.halfplane:
-            # upper side of the line through u1; u2 = -u1 direction
-            if self.closed:
-                return c1 >= 0
-            return c1 > 0
+    def mask(self, x, y):
+        """Membership of (x, y), for ints or integer arrays alike.
+
+        The point must be counterclockwise of u1 and clockwise of u2 (or on
+        those rays when closed), and not the origin.  For a half-plane,
+        u2 = -k u1 with k > 0 makes the second cross product k times the
+        first, so the same two sign tests give the side of the line.
+        """
+        c1 = self.u1[0] * y - self.u1[1] * x
+        c2 = x * self.u2[1] - y * self.u2[0]
         if self.closed:
-            return c1 >= 0 and c2 >= 0
-        return c1 > 0 and c2 > 0
+            side = (c1 >= 0) & (c2 >= 0)
+        else:
+            side = (c1 > 0) & (c2 > 0)
+        return side & ((x != 0) | (y != 0))
+
+    def contains(self, p):
+        return self.mask(int(p[0]), int(p[1]))
 
     def extreme_directions(self):
         return [self.u1, self.u2]
@@ -485,12 +520,25 @@ def verify_cone_shift(cone, eta, g, r_max):
     boundary these are x -> <x, -u> for unit u in the closed arc, so the
     test reduces to <g, u> < -eta |u| at the extreme directions, plus
     rejecting g whose own direction lies inside the arc.
+
+    The radii are checked by one scan of the box [-R, R]^2, R = ceil(r_max
+    + eta): cone membership, n2 = |p|^2 and s2 = |p + g|^2 are integer
+    arrays, and p fails at radius r when it is in the cone, n2 < T_r and
+    s2 >= r^2.  T_r = ceil((r + eta)^2) is computed exactly, and for an
+    integer n2, n2 < (r + eta)^2 exactly when n2 < T_r, so the test is
+    exact for any rational or float eta.  The reported point of radius r
+    is the first failing cell in C order of the "ij" grid, x-major, then
+    y: the raster order of the box [-ceil(r + eta), ceil(r + eta)]^2,
+    which holds every cell with n2 < (r + eta)^2.  A box of more than
+    ``groups.DEFAULT_BALL_BUDGET`` cells is refused before it is built.
     """
     eta = _as_fraction(eta)
     if eta <= 0:
         raise InputError(f"eta must be > 0, got {eta}")
+    if r_max < 1:
+        raise InputError(f"r_max must be >= 1, got {r_max}")
     g = (int(g[0]), int(g[1]))
-    if RationalCone(cone.u1, cone.u2, closed=True).contains(g):
+    if RationalCone(cone.u1, cone.u2, closed=True).mask(*g):
         raise InputError(f"direction of g={g} lies inside the cone arc; "
                          "horofunction value would be positive")
     for u in cone.extreme_directions():
@@ -501,26 +549,7 @@ def verify_cone_shift(cone, eta, g, r_max):
             raise InputError(
                 f"precondition fails at extreme direction {u}: "
                 f"<g, u> = {dot} is not below -eta|u|")
-    failures = []
-    for r in range(1, r_max + 1):
-        bound = Fraction(r) + eta
-        reach = math.ceil(bound)
-        r2 = Fraction(r) ** 2
-        bound2 = bound * bound
-        for x in range(-reach, reach + 1):
-            for y in range(-reach, reach + 1):
-                p = (x, y)
-                if not cone.contains(p):
-                    continue
-                if Fraction(x * x + y * y) >= bound2:
-                    continue
-                sx, sy = x + g[0], y + g[1]
-                if Fraction(sx * sx + sy * sy) >= r2:
-                    failures.append((r, p))
-                    break
-            else:
-                continue
-            break
+    failures = _cone_shift_failures(cone, eta, g, r_max)
     n1 = None
     failed_rs = {r for r, _ in failures}
     for r in range(r_max, 0, -1):
@@ -528,3 +557,31 @@ def verify_cone_shift(cone, eta, g, r_max):
             break
         n1 = r
     return ConeShiftReport(n1, r_max, failures)
+
+
+def _cone_shift_failures(cone, eta, g, r_max):
+    """The scan of ``verify_cone_shift``, without its input checks: for each
+    radius with a failing cone point, (r, the first such point)."""
+    import numpy as np   # on use, as in meeting_radius
+
+    eta = _as_fraction(eta)
+    R = math.ceil(r_max + eta)
+    if (2 * R + 1) ** 2 > DEFAULT_BALL_BUDGET:
+        raise ResourceBudgetError(
+            f"cone-shift box [-{R}, {R}]^2 exceeds budget {DEFAULT_BALL_BUDGET}",
+            budget=DEFAULT_BALL_BUDGET)
+    # every product below stays under 2**62 while the inputs and R stay
+    # under 2**30; larger inputs are scanned with exact Python ints
+    big = max(abs(c) for c in (*cone.u1, *cone.u2, *g)) + R
+    axis = np.arange(-R, R + 1, dtype=np.int64 if big < 2 ** 30 else object)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    inside = cone.mask(x, y)
+    n2 = x * x + y * y
+    s2 = (x + g[0]) ** 2 + (y + g[1]) ** 2
+    failures = []
+    for r in range(1, r_max + 1):
+        bad = inside & (n2 < math.ceil((r + eta) ** 2)) & (s2 >= r * r)
+        k = int(np.argmax(bad))
+        if bad.flat[k]:
+            failures.append((r, (int(x.flat[k]), int(y.flat[k]))))
+    return failures

@@ -116,6 +116,11 @@ class TestVerify:
         assert run(tmp_path, "verify", "lemma2.5", "--cone", "1,0:-1,0",
                    "--eta", "1", "--g=0,-1", "--r-max", "10") == 2
 
+    def test_cone_shift_budget_exit_3_partial_report(self, tmp_path):
+        assert run(tmp_path, "verify", "lemma2.5", "--r-max", "1000000") == 3
+        d = read_json(tmp_path, "partial_report.json")
+        assert d["error"] == "budget-exhausted"
+
     def test_largeness(self, tmp_path):
         rc = run(tmp_path, "verify", "largeness", "--group", "z2-l2",
                  "--horoball", '{"kind": "linear", "v": [1, 0]}',
@@ -156,6 +161,11 @@ MALFORMED = {
     "report-not-nd": ["render", "nd", "--report",
                       os.path.join(HERE, "readme_cli_digests.json")],
     "cone-one-ray": ["verify", "lemma2.5", "--cone", "1,0"],
+    "cone-degenerate": ["verify", "lemma2.5", "--cone", "1,1:2,2",
+                        "--g", "1,-3", "--r-max", "10"],
+    "cone-reflex": ["verify", "lemma2.5", "--cone", "1,1:1,0",
+                    "--g=-3,1", "--r-max", "10"],
+    "r-max-zero": ["verify", "lemma2.5", "--r-max", "0"],
     "vectors-json": ["convex", "origin-test", "--vectors", "[1,"],
     "report-entries-not-list": ["render", "nd", "--report",
                                 {"k": 1, "N": 1, "entries": 5}],

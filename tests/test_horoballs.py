@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +12,9 @@ from horoshift import (DirectSumZ2, Horoball, InputError, Linear,
                        largeness_certificate, meeting_radius,
                        polyhedral_from_ray, sampled_l1_horoball_z2,
                        uniform_probes, verify_cone_shift, verify_tangency)
-from horoshift.horoballs import tangency_threshold
+from horoshift.errors import ResourceBudgetError
+from horoshift.groups import DEFAULT_BALL_BUDGET
+from horoshift.horoballs import _cone_shift_failures, tangency_threshold
 
 site = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
 
@@ -184,6 +188,35 @@ class TestMeetingRadius:
         rep = meeting_radius(g3, dirs)
         assert rep.N == 2
 
+    @pytest.mark.parametrize("group, dirs", [
+        (ZdLp(2, 2), uniform_probes(10_000)),
+        (ZdLp(3, 2), [(1, 0, 0), (0, -1, 0), (0.6, 0.8, 0.0), (0, 0, 1),
+                      (Fraction(-1, 3), 2, 0.5), (0, 0.0, Fraction(-1, 7)),
+                      (0, 0, Fraction(1, 10 ** 400)), (-2, 10 ** 400, 0)]),
+    ], ids=["probes-10000", "d3-mixed"])
+    def test_matches_candidate_scan(self, group, dirs):
+        rep = meeting_radius(group, dirs)
+        assert (rep.N, rep.witnesses) == _meeting_radius_scan(group, dirs)
+
+    @pytest.mark.parametrize("dirs", [[(1, 0), (0, 0)], [(0.0, -0.0)],
+                                      [(1, 0), (1, 0, 0)]],
+                             ids=["zero", "float-zero", "wrong-dimension"])
+    def test_rejects(self, dirs):
+        with pytest.raises(InputError):
+            meeting_radius(ZdLp(2, 2), dirs)
+
+
+def _meeting_radius_scan(group, directions):
+    """Reference: the first sorted unit-ball candidate with <p, v> < 0, one
+    direction at a time."""
+    e = group.identity()
+    candidates = sorted(group.ball(e, 1, closed=True) - {e})
+    witnesses = {}
+    for v in directions:
+        p = next(p for p in candidates if sum(a * b for a, b in zip(p, v)) < 0)
+        witnesses[tuple(v)] = (p, group.norm_exact(p))
+    return math.isqrt(max(n2 for _, n2 in witnesses.values())) + 1, witnesses
+
 
 class TestTangency:
     def test_threshold_on_axis_ray(self):
@@ -250,3 +283,134 @@ class TestConeShift:
         assert not cone.contains((-3, 0))
         closed = RationalCone((1, -1), (1, 1), closed=True)
         assert closed.contains((5, 5))
+
+    @pytest.mark.parametrize("u1, u2", [((1, 1), (2, 2)), ((1, 1), (1, -1)),
+                                        ((0, 1), (1, 0))],
+                             ids=["one-ray", "reflex", "reflex-right-angle"])
+    def test_rejects_degenerate_and_reflex(self, u1, u2):
+        with pytest.raises(InputError):
+            RationalCone(u1, u2)
+
+    def test_halfplane_needs_opposite_rays(self):
+        cone = RationalCone((1, 1), (-2, -2))
+        assert cone.contains((-1, 5)) and not cone.contains((5, -1))
+        assert not cone.contains((3, 3)) and not cone.contains((-1, -1))
+        assert RationalCone((1, 1), (-2, -2), closed=True).contains((3, 3))
+
+    def test_r_max_below_one_rejected(self):
+        with pytest.raises(InputError):
+            verify_cone_shift(RationalCone((1, -1), (1, 1)), 1, (-2, 0), 0)
+
+
+def _in_cone_reference(cone, p):
+    """Membership as a case analysis on the cone's angle."""
+    if p == (0, 0):
+        return False
+    c1 = cone.u1[0] * p[1] - cone.u1[1] * p[0]
+    c2 = p[0] * cone.u2[1] - p[1] * cone.u2[0]
+    if cone.u1[0] * cone.u2[1] - cone.u1[1] * cone.u2[0] == 0:   # half-plane
+        return c1 >= 0 if cone.closed else c1 > 0
+    if cone.closed:
+        return c1 >= 0 and c2 >= 0
+    return c1 > 0 and c2 > 0
+
+
+def _cone_shift_loop(cone, eta, g, r_max):
+    """Reference: the cell-by-cell scan of the box [-ceil(r + eta),
+    ceil(r + eta)]^2 at each radius, stopping at the first failing cell."""
+    eta = Fraction(eta)
+    failures = []
+    for r in range(1, r_max + 1):
+        bound = Fraction(r) + eta
+        reach = math.ceil(bound)
+        r2 = Fraction(r) ** 2
+        bound2 = bound * bound
+        for x in range(-reach, reach + 1):
+            for y in range(-reach, reach + 1):
+                p = (x, y)
+                if not _in_cone_reference(cone, p):
+                    continue
+                if Fraction(x * x + y * y) >= bound2:
+                    continue
+                sx, sy = x + g[0], y + g[1]
+                if Fraction(sx * sx + sy * sy) >= r2:
+                    failures.append((r, p))
+                    break
+            else:
+                continue
+            break
+    return failures
+
+
+def _cone_shift_corpus(n, seed=20261018):
+    """Seeded scan inputs: open and closed cones, half-planes, float eta
+    with large denominators, g in [-8, 8]^2."""
+    rng = random.Random(seed)
+    etas = [1, 0.1, 0.3, 0.5, 2.75, Fraction(1, 3), Fraction(7, 5)]
+    cases = []
+    while len(cases) < n:
+        u1 = (rng.randint(-4, 4), rng.randint(-4, 4))
+        if u1 == (0, 0):
+            continue
+        if rng.random() < 0.25:
+            k = rng.randint(1, 3)
+            u2 = (-k * u1[0], -k * u1[1])
+        else:
+            u2 = (rng.randint(-4, 4), rng.randint(-4, 4))
+            if u1[0] * u2[1] - u1[1] * u2[0] <= 0:
+                continue
+        cases.append((RationalCone(u1, u2, closed=rng.random() < 0.5),
+                      rng.choice(etas),
+                      (rng.randint(-8, 8), rng.randint(-8, 8)),
+                      rng.randint(1, 16)))
+    return cases
+
+
+class TestConeShiftScan:
+    def test_matches_cell_loop(self):
+        # half-planes never pass the precondition, so the scan is called
+        # on its own
+        for cone, eta, g, r_max in _cone_shift_corpus(150):
+            assert _cone_shift_failures(cone, eta, g, r_max) \
+                == _cone_shift_loop(cone, eta, g, r_max), (cone, eta, g, r_max)
+
+    def test_readme_case_matches_cell_loop(self):
+        cone = RationalCone((1, -1), (1, 1))
+        rep = verify_cone_shift(cone, 1, (-2, 0), 50)
+        assert rep.failures == _cone_shift_loop(cone, 1, (-2, 0), 50)
+        assert rep.n1 == 2 and [r for r, _ in rep.failures] == [1]
+
+    @pytest.mark.parametrize("u1, u2, g", [
+        ((2 ** 61 + 1, -2 ** 61), (1, 1), (-3, 1)),
+        ((1, -1), (1, 1), (-2 ** 40, 5)),
+    ], ids=["huge-direction", "huge-g"])
+    def test_large_inputs_stay_exact(self, u1, u2, g):
+        cone = RationalCone(u1, u2)
+        assert _cone_shift_failures(cone, Fraction(1, 2), g, 8) \
+            == _cone_shift_loop(cone, Fraction(1, 2), g, 8)
+
+    def test_scan_never_calls_contains(self, monkeypatch):
+        cones = [RationalCone((1, -1), (1, 1)),
+                 RationalCone((2, -1), (-2, 1), closed=True)]
+        want = [_cone_shift_loop(c, 0.3, (-3, -2), 20) for c in cones]
+
+        def refuse(self, p):
+            raise AssertionError("per-cell contains call")
+        monkeypatch.setattr(RationalCone, "contains", refuse)
+        got = [_cone_shift_failures(c, 0.3, (-3, -2), 20) for c in cones]
+        assert got == want
+        rep = verify_cone_shift(cones[0], 0.3, (-3, -2), 20)
+        assert rep.failures == want[0]
+
+    @pytest.mark.parametrize("r_max", [353, 10 ** 9])
+    def test_box_over_budget_refused_before_allocation(self, monkeypatch,
+                                                       r_max):
+        # with eta = 1, r_max = 352 gives the largest box within the
+        # budget, 707^2 cells; the box builders refuse, so nothing is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("box built")
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(np, "meshgrid", refuse)
+        with pytest.raises(ResourceBudgetError) as exc:
+            verify_cone_shift(RationalCone((1, -1), (1, 1)), 1, (-2, 0), r_max)
+        assert exc.value.budget == DEFAULT_BALL_BUDGET
