@@ -31,6 +31,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
+from .horoballs import _check_dim
+from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
                         WindowFilling, _RowTransfer, box_sites,
                         enumerate_fillings, solve_forward, varies_inside)
@@ -80,30 +82,15 @@ class Direction:
         n = math.hypot(self.a, self.b)
         return (self.a / n, self.b / n)
 
-def _direction_cmp(u, w):
-    """Counterclockwise order starting at (1, 0), exact arithmetic."""
-    hu = 0 if (u.b > 0 or (u.b == 0 and u.a > 0)) else 1
-    hw = 0 if (w.b > 0 or (w.b == 0 and w.a > 0)) else 1
-    if hu != hw:
-        return hu - hw
-    cross = u.a * w.b - u.b * w.a
-    return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-
-direction_sort_key = functools.cmp_to_key(_direction_cmp)
-
 
 def farey_directions(Q):
     """Primitive integer directions (a, b) with max(|a|, |b|) <= Q,
     covering all four sign quadrants, in counterclockwise order."""
     if Q < 1:
         raise InputError(f"Farey order must be >= 1, got {Q}")
-    out = set()
-    for a in range(-Q, Q + 1):
-        for b in range(-Q, Q + 1):
-            if (a, b) != (0, 0) and math.gcd(a, b) == 1:
-                out.add(Direction(a, b))
-    return sorted(out, key=direction_sort_key)
+    prims = [(a, b) for a in range(-Q, Q + 1) for b in range(-Q, Q + 1)
+             if math.gcd(a, b) == 1]
+    return [Direction(a, b) for a, b in sorted(prims, key=_ccw_key)]
 
 
 def parse_pair(text):
@@ -557,6 +544,7 @@ def horoball_status(spec, horoball, k, N, margin=None,
                     budget=DEFAULT_FILLING_BUDGET, method="auto"):
     """Certificate for a ``Horoball``; exact half-planes among them get the
     same hull-normal treatment as directions."""
+    _check_dim(horoball, 2)
     return _status(spec, horoball, k, N, margin, budget, method)
 
 
@@ -647,6 +635,7 @@ def skew_horoball_status(spec, horoball, k, N):
     """
     if N < k or k < 1:
         raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
+    _check_dim(horoball, 2)
     exp_k = getattr(spec.base, "expansivity_k", None)
     if exp_k is None:
         return Inconclusive(N, k, "unknown base expansivity constant")

@@ -46,13 +46,19 @@ def _emit_json(args, name, payload_dict, summary_lines):
     print(f"report: {path}")
 
 
+def _read(path, what):
+    """The text of an input file; an unreadable one is invalid input."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {what}: {e}") from e
+
+
 def _load_vectors(source):
     """Vector descriptors from inline JSON or a file (JSON list, or a
     serialized ND report whose witness directions are taken)."""
-    text = source
-    if os.path.exists(source):
-        with open(source, encoding="utf-8") as f:
-            text = f.read()
+    text = _read(source, "vectors") if os.path.exists(source) else source
     data = serialize.load_json(text)
     if isinstance(data, dict) and "entries" in data:
         return serialize.witness_vectors_from_report_dict(data)
@@ -113,7 +119,10 @@ def cmd_busemann(args):
     group = serialize.parse_group(args.group)
     if not isinstance(group, groups.ZdLp):
         raise InputError("busemann compares with <x, v> and needs a Z^d group")
-    center = group.check(parse_pair(args.center))
+    try:
+        center = group.check(args.center.split(","))
+    except ValueError as e:
+        raise InputError(f"bad center {args.center!r}: {e}") from e
     n = group.norm(center)
     if n == 0:
         raise InputError("center must differ from the identity")
@@ -248,11 +257,7 @@ def cmd_render(args):
               f"{center}: {path}")
         return 0
     if args.what == "nd":
-        try:
-            with open(args.report, encoding="utf-8") as f:
-                text = f.read()
-        except (OSError, UnicodeDecodeError) as e:
-            raise InputError(f"cannot read report: {e}") from e
+        text = _read(args.report, "report")
         path = _write(args.out, "direction_circle.svg",
                       render.direction_circle_svg(serialize.load_json(text)))
         _log(args.out, "wrote direction_circle.svg")
@@ -312,7 +317,7 @@ def build_parser():
 
     sp = add_parser("busemann", help="Busemann values on a ball")
     sp.add_argument("--group", required=True)
-    sp.add_argument("--center", required=True, help="integer pair a,b")
+    sp.add_argument("--center", required=True, help="integer vector a,b,...")
     sp.add_argument("--radius", type=int, default=10)
     sp.set_defaults(func=cmd_busemann)
 

@@ -67,6 +67,12 @@ class MetricGroup:
         return self.dist(g, x) - self.norm(g)
 
 
+# the exact norm of each p; the l2 one is squared, so it stays an integer
+_EXACT_NORMS = {1: lambda g: sum(map(abs, g)),
+                2: lambda g: sum(c * c for c in g),
+                "inf": lambda g: max(map(abs, g))}
+
+
 class ZdLp(MetricGroup):
     """Z^d with an l^p norm, p in {1, 2, inf}."""
 
@@ -77,6 +83,7 @@ class ZdLp(MetricGroup):
             raise InputError(f"p must be 1, 2 or 'inf', got {p!r}")
         self.dim = dim
         self.p = "inf" if p == math.inf else p
+        self._norm = _EXACT_NORMS[self.p]
 
     def __repr__(self):
         return f"ZdLp({self.dim}, {self.p!r})"
@@ -97,12 +104,7 @@ class ZdLp(MetricGroup):
 
     def norm_exact(self, g):
         """For l1/linf the norm itself; for l2 the *squared* norm (an int)."""
-        g = self.check(g)
-        if self.p == 1:
-            return sum(abs(c) for c in g)
-        if self.p == "inf":
-            return max(abs(c) for c in g)
-        return sum(c * c for c in g)
+        return self._norm(self.check(g))
 
     def norm(self, g):
         n = self.norm_exact(g)
@@ -113,9 +115,13 @@ class ZdLp(MetricGroup):
         r = _as_fraction(radius)
         if r < 0:
             return False
-        e = self.norm_exact(self.op(g, self.inv(h)))
-        bound = r * r if self.p == 2 else r
-        return _within(e, bound, closed)
+        return self.norm_exact(self.op(g, self.inv(h))) <= self._bound(r, closed)
+
+    def _bound(self, r, closed):
+        """The largest exact norm within radius r >= 0: an integer e is
+        <= x exactly when e <= floor(x), and < x when e <= ceil(x) - 1."""
+        x = r * r if self.p == 2 else r
+        return math.floor(x) if closed else math.ceil(x) - 1
 
     def busemann(self, g, x):
         """b_g(x) = d(g, x) - d(g, 1); exact int for l1/linf, stable float for l2."""
@@ -144,18 +150,10 @@ class ZdLp(MetricGroup):
                 f"ball of radius {radius} in Z^{self.dim} exceeds budget {budget}",
                 budget=budget,
             )
-        out = set()
-        bound = r * r if self.p == 2 else r
-        for offs in product(range(-reach, reach + 1), repeat=self.dim):
-            if self.p == 1:
-                e = sum(abs(c) for c in offs)
-            elif self.p == "inf":
-                e = max(abs(c) for c in offs) if offs else 0
-            else:
-                e = sum(c * c for c in offs)
-            if _within(e, bound, closed):
-                out.add(tuple(c + o for c, o in zip(center, offs)))
-        return out
+        bound, norm = self._bound(r, closed), self._norm
+        return {tuple(c + o for c, o in zip(center, offs))
+                for offs in product(range(-reach, reach + 1), repeat=self.dim)
+                if norm(offs) <= bound}
 
 
 class _Weights:

@@ -21,15 +21,14 @@ import math
 
 from .errors import InputError, ResourceBudgetError
 from .groups import DEFAULT_BALL_BUDGET, ZdLp, _as_fraction
+from .separation import _cross
 
 # sample indices of a truncated limit (see ``Sampled``)
 _SAMPLES = 48
 
 
 def _gcd_reduce(vec):
-    g = 0
-    for c in vec:
-        g = math.gcd(g, abs(c))
+    g = math.gcd(*vec)
     if g == 0:
         return None
     return tuple(c // g for c in vec)
@@ -44,15 +43,13 @@ class Linear:
         v = tuple(v)
         if all(abs(c) < 1e-15 for c in v):
             raise InputError("direction vector must be nonzero")
-        if all(float(c).is_integer() for c in v):
-            self.int_dir = _gcd_reduce(tuple(int(c) for c in v))
+        # integers are their own nearest fractions, so they take this path too
+        fracs = [Fraction(c).limit_denominator(10 ** 9) for c in v]
+        if all(abs(float(f) - float(c)) < 1e-12 for f, c in zip(fracs, v)):
+            den = math.lcm(*(f.denominator for f in fracs))
+            self.int_dir = _gcd_reduce(tuple(int(f * den) for f in fracs))
         else:
-            fracs = [Fraction(c).limit_denominator(10 ** 9) for c in v]
-            if all(abs(float(f) - float(c)) < 1e-12 for f, c in zip(fracs, v)):
-                den = math.lcm(*(f.denominator for f in fracs))
-                self.int_dir = _gcd_reduce(tuple(int(f * den) for f in fracs))
-            else:
-                self.int_dir = None
+            self.int_dir = None
         nrm = math.sqrt(sum(float(c) * float(c) for c in v))
         self.v = tuple(float(c) / nrm for c in v)
         self.dim = len(v)
@@ -75,6 +72,10 @@ class Linear:
         return self.int_dir if self.dim == 2 else None
 
 
+# quarter-space opening -> (axis it opens along, sign of that axis)
+_OPENING_AXES = {"+x": (0, 1), "-x": (0, -1), "+y": (1, 1), "-y": (1, -1)}
+
+
 class PolyhedralZ2:
     """An l1 horofunction of Z^2, with exact integer values.
 
@@ -90,7 +91,8 @@ class PolyhedralZ2:
     """
 
     kind = "polyhedral-z2"
-    OPENINGS = ("+x", "-x", "+y", "-y")
+    dim = 2
+    OPENINGS = tuple(_OPENING_AXES)
 
     def __init__(self, shape, apex=(0, 0), side=None, opening=None):
         if shape not in ("halfplane-diagonal", "halfplane-antidiagonal", "quarter-space"):
@@ -115,18 +117,12 @@ class PolyhedralZ2:
 
     def value(self, p):
         x, y = int(p[0]), int(p[1])
-        a, b = self.apex
-        if self.shape == "halfplane-diagonal":
-            return self.side * (x - y)
-        if self.shape == "halfplane-antidiagonal":
-            return self.side * (x + y)
-        if self.opening == "+x":
-            return abs(y - b) - (x - a)
-        if self.opening == "-x":
-            return abs(y - b) + (x - a)
-        if self.opening == "+y":
-            return abs(x - a) - (y - b)
-        return abs(x - a) + (y - b)
+        if self.opening is None:
+            a, b = self.halfplane_normal()
+            return a * x + b * y
+        axis, s = _OPENING_AXES[self.opening]
+        d = (x - self.apex[0], y - self.apex[1])
+        return abs(d[1 - axis]) - s * d[axis]
 
     def sign(self, p):
         v = self.value(p)
@@ -151,9 +147,8 @@ class PolyhedralZ2:
                                 opening=self.opening)
         # translating a half-plane along its border is the identity; across
         # the border it is no longer a horoball, so refuse silently shifting
-        x, y = g
-        delta = (x - y) if self.shape == "halfplane-diagonal" else (x + y)
-        if delta != 0:
+        a, b = self.halfplane_normal()
+        if a * g[0] + b * g[1] != 0:
             raise InputError("translating a half-plane off its border line "
                              "does not yield an l1 horoball")
         return self
@@ -222,6 +217,14 @@ class Horoball:
         return self.j.halfplane_normal()
 
 
+def _check_dim(horoball, d):
+    """Refuse a horoball of Z^e, e != d, whose sign test would zip points
+    of Z^d short (a sampled one checks them through its group)."""
+    e = getattr(getattr(horoball, "j", None), "dim", d)
+    if e != d:
+        raise InputError(f"{horoball!r} is a horoball of Z^{e}, not Z^{d}")
+
+
 def l2_horoball(v):
     """The open half-space horoball {x : <x, v> < 0} with outgoing normal v."""
     return Horoball(Linear(v))
@@ -263,17 +266,9 @@ def polyhedral_from_ray(ray):
 
 def _quarter_apexes(opening, reach):
     """Apexes along the valid boundary rays for a given opening."""
-    out = []
-    for t in range(-reach, reach + 1):
-        if opening == "+x":
-            out.append((-abs(t), t))
-        elif opening == "-x":
-            out.append((abs(t), t))
-        elif opening == "+y":
-            out.append((t, -abs(t)))
-        else:
-            out.append((t, abs(t)))
-    return sorted(set(out))
+    axis, s = _OPENING_AXES[opening]
+    out = [(-s * abs(t), t) for t in range(-reach, reach + 1)]
+    return sorted(p[::-1] if axis else p for p in out)
 
 
 def enumerate_l1_horoballs_z2(window):
@@ -328,6 +323,8 @@ def largeness_certificate(group, horoball, R, search_bound):
     """
     if R <= 0:
         raise InputError(f"R must be > 0, got {R}")
+    if isinstance(group, ZdLp):
+        _check_dim(horoball, group.dim)
     candidates = group.ball(group.identity(), search_bound, closed=True)
     ordered = sorted(candidates, key=lambda g: (group.norm_exact(g), repr(g)))
     j = horoball.j
@@ -396,8 +393,8 @@ def meeting_radius(group, directions):
 
 
 def _lt_sqrt_plus(a2, b2, eps):
-    """Exact test sqrt(a2) < sqrt(b2) + eps for integers a2, b2 and rational eps."""
-    eps = _as_fraction(eps)
+    """Exact test sqrt(a2) < sqrt(b2) + eps for integers a2, b2 and a
+    Fraction eps > 0."""
     L = Fraction(a2) - Fraction(b2) - eps * eps
     if L < 0:
         return True
@@ -422,6 +419,9 @@ def verify_tangency(group, M, eps, g):
     """
     if not isinstance(group, ZdLp) or group.p != 2:
         raise InputError("verify_tangency expects a ZdLp l2 group")
+    eps = _as_fraction(eps)
+    if eps <= 0:
+        raise InputError(f"eps must be > 0, got {eps}")
     g = group.check(g)
     if all(c == 0 for c in g):
         return TangencyCheck(False, g=g)
@@ -438,6 +438,8 @@ def verify_tangency(group, M, eps, g):
 def tangency_threshold(group, M, eps, ray, n_max=100):
     """Smallest n0 such that verify_tangency passes for all n in [n0, n_max]
     along g = n * ray.  Returns None if it still fails at n_max."""
+    if n_max < 1:
+        raise InputError(f"n_max must be >= 1, got {n_max}")
     ray = group.check(ray)
     n0 = None
     for n in range(n_max, 0, -1):
@@ -445,10 +447,6 @@ def tangency_threshold(group, M, eps, ray, n_max=100):
             break
         n0 = n
     return n0
-
-
-def _cross(u, v):
-    return u[0] * v[1] - u[1] * v[0]
 
 
 class RationalCone:
@@ -486,8 +484,8 @@ class RationalCone:
         u2 = -k u1 with k > 0 makes the second cross product k times the
         first, so the same two sign tests give the side of the line.
         """
-        c1 = self.u1[0] * y - self.u1[1] * x
-        c2 = x * self.u2[1] - y * self.u2[0]
+        c1 = _cross(self.u1, (x, y))
+        c2 = _cross((x, y), self.u2)
         if self.closed:
             side = (c1 >= 0) & (c2 >= 0)
         else:

@@ -423,6 +423,19 @@ class TestHoroballStatus:
         cert = horoball_status(ledrappier(), Horoball(far), 2, 4)
         assert cert.kind == "inconclusive"
 
+    @pytest.mark.parametrize("v", [(1, 0, 5), (1,)])
+    def test_wrong_dimension_rejected(self, v):
+        with pytest.raises(InputError):
+            horoball_status(ledrappier(), l2_horoball(v), 1, 2)
+
+    def test_halfplane_path_never_calls_contains(self, monkeypatch):
+        # the dimension is checked once, not per cell of the exact mask
+        def refuse(self, x):
+            raise AssertionError("contains called on the half-plane path")
+        monkeypatch.setattr(Horoball, "contains", refuse)
+        cert = horoball_status(ledrappier(), l2_horoball((1, 1)), 2, 5)
+        assert cert.kind == "witness"
+
 
 class TestNDSet:
     def test_default_grid_metadata(self):
@@ -602,6 +615,10 @@ class TestSkew:
         E = exponent_image(self.spec, below_diag.contains, 3)
         assert E == sorted(set(E))
         assert 2 in E and -1 in E
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(InputError):
+            skew_horoball_status(self.spec, l2_horoball((1, 0, 5)), 1, 2)
 
     def test_bad_scales(self):
         with pytest.raises(InputError):

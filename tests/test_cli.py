@@ -84,6 +84,14 @@ class TestBusemann:
         assert run(tmp_path, "busemann", "--group", "z2-l2",
                    "--center", "0,0") == 2
 
+    def test_center_of_group_dimension(self, tmp_path):
+        rc = run(tmp_path, "busemann", "--group", "z3-l1",
+                 "--center", "5,0,0", "--radius", "2")
+        assert rc == 0
+        d = read_json(tmp_path, "busemann_report.json")
+        assert d["center"] == [5, 0, 0]
+        assert d["points"] == 25
+
     def test_budget_exit_3_partial_report(self, tmp_path):
         rc = run(tmp_path, "busemann", "--group", "z2-l2",
                  "--center", "5,0", "--radius", "100000")
@@ -187,6 +195,24 @@ MALFORMED = {
                                   "--dir", "0,-1", "--k", "1", "--window", "2",
                                   "--margin", "-1", "--method", "enumerate"],
     "busemann-wfa": ["busemann", "--group", "wfa-index", "--center", "1,0"],
+    "busemann-center-short": ["busemann", "--group", "z3-l1",
+                              "--center", "5,0"],
+    "busemann-center-not-integer": ["busemann", "--group", "z2-l2",
+                                    "--center", "5,x"],
+    "eps-zero": ["verify", "lemma2.3", "--eps", "0"],
+    "eps-negative": ["verify", "lemma2.3", "--M", "5", "--eps=-0.5",
+                     "--ray", "1,0", "--n-max", "40"],
+    "n-max-zero": ["verify", "lemma2.3", "--n-max", "0"],
+    "skew-linear-3d": ["skew", "--horoball", '{"kind":"linear","v":[1,0,5]}',
+                       "--k", "1", "--window", "2"],
+    "largeness-linear-2d-in-z3": ["verify", "largeness", "--group", "z3-l1",
+                                  "--horoball",
+                                  '{"kind":"linear","v":[1,0]}'],
+    "vectors-directory": ["convex", "origin-test", "--vectors", HERE],
+    "vectors-not-utf8": ["convex", "origin-test", "--vectors",
+                         b"[[1, 0], [\xff]]"],
+    "report-directory": ["render", "nd", "--report", HERE],
+    "report-not-utf8": ["render", "nd", "--report", b'{"k": \xff}'],
     "busemann-dsz2": ["busemann", "--group", "dsz2-index", "--center", "1,2"],
     "group-dim-not-integer": ["verify", "largeness", "--group",
                               '{"kind":"zd-lp","dim":"x","p":1}'],
@@ -219,6 +245,7 @@ BAD_HOROBALLS = {
     "apex-short": '{"kind":"quarter-space","apex":[1],"opening":"+x"}',
     "n-star-not-integer": '{"kind":"sampled-l1-ray","ray":[1,0],'
                           '"n_star":"x"}',
+    "linear-3d": '{"kind":"linear","v":[1,0,5]}',
 }
 MALFORMED.update({name: ["horoball", "--system", "ledrappier", "--horoball",
                          horoball, "--k", "1", "--window", "1"]
@@ -249,12 +276,15 @@ MALFORMED.update({name: ["direction", "--system", system, "--dir", "1,0",
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_descriptor_exit_2(tmp_path, capsys, argv):
-    # a dict stands for a JSON file holding it
+    # a dict stands for a JSON file holding it, bytes for a file of them
     report = tmp_path / "input.json"
     for arg in argv:
         if isinstance(arg, dict):
             report.write_text(json.dumps(arg), encoding="utf-8")
-    argv = [str(report) if isinstance(arg, dict) else arg for arg in argv]
+        elif isinstance(arg, bytes):
+            report.write_bytes(arg)
+    argv = [str(report) if isinstance(arg, (dict, bytes)) else arg
+            for arg in argv]
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 

@@ -58,6 +58,37 @@ class TestZdLp:
                 expected = {q for q in box if g.dist_lt((1, -1), q, r, closed)}
                 assert ball == expected
 
+    # exact norms written out per p, independent of ZdLp's own
+    NORMS = {1: lambda v: sum(abs(c) for c in v),
+             2: lambda v: sum(c * c for c in v),
+             "inf": lambda v: max(abs(c) for c in v)}
+
+    @pytest.mark.parametrize("p", [1, 2, "inf"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball_matches_definition(self, p, d):
+        g, center = ZdLp(d, p), (1, -1, 2)[:d]
+        box = list(product(range(-6, 7), repeat=d))
+        for radius in (0, 4.999, 5, Fraction(7, 3), 2.5):
+            r = Fraction(radius)
+            bound = r * r if p == 2 else r
+            for closed in (True, False):
+                want = {tuple(c + o for c, o in zip(center, offs))
+                        for offs in box
+                        if (self.NORMS[p](offs) <= bound if closed
+                            else self.NORMS[p](offs) < bound)}
+                assert g.ball(center, radius, closed=closed) == want, \
+                    (radius, closed)
+
+    def test_ball_sphere_points(self):
+        # (3, 4) lies on the l2 sphere of radius 5, and (2, 3) on the l1
+        # and linf spheres of radius 5 and 3
+        for p, r, q in ((2, 5, (3, 4)), (1, 5, (2, 3)), ("inf", 3, (2, 3))):
+            g = ZdLp(2, p)
+            assert q in g.ball((0, 0), r, closed=True)
+            assert q not in g.ball((0, 0), r, closed=False)
+            assert g.dist_lt((0, 0), q, r, closed=True)
+            assert not g.dist_lt((0, 0), q, r, closed=False)
+
     def test_ball_sizes(self):
         assert len(ZdLp(2, 1).ball((0, 0), 3, closed=True)) == 25
         assert len(ZdLp(2, 2).ball((0, 0), 10, closed=True)) == 317

@@ -14,7 +14,8 @@ from horoshift import (DirectSumZ2, Horoball, InputError, Linear,
                        uniform_probes, verify_cone_shift, verify_tangency)
 from horoshift.errors import ResourceBudgetError
 from horoshift.groups import DEFAULT_BALL_BUDGET
-from horoshift.horoballs import _cone_shift_failures, tangency_threshold
+from horoshift.horoballs import (_cone_shift_failures, _quarter_apexes,
+                                 tangency_threshold)
 
 site = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
 
@@ -35,6 +36,16 @@ class TestLinear:
     def test_zero_rejected(self):
         with pytest.raises(InputError):
             Linear((0, 0))
+
+    @pytest.mark.parametrize("v", [(2, 1), (-6, 9), (0, -4), (4.0, 6.0),
+                                   (1e20, 3.0), (10 ** 18 + 1, -10 ** 18),
+                                   (3, 0, -12)])
+    def test_integer_direction_is_primitive(self, v):
+        # integers take the rational path; the result is their own primitive
+        # vector, as a separate gcd reduction of the integers gives
+        ints = tuple(int(c) for c in v)
+        g = math.gcd(*ints)
+        assert Linear(v).int_dir == tuple(c // g for c in ints)
 
     def test_l2_horoball_is_open_halfspace(self):
         h = l2_horoball((1, 0))
@@ -65,6 +76,54 @@ class TestPolyhedralZ2:
         j = polyhedral_from_ray((1, -1))
         assert j.shape == "halfplane-diagonal"
         assert j.value((3, 1)) == -2   # H = {x > y}
+
+    @staticmethod
+    def _value_reference(opening, apex, p):
+        """The four-branch quarter-space formula, one branch per opening."""
+        (x, y), (a, b) = p, apex
+        if opening == "+x":
+            return abs(y - b) - (x - a)
+        if opening == "-x":
+            return abs(y - b) + (x - a)
+        if opening == "+y":
+            return abs(x - a) - (y - b)
+        return abs(x - a) + (y - b)
+
+    @staticmethod
+    def _apexes_reference(opening, reach):
+        out = []
+        for t in range(-reach, reach + 1):
+            if opening == "+x":
+                out.append((-abs(t), t))
+            elif opening == "-x":
+                out.append((abs(t), t))
+            elif opening == "+y":
+                out.append((t, -abs(t)))
+            else:
+                out.append((t, abs(t)))
+        return sorted(set(out))
+
+    def test_openings_order(self):
+        assert PolyhedralZ2.OPENINGS == ("+x", "-x", "+y", "-y")
+
+    @pytest.mark.parametrize("opening", ["+x", "-x", "+y", "-y"])
+    def test_quarter_space_matches_four_branches(self, opening):
+        cells = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+        for apex in ((0, 0), (2, -3), (-1, 5)):
+            j = PolyhedralZ2("quarter-space", apex=apex, opening=opening)
+            for p in cells:
+                assert j.value(p) == self._value_reference(opening, apex, p)
+        for reach in (0, 1, 4):
+            assert _quarter_apexes(opening, reach) == \
+                self._apexes_reference(opening, reach)
+
+    def test_halfplane_values_match_shapes(self):
+        for side in (1, -1):
+            diag = PolyhedralZ2("halfplane-diagonal", side=side)
+            anti = PolyhedralZ2("halfplane-antidiagonal", side=side)
+            for p in ((3, 1), (-2, 5), (0, 0), (4, 4)):
+                assert diag.value(p) == side * (p[0] - p[1])
+                assert anti.value(p) == side * (p[0] + p[1])
 
     def test_horofunction_vanishes_at_identity(self):
         for ray in ((1, 0), (0, -1), (1, 1), (-2, 3), (5, -1)):
@@ -169,6 +228,15 @@ class TestLargeness:
             largeness_certificate(ZdLp(2, 1), Horoball(polyhedral_from_ray((1, 0))),
                                   0, search_bound=5)
 
+    @pytest.mark.parametrize("group, h", [
+        (ZdLp(3, 1), l2_horoball((1, 0))),
+        (ZdLp(2, 2), l2_horoball((1, 0, 5))),
+        (ZdLp(3, 1), Horoball(polyhedral_from_ray((1, 0)))),
+    ])
+    def test_wrong_dimension_rejected(self, group, h):
+        with pytest.raises(InputError):
+            largeness_certificate(group, h, 1, search_bound=4)
+
 
 class TestMeetingRadius:
     def test_small_grid(self):
@@ -239,6 +307,18 @@ class TestTangency:
 
     def test_identity_center_fails(self):
         assert not verify_tangency(ZdLp(2, 2), 5, 0.5, (0, 0)).passed
+
+    @pytest.mark.parametrize("eps", [0, 0.0, -0.5, Fraction(-1, 3)])
+    def test_eps_must_be_positive(self, eps):
+        with pytest.raises(InputError):
+            verify_tangency(ZdLp(2, 2), 5, eps, (40, 0))
+        with pytest.raises(InputError):
+            tangency_threshold(ZdLp(2, 2), 5, eps, (1, 0), n_max=40)
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_n_max_must_be_positive(self, n_max):
+        with pytest.raises(InputError):
+            tangency_threshold(ZdLp(2, 2), 5, 0.5, (1, 0), n_max=n_max)
 
     @pytest.mark.parametrize("ray", [(1, 1), (2, 1)])
     def test_threshold_matches_full_scan(self, ray):

@@ -1,11 +1,13 @@
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
-from horoshift import (InputError, halfspace_coverage, intersection_empty,
-                       origin_in_hull, uniform_probes)
+from horoshift import (InputError, farey_directions, halfspace_coverage,
+                       intersection_empty, origin_in_hull, uniform_probes)
+from horoshift.separation import _ccw_key
 
 
 class TestOriginInHull:
@@ -159,3 +161,46 @@ class TestIntersectionEmpty:
             if not empty:
                 assert all(v[0] * witness[0] + v[1] * witness[1] < 0
                            for v in vecs)
+
+
+def _old_direction_cmp(u, w):
+    """The counterclockwise comparator the direction grid once sorted with."""
+    hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
+    hw = 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
+    if hu != hw:
+        return hu - hw
+    cross = u[0] * w[1] - u[1] * w[0]
+    return -1 if cross > 0 else (1 if cross < 0 else 0)
+
+
+def _old_angle_key(p):
+    """The Fraction-valued key the planar Gordan test once sorted with."""
+    a, b = p
+    half = 0 if (b > 0 or (b == 0 and a > 0)) else 1
+    return (half, 0) if b == 0 else (half, 1, Fraction(-a, b))
+
+
+class TestDirectionOrder:
+    def test_farey_grid_order(self):
+        prims = [(a, b) for a in range(-8, 9) for b in range(-8, 9)
+                 if math.gcd(a, b) == 1]
+        random.Random(0).shuffle(prims)
+        want = sorted(prims, key=cmp_to_key(_old_direction_cmp))
+        assert sorted(prims, key=_old_angle_key) == want
+        assert [(d.a, d.b) for d in farey_directions(8)] == want
+        assert sorted(prims, key=_ccw_key) == want
+
+    def test_shuffled_primitive_vectors(self):
+        rng = random.Random(7)
+        for bound in (3, 1000, 10 ** 12):
+            prims = set()
+            for _ in range(300):
+                a, b = rng.randint(-bound, bound), rng.randint(-bound, bound)
+                g = math.gcd(a, b)
+                if g:
+                    prims.add((a // g, b // g))
+            prims = list(prims)
+            rng.shuffle(prims)
+            want = sorted(prims, key=cmp_to_key(_old_direction_cmp))
+            assert sorted(prims, key=_old_angle_key) == want
+            assert sorted(prims, key=_ccw_key) == want
