@@ -35,7 +35,8 @@ from .horoballs import _check_dim
 from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
                         WindowFilling, _RowTransfer, box_sites,
-                        enumerate_fillings, solve_forward, varies_inside)
+                        enumerate_fillings, skew_exponent, solve_forward,
+                        varies_inside)
 
 
 # ---------------------------------------------------------------------------
@@ -610,25 +611,16 @@ def verify_window_deterministic(spec, contains, cert):
 # ---------------------------------------------------------------------------
 # skew actions
 
-def exponent_image(spec, contains, B):
-    """Sorted exponent values over H /\\ [-B, B]^2."""
-    out = set()
-    for n in range(-B, B + 1):
-        for m in range(-B, B + 1):
-            if contains((n, m)):
-                out.add(spec.alpha * n + spec.beta * m)
-    return sorted(out)
-
-
 def skew_horoball_status(spec, horoball, k, N):
     """Certificate for a skew action T_{(n,m)} = sigma^{alpha n + beta m}.
 
-    Decides through the exponent image E = exponent(H /\\ [-B, B]^2):
+    Decides through the exponent images E_B = exponent(H /\\ [-B, B]^2),
+    B = N, 2N, ..., 16N, all read from one scan of the largest box:
 
-    * E bounded on one side (min or max stabilizes as B doubles): a
+    * E_B bounded on one side (min or max stabilizes as B doubles): a
       one-sided asymptotic pair of the base shift, placed so every
       realized power keeps the disagreement at distance >= k -> Witness.
-    * E covers [-N, N]: any pair 2^{-k}-close under all those powers
+    * E_16N covers [-N, N]: any pair 2^{-k}-close under all those powers
       must agree on the whole window -> WindowDeterministic (for k at or
       above the base expansivity level).
     * otherwise Inconclusive.
@@ -643,36 +635,38 @@ def skew_horoball_status(spec, horoball, k, N):
         return Inconclusive(N, k, f"k below base expansivity level {exp_k}")
     contains = horoball.contains
     B_max = 16 * N
-    stages = []
-    B = N
-    while B <= B_max:
-        E = exponent_image(spec, contains, B)
-        stages.append((B, (E[0], E[-1]) if E else None))
-        B *= 2
+    # one scan of [-B_max, B_max]^2: the exponent range of each ring
+    # max(|n|, |m|) = r, and the exponents that fall in [-N, N]
+    lo, hi, window = [math.inf] * (B_max + 1), [-math.inf] * (B_max + 1), set()
+    for n in range(-B_max, B_max + 1):
+        for m in range(-B_max, B_max + 1):
+            if contains((n, m)):
+                e = skew_exponent(spec, (n, m))
+                r = max(abs(n), abs(m))
+                lo[r], hi[r] = min(lo[r], e), max(hi[r], e)
+                if -N <= e <= N:
+                    window.add(e)
+    # the box [-B, B]^2 is the union of the rings r <= B
+    lo, hi = list(itertools.accumulate(lo, min)), list(itertools.accumulate(hi, max))
+    stages = [(B, (lo[B], hi[B]) if lo[B] < math.inf else None)
+              for B in (N, 2 * N, 4 * N, 8 * N, B_max)]
     evidence = {"stages": stages, "B_max": B_max}
     if stages[-1][1] is None:
         return Inconclusive(N, k, "horoball misses window")
-    if set(range(-N, N + 1)) <= set(E):
+    if len(window) == 2 * N + 1:
         evidence["covers"] = [-N, N]
         return WindowDeterministic(N, k, evidence=evidence)
-    mins = [s[1][0] for s in stages if s[1] is not None]
-    maxs = [s[1][1] for s in stages if s[1] is not None]
-    bounded_below = len(mins) >= 3 and mins[-1] == mins[-2] == mins[-3]
-    bounded_above = len(maxs) >= 3 and maxs[-1] == maxs[-2] == maxs[-3]
+    last = [span for _, span in stages if span is not None][-3:]
     a0, a1 = spec.base.alphabet[0], spec.base.alphabet[1]
-    if bounded_below or bounded_above:
-        if bounded_below:
-            q = mins[-1] - k
-            evidence["bounded"] = ("below", mins[-1])
-        else:
-            q = maxs[-1] + k
-            evidence["bounded"] = ("above", maxs[-1])
-        # base-shift pair: constant a0 versus a single a1 placed so every
-        # realized power keeps the disagreement at distance >= k
-        pair = ({"base_point": "constant", "symbol": a0},
-                {"base_point": "constant-with-difference", "symbol": a0,
-                 "difference_position": q, "difference_symbol": a1})
-        evidence["difference_position"] = q
-        return Witness(pair, N, k, evidence=evidence)
+    for side, end, shift in (("below", 0, -k), ("above", 1, k)):
+        if len(last) == 3 and len({span[end] for span in last}) == 1:
+            q = last[-1][end] + shift
+            evidence.update(bounded=(side, last[-1][end]), difference_position=q)
+            # base-shift pair: constant a0 versus a single a1 placed so
+            # every realized power keeps the disagreement at distance >= k
+            pair = ({"base_point": "constant", "symbol": a0},
+                    {"base_point": "constant-with-difference", "symbol": a0,
+                     "difference_position": q, "difference_symbol": a1})
+            return Witness(pair, N, k, evidence=evidence)
     return Inconclusive(N, k, "exponent image unbounded both sides "
                               "but does not cover the window")

@@ -37,9 +37,9 @@ def _as_fraction(r):
         return r
     if isinstance(r, int):
         return Fraction(r)
-    if isinstance(r, float):
+    if isinstance(r, float) and math.isfinite(r):
         return Fraction(r)  # exact binary value
-    raise InputError(f"radius must be int/float/Fraction, got {type(r)!r}")
+    raise InputError(f"expected a finite int, float or Fraction, got {r!r}")
 
 
 def _within(value, radius_sq_or_lin, closed):

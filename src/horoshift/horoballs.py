@@ -171,6 +171,7 @@ class Sampled:
             raise InputError(f"truncation index must be an integer >= 1, "
                              f"got {n_star!r}")
         self.group = group
+        self.dim = getattr(group, "dim", None)
         self.ray = ray
         self.gen = gen
         self.n_star = n_star
@@ -219,10 +220,11 @@ class Horoball:
 
 def _check_dim(horoball, d):
     """Refuse a horoball of Z^e, e != d, whose sign test would zip points
-    of Z^d short (a sampled one checks them through its group)."""
+    of Z^d short; d is None for a group that is no Z^d."""
     e = getattr(getattr(horoball, "j", None), "dim", d)
     if e != d:
-        raise InputError(f"{horoball!r} is a horoball of Z^{e}, not Z^{d}")
+        space = f"Z^{d}" if d is not None else "this group, which is not a Z^d"
+        raise InputError(f"{horoball!r} is not a horoball of {space}")
 
 
 def l2_horoball(v):
@@ -243,25 +245,19 @@ def sampled_l1_horoball_z2(ray, n_star=512):
 def polyhedral_from_ray(ray):
     """Exact l1 horofunction obtained as the limit of balls centered on t*ray.
 
-    Rays strictly inside a quadrant give half-planes; axis rays give
-    quarter spaces; diagonal rays give the diagonal half-planes.
+    A ray inside a quadrant, with signs (sx, sy), gives the half-plane
+    {sx*x + sy*y > 0}; a ray on an axis, the quarter space opening along it.
     """
-    p, q = int(ray[0]), int(ray[1])
-    if (p, q) == (0, 0):
+    sx, sy = ((c > 0) - (c < 0) for c in (int(ray[0]), int(ray[1])))
+    if (sx, sy) == (0, 0):
         raise InputError("ray must be nonzero")
-    if p > 0 and q > 0:
-        return PolyhedralZ2("halfplane-antidiagonal", side=-1)   # H = {x+y > 0}
-    if p < 0 and q < 0:
-        return PolyhedralZ2("halfplane-antidiagonal", side=1)    # H = {x+y < 0}
-    if p > 0 and q < 0:
-        return PolyhedralZ2("halfplane-diagonal", side=-1)       # H = {x-y > 0}
-    if p < 0 and q > 0:
-        return PolyhedralZ2("halfplane-diagonal", side=1)        # H = {x-y < 0}
-    if q == 0:
-        return PolyhedralZ2("quarter-space", apex=(0, 0),
-                            opening="+x" if p > 0 else "-x")
-    return PolyhedralZ2("quarter-space", apex=(0, 0),
-                        opening="+y" if q > 0 else "-y")
+    if sx and sy:
+        # outward normal (-sx, -sy): (side, side) or (side, -side)
+        shape = "halfplane-antidiagonal" if sx == sy else "halfplane-diagonal"
+        return PolyhedralZ2(shape, side=-sx)
+    along = (int(sx == 0), sx + sy)
+    return PolyhedralZ2("quarter-space", opening=next(
+        o for o, axis in _OPENING_AXES.items() if axis == along))
 
 
 def _quarter_apexes(opening, reach):
@@ -323,8 +319,7 @@ def largeness_certificate(group, horoball, R, search_bound):
     """
     if R <= 0:
         raise InputError(f"R must be > 0, got {R}")
-    if isinstance(group, ZdLp):
-        _check_dim(horoball, group.dim)
+    _check_dim(horoball, getattr(group, "dim", None))
     candidates = group.ball(group.identity(), search_bound, closed=True)
     ordered = sorted(candidates, key=lambda g: (group.norm_exact(g), repr(g)))
     j = horoball.j
@@ -402,20 +397,18 @@ def _lt_sqrt_plus(a2, b2, eps):
 
 
 class TangencyCheck:
-    def __init__(self, passed, horoball=None, offending=None, g=None):
+    def __init__(self, passed, offending=None):
         self.passed = passed
-        self.horoball = horoball
         self.offending = offending
-        self.g = g
 
 
 def verify_tangency(group, M, eps, g):
     """Check that the closed horoball cap of radius M, translated by g,
     stays within eps of the ball of radius d(g, 1).
 
-    The horoball is proposed from the direction of g (Linear with v = g/|g|
-    for l2).  The check runs over lattice points p with |p| <= M and
-    <p, g> <= 0, requiring |p + g| < |g| + eps, all in exact arithmetic.
+    The cap is that of the l2 horoball {<x, g> < 0}: the check runs over
+    lattice points p with |p| <= M and <p, g> <= 0, requiring
+    |p + g| < |g| + eps, all in exact arithmetic.
     """
     if not isinstance(group, ZdLp) or group.p != 2:
         raise InputError("verify_tangency expects a ZdLp l2 group")
@@ -424,15 +417,14 @@ def verify_tangency(group, M, eps, g):
         raise InputError(f"eps must be > 0, got {eps}")
     g = group.check(g)
     if all(c == 0 for c in g):
-        return TangencyCheck(False, g=g)
-    hb = Horoball(Linear(g))
+        return TangencyCheck(False)
     g2 = group.norm_exact(g)
     for p in sorted(group.ball(group.identity(), M, closed=True)):
         if sum(a * b for a, b in zip(p, g)) > 0:
             continue
         if not _lt_sqrt_plus(group.norm_exact(group.op(p, g)), g2, eps):
-            return TangencyCheck(False, horoball=hb, offending=p, g=g)
-    return TangencyCheck(True, horoball=hb, g=g)
+            return TangencyCheck(False, offending=p)
+    return TangencyCheck(True)
 
 
 def tangency_threshold(group, M, eps, ray, n_max=100):
@@ -441,12 +433,17 @@ def tangency_threshold(group, M, eps, ray, n_max=100):
     if n_max < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
     ray = group.check(ray)
-    n0 = None
-    for n in range(n_max, 0, -1):
-        if not verify_tangency(group, M, eps, tuple(n * c for c in ray)).passed:
-            break
-        n0 = n
-    return n0
+    if not any(ray):
+        raise InputError("ray must be nonzero")
+    # searched downward, so only the largest failing n is ever checked
+    failing = (n for n in range(n_max, 0, -1)
+               if not verify_tangency(group, M, eps, tuple(n * c for c in ray)).passed)
+    return _threshold(next(failing, 0), n_max)
+
+
+def _threshold(last_failure, top):
+    """One past the largest failing index, or None when past ``top``."""
+    return last_failure + 1 if last_failure < top else None
 
 
 class RationalCone:
@@ -455,8 +452,6 @@ class RationalCone:
     Membership of lattice points is strict (boundary rays excluded) unless
     ``closed`` is set.  The angle must be positive: u2 strictly
     counterclockwise of u1, or a negative multiple of u1 for a half-plane.
-    The extreme directions drive the horofunction precondition of the
-    cone-translation check.
     """
 
     def __init__(self, u1, u2, closed=False):
@@ -494,9 +489,6 @@ class RationalCone:
 
     def contains(self, p):
         return self.mask(int(p[0]), int(p[1]))
-
-    def extreme_directions(self):
-        return [self.u1, self.u2]
 
 
 class ConeShiftReport:
@@ -539,7 +531,7 @@ def verify_cone_shift(cone, eta, g, r_max):
     if RationalCone(cone.u1, cone.u2, closed=True).mask(*g):
         raise InputError(f"direction of g={g} lies inside the cone arc; "
                          "horofunction value would be positive")
-    for u in cone.extreme_directions():
+    for u in (cone.u1, cone.u2):
         dot = g[0] * u[0] + g[1] * u[1]
         u2 = u[0] * u[0] + u[1] * u[1]
         # need dot < -eta * sqrt(u2)
@@ -548,13 +540,8 @@ def verify_cone_shift(cone, eta, g, r_max):
                 f"precondition fails at extreme direction {u}: "
                 f"<g, u> = {dot} is not below -eta|u|")
     failures = _cone_shift_failures(cone, eta, g, r_max)
-    n1 = None
-    failed_rs = {r for r, _ in failures}
-    for r in range(r_max, 0, -1):
-        if r in failed_rs:
-            break
-        n1 = r
-    return ConeShiftReport(n1, r_max, failures)
+    return ConeShiftReport(_threshold(max((r for r, _ in failures), default=0),
+                                      r_max), r_max, failures)
 
 
 def _cone_shift_failures(cone, eta, g, r_max):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from horoshift import (Direction, FullShift, InputError, LinearGF2, Pattern,
 from horoshift import certify, subshifts
 from horoshift.certify import (_LinearWindowKernel, _origin_forced,
                                _trace_classes, _window_stream, dilated_trace,
-                               exponent_image, gf2_nullspace,
-                               horoball_box_mask, is_hull_normal,
+                               Inconclusive, WindowDeterministic, Witness,
+                               gf2_nullspace, horoball_box_mask,
+                               is_hull_normal,
                                verify_window_deterministic, verify_witness)
-from horoshift.horoballs import Horoball, polyhedral_from_ray
+from horoshift.horoballs import Horoball, RationalCone, polyhedral_from_ray
 from horoshift.subshifts import (WindowFilling, box_sites, enumerate_fillings,
                                  filling_rows, varies_inside)
 
@@ -566,6 +568,95 @@ class _SetHoroball:
         self.contains = fn
 
 
+def _exponent_image(spec, contains, B):
+    """Sorted exponent values over H /\\ [-B, B]^2, one box at a time."""
+    out = set()
+    for n in range(-B, B + 1):
+        for m in range(-B, B + 1):
+            if contains((n, m)):
+                out.add(spec.alpha * n + spec.beta * m)
+    return sorted(out)
+
+
+def _skew_status_reference(spec, horoball, k, N):
+    """The nested-box skew certificate: each stage scans its own box
+    [-B, B]^2, and the bounded side is tested below first, then above."""
+    exp_k = getattr(spec.base, "expansivity_k", None)
+    if exp_k is None:
+        return Inconclusive(N, k, "unknown base expansivity constant")
+    if k < exp_k:
+        return Inconclusive(N, k, f"k below base expansivity level {exp_k}")
+    B_max = 16 * N
+    stages = []
+    B = N
+    while B <= B_max:
+        E = _exponent_image(spec, horoball.contains, B)
+        stages.append((B, (E[0], E[-1]) if E else None))
+        B *= 2
+    evidence = {"stages": stages, "B_max": B_max}
+    if stages[-1][1] is None:
+        return Inconclusive(N, k, "horoball misses window")
+    if set(range(-N, N + 1)) <= set(E):
+        evidence["covers"] = [-N, N]
+        return WindowDeterministic(N, k, evidence=evidence)
+    mins = [s[1][0] for s in stages if s[1] is not None]
+    maxs = [s[1][1] for s in stages if s[1] is not None]
+    bounded_below = len(mins) >= 3 and mins[-1] == mins[-2] == mins[-3]
+    bounded_above = len(maxs) >= 3 and maxs[-1] == maxs[-2] == maxs[-3]
+    a0, a1 = spec.base.alphabet[0], spec.base.alphabet[1]
+    if bounded_below or bounded_above:
+        if bounded_below:
+            q = mins[-1] - k
+            evidence["bounded"] = ("below", mins[-1])
+        else:
+            q = maxs[-1] + k
+            evidence["bounded"] = ("above", maxs[-1])
+        pair = ({"base_point": "constant", "symbol": a0},
+                {"base_point": "constant-with-difference", "symbol": a0,
+                 "difference_position": q, "difference_symbol": a1})
+        evidence["difference_position"] = q
+        return Witness(pair, N, k, evidence=evidence)
+    return Inconclusive(N, k, "exponent image unbounded both sides "
+                              "but does not cover the window")
+
+
+_SKEW_MAPS = [(1, -2), (2, 3), (0, 1), (1, 0), (-1, -1), (3, -1)]
+
+
+def _skew_horoballs():
+    """Quarter spaces of every opening with apexes in [-3, 3]^2, the four
+    diagonal half-planes, five linear half-planes and two cones."""
+    out = [PolyhedralZ2("quarter-space", apex=(a, b), opening=o)
+           for o in PolyhedralZ2.OPENINGS
+           for a in range(-3, 4) for b in range(-3, 4)]
+    out += [PolyhedralZ2(shape, side=side)
+            for shape in ("halfplane-diagonal", "halfplane-antidiagonal")
+            for side in (1, -1)]
+    out = [Horoball(j) for j in out]
+    out += [l2_horoball(v) for v in ((1, 0), (0, 1), (1, 2), (-3, 1), (2, -5))]
+    return out + [RationalCone((1, -1), (1, 1)), RationalCone((1, 0), (-1, 0))]
+
+
+def _skew_corpus(count, seed=0):
+    rng = random.Random(seed)
+    horoballs = _skew_horoballs()
+    cases = []
+    for _ in range(count):
+        N = rng.choice((1, 2))
+        cases.append((SkewActionSpec(FullShiftZ(), *rng.choice(_SKEW_MAPS)),
+                      rng.choice(horoballs), rng.choice((1, N)), N))
+    return cases
+
+
+class _CountingHoroball:
+    def __init__(self, horoball):
+        self.inner, self.calls = horoball, 0
+
+    def contains(self, p):
+        self.calls += 1
+        return self.inner.contains(p)
+
+
 class TestSkew:
     def setup_method(self):
         self.spec = SkewActionSpec(FullShiftZ(), 1, -2)
@@ -612,9 +703,46 @@ class TestSkew:
 
     def test_exponent_image(self):
         below_diag = Horoball(PolyhedralZ2("halfplane-diagonal", side=-1))
-        E = exponent_image(self.spec, below_diag.contains, 3)
+        E = _exponent_image(self.spec, below_diag.contains, 3)
         assert E == sorted(set(E))
         assert 2 in E and -1 in E
+        # each stage of the one-scan certificate is its own box's image
+        cert = skew_horoball_status(self.spec, below_diag, 1, 3)
+        for B, span in cert.evidence["stages"]:
+            E = _exponent_image(self.spec, below_diag.contains, B)
+            assert span == (E[0], E[-1])
+
+    def test_matches_nested_box_reference(self):
+        kinds = set()
+        for spec, h, k, N in _skew_corpus(100):
+            want = _skew_status_reference(spec, h, k, N).to_dict()
+            assert skew_horoball_status(spec, h, k, N).to_dict() == want, \
+                (spec.alpha, spec.beta, h, k, N)
+            kinds.add(want.get("evidence", {}).get("bounded", (want["kind"],))[0])
+        # the sample reaches every branch: covers, both bounded sides and
+        # a miss
+        assert kinds == {"window-deterministic", "below", "above",
+                         "inconclusive"}
+
+    def test_readme_case_matches_reference(self):
+        h = Horoball(PolyhedralZ2("quarter-space", apex=(2, 2), opening="-y"))
+        want = _skew_status_reference(self.spec, h, 1, 4).to_dict()
+        assert skew_horoball_status(self.spec, h, 1, 4).to_dict() == want
+        assert want["evidence"]["bounded"] == ("below", 0)
+
+    def test_both_sides_bounded_reports_below(self):
+        # a finite image stabilizes on both sides; the lower end is used
+        finite = _SetHoroball(lambda g: g in {(1, 0), (3, 1), (0, -2)})
+        want = _skew_status_reference(self.spec, finite, 1, 2).to_dict()
+        assert skew_horoball_status(self.spec, finite, 1, 2).to_dict() == want
+        assert want["evidence"]["bounded"] == ("below", 1)
+
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    def test_one_contains_call_per_cell(self, N):
+        h = _CountingHoroball(Horoball(PolyhedralZ2("halfplane-diagonal",
+                                                    side=-1)))
+        skew_horoball_status(self.spec, h, 1, N)
+        assert h.calls == (32 * N + 1) ** 2
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(InputError):

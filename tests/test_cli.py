@@ -236,7 +236,24 @@ MALFORMED = {
                                BOOL_DIRECTION],
     "budget-negative": ["direction", "--system", "ledrappier", "--dir", "1,0",
                         "--k", "1", "--window", "1", "--budget", "-1"],
+    "ray-zero": ["verify", "lemma2.3", "--ray", "0,0"],
+    "eta-nan": ["verify", "lemma2.5", "--eta", "nan"],
+    "eta-inf": ["verify", "lemma2.5", "--eta", "inf"],
+    "eps-nan": ["verify", "lemma2.3", "--eps", "nan"],
+    "eps-inf": ["verify", "lemma2.3", "--eps", "inf"],
+    "M-nan": ["verify", "lemma2.3", "--M", "nan"],
+    "M-inf": ["verify", "lemma2.3", "--M", "inf"],
 }
+# Z^2 horoballs that ``verify largeness`` must refuse on the weighted groups
+MALFORMED.update({
+    f"largeness-{kind}-{group}": ["verify", "largeness", "--group", group,
+                                  "--horoball", horoball]
+    for group in ("wfa-index", "dsz2-index")
+    for kind, horoball in (
+        ("linear", '{"kind":"linear","v":[1,0]}'),
+        ("quarter-space", '{"kind":"quarter-space","apex":[0,0],'
+                          '"opening":"+x"}'),
+        ("sampled-l1-ray", '{"kind":"sampled-l1-ray","ray":[1,0]}'))})
 # horoballs that ``horoball --system ledrappier --k 1 --window 1`` must reject
 BAD_HOROBALLS = {
     "linear-not-number": '{"kind":"linear","v":["a",1]}',

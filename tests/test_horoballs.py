@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horoshift import (DirectSumZ2, Horoball, InputError, Linear,
-                       PolyhedralZ2, RationalCone, Sampled, ZdLp,
+                       PolyhedralZ2, RationalCone, Sampled,
+                       WeightedFreeAbelian, ZdLp,
                        enumerate_l1_horoballs_z2, l2_horoball,
                        largeness_certificate, meeting_radius,
                        polyhedral_from_ray, sampled_l1_horoball_z2,
@@ -15,7 +16,7 @@ from horoshift import (DirectSumZ2, Horoball, InputError, Linear,
 from horoshift.errors import ResourceBudgetError
 from horoshift.groups import DEFAULT_BALL_BUDGET
 from horoshift.horoballs import (_cone_shift_failures, _quarter_apexes,
-                                 tangency_threshold)
+                                 _threshold, tangency_threshold)
 
 site = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
 
@@ -124,6 +125,37 @@ class TestPolyhedralZ2:
             for p in ((3, 1), (-2, 5), (0, 0), (4, 4)):
                 assert diag.value(p) == side * (p[0] - p[1])
                 assert anti.value(p) == side * (p[0] + p[1])
+
+    @staticmethod
+    def _from_ray_reference(p, q):
+        """The six-branch limit rule, one branch per quadrant or axis."""
+        if p > 0 and q > 0:
+            return PolyhedralZ2("halfplane-antidiagonal", side=-1)
+        if p < 0 and q < 0:
+            return PolyhedralZ2("halfplane-antidiagonal", side=1)
+        if p > 0 and q < 0:
+            return PolyhedralZ2("halfplane-diagonal", side=-1)
+        if p < 0 and q > 0:
+            return PolyhedralZ2("halfplane-diagonal", side=1)
+        if q == 0:
+            return PolyhedralZ2("quarter-space", apex=(0, 0),
+                                opening="+x" if p > 0 else "-x")
+        return PolyhedralZ2("quarter-space", apex=(0, 0),
+                            opening="+y" if q > 0 else "-y")
+
+    def test_from_ray_matches_six_branches(self):
+        rays = [(p, q) for p in range(-3, 4) for q in range(-3, 4)
+                if (p, q) != (0, 0)]
+        assert len(rays) == 48
+        cells = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+        for ray in rays:
+            got, want = polyhedral_from_ray(ray), self._from_ray_reference(*ray)
+            assert repr(got) == repr(want), ray
+            assert (got.shape, got.side, got.opening, got.apex) \
+                == (want.shape, want.side, want.opening, want.apex)
+            assert [got.value(c) for c in cells] == [want.value(c) for c in cells]
+        with pytest.raises(InputError):
+            polyhedral_from_ray((0, 0))
 
     def test_horofunction_vanishes_at_identity(self):
         for ray in ((1, 0), (0, -1), (1, 1), (-2, 3), (5, -1)):
@@ -237,6 +269,16 @@ class TestLargeness:
         with pytest.raises(InputError):
             largeness_certificate(group, h, 1, search_bound=4)
 
+    @pytest.mark.parametrize("group", [WeightedFreeAbelian("index"),
+                                       DirectSumZ2("index")],
+                             ids=["wfa", "dsz2"])
+    @pytest.mark.parametrize("h", [
+        l2_horoball((1, 0)), Horoball(polyhedral_from_ray((1, 0))),
+        sampled_l1_horoball_z2((1, 0))], ids=["linear", "quarter", "sampled"])
+    def test_zd_horoball_on_weighted_group_rejected(self, group, h):
+        with pytest.raises(InputError, match="which is not a Z"):
+            largeness_certificate(group, h, 1, search_bound=4)
+
 
 class TestMeetingRadius:
     def test_small_grid(self):
@@ -306,7 +348,29 @@ class TestTangency:
         assert d_shift >= 10 + 0.5
 
     def test_identity_center_fails(self):
-        assert not verify_tangency(ZdLp(2, 2), 5, 0.5, (0, 0)).passed
+        chk = verify_tangency(ZdLp(2, 2), 5, 0.5, (0, 0))
+        assert not chk.passed and chk.offending is None
+
+    def test_check_reports_only_outcome_and_point(self):
+        g = ZdLp(2, 2)
+        assert vars(verify_tangency(g, 5, 0.5, (30, 0))) \
+            == {"passed": True, "offending": None}
+        assert set(vars(verify_tangency(g, 5, 0.5, (10, 0)))) \
+            == {"passed", "offending"}
+
+    def test_zero_ray_rejected(self):
+        with pytest.raises(InputError):
+            tangency_threshold(ZdLp(2, 2), 5, 0.5, (0, 0), n_max=40)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, value):
+        g = ZdLp(2, 2)
+        for call in (lambda: verify_tangency(g, 5, value, (40, 0)),
+                     lambda: verify_tangency(g, value, 0.5, (40, 0)),
+                     lambda: verify_cone_shift(RationalCone((1, -1), (1, 1)),
+                                               value, (-2, 0), 5)):
+            with pytest.raises(InputError):
+                call()
 
     @pytest.mark.parametrize("eps", [0, 0.0, -0.5, Fraction(-1, 3)])
     def test_eps_must_be_positive(self, eps):
@@ -453,6 +517,25 @@ class TestConeShiftScan:
         for cone, eta, g, r_max in _cone_shift_corpus(150):
             assert _cone_shift_failures(cone, eta, g, r_max) \
                 == _cone_shift_loop(cone, eta, g, r_max), (cone, eta, g, r_max)
+
+    def test_threshold_matches_downward_loop(self):
+        seen, checked = set(), 0
+        for cone, eta, g, r_max in _cone_shift_corpus(150):
+            failures = _cone_shift_failures(cone, eta, g, r_max)
+            n1, failed = None, {r for r, _ in failures}
+            for r in range(r_max, 0, -1):
+                if r in failed:
+                    break
+                n1 = r
+            assert _threshold(max(failed, default=0), r_max) == n1
+            seen.add(n1 if n1 in (None, 1) else "inside")
+            try:
+                rep = verify_cone_shift(cone, eta, g, r_max)
+            except InputError:   # the precondition fails
+                continue
+            assert rep.n1 == n1
+            checked += 1
+        assert seen == {None, 1, "inside"} and checked >= 10
 
     def test_readme_case_matches_cell_loop(self):
         cone = RationalCone((1, -1), (1, 1))
