@@ -34,9 +34,8 @@ from .errors import InputError
 from .horoballs import _check_dim
 from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        WindowFilling, _RowTransfer, box_sites,
-                        enumerate_fillings, skew_exponent, solve_forward,
-                        varies_inside)
+                        _RowTransfer, box_sites, enumerate_fillings,
+                        skew_exponent, solve_forward, validate, varies_inside)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +150,7 @@ class Witness:
     extendable = True
 
     def __init__(self, pair, N, k, evidence=None):
-        self.pair = pair
+        self.pair = pair  # artifact form: ``_member``s, or skew base points
         self.N, self.k = N, k
         self.evidence = evidence
 
@@ -159,10 +158,8 @@ class Witness:
         return f"Witness(N={self.N}, k={self.k}, extendable)"
 
     def to_dict(self):
-        # skew witnesses carry plain dict descriptions of their pair
-        pair = [f if isinstance(f, dict) else f.to_dict() for f in self.pair]
         return {"kind": self.kind, "N": self.N, "k": self.k,
-                "extendable": self.extendable, "pair": pair,
+                "extendable": self.extendable, "pair": list(self.pair),
                 "evidence": self.evidence}
 
 
@@ -198,6 +195,12 @@ class NDReport:
         for _, c in self.entries:
             kinds[c.kind] = kinds.get(c.kind, 0) + 1
         return f"NDReport(k={self.k}, N={self.N}, {kinds})"
+
+
+def _member(N, symbols):
+    """A window pair member in artifact form: N and [x, y, symbol] for each
+    site of [-N, N]^2 in ``box_sites`` order, read from the dict ``symbols``."""
+    return {"N": N, "symbols": [[x, y, symbols[x, y]] for x, y in box_sites(N)]}
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +370,13 @@ def _linear_status(spec, trace_at, trace, k, N, margin, normal=None):
     kern = _window_kernel(spec.support, M)
     inner = box_sites(N)
     for c in kern.vanishing_on(trace_M):
-        if any(kern.symbol(c, s) for s in inner):
-            x = WindowFilling(N, {s: 0 for s in inner})
-            y = WindowFilling(N, {s: kern.symbol(c, s) for s in inner})
+        y = {s: kern.symbol(c, s) for s in inner}
+        if any(y.values()):
             evidence = {"margin": margin, "trace_size": len(trace)}
             if normal is not None:
                 evidence["hull-normal"] = list(normal)
-            return Witness((x, y), N, k, evidence=evidence)
+            return Witness((_member(N, dict.fromkeys(inner, 0)), _member(N, y)),
+                           N, k, evidence=evidence)
     if normal is not None:
         return Inconclusive(N, k, "hull normal direction but no window "
                                   "witness at this scale; enlarge N")
@@ -393,16 +396,15 @@ def _fullshift_status(spec, trace, k, N):
     # center (deterministic tie-break by raster order)
     site = max(free, key=lambda s: (max(abs(s[0]), abs(s[1])), s[1], s[0]))
     a0, a1 = spec.alphabet[:2]
-    x = WindowFilling(N, {s: a0 for s in inner})
-    y = WindowFilling(N, {**x.symbols, site: a1})
-    return Witness((x, y), N, k,
+    x = dict.fromkeys(inner, a0)
+    return Witness((_member(N, x), _member(N, {**x, site: a1})), N, k,
                    evidence={"difference_site": site, "trace_size": len(trace)})
 
 
 def _pair_extends(spec, xhat, y, trace_M, M):
     """Does the window filling y extend to [-M, M]^2 agreeing on the larger
     dilated trace with ``xhat``, an extension of the class representative?"""
-    clamp = {s: xhat[s] for s in trace_M} | y.symbols
+    clamp = {s: xhat[s] for s in trace_M} | y
     return next(enumerate_fillings(spec, M, clamp=clamp), None) is not None
 
 
@@ -461,7 +463,7 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
     symbols on the trace; the first pair of a class, in stream order, whose
     second filling extends to [-M, M]^2 agreeing on the larger trace with an
     extension xhat of the first is a witness.  Classes are keyed in one
-    array pass, and a ``WindowFilling`` is built only for a compared member.
+    array pass, and a symbol dict is built only for a compared member.
 
     The larger trace meets [-N, N]^2 in the trace, so some member extends
     exactly when a filling agreeing with xhat on the larger trace differs
@@ -477,7 +479,7 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
 
     def filling(i):
         values = map(spec.alphabet.__getitem__, symbols[i].ravel().tolist())
-        return WindowFilling(N, dict(zip(sites, values)))
+        return dict(zip(sites, values))
 
     # a filling's class is its symbols on the trace, read in one fixed order
     cells = np.array(trace, dtype=np.intp).reshape(-1, 2) + N
@@ -492,13 +494,13 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
         # the stream has no repeats, so every other member differs from rep
         rep, *others = order[start:stop].tolist()
         rep = filling(rep)
-        xhat = next(enumerate_fillings(spec, M, clamp=rep.symbols), None)
+        xhat = next(enumerate_fillings(spec, M, clamp=rep), None)
         if xhat is None or not varies_inside(
                 spec, M, {s: xhat[s] for s in trace_M}, xhat, N):
             continue
         for other in map(filling, others):
             if _pair_extends(spec, xhat, other, trace_M, M):
-                return Witness((rep, other), N, k,
+                return Witness((_member(N, rep), _member(N, other)), N, k,
                                evidence={"margin": margin,
                                          "trace_size": len(trace)})
     if origin_forced:
@@ -566,31 +568,34 @@ def nd_set(spec, k, N, grid="farey:8+diag", margin=None,
 # certificate re-verification (independent of the search that produced them)
 
 def verify_witness(spec, contains, cert):
-    """Direct re-check of a window witness: both fillings locally
-    admissible, equal on the dilated trace, unequal somewhere, and every
-    disagreement site at l-infinity distance >= k from the horoball's
-    trace in [-2N, 2N]^2."""
-    from .subshifts import Pattern, validate
-    x, y = cert.pair
+    """Direct re-check of a window witness from its pair's artifact form,
+    as ``Witness.to_dict`` writes it: each member {"N": N, "symbols": [[x,
+    y, v], ...]} carries the certificate's N and lists [-N, N]^2 in
+    ``box_sites`` order; both are locally admissible, equal on the dilated
+    trace and unequal somewhere, and every disagreement site lies at
+    l-infinity distance >= k from the horoball's trace in [-2N, 2N]^2.
+    A malformed pair is refused, never raised on."""
     N, k = cert.N, cert.k
-    if not (validate(spec, Pattern(x.symbols)) and validate(spec, Pattern(y.symbols))):
+    box = [[sx, sy] for sx, sy in box_sites(N)]
+    try:
+        if any(f["N"] != N or [s[:2] for s in f["symbols"]] != box
+               for f in cert.pair):
+            return False
+        x, y = ({(sx, sy): v for sx, sy, v in f["symbols"]} for f in cert.pair)
+        if not (validate(spec, x) and validate(spec, y)):
+            return False
+    except (KeyError, TypeError, ValueError):  # an InputError is a ValueError
         return False
     trace, hits = dilated_trace(contains, k, N)
-    if not hits:
-        return False
-    if any(x.symbols[s] != y.symbols[s] for s in trace):
-        return False
-    diff = [s for s in x.symbols if x.symbols[s] != y.symbols[s]]
-    if not diff:
+    if not hits or any(x[s] != y[s] for s in trace):
         return False
     B = 2 * N
     ball_sites = [(hx, hy) for hx in range(-B, B + 1) for hy in range(-B, B + 1)
                   if contains((hx, hy))]
-    for s in diff:
-        if min(max(abs(s[0] - hx), abs(s[1] - hy))
-               for hx, hy in ball_sites) < k:
-            return False
-    return True
+    diff = [s for s in x if x[s] != y[s]]
+    return bool(diff) and all(
+        min(max(abs(s[0] - hx), abs(s[1] - hy)) for hx, hy in ball_sites) >= k
+        for s in diff)
 
 
 def verify_window_deterministic(spec, contains, cert):
@@ -601,9 +606,9 @@ def verify_window_deterministic(spec, contains, cert):
         return False
     classes = {}
     for f in enumerate_fillings(spec, cert.N):
-        key = tuple(map(f.symbols.__getitem__, trace))
-        prev = classes.setdefault(key, f.symbols[(0, 0)])
-        if prev != f.symbols[(0, 0)]:
+        key = tuple(map(f.__getitem__, trace))
+        prev = classes.setdefault(key, f[0, 0])
+        if prev != f[0, 0]:
             return False
     return True
 

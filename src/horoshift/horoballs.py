@@ -402,6 +402,25 @@ class TangencyCheck:
         self.offending = offending
 
 
+def _tangency_check(group, M, eps):
+    """``verify_tangency``'s check as a function of a nonzero g: the first
+    offending point of the sorted cap, or None.  The radius-M ball is built
+    and sorted once, for every g checked."""
+    if not isinstance(group, ZdLp) or group.p != 2:
+        raise InputError("verify_tangency expects a ZdLp l2 group")
+    eps = _as_fraction(eps)
+    if eps <= 0:
+        raise InputError(f"eps must be > 0, got {eps}")
+    ball = sorted(group.ball(group.identity(), M, closed=True))
+
+    def offending(g):
+        g2 = group.norm_exact(g)
+        return next((p for p in ball if sum(a * b for a, b in zip(p, g)) <= 0
+                     and not _lt_sqrt_plus(group.norm_exact(group.op(p, g)), g2, eps)),
+                    None)
+    return offending
+
+
 def verify_tangency(group, M, eps, g):
     """Check that the closed horoball cap of radius M, translated by g,
     stays within eps of the ball of radius d(g, 1).
@@ -410,21 +429,12 @@ def verify_tangency(group, M, eps, g):
     lattice points p with |p| <= M and <p, g> <= 0, requiring
     |p + g| < |g| + eps, all in exact arithmetic.
     """
-    if not isinstance(group, ZdLp) or group.p != 2:
-        raise InputError("verify_tangency expects a ZdLp l2 group")
-    eps = _as_fraction(eps)
-    if eps <= 0:
-        raise InputError(f"eps must be > 0, got {eps}")
+    offending = _tangency_check(group, M, eps)
     g = group.check(g)
     if all(c == 0 for c in g):
         return TangencyCheck(False)
-    g2 = group.norm_exact(g)
-    for p in sorted(group.ball(group.identity(), M, closed=True)):
-        if sum(a * b for a, b in zip(p, g)) > 0:
-            continue
-        if not _lt_sqrt_plus(group.norm_exact(group.op(p, g)), g2, eps):
-            return TangencyCheck(False, offending=p)
-    return TangencyCheck(True)
+    p = offending(g)
+    return TangencyCheck(p is None, offending=p)
 
 
 def tangency_threshold(group, M, eps, ray, n_max=100):
@@ -435,9 +445,10 @@ def tangency_threshold(group, M, eps, ray, n_max=100):
     ray = group.check(ray)
     if not any(ray):
         raise InputError("ray must be nonzero")
+    offending = _tangency_check(group, M, eps)
     # searched downward, so only the largest failing n is ever checked
     failing = (n for n in range(n_max, 0, -1)
-               if not verify_tangency(group, M, eps, tuple(n * c for c in ray)).passed)
+               if offending(tuple(n * c for c in ray)) is not None)
     return _threshold(next(failing, 0), n_max)
 
 

@@ -6,16 +6,22 @@ x_{z+s} = 0 mod 2 for every z), and full shifts.  Skew actions are a
 Z-subshift together with an exponent homomorphism (n, m) -> alpha*n +
 beta*m; their Z^2 configurations are never materialized.
 
+A symbol assignment (a pattern, a window filling, a clamp) is a plain dict
+from site to symbol; outside input (an SFT's forbidden patterns, the
+pattern given to ``validate``) may also be a list of [site, symbol] pairs
+and is checked in one place, ``_symbols``.
+
 Every spec gives its rule as ``constraints()``, a list of ``(support,
 allowed)``: ``allowed(values)`` judges the symbols read at z + support (a
 bare symbol for a one-site support).  ``placements`` is the one rule for
 where a support fits inside a finite set of sites; ``solve_forward`` solves a
 GF(2) rule on them in raster order.  ``enumerate_fillings`` streams the
-locally admissible total assignments (window fillings) of the box [-N, N]^2
-in raster-lexicographic order by a walk over its rows; ``filling_rows``
-streams the same fillings as bare tuples of rows, and a walk counts them up
-to a cap before streaming them from the row states it kept.  ``varies_inside``
-asks whether a clamped window's fillings vary inside a smaller box.
+locally admissible total assignments (window fillings) of the box [-N, N]^2,
+each a dict keyed in raster order, in raster-lexicographic order by a walk
+over its rows; ``filling_rows`` streams the same fillings as bare tuples of
+rows, and a walk counts them up to a cap before streaming them from the row
+states it kept.  ``varies_inside`` asks whether a clamped window's fillings
+vary inside a smaller box.
 """
 
 from functools import lru_cache, partial, reduce
@@ -56,26 +62,14 @@ def _site(s):
         raise InputError(f"a site must be an integer pair, got {s!r}") from e
 
 
-class Pattern:
-    """A symbol assignment on finitely many sites: a dict or [site, v] pairs."""
-
-    def __init__(self, symbols):
-        pairs = symbols.items() if isinstance(symbols, dict) else symbols
-        try:
-            pairs = [(s, v) for s, v in pairs]
-        except (TypeError, ValueError) as e:
-            raise InputError(f"bad [site, symbol] pairs {symbols!r}") from e
-        self.symbols = {_site(s): v for s, v in pairs}
-
-    def __getitem__(self, site):
-        return self.symbols[site]
-
-    def __eq__(self, other):
-        return isinstance(other, Pattern) and self.symbols == other.symbols
-
-    def __repr__(self):
-        items = sorted(self.symbols.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        return f"Pattern({dict(items)})"
+def _symbols(pattern):
+    """A symbol map given as a dict or as [site, symbol] pairs, as a dict
+    keyed by integer sites."""
+    pairs = pattern.items() if isinstance(pattern, dict) else pattern
+    try:
+        return {_site(s): v for s, v in pairs}
+    except (TypeError, ValueError) as e:
+        raise InputError(f"bad [site, symbol] pairs {pattern!r}") from e
 
 
 class FullShift:
@@ -127,26 +121,22 @@ class SFT:
 
     def __init__(self, alphabet, forbidden):
         self.alphabet = _alphabet(alphabet)
-        self.forbidden = []
-        for p in forbidden:
-            if not isinstance(p, Pattern):
-                p = Pattern(p)
-            if not p.symbols:
-                raise InputError("forbidden patterns must have nonempty support")
-            self.forbidden.append(p)
+        self.forbidden = [_symbols(p) for p in forbidden]
+        if not all(self.forbidden):
+            raise InputError("forbidden patterns must have nonempty support")
         if not self.forbidden:
             raise InputError("an SFT needs at least one forbidden pattern; "
                              "use FullShift otherwise")
 
     def constraints(self):
         # read each pattern with its getter's shape: one site gives a symbol
-        supports = [tuple(sorted(p.symbols)) for p in self.forbidden]
-        return [(s, partial(ne, itemgetter(*s)(p.symbols)))
+        supports = [tuple(sorted(p)) for p in self.forbidden]
+        return [(s, partial(ne, itemgetter(*s)(p)))
                 for s, p in zip(supports, self.forbidden)]
 
     def to_dict(self):
         return {"kind": self.kind, "alphabet": list(self.alphabet),
-                "forbidden": [sorted(([s[0], s[1]], v) for s, v in p.symbols.items())
+                "forbidden": [sorted(([s[0], s[1]], v) for s, v in p.items())
                               for p in self.forbidden]}
 
     def __repr__(self):
@@ -195,42 +185,13 @@ def solve_forward(support, sites, free):
 
 def validate(spec, pattern):
     """True iff no constraint is violated fully inside the pattern support."""
-    if not isinstance(pattern, Pattern):
-        pattern = Pattern(pattern)
-    symbols = pattern.symbols
+    symbols = _symbols(pattern)
     for v in symbols.values():
         if v not in spec.alphabet:
             raise InputError(f"symbol {v!r} outside alphabet {spec.alphabet}")
     return all(allowed(itemgetter(*cells)(symbols))
                for support, allowed in spec.constraints()
                for cells in placements(support, symbols))
-
-
-class WindowFilling:
-    """A total, locally admissible assignment of [-N, N]^2."""
-
-    __slots__ = ("N", "symbols")
-
-    def __init__(self, N, symbols):
-        self.N = N
-        self.symbols = symbols
-
-    def __getitem__(self, site):
-        return self.symbols[site]
-
-    def __eq__(self, other):
-        return (isinstance(other, WindowFilling) and self.N == other.N
-                and self.symbols == other.symbols)
-
-    def __hash__(self):
-        return hash((self.N, tuple(sorted(self.symbols.items()))))
-
-    def to_dict(self):
-        cells = sorted(self.symbols.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        return {"N": self.N, "symbols": [[s[0], s[1], v] for s, v in cells]}
-
-    def __repr__(self):
-        return f"WindowFilling(N={self.N}, {len(self.symbols)} sites)"
 
 
 def _state_after(state, row, keep):
@@ -426,16 +387,17 @@ def varies_inside(spec, M, clamp, reference, N):
 def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
     """Stream all locally admissible fillings of [-N, N]^2 extending clamp.
 
-    Raster-lexicographic order (symbols in sorted order), so the stream is
-    deterministic.  Raises a resource error (carrying the count so far)
-    after ``budget`` fillings.
+    Each filling is a dict from site to symbol with its keys in raster
+    order (``box_sites``); the stream is raster-lexicographic (symbols in
+    sorted order), so deterministic.  Raises a resource error (carrying the
+    count so far) after ``budget`` fillings.
     """
     sites = box_sites(N)
     for count, rows in enumerate(filling_rows(spec, N, clamp), 1):
         if count > budget:
             raise ResourceBudgetError(
                 f"filling budget {budget} exceeded", budget, count - 1)
-        yield WindowFilling(N, dict(zip(sites, chain.from_iterable(rows))))
+        yield dict(zip(sites, chain.from_iterable(rows)))
 
 
 def complete_upward(spec, rows, x_start=0, y_start=0):
@@ -444,7 +406,8 @@ def complete_upward(spec, rows, x_start=0, y_start=0):
 
     ``rows`` is a list of bit rows, bottom first, each one shorter than the
     previous (the rule x_{i,j+1} = x_{i,j} + x_{i+1,j} shrinks width by 1).
-    Returns the full triangle down to width 1 as a Pattern.
+    Returns the full triangle down to width 1 as a dict from site to bit,
+    row by row from the bottom.
     """
     if not (isinstance(spec, LinearGF2)
             and set(spec.support) == {(0, 0), (1, 0), (0, 1)}):
@@ -460,23 +423,18 @@ def complete_upward(spec, rows, x_start=0, y_start=0):
     tri = solve_forward(spec.support, sites, iter(rows[0]))
     if any(tri[s] != b for s, b in zip(sites, [b for r in rows for b in r])):
         raise InputError("initial rows violate the rule")
-    return Pattern(tri)
+    return tri
 
 
 def config_distance(x, y):
-    """2^{-r} with r the minimum l-infinity norm of a disagreement site;
-    0.0 when the fillings agree on the whole window."""
-    if x.N != y.N:
-        raise InputError(f"window mismatch: N={x.N} vs N={y.N}")
-    r = None
-    for s, v in x.symbols.items():
-        if y.symbols[s] != v:
-            n = max(abs(s[0]), abs(s[1]))
-            if r is None or n < r:
-                r = n
-    if r is None:
-        return 0.0
-    return 2.0 ** (-r)
+    """2^{-r} for two fillings of one window, each a dict from site to
+    symbol, with r the minimum l-infinity norm of a disagreement site; 0.0
+    when they agree everywhere.  Fillings of different site sets are
+    refused."""
+    if x.keys() != y.keys():
+        raise InputError("the fillings cover different sites")
+    r = min((max(abs(s[0]), abs(s[1])) for s in x if x[s] != y[s]), default=None)
+    return 0.0 if r is None else 2.0 ** (-r)
 
 
 class FullShiftZ:

@@ -1,10 +1,11 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
-from horoshift import (Direction, FullShift, InputError, LinearGF2, Pattern,
+from horoshift import (Direction, FullShift, InputError, LinearGF2,
                        PolyhedralZ2, SFT,
                        SkewActionSpec, FullShiftZ, direction_status,
                        farey_directions, horoball_status, l2_horoball,
@@ -18,7 +19,8 @@ from horoshift.certify import (_LinearWindowKernel, _origin_forced,
                                is_hull_normal,
                                verify_window_deterministic, verify_witness)
 from horoshift.horoballs import Horoball, RationalCone, polyhedral_from_ray
-from horoshift.subshifts import (WindowFilling, box_sites, enumerate_fillings,
+from horoshift.serialize import json_dumps
+from horoshift.subshifts import (box_sites, enumerate_fillings,
                                  filling_rows, varies_inside)
 
 
@@ -221,10 +223,10 @@ def _array_classes(values, base):
 
 class TestTraceClasses:
     SPECS = {
-        "three-symbol": SFT((0, 1, 2), [Pattern({(0, 0): 2, (0, 1): 2}),
-                                        Pattern({(0, 0): 1, (1, 0): 0})]),
-        "strings": SFT(("a", "b", "c"), [Pattern({(0, 0): "c", (0, 1): "c"}),
-                                         Pattern({(0, 0): "b", (1, 0): "a"})]),
+        "three-symbol": SFT((0, 1, 2), [{(0, 0): 2, (0, 1): 2},
+                                        {(0, 0): 1, (1, 0): 0}]),
+        "strings": SFT(("a", "b", "c"), [{(0, 0): "c", (0, 1): "c"},
+                                         {(0, 0): "b", (1, 0): "a"}]),
     }
 
     @pytest.mark.parametrize("name", SPECS)
@@ -369,8 +371,8 @@ class TestDirectionStatus:
 
     def test_enumeration_budget_boundary(self):
         # the hard square has exactly 55,447 fillings of [-2, 2]^2
-        hard_square = SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1}),
-                                   Pattern({(0, 0): 1, (0, 1): 1})])
+        hard_square = SFT((0, 1), [{(0, 0): 1, (1, 0): 1},
+                                   {(0, 0): 1, (0, 1): 1}])
         short = direction_status(hard_square, (1, 0), 1, 2,
                                  method="enumerate", budget=55_446)
         assert short.kind == "inconclusive" and short.reason == "budget"
@@ -381,7 +383,7 @@ class TestDirectionStatus:
     def test_enumeration_budget_bounds_work(self):
         # 3^9 states per row of [-4, 4]^2, each with up to 3^9 next rows:
         # the verdict must come after budget + 1 fillings, not a full walk
-        vertical = SFT((0, 1, 2), [Pattern({(0, 0): 2, (0, 1): 2})])
+        vertical = SFT((0, 1, 2), [{(0, 0): 2, (0, 1): 2}])
         cert = direction_status(vertical, (1, 0), 1, 4,
                                 method="enumerate", budget=1000)
         assert cert.kind == "inconclusive" and cert.reason == "budget"
@@ -391,6 +393,107 @@ class TestDirectionStatus:
             with pytest.raises(InputError):
                 direction_status(ledrappier(), (1, 0), 1, 1, budget=-1,
                                  method=method)
+
+
+HARD_SQUARE = SFT((0, 1), [{(0, 0): 1, (1, 0): 1}, {(0, 0): 1, (0, 1): 1}])
+
+
+class TestVerifyWitness:
+    """verify_witness reads the pair in its artifact form and refuses a
+    malformed or false one without raising."""
+
+    def setup_method(self):
+        self.spec, self.v = ledrappier(), Direction(0, -1)
+        self.cert = direction_status(self.spec, self.v, 2, 4)
+        # each case below breaks this verified pair in one way
+        assert self.check(*self.cert.pair)
+
+    def check(self, x, y, N=4):
+        return verify_witness(self.spec, self.v.contains, Witness((x, y), N, 2))
+
+    def test_identical_pair_refused(self):
+        x, y = self.cert.pair
+        assert not self.check(x, x)
+        assert not self.check(y, y)
+
+    def test_difference_on_trace_refused(self):
+        trace, _ = dilated_trace(self.v.contains, 2, 4)
+        zero = {s: 0 for s in box_sites(4)}
+        # admissible, but nonzero on the trace (the distance check refuses
+        # such a pair as well: every trace site lies within k of H)
+        on_trace = next(f for f in enumerate_fillings(self.spec, 4)
+                        if any(f[s] for s in trace))
+        assert not self.check(certify._member(4, zero),
+                              certify._member(4, on_trace))
+
+    def test_inadmissible_member_refused(self):
+        zero = {s: 0 for s in box_sites(4)}
+        # one symbol far below the horoball breaks the rule there
+        lone = {**zero, (0, -4): 1}
+        assert not self.check(certify._member(4, zero),
+                              certify._member(4, lone))
+
+    def test_symbol_outside_alphabet_refused(self):
+        x, y = self.cert.pair
+        assert y["symbols"][0][:2] == [-4, -4]
+        bad = {**y, "symbols": [[-4, -4, 2]] + y["symbols"][1:]}
+        assert not self.check(x, bad)
+
+    def test_missing_site_refused(self):
+        x, y = self.cert.pair
+        assert [4, 4] in [c[:2] for c in y["symbols"]]
+        short = {**y, "symbols": [c for c in y["symbols"] if c[:2] != [4, 4]]}
+        assert not self.check(x, short)
+        assert not self.check(short, x)
+
+    def test_extra_site_refused(self):
+        x, y = self.cert.pair
+        longer = {**y, "symbols": y["symbols"] + [[9, 9, 0]]}
+        assert not self.check(x, longer)
+        assert not self.check(longer, x)
+
+    def test_wrong_N_refused(self):
+        x, y = self.cert.pair
+        assert not self.check(x, {**y, "N": 5})
+        assert not self.check({**x, "N": 3}, y)
+        assert not self.check(x, y, N=5)
+
+    @pytest.mark.parametrize("pair", [
+        (), ({"N": 4},) * 2, ({"N": 4, "symbols": [[0, 0]]},) * 2,
+        ("not a member", "either"), (None, None)], ids=repr)
+    def test_shapeless_pair_refused(self, pair):
+        assert not verify_witness(self.spec, self.v.contains,
+                                  Witness(pair, 4, 2))
+
+    def test_third_member_refused(self):
+        x, y = self.cert.pair
+        assert not verify_witness(self.spec, self.v.contains,
+                                  Witness((x, y, y), 4, 2))
+
+
+# (spec, direction, k, N, method) of one witness per producer
+ROUND_TRIP_CASES = {
+    "ledrappier-auto": (ledrappier(), (0, -1), 2, 4, "auto"),
+    "ledrappier-kernel": (ledrappier(), (1, 1), 2, 4, "kernel"),
+    "full-shift": (FullShift((0, 1)), (1, 0), 2, 4, "auto"),
+    "hard-square-enumerate": (HARD_SQUARE, (1, 0), 1, 2, "auto"),
+}
+
+
+@pytest.mark.parametrize("spec, v, k, N, method", ROUND_TRIP_CASES.values(),
+                         ids=ROUND_TRIP_CASES.keys())
+def test_witness_round_trips_through_its_artifact(spec, v, k, N, method):
+    cert = direction_status(spec, v, k, N, method=method)
+    assert cert.kind == "witness"
+    written = json.loads(json_dumps(cert.to_dict()))
+    again = Witness(written["pair"], N, k, written["evidence"])
+    assert verify_witness(spec, Direction(*v).contains, again)
+    assert again.to_dict() == written
+    assert again.to_dict()["pair"] == cert.to_dict()["pair"]
+    assert json_dumps(again.to_dict()) == json_dumps(cert.to_dict())
+    # the members list [-N, N]^2 in raster order
+    for member in written["pair"]:
+        assert [tuple(c[:2]) for c in member["symbols"]] == box_sites(N)
 
 
 class TestHoroballStatus:
@@ -461,8 +564,8 @@ class TestNDSet:
             nd_set(ledrappier(), 2, 4, grid="")
 
     def test_enumeration_walks_the_window_once(self, monkeypatch):
-        hard_square = SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1}),
-                                   Pattern({(0, 0): 1, (0, 1): 1})])
+        hard_square = SFT((0, 1), [{(0, 0): 1, (1, 0): 1},
+                                   {(0, 0): 1, (0, 1): 1}])
         walks = []
         init = subshifts._RowTransfer.__init__
 
@@ -494,8 +597,8 @@ def _shared_classes(spec, v, k, N):
     cells = np.array(sorted(trace)).reshape(-1, 2) + N
     order, starts = _trace_classes(symbols[:, cells[:, 1], cells[:, 0]],
                                    len(spec.alphabet))
-    return [[WindowFilling(N, dict(zip(sites, map(
-        spec.alphabet.__getitem__, symbols[m].ravel().tolist()))))
+    return [[dict(zip(sites, map(
+        spec.alphabet.__getitem__, symbols[m].ravel().tolist())))
         for m in members.tolist()]
         for members in np.split(order, starts[1:]) if len(members) > 1]
 
@@ -509,7 +612,7 @@ def _class_answers(spec, v, k, N, margin=None):
     trace_M, _ = dilated_trace(v.contains, k, M)
     answers = []
     for rep, *others in _shared_classes(spec, v, k, N):
-        xhat = next(enumerate_fillings(spec, M, clamp=rep.symbols), None)
+        xhat = next(enumerate_fillings(spec, M, clamp=rep), None)
         if xhat is not None:
             walk = varies_inside(spec, M, {s: xhat[s] for s in trace_M},
                                  xhat, N)
@@ -524,8 +627,8 @@ CLASS_CASES = {
     "ledrappier-k1": (ledrappier(), 1, 2, None, [
         v for v in farey_directions(1) if (v.a, v.b) not in {(-1, -1), (1, -1)}]),
     "ledrappier-k2": (ledrappier(), 2, 2, None, farey_directions(1)),
-    "hard-square": (SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1}),
-                                 Pattern({(0, 0): 1, (0, 1): 1})]),
+    "hard-square": (SFT((0, 1), [{(0, 0): 1, (1, 0): 1},
+                                 {(0, 0): 1, (0, 1): 1}]),
                     1, 2, None, farey_directions(1)),
     "repeated-site": (LinearGF2([(0, 0), (0, 0), (1, 0), (0, 1)]), 1, 2, 1,
                       farey_directions(1)),

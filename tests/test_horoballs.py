@@ -15,8 +15,9 @@ from horoshift import (DirectSumZ2, Horoball, InputError, Linear,
                        uniform_probes, verify_cone_shift, verify_tangency)
 from horoshift.errors import ResourceBudgetError
 from horoshift.groups import DEFAULT_BALL_BUDGET
-from horoshift.horoballs import (_cone_shift_failures, _quarter_apexes,
-                                 _threshold, tangency_threshold)
+from horoshift.horoballs import (_cone_shift_failures, _lt_sqrt_plus,
+                                 _quarter_apexes, _threshold,
+                                 tangency_threshold)
 
 site = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
 
@@ -328,7 +329,65 @@ def _meeting_radius_scan(group, directions):
     return math.isqrt(max(n2 for _, n2 in witnesses.values())) + 1, witnesses
 
 
+def _tangency_threshold_reference(group, M, eps, ray, n_max):
+    """The per-n loop: for each n from n_max down, the radius-M ball is
+    built, sorted and scanned again along g = n * ray."""
+    eps = Fraction(eps)
+
+    def passes(g):
+        g2 = group.norm_exact(g)
+        for p in sorted(group.ball(group.identity(), M, closed=True)):
+            if sum(a * b for a, b in zip(p, g)) > 0:
+                continue
+            if not _lt_sqrt_plus(group.norm_exact(group.op(p, g)), g2, eps):
+                return False
+        return True
+
+    failing = (n for n in range(n_max, 0, -1)
+               if not passes(tuple(n * c for c in ray)))
+    return _threshold(next(failing, 0), n_max)
+
+
+def _tangency_corpus(count, seed=0):
+    rng = random.Random(seed)
+    rays = [(1, 0), (0, 1), (-1, 0), (1, 1), (2, 1), (-1, 2), (-3, -1)]
+    return [(rng.choice((0, 1, 2.5, 3, 5)),
+             rng.choice((0.25, 0.5, 1, Fraction(1, 3), 2)),
+             rng.choice(rays), rng.choice((1, 2, 5, 12, 30)))
+            for _ in range(count)]
+
+
+class _CountingZdLp(ZdLp):
+    def __init__(self, dim, p):
+        super().__init__(dim, p)
+        self.balls = 0
+
+    def ball(self, *args, **kwargs):
+        self.balls += 1
+        return super().ball(*args, **kwargs)
+
+
 class TestTangency:
+    def test_threshold_matches_per_n_reference(self):
+        g = ZdLp(2, 2)
+        seen = set()
+        for M, eps, ray, n_max in _tangency_corpus(200):
+            want = _tangency_threshold_reference(g, M, eps, ray, n_max)
+            assert tangency_threshold(g, M, eps, ray, n_max=n_max) == want, \
+                (M, eps, ray, n_max)
+            seen.add("none" if want is None else "one" if want == 1 else "n0")
+        assert seen == {"none", "one", "n0"}
+
+    def test_one_ball_per_call(self):
+        g = _CountingZdLp(2, 2)
+        # the README's lemma 2.3 check scans n = 40 down to 24, the last failure
+        assert tangency_threshold(g, 5, 0.5, (1, 0), n_max=40) == 25
+        assert g.balls == 1
+        for h in ((10, 0), (30, 0), (3, -4)):
+            g.balls = 0
+            verify_tangency(g, 5, 0.5, h)
+            assert g.balls == 1
+
     def test_threshold_on_axis_ray(self):
         g = ZdLp(2, 2)
         n0 = tangency_threshold(g, 5, 0.5, (1, 0), n_max=40)

@@ -4,8 +4,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2, Pattern,
-                       ResourceBudgetError, SFT, SkewActionSpec, WindowFilling,
+from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2,
+                       ResourceBudgetError, SFT, SkewActionSpec,
                        complete_upward, config_distance, enumerate_fillings,
                        ledrappier, skew_exponent, validate)
 from horoshift.subshifts import (DEFAULT_FILLING_BUDGET, _RowTransfer,
@@ -32,11 +32,11 @@ class TestSpecs:
 
     def test_fullshift_accepts_everything(self):
         spec = FullShift((0, 1))
-        assert validate(spec, Pattern({(0, 0): 1, (5, 5): 0}))
+        assert validate(spec, {(0, 0): 1, (5, 5): 0})
 
     def test_spec_round_trip(self):
         for spec in (ledrappier(), FullShift((0, 1, 2)),
-                     SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1})])):
+                     SFT((0, 1), [{(0, 0): 1, (1, 0): 1}])):
             again = spec_from_dict(spec.to_dict())
             assert again.to_dict() == spec.to_dict()
 
@@ -48,21 +48,21 @@ class TestSpecs:
 class TestValidate:
     def test_rule_examples(self):
         spec = ledrappier()
-        assert validate(spec, Pattern({(0, 0): 1, (1, 0): 1, (0, 1): 0}))
-        assert not validate(spec, Pattern({(0, 0): 1, (1, 0): 0, (0, 1): 0}))
+        assert validate(spec, {(0, 0): 1, (1, 0): 1, (0, 1): 0})
+        assert not validate(spec, {(0, 0): 1, (1, 0): 0, (0, 1): 0})
 
     def test_partial_support_is_vacuous(self):
         spec = ledrappier()
-        assert validate(spec, Pattern({(0, 0): 1, (1, 0): 0}))
+        assert validate(spec, {(0, 0): 1, (1, 0): 0})
 
     def test_alphabet_enforced(self):
         with pytest.raises(InputError):
-            validate(ledrappier(), Pattern({(0, 0): 2}))
+            validate(ledrappier(), {(0, 0): 2})
 
     def test_sft_forbidden_detected(self):
-        spec = SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1})])
-        assert not validate(spec, Pattern({(3, 3): 1, (4, 3): 1}))
-        assert validate(spec, Pattern({(3, 3): 1, (4, 3): 0}))
+        spec = SFT((0, 1), [{(0, 0): 1, (1, 0): 1}])
+        assert not validate(spec, {(3, 3): 1, (4, 3): 1})
+        assert validate(spec, {(3, 3): 1, (4, 3): 0})
 
 
 class TestEnumerate:
@@ -87,8 +87,8 @@ class TestEnumerate:
         spec = ledrappier()
         fillings = list(enumerate_fillings(spec, 2))
         for f in fillings:
-            assert validate(spec, Pattern(f.symbols))
-        assert len(set(fillings)) == len(fillings)
+            assert validate(spec, f)
+        assert len({tuple(f.items()) for f in fillings}) == len(fillings)
 
     def test_contradictory_clamp_empty(self):
         spec = ledrappier()
@@ -105,8 +105,8 @@ class TestEnumerate:
         assert exc.value.count == 100
 
     def test_stream_order_deterministic(self):
-        a = [tuple(sorted(f.symbols.items())) for f in enumerate_fillings(ledrappier(), 1)]
-        b = [tuple(sorted(f.symbols.items())) for f in enumerate_fillings(ledrappier(), 1)]
+        a = [tuple(sorted(f.items())) for f in enumerate_fillings(ledrappier(), 1)]
+        b = [tuple(sorted(f.items())) for f in enumerate_fillings(ledrappier(), 1)]
         assert a == b
 
     def test_raster_order(self):
@@ -115,8 +115,8 @@ class TestEnumerate:
                                 (-1, 1), (0, 1), (1, 1)]
 
 
-HARD_SQUARE = SFT((0, 1), [Pattern({(0, 0): 1, (1, 0): 1}),
-                           Pattern({(0, 0): 1, (0, 1): 1})])
+HARD_SQUARE = SFT((0, 1), [{(0, 0): 1, (1, 0): 1},
+                           {(0, 0): 1, (0, 1): 1}])
 
 
 def _placed(support, sites):
@@ -140,8 +140,8 @@ def _admissible(spec, symbols):
                    for cells in _placed(spec.support, symbols))
     if isinstance(spec, SFT):
         return not any(
-            all(symbols[c] == v for c, v in zip(cells, p.symbols.values()))
-            for p in spec.forbidden for cells in _placed(list(p.symbols), symbols))
+            all(symbols[c] == v for c, v in zip(cells, p.values()))
+            for p in spec.forbidden for cells in _placed(list(p), symbols))
     return True
 
 
@@ -162,9 +162,9 @@ CHECK_PLAN_CASES = {
     "ledrappier": (ledrappier(), {}),
     "ledrappier-clamped": (ledrappier(), {(x, -1): 0 for x in (-1, 0, 1)}),
     "hard-square": (HARD_SQUARE, {}),
-    "single-site": (SFT((0, 1, 2), [Pattern({(0, 0): 2})]), {}),
+    "single-site": (SFT((0, 1, 2), [{(0, 0): 2}]), {}),
     "three-cells-apart": (
-        SFT((0, 1), [Pattern({(0, 0): 1, (2, 0): 0, (1, 2): 1})]), {}),
+        SFT((0, 1), [{(0, 0): 1, (2, 0): 0, (1, 2): 1}]), {}),
     "tall": (TALL, {}),
     "tall-clamped": (TALL, {(0, 0): 1, (1, 1): 0}),
 }
@@ -174,7 +174,7 @@ class TestCheckPlan:
     @pytest.mark.parametrize("spec, clamp", CHECK_PLAN_CASES.values(),
                              ids=CHECK_PLAN_CASES.keys())
     def test_stream_equals_brute_force(self, spec, clamp):
-        stream = [f.symbols for f in enumerate_fillings(spec, 1, clamp=clamp)]
+        stream = [f for f in enumerate_fillings(spec, 1, clamp=clamp)]
         assert stream == _brute_force(spec, 1, clamp)
 
     @pytest.mark.parametrize("spec", [ledrappier(), HARD_SQUARE],
@@ -205,8 +205,8 @@ def _clamps(draw, alphabet, contradiction, N=1):
 
 
 # a 3-symbol rule with a vertical and a horizontal pattern
-THREE_SYMBOL = SFT((0, 1, 2), [Pattern({(0, 0): 2, (0, 1): 2}),
-                               Pattern({(0, 0): 1, (1, 0): 0})])
+THREE_SYMBOL = SFT((0, 1, 2), [{(0, 0): 2, (0, 1): 2},
+                               {(0, 0): 1, (1, 0): 0}])
 # (spec, a placement in [-1, 1]^2 clamped to symbols the rule forbids)
 CLAMPED_CASES = {
     "ledrappier": (ledrappier(), {(0, 0): 1, (1, 0): 0, (0, 1): 0}),
@@ -231,7 +231,7 @@ class TestClampedStream:
     @settings(max_examples=60, deadline=None)
     def test_stream_equals_brute_force(self, spec, contradiction, data):
         clamp = data.draw(_clamps(spec.alphabet, contradiction))
-        stream = [f.symbols for f in enumerate_fillings(spec, 1, clamp=clamp)]
+        stream = [f for f in enumerate_fillings(spec, 1, clamp=clamp)]
         assert stream == _brute_force(spec, 1, clamp)
         if contradiction.items() <= clamp.items():
             assert stream == []
@@ -247,8 +247,8 @@ class TestClampedStream:
         outer = dict(zip(sites, itertools.chain(*fillings[j])))
         clamp = {s: outer[s] for s in sites if s[0] < 0} | \
             {s: inner[s] for s in sites if abs(s[1]) < 2}
-        stream = [f.symbols for f in enumerate_fillings(ledrappier(), 2,
-                                                        clamp=clamp)]
+        stream = [f for f in enumerate_fillings(ledrappier(), 2,
+                                                clamp=clamp)]
         assert stream == _brute_force(ledrappier(), 2, clamp)
 
 
@@ -293,7 +293,7 @@ COUNT_CASES = {
 
 # a 3-symbol rule forbidding one vertical pattern: 3^9 rows of the N=4
 # window follow almost every row, so no count may expand them all
-VERTICAL_3 = SFT((0, 1, 2), [Pattern({(0, 0): 2, (0, 1): 2})])
+VERTICAL_3 = SFT((0, 1, 2), [{(0, 0): 2, (0, 1): 2}])
 
 
 def _with_resumes(monkeypatch, run):
@@ -432,7 +432,7 @@ class TestCompleteUpward:
 
 
 def _fill(N, fn):
-    return WindowFilling(N, {s: fn(s) for s in box_sites(N)})
+    return {s: fn(s) for s in box_sites(N)}
 
 
 class TestConfigDistance:
@@ -455,6 +455,16 @@ class TestConfigDistance:
         assert config_distance(x, y) == config_distance(y, x)
         with pytest.raises(InputError):
             config_distance(x, _fill(2, lambda s: 0))
+
+    def test_different_sites_refused(self):
+        x = _fill(1, lambda s: 0)
+        missing = {s: v for s, v in x.items() if s != (1, 1)}
+        moved = {**missing, (2, 2): 0}
+        for y in (missing, moved):
+            with pytest.raises(InputError):
+                config_distance(x, y)
+            with pytest.raises(InputError):
+                config_distance(y, x)
 
 
 class TestSkew:
