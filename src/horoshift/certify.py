@@ -206,38 +206,40 @@ def _member(N, symbols):
 # ---------------------------------------------------------------------------
 # dilated traces
 
-def horoball_box_mask(contains, B, normal=None):
-    """Boolean mask of H on [-B, B]^2; mask[x + B, y + B] = membership.
-
-    ``normal`` (a, b), when given, says that H is the half-plane
-    {a*x + b*y < 0}; the mask is then computed in exact int64 arithmetic
-    rather than by calling ``contains`` once per cell.
-    """
-    if normal is not None and (abs(normal[0]) + abs(normal[1])) * B < 2 ** 63:
-        a, b = normal
-        r = np.arange(-B, B + 1, dtype=np.int64)
-        return a * r[:, None] + b * r[None, :] < 0
+def horoball_box_mask(contains, B):
+    """Boolean mask of H on [-B, B]^2, mask[x + B, y + B], from one
+    ``contains`` call per cell."""
     r = range(-B, B + 1)
     return np.array([[contains((x, y)) for y in r] for x in r], dtype=bool)
 
 
 def dilated_trace(contains, k, N, normal=None):
-    """Sites of [-N, N]^2 at l-infinity distance < k from H /\\ [-2N, 2N]^2;
-    ``normal`` as for ``horoball_box_mask``.
+    """Sites of [-N, N]^2 at l-infinity distance < k from H /\\ [-2N, 2N]^2,
+    in sorted order, and whether H meets that box.
 
-    Returns (trace sites in sorted order, horoball-hits-box flag).
+    Given ``normal`` (a, b), H is {a*x + b*y < 0}: the (2k-1)-square around
+    s in [-N, N]^2 lies in [-2N, 2N]^2 (k <= N) and meets H exactly when
+    a*s_x + b*s_y < (k-1)(|a|+|b|), one int64 comparison per site (and H
+    always meets the box).  Otherwise, or past int64, the (2k-1)-squares
+    slide over the ``contains`` mask of [-2N, 2N]^2.
     """
     if not 1 <= k <= N:
         raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
-    mask = horoball_box_mask(contains, 2 * N, normal)
-    if not mask.any():
-        return [], False
-    # site x sits at mask index x + 2N; it is in the trace iff the w-wide
-    # square around it meets H, and k <= N keeps those squares in the mask
-    lo, hi, w = N - k + 1, 3 * N + k, 2 * k - 1
-    hit = sliding_window_view(mask[lo:hi, lo:hi], (w, w)).any(axis=(2, 3))
-    # argwhere lists the hits in C order, which is sorted (x, y) order
-    return [(x - N, y - N) for x, y in np.argwhere(hit).tolist()], True
+    if normal is not None and (abs(normal[0]) + abs(normal[1])) * 2 * N < 2 ** 63:
+        a, b = normal
+        r = np.arange(-N, N + 1, dtype=np.int64)
+        hit = a * r[:, None] + b * r[None, :] < (k - 1) * (abs(a) + abs(b))
+    else:
+        mask = horoball_box_mask(contains, 2 * N)
+        if not mask.any():
+            return [], False
+        # site x sits at mask index x + 2N; it is in the trace iff the w-wide
+        # square around it meets H, and k <= N keeps those squares in the mask
+        lo, hi, w = N - k + 1, 3 * N + k, 2 * k - 1
+        hit = sliding_window_view(mask[lo:hi, lo:hi], (w, w)).any(axis=(2, 3))
+    # hit[x + N, y + N]; nonzero lists it in C order, the sorted (x, y) order
+    xs, ys = np.nonzero(hit)
+    return list(zip((xs - N).tolist(), (ys - N).tolist())), True
 
 
 # ---------------------------------------------------------------------------

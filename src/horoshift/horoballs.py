@@ -50,7 +50,7 @@ class Linear:
             self.int_dir = _gcd_reduce(tuple(int(f * den) for f in fracs))
         else:
             self.int_dir = None
-        nrm = math.sqrt(sum(float(c) * float(c) for c in v))
+        nrm = math.hypot(*map(float, v))
         self.v = tuple(float(c) / nrm for c in v)
         self.dim = len(v)
 

@@ -1,13 +1,15 @@
 """JSON / CSV descriptors for groups, horofunctions, specs and reports.
 
-All JSON is emitted with sorted keys and no timestamps so identical runs
-produce byte-identical artifacts.
+All JSON is written as ``json.dumps(obj, sort_keys=True, indent=2)`` writes
+it, with no timestamps, so identical runs produce byte-identical artifacts.
 """
 
 import hashlib
 import io
 import json
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, field
 from . import groups, horoballs, subshifts
@@ -15,7 +17,52 @@ from .certify import Direction
 
 
 def json_dumps(obj):
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, from one list of
+    pieces; types json refuses, and non-str dict keys, raise TypeError."""
+    out = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar(o):
+    """JSON text of a str, None, bool, int or float (or subclass), else None."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or isinstance(o, bool):
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return (float.__repr__(o) if math.isfinite(o) else "NaN" if o != o
+                else "Infinity" if o > 0 else "-Infinity")
+    return None
+
+
+def _write(o, nl, out):
+    """Append the JSON text of ``o`` to ``out``; ``nl`` is its line's indent."""
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        texts = [_scalar(v) for v in o]
+        if o and None not in texts:
+            out += ("[", inner, ("," + inner).join(texts), nl, "]")
+            return
+        for i, v in enumerate(o):
+            out.append("," + inner if i else "[" + inner)
+            _write(v, inner, out)
+        out += (nl, "]") if o else ("[]",)
+    elif isinstance(o, dict):
+        for i, (key, v) in enumerate(sorted(o.items())):
+            # encode_basestring_ascii raises TypeError on a non-str key
+            out += ("," + inner if i else "{" + inner,
+                    encode_basestring_ascii(key), ": ")
+            _write(v, inner, out)
+        out += (nl, "}") if o else ("{}",)
+    elif (text := _scalar(o)) is not None:
+        out.append(text)
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} "
+                        f"is not JSON serializable")
 
 
 def load_json(text):

@@ -15,8 +15,7 @@ from horoshift import certify, subshifts
 from horoshift.certify import (_LinearWindowKernel, _origin_forced,
                                _trace_classes, _window_stream, dilated_trace,
                                Inconclusive, WindowDeterministic, Witness,
-                               gf2_nullspace, horoball_box_mask,
-                               is_hull_normal,
+                               gf2_nullspace, is_hull_normal,
                                verify_window_deterministic, verify_witness)
 from horoshift.horoballs import Horoball, RationalCone, polyhedral_from_ray
 from horoshift.serialize import json_dumps
@@ -182,27 +181,29 @@ def _refuse(p):
     raise AssertionError(f"contains called at {p}")
 
 
-class TestHalfPlaneMask:
+class TestHalfPlaneTrace:
     HALF_PLANES = {
         **{f"direction-{v.a},{v.b}": v for v in farey_directions(8)},
         "linear-integer": l2_horoball((2, -3)),
         "linear-rational": l2_horoball((0.5, -0.125)),
-        # beyond int64 at B = 6, so the mask falls back to contains there
+        # beyond int64 from N = 3, so the trace falls back to contains there
         "linear-huge": l2_horoball((10 ** 18 + 1, -10 ** 18)),
         **{f"{shape}-{side}": Horoball(PolyhedralZ2(f"halfplane-{shape}",
                                                     side=side))
            for shape in ("diagonal", "antidiagonal") for side in (1, -1)},
     }
+    SCALES = [(N, k) for N in range(1, 7) for k in range(1, N + 1)] + [(18, 3)]
 
     def test_equals_contains_scan(self):
+        """The closed form given a normal is the sliding-window scan of the
+        contains mask, for every 1 <= k <= N <= 6 and (N, k) = (18, 3)."""
         for name, h in self.HALF_PLANES.items():
             normal = h.halfplane_normal()
             assert normal is not None, name
-            for B in (1, 6):
-                scan = horoball_box_mask(h.contains, B)
-                scan_only = h.contains if name == "linear-huge" else _refuse
-                fast = horoball_box_mask(scan_only, B, normal)
-                assert np.array_equal(fast, scan), (name, B)
+            scan_only = h.contains if name == "linear-huge" else _refuse
+            for N, k in self.SCALES:
+                assert dilated_trace(scan_only, k, N, normal) == \
+                    dilated_trace(h.contains, k, N), (name, N, k)
 
 
 def _dict_classes(keys):
@@ -558,6 +559,25 @@ class TestNDSet:
         grid = parse_grid("farey:1")
         report = nd_set(ledrappier(), 2, 4, grid="farey:1")
         assert [d for d, _ in report.entries] == grid
+
+    def test_witnesses_reverify_through_contains(self, monkeypatch):
+        """Every witness of the default grid at k=3, N=8 passes
+        verify_witness, whose trace comes from the contains scan and never
+        from the half-plane closed form the search used."""
+        spec = ledrappier()
+        report = nd_set(spec, 3, 8)
+        normals = []
+
+        def recorded(contains, k, N, normal=None):
+            normals.append(normal)
+            return dilated_trace(contains, k, N, normal)
+
+        monkeypatch.setattr(certify, "dilated_trace", recorded)
+        witnesses = [(v, c) for v, c in report.entries if c.kind == "witness"]
+        assert len(witnesses) == 3
+        for v, cert in witnesses:
+            assert verify_witness(spec, v.contains, cert), v
+        assert normals == [None] * 3
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):

@@ -39,6 +39,14 @@ class TestLinear:
         with pytest.raises(InputError):
             Linear((0, 0))
 
+    def test_huge_vector_normalizes(self):
+        # the summed squares overflow to inf, the norm itself does not
+        j = Linear((1e308, 1e308))
+        assert j.v == pytest.approx(Linear((1, 1)).v)
+        found = [largeness_certificate(ZdLp(2, 2), l2_horoball(v), 3, 20)
+                 for v in ((1e308, 1e308), (1, 1))]
+        assert [(r.found, r.center) for r in found] == [(True, (-8, -9))] * 2
+
     @pytest.mark.parametrize("v", [(2, 1), (-6, 9), (0, -4), (4.0, 6.0),
                                    (1e20, 3.0), (10 ** 18 + 1, -10 ** 18),
                                    (3, 0, -12)])

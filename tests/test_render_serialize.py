@@ -1,9 +1,15 @@
+import enum
 import json
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horoshift import (Direction, FullShift, InputError, ZdLp, ledrappier,
-                       nd_set)
+                       nd_set, serialize)
+from horoshift.cli import main
 from horoshift.horoballs import PolyhedralZ2, polyhedral_from_ray
 from horoshift.render import (ball_raster, direction_circle_svg,
                               sublevel_raster, write_pgm)
@@ -16,6 +22,7 @@ from horoshift.serialize import (coverage_report_to_dict,
                                  nd_report_to_dict, parse_group, parse_spec,
                                  spec_hash, witness_vectors_from_report_dict)
 from horoshift.separation import halfspace_coverage, uniform_probes
+from test_golden import readme_commands
 
 
 class TestPGM:
@@ -118,6 +125,73 @@ class TestSerializers:
     def test_json_dumps_stable(self):
         s = json_dumps({"b": 1, "a": [1, 2]})
         assert s == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
+
+
+def _reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\t\n aé€\u2028\U0001f600')
+                | st.characters())
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(-2 ** 200, 2 ** 200) | st.floats() | _TEXT
+            | st.sampled_from([-0.0, 1e-320, math.nan, math.inf, -math.inf]))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=40)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class TestJsonDumps:
+    """json_dumps writes the bytes of json.dumps(sort_keys=True, indent=2)."""
+
+    @given(_TREES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_json_module(self, obj):
+        assert json_dumps(obj) == _reference(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], {"a": {}}, [{}, [[], {}]], (), ("x", (1, 2.5)),
+        np.float64(0.1), [np.float64(-1e300), np.float64("nan")],
+        _Level.LOW, {"level": [_Level.LOW, True, False, 1, 1.0]},
+        True, [True, False, None], "\u00e9\"\\\x01",
+    ])
+    def test_special_values(self, obj):
+        assert json_dumps(obj) == _reference(obj)
+
+    def test_readme_artifacts(self, tmp_path, monkeypatch):
+        """Every object the README's commands serialize, and so every JSON
+        artifact they write, comes out as json.dumps writes it."""
+        written = []
+
+        def checked(obj):
+            text = json_dumps(obj)
+            assert text == _reference(obj)
+            written.append(text)
+            return text
+
+        monkeypatch.setattr(serialize, "json_dumps", checked)
+        monkeypatch.chdir(tmp_path)
+        for argv in readme_commands():
+            assert main(argv) == 0, argv
+        artifacts = sorted((tmp_path / "out").glob("*.json"))
+        assert artifacts
+        for path in artifacts:
+            assert path.read_text(encoding="utf-8") in written, path.name
+
+    @pytest.mark.parametrize("obj", [
+        Fraction(1, 3), {1, 2}, np.int64(3), [np.int64(3)], {1: "a"},
+        {"a": [{(0, 1): 2}]},
+    ])
+    def test_unserializable_raises(self, obj):
+        with pytest.raises(TypeError):
+            json_dumps(obj)
 
 
 class TestReportSerialization:
