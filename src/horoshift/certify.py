@@ -23,6 +23,7 @@ as the independent oracle, settling each trace class of fillings with one
 clamped walk of the larger window.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -419,13 +420,12 @@ def _window_stream(spec, N, budget):
 
     One free walk settles the budget with its capped count, so a window over
     it walks no filling; one under it streams the rows the count kept, each
-    numbered through a table of the distinct rows of every finished state.
+    numbered in the order it first appears.
     """
     walk = _RowTransfer(spec, N, None)
     if walk.count(budget) > budget:
         return None
-    rows = itertools.chain.from_iterable(walk.walked.values())
-    number = {row: i for i, row in enumerate(dict.fromkeys(rows))}
+    number = collections.defaultdict(itertools.count().__next__)
     ids = np.fromiter(map(number.__getitem__,
                           itertools.chain.from_iterable(walk.fillings())),
                       dtype=np.intp)

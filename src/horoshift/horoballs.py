@@ -41,11 +41,16 @@ class Linear:
 
     def __init__(self, v):
         v = tuple(v)
-        if all(abs(c) < 1e-15 for c in v):
+        if not any(v):
             raise InputError("direction vector must be nonzero")
-        # integers are their own nearest fractions, so they take this path too
-        fracs = [Fraction(c).limit_denominator(10 ** 9) for c in v]
-        if all(abs(float(f) - float(c)) < 1e-12 for f, c in zip(fracs, v)):
+        # small denominators (integers too) are exact; else, scaled by the
+        # largest, each component's nearest fraction matches it relatively
+        exact = [Fraction(c) for c in v]
+        if any(f.denominator > 10 ** 9 for f in exact):
+            top = max(map(abs, exact))
+            exact = [f / top for f in exact]
+        fracs = [f.limit_denominator(10 ** 9) for f in exact]
+        if all(abs(g - f) <= 1e-12 * abs(f) for g, f in zip(fracs, exact)):
             den = math.lcm(*(f.denominator for f in fracs))
             self.int_dir = _gcd_reduce(tuple(int(f * den) for f in fracs))
         else:

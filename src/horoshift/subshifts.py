@@ -20,8 +20,9 @@ locally admissible total assignments (window fillings) of the box [-N, N]^2,
 each a dict keyed in raster order, in raster-lexicographic order by a walk
 over its rows; ``filling_rows`` streams the same fillings as bare tuples of
 rows, and a walk counts them up to a cap before streaming them from the row
-states it kept.  ``varies_inside`` asks whether a clamped window's fillings
-vary inside a smaller box.
+states kept; walks clamped on one site set share those rows through one check
+plan of bounded size.  ``varies_inside`` asks whether a clamped window's
+fillings vary inside a smaller box.
 """
 
 from functools import lru_cache, partial, reduce
@@ -31,6 +32,8 @@ from operator import itemgetter, ne, xor
 from .errors import InputError, ResourceBudgetError, field
 
 DEFAULT_FILLING_BUDGET = 400_000
+# the row states one check plan keeps before it drops them all
+_PLAN_STATES = 2 ** 15
 
 
 def box_sites(N):
@@ -205,68 +208,93 @@ def _state_after(state, row, keep):
 def _box_placements(support, N):
     """Each placement of ``support`` in [-N, N]^2, in ``placements`` order
     over the raster-ordered sites, as its getter and its cells raster-last
-    first."""
-    return tuple((itemgetter(*cells),
-                  tuple(sorted(cells, key=_raster_key, reverse=True)))
-                 for cells in placements(support, dict.fromkeys(box_sites(N))))
+    first, every cell numbered by its place in ``box_sites(N)``."""
+    number = {s: i for i, s in enumerate(box_sites(N))}
+    placed = [list(map(number.get, c)) for c in placements(support, number)]
+    return tuple((itemgetter(*cells), tuple(sorted(cells, reverse=True)))
+                 for cells in placed)
+
+
+class _CheckPlan:
+    """How the walks of [-N, N]^2 with one set of clamped sites, numbered
+    in raster order, check their rows, and the rows those walks found.
+
+    Each placement is checked once, at its raster-last unclamped cell (its
+    raster-last cell when all are clamped): a clamped symbol never changes,
+    so a partial row is rejected as soon as it contradicts the clamp, and no
+    filling is lost.  So the admissible rows r above a state depend only on
+    the clamped symbols at ``reads[r]``, those of row r and those above it
+    that row r's checks read.  ``tables`` keeps them per (r, those symbols),
+    keyed by state, each row interned, for at most ``_PLAN_STATES`` states.
+    """
+
+    def __init__(self, spec, N, clamped):
+        self.width = width = 2 * N + 1
+        self.checks = [[] for _ in range(width * width)]
+        reads = [{i for i in clamped if i // width == r} for r in range(width)]
+        height = 1
+        for support, allowed in spec.constraints():
+            ys = [y for _, y in support]
+            height = max(height, max(ys) - min(ys) + 1)
+            for get, cells in _box_placements(support, N):
+                last = next((c for c in cells if c not in clamped), cells[0])
+                self.checks[last].append((get, allowed))
+                reads[last // width].update(c for c in cells if c > last)
+        self.reads = [sorted(r) for r in reads]
+        # a state is the last h - 1 rows placed, h the tallest row span of a
+        # support, since a row's checks read no row below those
+        self.keep = height - 1
+        self.tables, self.interned, self.stored = {}, {}, 0
+
+
+# an oracle class walks two clamped site sets of one margin window in turn
+_check_plan = lru_cache(maxsize=2)(_CheckPlan)
 
 
 class _RowTransfer:
     """The locally admissible fillings of [-N, N]^2 as walks over its rows,
     bottom to top, for one spec and clamp.
 
-    A state is the tuple of the last h - 1 rows placed, h the tallest row
-    span of a support, since a row's checks read no row below those.  The
-    admissible next rows of a state come from the check plan, which checks
-    each placement once, at its raster-last unclamped cell (its raster-last
-    cell when all are clamped): a clamped symbol never changes, so a partial
-    row is rejected as soon as it contradicts the clamp, and no filling is
-    lost.  They are produced lazily, cell by cell with symbols in sorted
-    order, so in lexicographic order, and kept for the life of the object
-    once fully walked.
+    The admissible next rows of a state follow the check plan of the clamped
+    sites.  They are produced lazily, cell by cell with symbols in sorted
+    order, so in lexicographic order, and once fully walked they are kept in
+    the plan's tables, shared by every walk whose clamp has the same symbols
+    where the row reads it, until the plan drops its tables at its cap.
     """
 
     def __init__(self, spec, N, clamp):
-        sites = box_sites(N)
-        self.clamp = clamp = dict(clamp or {})
-        for s in clamp:
+        width = 2 * N + 1
+        # per site number, the clamped symbol and the candidate symbols
+        self.symbols = [None] * width * width
+        self.choices = [sorted(spec.alphabet)] * width * width
+        clamped = set()
+        for s, v in (clamp or {}).items():
             if not (abs(s[0]) <= N and abs(s[1]) <= N):
                 raise InputError(f"clamp site {s} outside window [-{N},{N}]^2")
-        check_plan = {s: [] for s in sites}
-        height = 1
-        for support, allowed in spec.constraints():
-            ys = [y for _, y in support]
-            height = max(height, max(ys) - min(ys) + 1)
-            for get, cells in _box_placements(support, N):
-                last = next((c for c in cells if c not in clamp), cells[0])
-                check_plan[last].append((get, allowed))
-        alphabet = sorted(spec.alphabet)
-        width = 2 * N + 1
-        self.rows = [sites[i:i + width] for i in range(0, len(sites), width)]
-        # per row, each cell's site, candidate symbols and checks
-        self.cells = [[(s, [clamp[s]] if s in clamp else alphabet, check_plan[s])
-                       for s in row] for row in self.rows]
-        self.keep = height - 1
-        self.walked = {}
+            i = (s[1] + N) * width + s[0] + N
+            self.symbols[i], self.choices[i] = v, (v,)
+            clamped.add(i)
+        self.plan = plan = _check_plan(spec, N, frozenset(clamped))
+        self.keep, self.top = plan.keep, width - 1
+        self.keys = [(r, tuple(map(self.symbols.__getitem__, reads)))
+                     for r, reads in enumerate(plan.reads)]
+        self.tables = [plan.tables.setdefault(key, {}) for key in self.keys]
 
     def _next_rows(self, r, state):
         """The admissible rows r above the rows ``state``, lexicographically."""
-        below = chain.from_iterable(self.rows[r - len(state):r])
+        width, checks, choices = self.plan.width, self.plan.checks, self.choices
+        lo, last = r * width, (r + 1) * width - 1
         # a check may read a clamped cell of a row above r
-        symbols = self.clamp.copy()
-        symbols.update(zip(below, chain.from_iterable(state)))
-        cells = self.cells[r]
-        last = len(cells) - 1
-        values = [None] * len(cells)
-        # tried[i] iterates the candidates of cell i under the values chosen
-        # for cells 0..i-1
-        tried = [iter(cells[0][1])] + [None] * last
-        i = 0
-        while i >= 0:
-            site, _, checks = cells[i]
-            for v in tried[i]:
-                symbols[site] = v
-                for get, allowed in checks:
+        symbols = self.symbols.copy()
+        symbols[lo - len(state) * width:lo] = chain.from_iterable(state)
+        # tried[i - lo] iterates the candidates of cell i under the values
+        # chosen for cells lo..i-1
+        tried = [iter(choices[lo])] + [None] * (width - 1)
+        i = lo
+        while i >= lo:
+            for v in tried[i - lo]:
+                symbols[i] = v
+                for get, allowed in checks[i]:
                     if not allowed(get(symbols)):
                         break
                 else:  # every check passed: keep v
@@ -274,22 +302,28 @@ class _RowTransfer:
             else:
                 i -= 1
                 continue
-            values[i] = v
             if i == last:
-                yield tuple(values)
+                yield tuple(symbols[lo:i + 1])
             else:
                 i += 1
-                tried[i] = iter(cells[i][1])
+                tried[i - lo] = iter(choices[i])
 
     def _keep(self, r, state):
+        plan = self.plan
         rows = []
         for row in self._next_rows(r, state):
-            rows.append(row)
-            yield row
-        self.walked[r, state] = rows
+            rows.append(plan.interned.setdefault(row, row))
+            yield rows[-1]
+        if plan.stored == _PLAN_STATES:  # walks hold the old tables: empty them
+            for table in plan.tables.values():
+                table.clear()
+            plan.tables, plan.interned, plan.stored = {}, {}, 0
+        plan.stored += 1
+        table = self.tables[r] = plan.tables.setdefault(self.keys[r], {})
+        table[state] = tuple(rows)
 
     def successors(self, r, state):
-        rows = self.walked.get((r, state))
+        rows = self.tables[r].get(state)
         return iter(rows) if rows is not None else self._keep(r, state)
 
     def count(self, cap):
@@ -298,12 +332,12 @@ class _RowTransfer:
 
         The count walks the row states depth-first in the stream's own order
         through ``successors``, so a state it finishes keeps its rows for the
-        stream, and it keeps the exact count above every finished state, so a
-        state met again adds its count at once.  It expands no row state that
-        ``islice(self.fillings(), cap + 1)`` would not, and stops no later:
-        the work is bounded by the cap, not by the window.
+        stream unless the plan drops them, and it keeps the exact count above
+        every finished state, so a state met again adds its count at once.
+        It expands no row state that ``islice(self.fillings(), cap + 1)``
+        would not, and stops no later: the work is bounded by the cap.
         """
-        top = len(self.rows) - 1
+        top = self.top
         done = {}  # (r, state) -> number of fillings of rows r.. above state
         total = 0
         # frames of (r, state, the rows r left to try, total on entering)
@@ -330,7 +364,7 @@ class _RowTransfer:
 
     def fillings(self):
         """Every filling as its tuple of rows, lexicographic in raster order."""
-        top = len(self.rows) - 1
+        top = self.top
         path = []
         stack = [(self.successors(0, ()), ())]
         while stack:
@@ -365,7 +399,7 @@ def varies_inside(spec, M, clamp, reference, N):
     """
     walk = _RowTransfer(spec, M, clamp)
     lo, hi = M - N, M + N  # the inner rows, and the inner columns of a row
-    inner = {r: tuple(map(reference.__getitem__, walk.rows[r][lo:hi + 1]))
+    inner = {r: tuple(reference[x, r - M] for x in range(-N, N + 1))
              for r in range(lo, hi + 1)}
     dead = set()
     stack = [(0, (), False, walk.successors(0, ()))]

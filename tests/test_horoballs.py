@@ -38,6 +38,23 @@ class TestLinear:
     def test_zero_rejected(self):
         with pytest.raises(InputError):
             Linear((0, 0))
+        with pytest.raises(InputError):
+            Linear((0.0, -0.0))
+
+    def test_tiny_component_keeps_its_sign(self):
+        # 1e-13 is small next to 1 but not 0: <(-1, 0), v> < 0
+        j = Linear((1e-13, 1.0))
+        assert j.int_dir is None and j.sign((-1, 0)) == -1
+        assert l2_horoball((1e-13, 1.0)).contains((-1, 0))
+        assert not l2_horoball((-1e-13, 1.0)).contains((-1, 0))
+
+    @pytest.mark.parametrize("v, int_dir", [
+        ((1e-20, 1e-20), (1, 1)), ((1e-300, -3e-300), (1, -3)),
+        ((5e-324, 0.0), (1, 0))])
+    def test_tiny_vector_is_a_direction(self, v, int_dir):
+        j = Linear(v)
+        assert j.int_dir == int_dir
+        assert j.v == pytest.approx(Linear(int_dir).v)
 
     def test_huge_vector_normalizes(self):
         # the summed squares overflow to inf, the norm itself does not

@@ -1,9 +1,12 @@
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from horoshift import subshifts
+from horoshift.certify import _window_stream
 from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2,
                        ResourceBudgetError, SFT, SkewActionSpec,
                        complete_upward, config_distance, enumerate_fillings,
@@ -334,8 +337,11 @@ class TestCountFillings:
         ids=["vertical-3-window-4", "hard-square-window-3"])
     def test_no_more_row_work_than_the_walk(self, monkeypatch, spec, N):
         cap = DEFAULT_FILLING_BUDGET
+        # each run starts from fresh tables, so it expands its own states
+        subshifts._check_plan.cache_clear()
         walked, walk_resumes = _with_resumes(monkeypatch, lambda: sum(
             1 for _ in itertools.islice(filling_rows(spec, N), cap + 1)))
+        subshifts._check_plan.cache_clear()
         count, count_resumes = _with_resumes(
             monkeypatch, lambda: _RowTransfer(spec, N, None).count(cap))
         # both windows have more fillings than the budget
@@ -345,6 +351,7 @@ class TestCountFillings:
     @pytest.mark.parametrize("spec, N", COUNT_CASES.values(),
                              ids=COUNT_CASES.keys())
     def test_stream_after_count_expands_nothing(self, monkeypatch, spec, N):
+        subshifts._check_plan.cache_clear()  # the count expands every state
         walk = _RowTransfer(spec, N, None)
         count = walk.count(10 ** 6)
         rows, resumes = _with_resumes(monkeypatch,
@@ -384,6 +391,108 @@ class TestVariesInside:
                     spec, M, clamp, reference, N), kind
                 if kind == "contradictory":
                     assert walk is False
+
+
+@st.composite
+def _clamps_over_one_site_set(draw, alphabet, N=1):
+    """Two to five clamps of [-N, N]^2 over one drawn set of sites."""
+    sites = sorted(set(draw(st.lists(st.sampled_from(box_sites(N)),
+                                     min_size=1, max_size=9))))
+    symbols = st.tuples(*[st.sampled_from(alphabet)] * len(sites))
+    return [dict(zip(sites, values))
+            for values in draw(st.lists(symbols, min_size=2, max_size=5))]
+
+
+def _stores(monkeypatch):
+    """After each row state a walk stores: its plan's count of stored
+    states, and the most states that the plan's tables or the walk's hold."""
+    stores = []
+    keep = _RowTransfer._keep
+
+    def recorded(self, r, state):
+        yield from keep(self, r, state)
+        stores.append((self.plan.stored, max(
+            sum(map(len, self.plan.tables.values())),
+            sum(map(len, self.tables)))))
+
+    monkeypatch.setattr(_RowTransfer, "_keep", recorded)
+    return stores
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("name", ["ledrappier", "hard-square", "tall",
+                                      "three-cells-apart"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_clamps_over_one_site_set_never_mix(self, name, data):
+        spec, _ = CLAMPED_CASES[name]
+        subshifts._check_plan.cache_clear()
+        for clamp in data.draw(_clamps_over_one_site_set(spec.alphabet)):
+            assert list(enumerate_fillings(spec, 1, clamp=clamp)) == \
+                _brute_force(spec, 1, clamp), clamp
+
+    def test_clamps_differing_above_the_row_never_mix(self):
+        # Ledrappier's placement {(-1, 0), (0, 0), (-1, 1)} is checked at
+        # (0, 0), the raster-last unclamped cell, and reads (-1, 1) there
+        spec = ledrappier()
+        column = {(-1, y): 0 for y in (-1, 0, 1)}
+        for clamp in (column, {**column, (-1, 1): 1}, column):
+            assert list(enumerate_fillings(spec, 1, clamp=clamp)) == \
+                _brute_force(spec, 1, clamp), clamp
+
+    @pytest.mark.parametrize("name, answers", [
+        ("ledrappier", {True, False}), ("tall", {True, False}),
+        ("hard-square", {True})])
+    def test_varies_inside_on_successive_classes(self, name, answers):
+        # clamps over one trace-like site set, as the oracle asks them, each
+        # against its own filling and two others
+        spec, _ = CLAMPED_CASES[name]
+        M, N = 2, 1
+        sites = box_sites(M)
+        trace = [s for s in sites if 2 * s[1] < s[0]]
+        fillings = [dict(zip(sites, itertools.chain(*rows))) for rows in
+                    itertools.islice(filling_rows(spec, M), 0, 3000, 150)]
+        asks = [({s: z[s] for s in trace}, w)
+                for z in fillings for w in (z, *fillings[:2])]
+        wants = []
+        for clamp, reference in asks:
+            subshifts._check_plan.cache_clear()  # a reference of its own
+            wants.append(_varies_by_brute_force(spec, M, clamp, reference, N))
+        subshifts._check_plan.cache_clear()
+        got = [varies_inside(spec, M, clamp, reference, N)
+               for clamp, reference in asks]
+        assert got == wants and set(got) == answers
+
+    def test_second_walk_of_a_clamp_expands_nothing(self, monkeypatch):
+        spec = ledrappier()
+        clamp = {(-2, 2): 1, (0, 0): 1, (1, -2): 0}
+        first = list(filling_rows(spec, 2, clamp=clamp))
+        second, resumes = _with_resumes(
+            monkeypatch, lambda: list(filling_rows(spec, 2, clamp=clamp)))
+        assert resumes == 0 and second == first
+
+    def test_stored_states_stay_under_the_cap(self, monkeypatch):
+        want = list(filling_rows(HARD_SQUARE, 2))
+        monkeypatch.setattr(subshifts, "_PLAN_STATES", 5)
+        stores = _stores(monkeypatch)
+        subshifts._check_plan.cache_clear()
+        assert list(filling_rows(HARD_SQUARE, 2)) == want
+        assert max(held for _, held in stores) <= 5
+        assert [stored for stored, _ in stores].count(1) > 1  # dropped
+
+    def test_window_stream_survives_the_cap(self, monkeypatch):
+        budget = DEFAULT_FILLING_BUDGET
+        subshifts._check_plan.cache_clear()
+        _window_stream.cache_clear()
+        want = _window_stream(HARD_SQUARE, 2, budget)
+        monkeypatch.setattr(subshifts, "_PLAN_STATES", 7)
+        stores = _stores(monkeypatch)
+        subshifts._check_plan.cache_clear()
+        _window_stream.cache_clear()
+        got = _window_stream(HARD_SQUARE, 2, budget)
+        _window_stream.cache_clear()
+        assert [stored for stored, _ in stores].count(1) > 1  # dropped
+        assert got.shape == (55_447, 5, 5) and np.array_equal(got, want)
 
 
 class TestCompleteUpward:
