@@ -23,7 +23,6 @@ as the independent oracle, settling each trace class of fillings with one
 clamped walk of the larger window.
 """
 
-import collections
 import functools
 import itertools
 import math
@@ -419,25 +418,32 @@ def _window_stream(spec, N, budget):
     bottom first; None when the window has more than budget fillings.
 
     One free walk settles the budget with its capped count, so a window over
-    it walks no filling; one under it streams the rows the count kept, each
-    numbered in the order it first appears.
+    it walks no filling; under it, each prefix of rows that some filling
+    passes takes its state's rows in turn, over the walk's ``levels``.
     """
     walk = _RowTransfer(spec, N, None)
-    if walk.count(budget) > budget:
+    if (count := walk.count(budget)) > budget:
         return None
-    number = collections.defaultdict(itertools.count().__next__)
-    ids = np.fromiter(map(number.__getitem__,
-                          itertools.chain.from_iterable(walk.fillings())),
-                      dtype=np.intp)
     width = 2 * N + 1
-    table = np.array([[spec.alphabet.index(v) for v in row] for row in number],
-                     dtype=np.min_scalar_type(len(spec.alphabet) - 1))
-    return table.reshape(len(number), width)[ids.reshape(-1, width)]
+    dtype = np.min_scalar_type(len(spec.alphabet) - 1)
+    symbols = np.empty((count, width, width), dtype=dtype)
+    states = np.zeros(1, dtype=np.intp)  # each prefix's state, in order
+    for r, (first, edges) in enumerate(walk.levels()):
+        rows = np.array([[spec.alphabet.index(v) for v in row]
+                         for row, *_ in edges], dtype=dtype).reshape(-1, width)
+        child, above = np.array([e[1:] for e in edges], int).reshape(-1, 2).T
+        # taken: the edges of each prefix's state, prefix by prefix
+        start, degree = np.take(first, states), np.diff(first)[states]
+        taken = np.repeat(start - np.cumsum(degree) + degree, degree)
+        taken += np.arange(len(taken))
+        symbols[:, r] = np.repeat(rows[taken], above[taken], axis=0)
+        states = child[taken]
+    return symbols
 
 
 def _trace_classes(values, base):
     """Group the rows of ``values``, an (n, t) array of symbol indices below
-    ``base``, by equality.
+    ``base``, by equality, with one stable sort of their packed keys.
 
     Returns ``order``, the row numbers class after class, and ``starts``,
     the offset in ``order`` of each class: the classes come in the order of
@@ -453,10 +459,15 @@ def _trace_classes(values, base):
             size = len(values)
         key = key * base + column
         size *= base
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    head = first[inverse]  # each row's class, named by its first row
-    order = np.argsort(head, kind="stable")
-    starts = np.flatnonzero(np.diff(head[order], prepend=-1))
+    key = key.astype(np.min_scalar_type(size - 1))  # 16-bit keys sort by radix
+    by_key = np.argsort(key, kind="stable")  # each group's rows ascending
+    ranked = key[by_key]  # each class begins where its key first shows
+    bounds = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] + 1))
+    rank = np.argsort(by_key[bounds], kind="stable")  # by their first rows
+    sizes = np.diff(bounds, append=len(key))[rank]
+    starts = np.cumsum(sizes) - sizes
+    order = by_key[np.repeat(bounds[rank] - starts, sizes)
+                   + np.arange(len(key))]
     return order, starts
 
 

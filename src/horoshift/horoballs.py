@@ -44,13 +44,13 @@ class Linear:
         if not any(v):
             raise InputError("direction vector must be nonzero")
         # small denominators (integers too) are exact; else, scaled by the
-        # largest, each component's nearest fraction matches it relatively
-        exact = [Fraction(c) for c in v]
+        # largest, each lies a few ulps off a fraction of denominator <= 10**6
+        exact = fracs = [Fraction(c) for c in v]
         if any(f.denominator > 10 ** 9 for f in exact):
             top = max(map(abs, exact))
             exact = [f / top for f in exact]
-        fracs = [f.limit_denominator(10 ** 9) for f in exact]
-        if all(abs(g - f) <= 1e-12 * abs(f) for g, f in zip(fracs, exact)):
+            fracs = [f.limit_denominator(10 ** 6) for f in exact]
+        if all(abs(g - f) <= 2 ** -50 * abs(f) for g, f in zip(fracs, exact)):
             den = math.lcm(*(f.denominator for f in fracs))
             self.int_dir = _gcd_reduce(tuple(int(f * den) for f in fracs))
         else:

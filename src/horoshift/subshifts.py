@@ -19,9 +19,9 @@ GF(2) rule on them in raster order.  ``enumerate_fillings`` streams the
 locally admissible total assignments (window fillings) of the box [-N, N]^2,
 each a dict keyed in raster order, in raster-lexicographic order by a walk
 over its rows; ``filling_rows`` streams the same fillings as bare tuples of
-rows, and a walk counts them up to a cap before streaming them from the row
-states kept; walks clamped on one site set share those rows through one check
-plan of bounded size.  ``varies_inside`` asks whether a clamped window's
+rows, and a walk counts them up to a cap before handing over its row states
+level by level; walks clamped on one site set share those rows through one
+check plan of bounded size.  ``varies_inside`` asks whether a clamped window's
 fillings vary inside a smaller box.
 """
 
@@ -338,7 +338,7 @@ class _RowTransfer:
         would not, and stops no later: the work is bounded by the cap.
         """
         top = self.top
-        done = {}  # (r, state) -> number of fillings of rows r.. above state
+        done = self.done = {}  # (r, state) -> fillings of rows r.. above it
         total = 0
         # frames of (r, state, the rows r left to try, total on entering)
         stack = [(0, (), self.successors(0, ()), 0)]
@@ -361,6 +361,25 @@ class _RowTransfer:
             if total > cap:
                 return total
         return total
+
+    def levels(self):
+        """After a ``count`` under its cap, per row, the rows that fillings
+        take from its distinct states: ``(first, edges)``, state i's rows in
+        ``edges[first[i]:first[i + 1]]`` in stream order, each ``(row, child,
+        above)``, the next row's state number and the fillings above it."""
+        states = [()]
+        for r in range(self.top + 1):
+            first, edges, number = [0], [], {}
+            for state in states:
+                for row in self.successors(r, state):
+                    after = _state_after(state, row, self.keep)
+                    above = self.done[r + 1, after] if r < self.top else 1
+                    if above:
+                        child = number.setdefault(after, len(number))
+                        edges.append((row, child, above))
+                first.append(len(edges))
+            yield first, edges
+            states = list(number)
 
     def fillings(self):
         """Every filling as its tuple of rows, lexicographic in raster order."""

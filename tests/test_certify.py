@@ -1,9 +1,12 @@
+import collections
+import functools
 import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horoshift import (Direction, FullShift, InputError, LinearGF2,
                        PolyhedralZ2, SFT,
@@ -268,6 +271,114 @@ class TestTraceClasses:
         # an empty trace puts every filling in one class
         assert _array_classes(np.zeros((5, 0), dtype=np.uint8), 3) == \
             [list(range(5))]
+
+    @given(data=st.data(), base=st.sampled_from([2, 3, 5]),
+           n=st.integers(0, 40), width=st.sampled_from([0, 1, 2, 5, 12, 70]))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_rows(self, data, base, n, width):
+        # rows drawn from a pool of one to four, which differ in their first
+        # columns only: 70 columns pass 63 bits of key at every base here,
+        # and a binary key that wrapped around would lose those columns
+        symbol = st.integers(0, base - 1)
+        head = data.draw(st.integers(0, min(width, 8)))
+        tail = data.draw(st.lists(symbol, min_size=width - head,
+                                  max_size=width - head))
+        pool = data.draw(st.lists(st.lists(symbol, min_size=head,
+                                           max_size=head),
+                                  min_size=1, max_size=4))
+        rows = data.draw(st.lists(st.sampled_from(pool), min_size=n,
+                                  max_size=n))
+        values = np.array([row + tail for row in rows],
+                          dtype=np.uint8).reshape(n, width)
+        assert _array_classes(values, base) == _dict_classes(rows)
+
+
+# a 1 has a 1 above it, and a 0 has no 1 two rows above it: every column is
+# constant, and a prefix with a 0 under a 1 dies on the next row, which has
+# no symbol left for the cell above that 1
+DEAD_ENDS = SFT((0, 1), [{(0, 0): 1, (0, 1): 0}, {(0, 0): 0, (0, 2): 1}])
+
+WINDOW_CASES = {
+    "hard-square": (SFT((0, 1), [{(0, 0): 1, (1, 0): 1},
+                                 {(0, 0): 1, (0, 1): 1}]), (1, 2)),
+    "ledrappier": (ledrappier(), (1, 2)),
+    # their N = 2 windows have 2.0e6 fillings or more
+    "three-symbol": (TestTraceClasses.SPECS["three-symbol"], (1,)),
+    "strings": (TestTraceClasses.SPECS["strings"], (1,)),
+    "full-shift": (FullShift((0, 1)), (1,)),
+    "dead-ends": (DEAD_ENDS, (1, 2)),
+    "no-filling": (SFT((0, 1), [{(0, 0): 0}, {(0, 0): 1}]), (1, 2)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_array(name, N):
+    """The fillings ``filling_rows`` streams for a window case, as one
+    (filling, row, column) array of alphabet indices."""
+    spec, _ = WINDOW_CASES[name]
+    index = {v: i for i, v in enumerate(spec.alphabet)}
+    width = 2 * N + 1
+    return np.array([[[index[v] for v in row] for row in f]
+                     for f in filling_rows(spec, N)],
+                    dtype=np.uint8).reshape(-1, width, width)
+
+
+def _repeat_lengths(monkeypatch):
+    """The length of each array ``np.repeat`` returns from now on."""
+    lengths, repeat = [], np.repeat
+
+    def recorded(*args, **kwargs):
+        out = repeat(*args, **kwargs)
+        lengths.append(len(out))
+        return out
+
+    monkeypatch.setattr(np, "repeat", recorded)
+    return lengths
+
+
+class TestWindowArray:
+    @given(case=st.sampled_from([(name, N) for name, (_, Ns) in
+                                 WINDOW_CASES.items() for N in Ns]),
+           extra=st.sampled_from([-1, 0, 5]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_stream(self, case, extra):
+        name, N = case
+        spec, _ = WINDOW_CASES[name]
+        want = _stream_array(name, N)
+        _window_stream.cache_clear()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            lengths = _repeat_lengths(monkeypatch)
+            got = _window_stream(spec, N, len(want) + extra)
+        _window_stream.cache_clear()
+        if extra < 0:
+            assert got is None and not lengths  # the count alone refuses
+        else:
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert max(lengths, default=0) <= len(want)
+
+    def test_dead_ends_are_never_expanded(self, monkeypatch):
+        # a walk of every admissible prefix holds more prefixes than there
+        # are fillings at some row; the array's levels hold no more
+        for N, count in ((1, 8), (2, 32)):
+            walk = subshifts._RowTransfer(DEAD_ENDS, N, None)
+            assert walk.count(10 ** 6) == count
+            level, prefixes = collections.Counter({(): 1}), []
+            for r in range(walk.top + 1):
+                after = collections.Counter()
+                for state, paths in level.items():
+                    for row in walk.successors(r, state):
+                        after[subshifts._state_after(
+                            state, row, walk.keep)] += paths
+                level = after
+                prefixes.append(sum(level.values()))
+            assert max(prefixes) > count
+            _window_stream.cache_clear()
+            lengths = _repeat_lengths(monkeypatch)
+            assert len(_window_stream(DEAD_ENDS, N, count)) == count
+            _window_stream.cache_clear()
+            assert lengths and max(lengths) <= count
+            monkeypatch.undo()
 
 
 class TestOriginForced:

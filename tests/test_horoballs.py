@@ -56,6 +56,24 @@ class TestLinear:
         assert j.int_dir == int_dir
         assert j.v == pytest.approx(Linear(int_dir).v)
 
+    @pytest.mark.parametrize("v", [(1, math.sqrt(2)), (math.pi, 1),
+                                   (math.e, 1), (-1, 1 / math.e),
+                                   (1, 0.1 + 1e-14)])
+    def test_direction_off_every_small_fraction(self, v):
+        # a fraction of denominator <= 10**9 lies within 1e-18 of almost
+        # any real, so matching one to 1e-12 called these rational
+        j = Linear(v)
+        assert j.int_dir is None and j.halfplane_normal() is None
+
+    @pytest.mark.parametrize("v, int_dir", [
+        ((1, 0.1), (10, 1)), ((0.5, 1), (1, 2)), ((1 / 3, -1), (1, -3)),
+        ((0.1 * 3, 1), (3, 10)),  # 0.30000000000000004, an ulp off 3/10
+        ((2 / 7, 5 / 11), (22, 35)), ((3, -7), (3, -7)),
+        ((Fraction(2, 3), Fraction(-5, 7)), (14, -15)),
+        ((Fraction(1, 10 ** 7), 1), (1, 10 ** 7))])
+    def test_rational_direction_is_exact(self, v, int_dir):
+        assert Linear(v).int_dir == int_dir
+
     def test_huge_vector_normalizes(self):
         # the summed squares overflow to inf, the norm itself does not
         j = Linear((1e308, 1e308))
