@@ -19,8 +19,9 @@ unconstrained edge cells can fake a disagreement.
 For GF(2) linear rules the search is linear algebra: valid fillings form a
 GF(2) vector space, so witness pairs correspond to kernel vectors
 vanishing on the trace.  The generic path enumerates fillings and serves
-as the independent oracle, settling each trace class of fillings with one
-clamped walk of the larger window.
+as the independent oracle, settling each trace class of fillings with
+walks of the larger window clamped on two site sets: the inner box, for
+the class's first extension, then the larger trace.
 """
 
 import functools
@@ -403,13 +404,6 @@ def _fullshift_status(spec, trace, k, N):
                    evidence={"difference_site": site, "trace_size": len(trace)})
 
 
-def _pair_extends(spec, xhat, y, trace_M, M):
-    """Does the window filling y extend to [-M, M]^2 agreeing on the larger
-    dilated trace with ``xhat``, an extension of the class representative?"""
-    clamp = {s: xhat[s] for s in trace_M} | y
-    return next(enumerate_fillings(spec, M, clamp=clamp), None) is not None
-
-
 # every direction of an nd run reads the same free window stream
 @functools.lru_cache(maxsize=1)
 def _window_stream(spec, N, budget):
@@ -481,7 +475,9 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
     The larger trace meets [-N, N]^2 in the trace, so some member extends
     exactly when a filling agreeing with xhat on the larger trace differs
     from it inside [-N, N]^2: one ``varies_inside`` walk per class asks
-    that, and only a class where it hits searches its members.
+    that.  Only a class where it hits tries its members in stream order,
+    each by a walk on the same clamp that keeps the fillings equal to the
+    member inside [-N, N]^2, sharing the first walk's row tables.
     """
     symbols = _window_stream(spec, N, budget)
     if symbols is None:
@@ -506,14 +502,17 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
     for start, stop in zip(starts[shared].tolist(), stops[shared].tolist()):
         # the stream has no repeats, so every other member differs from rep
         rep, *others = order[start:stop].tolist()
-        rep = filling(rep)
-        xhat = next(enumerate_fillings(spec, M, clamp=rep), None)
+        xhat = next(enumerate_fillings(spec, M, clamp=filling(rep)), None)
         if xhat is None or not varies_inside(
-                spec, M, {s: xhat[s] for s in trace_M}, xhat, N):
+                spec, M, clamp := {s: xhat[s] for s in trace_M}, xhat, N):
             continue
-        for other in map(filling, others):
-            if _pair_extends(spec, xhat, other, trace_M, M):
-                return Witness((_member(N, rep), _member(N, other)), N, k,
+        walk = _RowTransfer(spec, M, clamp)
+        for other in others:
+            inner = [tuple(map(spec.alphabet.__getitem__, row))
+                     for row in symbols[other].tolist()]
+            if next(walk.fillings(inner), None) is not None:
+                return Witness((_member(N, filling(rep)),
+                                _member(N, filling(other))), N, k,
                                evidence={"margin": margin,
                                          "trace_size": len(trace)})
     if origin_forced:
@@ -585,9 +584,11 @@ def verify_witness(spec, contains, cert):
     as ``Witness.to_dict`` writes it: each member {"N": N, "symbols": [[x,
     y, v], ...]} carries the certificate's N and lists [-N, N]^2 in
     ``box_sites`` order; both are locally admissible, equal on the dilated
-    trace and unequal somewhere, and every disagreement site lies at
-    l-infinity distance >= k from the horoball's trace in [-2N, 2N]^2.
-    A malformed pair is refused, never raised on."""
+    trace and unequal somewhere.  The trace is exactly the sites at
+    l-infinity distance < k from H /\\ [-2N, 2N]^2, so agreeing on it puts
+    every disagreement at distance >= k; it is built from ``contains``
+    alone, not from the closed form the search uses.  A malformed pair is
+    refused, never raised on."""
     N, k = cert.N, cert.k
     box = [[sx, sy] for sx, sy in box_sites(N)]
     try:
@@ -600,15 +601,7 @@ def verify_witness(spec, contains, cert):
     except (KeyError, TypeError, ValueError):  # an InputError is a ValueError
         return False
     trace, hits = dilated_trace(contains, k, N)
-    if not hits or any(x[s] != y[s] for s in trace):
-        return False
-    B = 2 * N
-    ball_sites = [(hx, hy) for hx in range(-B, B + 1) for hy in range(-B, B + 1)
-                  if contains((hx, hy))]
-    diff = [s for s in x if x[s] != y[s]]
-    return bool(diff) and all(
-        min(max(abs(s[0] - hx), abs(s[1] - hy)) for hx, hy in ball_sites) >= k
-        for s in diff)
+    return hits and x != y and all(x[s] == y[s] for s in trace)
 
 
 def verify_window_deterministic(spec, contains, cert):

@@ -8,8 +8,8 @@ beta*m; their Z^2 configurations are never materialized.
 
 A symbol assignment (a pattern, a window filling, a clamp) is a plain dict
 from site to symbol; outside input (an SFT's forbidden patterns, the
-pattern given to ``validate``) may also be a list of [site, symbol] pairs
-and is checked in one place, ``_symbols``.
+pattern given to ``validate``, the clamp of a walk) may also be a list of
+[site, symbol] pairs and is checked in one place, ``_symbols``.
 
 Every spec gives its rule as ``constraints()``, a list of ``(support,
 allowed)``: ``allowed(values)`` judges the symbols read at z + support (a
@@ -21,8 +21,10 @@ each a dict keyed in raster order, in raster-lexicographic order by a walk
 over its rows; ``filling_rows`` streams the same fillings as bare tuples of
 rows, and a walk counts them up to a cap before handing over its row states
 level by level; walks clamped on one site set share those rows through one
-check plan of bounded size.  ``varies_inside`` asks whether a clamped window's
-fillings vary inside a smaller box.
+check plan of bounded size.  One depth-first walk streams the fillings, or
+only those equal to a reference inside a smaller box, or only those that
+differ from it there; ``varies_inside`` asks whether any of the last kind
+exists.
 """
 
 from functools import lru_cache, partial, reduce
@@ -65,14 +67,18 @@ def _site(s):
         raise InputError(f"a site must be an integer pair, got {s!r}") from e
 
 
-def _symbols(pattern):
+def _symbols(pattern, alphabet=None):
     """A symbol map given as a dict or as [site, symbol] pairs, as a dict
-    keyed by integer sites."""
+    keyed by integer sites, each symbol in ``alphabet`` if one is given."""
     pairs = pattern.items() if isinstance(pattern, dict) else pattern
     try:
-        return {_site(s): v for s, v in pairs}
+        symbols = {(int(x), int(y)): v for (x, y), v in pairs}
     except (TypeError, ValueError) as e:
         raise InputError(f"bad [site, symbol] pairs {pattern!r}") from e
+    for v in symbols.values():
+        if alphabet and v not in alphabet:
+            raise InputError(f"symbol {v!r} outside alphabet {alphabet}")
+    return symbols
 
 
 class FullShift:
@@ -188,10 +194,7 @@ def solve_forward(support, sites, free):
 
 def validate(spec, pattern):
     """True iff no constraint is violated fully inside the pattern support."""
-    symbols = _symbols(pattern)
-    for v in symbols.values():
-        if v not in spec.alphabet:
-            raise InputError(f"symbol {v!r} outside alphabet {spec.alphabet}")
+    symbols = _symbols(pattern, spec.alphabet)
     return all(allowed(itemgetter(*cells)(symbols))
                for support, allowed in spec.constraints()
                for cells in placements(support, symbols))
@@ -247,7 +250,8 @@ class _CheckPlan:
         self.tables, self.interned, self.stored = {}, {}, 0
 
 
-# an oracle class walks two clamped site sets of one margin window in turn
+# an oracle class walks two clamped site sets of one margin window in turn:
+# the inner box for its first extension, then the larger trace
 _check_plan = lru_cache(maxsize=2)(_CheckPlan)
 
 
@@ -268,7 +272,7 @@ class _RowTransfer:
         self.symbols = [None] * width * width
         self.choices = [sorted(spec.alphabet)] * width * width
         clamped = set()
-        for s, v in (clamp or {}).items():
+        for s, v in _symbols(clamp or {}, spec.alphabet).items():
             if not (abs(s[0]) <= N and abs(s[1]) <= N):
                 raise InputError(f"clamp site {s} outside window [-{N},{N}]^2")
             i = (s[1] + N) * width + s[0] + N
@@ -381,25 +385,40 @@ class _RowTransfer:
             yield first, edges
             states = list(number)
 
-    def fillings(self):
-        """Every filling as its tuple of rows, lexicographic in raster order."""
-        top = self.top
-        path = []
-        stack = [(self.successors(0, ()), ())]
+    def fillings(self, inner=(), differ=False):
+        """Every filling as its tuple of rows, lexicographic in raster order;
+        given ``inner``, the rows (tuples) of [-N, N]^2 at the window's
+        centre, only those equal to it there, or with ``differ`` only those
+        that differ from it there.  One depth-first walk over (row, state,
+        differs) compares each row as it places it, and does not walk again
+        a triple that yielded no filling.
+        """
+        top, keep = self.top, self.keep
+        lo = (top + 1 - len(inner)) // 2  # the inner rows and columns
+        hi = lo + len(inner) - 1
+        path, dead, found = [None] * (top + 1), set(), 0
+        # frames of (r, state, differs, the rows r left to try, found before)
+        stack = [(0, (), False, self.successors(0, ()), 0)]
         while stack:
-            r = len(stack) - 1
-            rows, state = stack[-1]
+            r, state, differs, rows, _ = stack[-1]
             row = next(rows, None)
             if row is None:
-                stack.pop()
+                if stack.pop()[4] == found:
+                    dead.add((r, state, differs))
                 continue
-            del path[r:]
-            path.append(row)
+            differs = differs or (lo <= r <= hi
+                                  and row[lo:hi + 1] != inner[r - lo])
+            # a difference stays, and its absence is final past row hi
+            if differs != differ and (differs or r >= hi):
+                continue
+            path[r] = row
             if r == top:
+                found += 1
                 yield tuple(path)
-            else:
-                after = _state_after(state, row, self.keep)
-                stack.append((self.successors(r + 1, after), after))
+            elif (r + 1, after := _state_after(state, row, keep),
+                  differs) not in dead:
+                stack.append((r + 1, after, differs,
+                              self.successors(r + 1, after), found))
 
 
 def filling_rows(spec, N, clamp=None):
@@ -410,31 +429,13 @@ def filling_rows(spec, N, clamp=None):
 
 def varies_inside(spec, M, clamp, reference, N):
     """Does some filling of [-M, M]^2 extending ``clamp`` differ from
-    ``reference``, a mapping over [-N, N]^2 (N <= M), inside [-N, N]^2?
-
-    One depth-first walk over (row, state, differs): each row state's next
-    rows are made once, a triple that led nowhere is not walked again, and
-    a path that differs nowhere yet stops at the last row of [-N, N]^2.
-    """
-    walk = _RowTransfer(spec, M, clamp)
-    lo, hi = M - N, M + N  # the inner rows, and the inner columns of a row
-    inner = {r: tuple(reference[x, r - M] for x in range(-N, N + 1))
-             for r in range(lo, hi + 1)}
-    dead = set()
-    stack = [(0, (), False, walk.successors(0, ()))]
-    while stack:
-        r, state, differs, rows = stack[-1]
-        row = next(rows, None)
-        if row is None:
-            dead.add(stack.pop()[:3])
-            continue
-        differs = differs or (r in inner and row[lo:hi + 1] != inner[r])
-        if differs and r == 2 * M:
-            return True
-        frame = (r + 1, _state_after(state, row, walk.keep), differs)
-        if (differs or r < hi) and frame not in dead:
-            stack.append((*frame, walk.successors(*frame[:2])))
-    return False
+    ``reference``, a mapping over [-N, N]^2 (N <= M), inside [-N, N]^2?"""
+    if not 0 <= N <= M:
+        raise InputError(f"need 0 <= N <= M, got N={N}, M={M}")
+    inner = [tuple(reference[x, y] for x in range(-N, N + 1))
+             for y in range(-N, N + 1)]
+    walk = _RowTransfer(spec, M, clamp).fillings(inner, differ=True)
+    return next(walk, None) is not None
 
 
 def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):

@@ -531,8 +531,7 @@ class TestVerifyWitness:
     def test_difference_on_trace_refused(self):
         trace, _ = dilated_trace(self.v.contains, 2, 4)
         zero = {s: 0 for s in box_sites(4)}
-        # admissible, but nonzero on the trace (the distance check refuses
-        # such a pair as well: every trace site lies within k of H)
+        # admissible, but nonzero on the trace: only the trace test refuses it
         on_trace = next(f for f in enumerate_fillings(self.spec, 4)
                         if any(f[s] for s in trace))
         assert not self.check(certify._member(4, zero),
@@ -737,18 +736,30 @@ def _shared_classes(spec, v, k, N):
 def _class_answers(spec, v, k, N, margin=None):
     """For each shared trace class whose first filling extends to the
     margin window: the extension walk's answer, and whether some other
-    member extends by the per-member search."""
+    member extends by a search with the member merged into the clamp.
+    Member by member, up to the first that extends, the oracle's walk that
+    keeps the fillings equal to the member inside [-N, N]^2 agrees with
+    that search."""
     margin = N - k + 2 if margin is None else margin
     M = N + margin
     trace_M, _ = dilated_trace(v.contains, k, M)
     answers = []
     for rep, *others in _shared_classes(spec, v, k, N):
         xhat = next(enumerate_fillings(spec, M, clamp=rep), None)
-        if xhat is not None:
-            walk = varies_inside(spec, M, {s: xhat[s] for s in trace_M},
-                                 xhat, N)
-            answers.append((walk, any(certify._pair_extends(
-                spec, xhat, y, trace_M, M) for y in others)))
+        if xhat is None:
+            continue
+        clamp = {s: xhat[s] for s in trace_M}
+        equal = subshifts._RowTransfer(spec, M, clamp)
+        member = False
+        for y in others:
+            member = next(enumerate_fillings(spec, M, clamp=clamp | y),
+                          None) is not None
+            rows = [tuple(y[x, r] for x in range(-N, N + 1))
+                    for r in range(-N, N + 1)]
+            assert (next(equal.fillings(rows), None) is not None) == member
+            if member:
+                break
+        answers.append((varies_inside(spec, M, clamp, xhat, N), member))
     return answers
 
 
@@ -778,23 +789,61 @@ class TestExtensionWalk:
                 seen.add(walk)
         assert seen
 
+    @pytest.mark.parametrize("v", [(-1, 0), (0, -1)])
+    def test_witness_is_the_first_member_that_extends(self, v):
+        # here the first class that varies has a member before the first
+        # one that extends, and that member extends to no filling
+        spec, k, N, margin, _ = CLASS_CASES["repeated-site"]
+        v, M = Direction(*v), N + margin
+        trace_M, _ = dilated_trace(v.contains, k, M)
+        for rep, *others in _shared_classes(spec, v, k, N):
+            xhat = next(enumerate_fillings(spec, M, clamp=rep), None)
+            clamp = {s: xhat[s] for s in trace_M} if xhat else None
+            if clamp and varies_inside(spec, M, clamp, xhat, N):
+                break
+        extends = [next(enumerate_fillings(spec, M, clamp=clamp | y), None)
+                   is not None for y in others]
+        assert extends[0] is False and True in extends
+        y = others[extends.index(True)]
+        cert = direction_status(spec, v, k, N, margin=margin,
+                                method="enumerate")
+        assert cert.pair == (certify._member(N, rep), certify._member(N, y))
+
     def test_at_most_two_walks_per_class(self, monkeypatch):
         walks = []
+        init = subshifts._RowTransfer.__init__
 
-        class Counted(subshifts._RowTransfer):
-            def __init__(self, spec, N, clamp):
-                if clamp:
-                    walks.append(N)
-                super().__init__(spec, N, clamp)
+        def counted(self, spec, N, clamp):
+            if clamp:
+                walks.append(N)
+            init(self, spec, N, clamp)
 
-        monkeypatch.setattr(subshifts, "_RowTransfer", Counted)
+        # on the class itself, so a walk made under any module's name counts
+        monkeypatch.setattr(subshifts._RowTransfer, "__init__", counted)
         for k, most in ((1, 128), (2, 256)):
             walks.clear()
             cert = direction_status(ledrappier(), (1, 0), k, 2,
                                     method="enumerate")
             assert cert.kind == "window-deterministic"
             shared = len(_shared_classes(ledrappier(), Direction(1, 0), k, 2))
-            assert len(walks) <= 2 * shared <= most
+            assert shared <= len(walks) <= 2 * shared <= most
+
+    def test_two_plans_per_direction(self, monkeypatch):
+        # hard-square nd: the free window's plan, then per direction one
+        # for the inner box of the margin window and one for its trace
+        plans = []
+        init = subshifts._CheckPlan.__init__
+
+        def counted(self, spec, N, clamped):
+            plans.append(clamped)
+            init(self, spec, N, clamped)
+
+        monkeypatch.setattr(subshifts._CheckPlan, "__init__", counted)
+        subshifts._check_plan.cache_clear()
+        _window_stream.cache_clear()
+        report = nd_set(HARD_SQUARE, 1, 2, grid="farey:1")
+        assert [c.kind for _, c in report.entries] == ["witness"] * 8
+        assert len(plans) <= 10
 
 
 class _SetHoroball:

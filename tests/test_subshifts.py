@@ -285,6 +285,18 @@ class TestFillingRows:
         with pytest.raises(InputError):
             filling_rows(ledrappier(), 1, clamp={(0, 2): 0})
 
+    @pytest.mark.parametrize("spec, N, clamp", [
+        (FullShift((0, 1)), 0, {(0, 0): 5}),
+        (ledrappier(), 1, {(0, 0): 3}),
+        (ledrappier(), 1, {"ab": 1})],
+        ids=["symbol-outside-full-shift", "symbol-outside-ledrappier",
+             "site-not-a-pair"])
+    def test_malformed_clamp_refused(self, spec, N, clamp):
+        with pytest.raises(InputError):
+            list(enumerate_fillings(spec, N, clamp=clamp))
+        with pytest.raises(InputError):
+            varies_inside(spec, N, clamp, {(0, 0): spec.alphabet[0]}, 0)
+
 
 # (spec, N) windows whose counts are checked against the walk
 COUNT_CASES = {
@@ -391,6 +403,62 @@ class TestVariesInside:
                     spec, M, clamp, reference, N), kind
                 if kind == "contradictory":
                     assert walk is False
+
+    def test_inner_box_outside_the_window_refused(self):
+        spec = FullShift((0, 1))
+        zero = {s: 0 for s in box_sites(2)}
+        for M, N in [(1, 2), (1, -1)]:
+            with pytest.raises(InputError):
+                varies_inside(spec, M, {s: 0 for s in box_sites(1)}, zero, N)
+
+
+@functools.lru_cache(maxsize=None)
+def _first_fillings(spec, M):
+    """The first 200 fillings of [-M, M]^2 in stream order, as dicts."""
+    sites = box_sites(M)
+    return [dict(zip(sites, itertools.chain(*rows)))
+            for rows in itertools.islice(filling_rows(spec, M), 200)]
+
+
+class TestInnerWalk:
+    @pytest.mark.parametrize("spec, contradiction", CLAMPED_CASES.values(),
+                             ids=CLAMPED_CASES.keys())
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_a_filter_of_the_stream(self, spec, contradiction, data):
+        M = data.draw(st.integers(1, 2), label="M")
+        N = data.draw(st.integers(0, M), label="N")
+        if M == 1:
+            clamp = data.draw(_clamps(spec.alphabet, contradiction))
+        else:
+            # one of the first fillings, a few cells left free
+            z = data.draw(st.sampled_from(_first_fillings(spec, 2)))
+            free = data.draw(st.sets(st.sampled_from(box_sites(2)),
+                                     max_size=8))
+            clamp = {s: v for s, v in z.items() if s not in free}
+            if data.draw(st.booleans()):
+                clamp.update(contradiction)
+        stream = list(filling_rows(spec, M, clamp))
+        lo, hi = M - N, M + N + 1
+
+        def inside(rows):
+            return [tuple(row[lo:hi]) for row in rows[lo:hi]]
+
+        symbol = st.sampled_from(spec.alphabet)
+        reference = [tuple(data.draw(symbol) for _ in range(lo, hi))
+                     for _ in range(lo, hi)]
+        if stream and data.draw(st.booleans()):  # one that some filling has
+            reference = inside(data.draw(st.sampled_from(stream)))
+        for differ in (False, True):
+            walk = _RowTransfer(spec, M, clamp).fillings(reference, differ)
+            assert list(walk) == [
+                f for f in stream if (inside(f) != reference) == differ]
+        as_map = {(x, y): v for y, row in zip(range(-N, N + 1), reference)
+                  for x, v in zip(range(-N, N + 1), row)}
+        assert varies_inside(spec, M, clamp, as_map, N) == any(
+            inside(f) != reference for f in stream)
+        if contradiction.items() <= clamp.items():
+            assert stream == []
 
 
 @st.composite
