@@ -35,8 +35,9 @@ from .errors import InputError
 from .horoballs import _check_dim
 from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        _RowTransfer, box_sites, enumerate_fillings,
-                        skew_exponent, solve_forward, validate, varies_inside)
+                        _RowTransfer, _window_array, box_sites,
+                        enumerate_fillings, skew_exponent, solve_forward,
+                        validate, varies_inside)
 
 
 # ---------------------------------------------------------------------------
@@ -404,35 +405,8 @@ def _fullshift_status(spec, trace, k, N):
                    evidence={"difference_site": site, "trace_size": len(trace)})
 
 
-# every direction of an nd run reads the same free window stream
-@functools.lru_cache(maxsize=1)
-def _window_stream(spec, N, budget):
-    """The fillings of [-N, N]^2 in stream order as one array of indices
-    into ``spec.alphabet``, shaped (filling, row, column) with the rows
-    bottom first; None when the window has more than budget fillings.
-
-    One free walk settles the budget with its capped count, so a window over
-    it walks no filling; under it, each prefix of rows that some filling
-    passes takes its state's rows in turn, over the walk's ``levels``.
-    """
-    walk = _RowTransfer(spec, N, None)
-    if (count := walk.count(budget)) > budget:
-        return None
-    width = 2 * N + 1
-    dtype = np.min_scalar_type(len(spec.alphabet) - 1)
-    symbols = np.empty((count, width, width), dtype=dtype)
-    states = np.zeros(1, dtype=np.intp)  # each prefix's state, in order
-    for r, (first, edges) in enumerate(walk.levels()):
-        rows = np.array([[spec.alphabet.index(v) for v in row]
-                         for row, *_ in edges], dtype=dtype).reshape(-1, width)
-        child, above = np.array([e[1:] for e in edges], int).reshape(-1, 2).T
-        # taken: the edges of each prefix's state, prefix by prefix
-        start, degree = np.take(first, states), np.diff(first)[states]
-        taken = np.repeat(start - np.cumsum(degree) + degree, degree)
-        taken += np.arange(len(taken))
-        symbols[:, r] = np.repeat(rows[taken], above[taken], axis=0)
-        states = child[taken]
-    return symbols
+# every direction of an nd run reads the same free window array
+_window_stream = functools.lru_cache(maxsize=1)(_window_array)
 
 
 def _trace_classes(values, base):

@@ -18,18 +18,18 @@ where a support fits inside a finite set of sites; ``solve_forward`` solves a
 GF(2) rule on them in raster order.  ``enumerate_fillings`` streams the
 locally admissible total assignments (window fillings) of the box [-N, N]^2,
 each a dict keyed in raster order, in raster-lexicographic order by a walk
-over its rows; ``filling_rows`` streams the same fillings as bare tuples of
-rows, and a walk counts them up to a cap before handing over its row states
-level by level; walks clamped on one site set share those rows through one
-check plan of bounded size.  One depth-first walk streams the fillings, or
-only those equal to a reference inside a smaller box, or only those that
-differ from it there; ``varies_inside`` asks whether any of the last kind
-exists.
+over its rows; walks clamped on one site set share those rows through one
+check plan of bounded size.  One depth-first walk streams the fillings as
+bare tuples of rows, or only those equal to a reference inside a smaller
+box, or only those that differ from it there; ``varies_inside`` asks whether
+any of the last kind exists.  ``_window_array`` counts the free fillings up
+to a budget over the same row states and, under it, writes them all into
+one numpy array without walking a filling.
 """
 
 from functools import lru_cache, partial, reduce
 from itertools import chain
-from operator import itemgetter, ne, xor
+from operator import index, itemgetter, ne, xor
 
 from .errors import InputError, ResourceBudgetError, field
 
@@ -62,19 +62,22 @@ def _site(s):
     """A site given as a pair of integers, as a tuple of ints."""
     try:
         x, y = s
-        return (int(x), int(y))
+        return (index(x), index(y))
     except (TypeError, ValueError) as e:
         raise InputError(f"a site must be an integer pair, got {s!r}") from e
 
 
 def _symbols(pattern, alphabet=None):
-    """A symbol map given as a dict or as [site, symbol] pairs, as a dict
-    keyed by integer sites, each symbol in ``alphabet`` if one is given."""
-    pairs = pattern.items() if isinstance(pattern, dict) else pattern
+    """A symbol map given as a dict or as [site, symbol] pairs, each site
+    once, as a dict keyed by integer sites, each symbol in ``alphabet`` if
+    one is given."""
     try:
-        symbols = {(int(x), int(y)): v for (x, y), v in pairs}
+        pairs = list(pattern.items() if isinstance(pattern, dict) else pattern)
+        symbols = {(index(x), index(y)): v for (x, y), v in pairs}
     except (TypeError, ValueError) as e:
         raise InputError(f"bad [site, symbol] pairs {pattern!r}") from e
+    if len(symbols) < len(pairs):
+        raise InputError(f"a site is listed twice in {pattern!r}")
     for v in symbols.values():
         if alphabet and v not in alphabet:
             raise InputError(f"symbol {v!r} outside alphabet {alphabet}")
@@ -130,7 +133,7 @@ class SFT:
 
     def __init__(self, alphabet, forbidden):
         self.alphabet = _alphabet(alphabet)
-        self.forbidden = [_symbols(p) for p in forbidden]
+        self.forbidden = [_symbols(p, self.alphabet) for p in forbidden]
         if not all(self.forbidden):
             raise InputError("forbidden patterns must have nonempty support")
         if not self.forbidden:
@@ -330,61 +333,6 @@ class _RowTransfer:
         rows = self.tables[r].get(state)
         return iter(rows) if rows is not None else self._keep(r, state)
 
-    def count(self, cap):
-        """The number of fillings ``fillings()`` streams, or some number
-        above ``cap`` as soon as the count passes it.
-
-        The count walks the row states depth-first in the stream's own order
-        through ``successors``, so a state it finishes keeps its rows for the
-        stream unless the plan drops them, and it keeps the exact count above
-        every finished state, so a state met again adds its count at once.
-        It expands no row state that ``islice(self.fillings(), cap + 1)``
-        would not, and stops no later: the work is bounded by the cap.
-        """
-        top = self.top
-        done = self.done = {}  # (r, state) -> fillings of rows r.. above it
-        total = 0
-        # frames of (r, state, the rows r left to try, total on entering)
-        stack = [(0, (), self.successors(0, ()), 0)]
-        while stack:
-            r, state, rows, before = stack[-1]
-            row = next(rows, None)
-            if row is None:
-                stack.pop()
-                done[r, state] = total - before
-                continue
-            if r == top:
-                total += 1
-            else:
-                after = (r + 1, _state_after(state, row, self.keep))
-                if after in done:
-                    total += done[after]
-                else:
-                    stack.append((*after, self.successors(*after), total))
-                    continue
-            if total > cap:
-                return total
-        return total
-
-    def levels(self):
-        """After a ``count`` under its cap, per row, the rows that fillings
-        take from its distinct states: ``(first, edges)``, state i's rows in
-        ``edges[first[i]:first[i + 1]]`` in stream order, each ``(row, child,
-        above)``, the next row's state number and the fillings above it."""
-        states = [()]
-        for r in range(self.top + 1):
-            first, edges, number = [0], [], {}
-            for state in states:
-                for row in self.successors(r, state):
-                    after = _state_after(state, row, self.keep)
-                    above = self.done[r + 1, after] if r < self.top else 1
-                    if above:
-                        child = number.setdefault(after, len(number))
-                        edges.append((row, child, above))
-                first.append(len(edges))
-            yield first, edges
-            states = list(number)
-
     def fillings(self, inner=(), differ=False):
         """Every filling as its tuple of rows, lexicographic in raster order;
         given ``inner``, the rows (tuples) of [-N, N]^2 at the window's
@@ -421,12 +369,6 @@ class _RowTransfer:
                               self.successors(r + 1, after), found))
 
 
-def filling_rows(spec, N, clamp=None):
-    """The fillings ``enumerate_fillings`` streams, in the same order, each
-    as its tuple of rows (bottom first, each row left to right)."""
-    return _RowTransfer(spec, N, clamp).fillings()
-
-
 def varies_inside(spec, M, clamp, reference, N):
     """Does some filling of [-M, M]^2 extending ``clamp`` differ from
     ``reference``, a mapping over [-N, N]^2 (N <= M), inside [-N, N]^2?"""
@@ -447,11 +389,73 @@ def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
     count so far) after ``budget`` fillings.
     """
     sites = box_sites(N)
-    for count, rows in enumerate(filling_rows(spec, N, clamp), 1):
+    for count, rows in enumerate(_RowTransfer(spec, N, clamp).fillings(), 1):
         if count > budget:
             raise ResourceBudgetError(
                 f"filling budget {budget} exceeded", budget, count - 1)
         yield dict(zip(sites, chain.from_iterable(rows)))
+
+
+def _window_array(spec, N, budget):
+    """The fillings of [-N, N]^2 in stream order as one array of indices
+    into ``spec.alphabet``, shaped (filling, row, column) with the rows
+    bottom first; None when the window has more than ``budget`` fillings.
+
+    A depth-first count over the row states, in the stream's order through
+    ``successors``, settles the budget first: it keeps the exact count above
+    every finished state, so a state met again adds its count at once, and
+    it stops as soon as the count passes the budget, so it expands no row
+    state that ``islice(fillings(), budget + 1)`` would not.  Under the
+    budget no filling is walked: row by row, each prefix of rows that some
+    filling passes takes its state's rows in turn, with ``np.repeat`` over
+    offsets, so no level holds more prefixes than there are fillings.
+    """
+    import numpy as np  # on use: nothing else here needs it
+    walk = _RowTransfer(spec, N, None)
+    top, keep = walk.top, walk.keep
+    done = {}  # (r, state) -> fillings of rows r.. above it
+    total = 0
+    # frames of (r, state, the rows r left to try, total on entering)
+    stack = [(0, (), walk.successors(0, ()), 0)]
+    while stack and total <= budget:
+        r, state, rows, before = stack[-1]
+        row = next(rows, None)
+        if row is None:
+            stack.pop()
+            done[r, state] = total - before
+        elif r == top:
+            total += 1
+        elif (after := (r + 1, _state_after(state, row, keep))) in done:
+            total += done[after]
+        else:
+            stack.append((*after, walk.successors(*after), total))
+    if total > budget:
+        return None
+    width, index = 2 * N + 1, {v: i for i, v in enumerate(spec.alphabet)}
+    dtype = np.min_scalar_type(len(spec.alphabet) - 1)
+    symbols = np.empty((total, width, width), dtype=dtype)
+    states, prefixes = [()], np.zeros(1, dtype=np.intp)  # prefixes' states
+    for r in range(top + 1):
+        # state i's rows that fillings take are rows[first[i]:first[i + 1]],
+        # each with its next state's number and the fillings above it
+        first, rows, edges, number = [0], [], [], {}
+        for state in states:
+            for row in walk.successors(r, state):
+                after = _state_after(state, row, keep)
+                if above := done[r + 1, after] if r < top else 1:
+                    rows.append([index[v] for v in row])
+                    edges += number.setdefault(after, len(number)), above
+            first.append(len(rows))
+        rows = np.array(rows, dtype=dtype).reshape(-1, width)
+        child, above = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+        # taken: the rows of each prefix's state, prefix by prefix
+        start, degree = np.take(first, prefixes), np.diff(first)[prefixes]
+        taken = np.repeat(start - np.cumsum(degree) + degree, degree)
+        taken += np.arange(len(taken))
+        symbols[:, r] = np.repeat(rows[taken], above[taken], axis=0)
+        prefixes = child[taken]
+        states = list(number)
+    return symbols
 
 
 def complete_upward(spec, rows, x_start=0, y_start=0):

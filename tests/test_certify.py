@@ -22,8 +22,7 @@ from horoshift.certify import (_LinearWindowKernel, _origin_forced,
                                verify_window_deterministic, verify_witness)
 from horoshift.horoballs import Horoball, RationalCone, polyhedral_from_ray
 from horoshift.serialize import json_dumps
-from horoshift.subshifts import (box_sites, enumerate_fillings,
-                                 filling_rows, varies_inside)
+from horoshift.subshifts import box_sites, enumerate_fillings, varies_inside
 
 
 class TestDirection:
@@ -239,7 +238,7 @@ class TestTraceClasses:
         _window_stream.cache_clear()
         symbols = _window_stream(spec, N, 10 ** 6)
         _window_stream.cache_clear()
-        rows = list(filling_rows(spec, N))
+        rows = list(subshifts._RowTransfer(spec, N, None).fillings())
         index = {v: i for i, v in enumerate(spec.alphabet)}
         assert symbols.tolist() == [[[index[v] for v in row] for row in f]
                                     for f in rows]
@@ -313,13 +312,13 @@ WINDOW_CASES = {
 
 @functools.lru_cache(maxsize=None)
 def _stream_array(name, N):
-    """The fillings ``filling_rows`` streams for a window case, as one
+    """The fillings a free walk streams for a window case, as one
     (filling, row, column) array of alphabet indices."""
     spec, _ = WINDOW_CASES[name]
     index = {v: i for i, v in enumerate(spec.alphabet)}
     width = 2 * N + 1
-    return np.array([[[index[v] for v in row] for row in f]
-                     for f in filling_rows(spec, N)],
+    walk = subshifts._RowTransfer(spec, N, None).fillings()
+    return np.array([[[index[v] for v in row] for row in f] for f in walk],
                     dtype=np.uint8).reshape(-1, width, width)
 
 
@@ -361,8 +360,8 @@ class TestWindowArray:
         # a walk of every admissible prefix holds more prefixes than there
         # are fillings at some row; the array's levels hold no more
         for N, count in ((1, 8), (2, 32)):
+            assert len(subshifts._window_array(DEAD_ENDS, N, 10 ** 6)) == count
             walk = subshifts._RowTransfer(DEAD_ENDS, N, None)
-            assert walk.count(10 ** 6) == count
             level, prefixes = collections.Counter({(): 1}), []
             for r in range(walk.top + 1):
                 after = collections.Counter()

@@ -282,6 +282,14 @@ BAD_SYSTEMS = {
                           '"forbidden":[[[[0,0],1]]]}',
     "sft-alphabet-unhashable": '{"kind":"sft","alphabet":[[0],[1]],'
                                '"forbidden":[[[[0,0],[1]]]]}',
+    # each would run as another rule: the last symbol of the site listed
+    # twice, the site (1, 0), a pattern that no configuration has
+    "forbidden-site-twice": '{"kind":"sft","alphabet":[0,1],'
+                            '"forbidden":[[[[0,0],1],[[0,0],0]]]}',
+    "support-site-not-integer": '{"kind":"linear-gf2",'
+                                '"support":[[0,0],[1.5,0],[0,1]]}',
+    "forbidden-symbol-outside": '{"kind":"sft","alphabet":[0,1],'
+                                '"forbidden":[[[[0,0],2]]]}',
     # the repeated sites cancel: a full shift in disguise
     "support-cancels": '{"kind":"linear-gf2",'
                        '"support":[[0,0],[0,0],[1,0],[1,0]]}',

@@ -12,7 +12,7 @@ from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2,
                        complete_upward, config_distance, enumerate_fillings,
                        ledrappier, skew_exponent, validate)
 from horoshift.subshifts import (DEFAULT_FILLING_BUDGET, _RowTransfer,
-                                 box_sites, filling_rows, spec_from_dict,
+                                 _window_array, box_sites, spec_from_dict,
                                  varies_inside)
 
 
@@ -46,6 +46,22 @@ class TestSpecs:
     def test_spec_from_dict_unknown(self):
         with pytest.raises(InputError):
             spec_from_dict({"kind": "mystery"})
+
+    # each was read as another rule: the last symbol of a site listed
+    # twice, a symbol no configuration has, coordinates truncated to ints
+    @pytest.mark.parametrize("make", [
+        lambda: SFT((0, 1), [[[(0, 0), 1], [(0, 0), 0]]]),
+        lambda: SFT((0, 1), [{(0, 0): 2}]),
+        lambda: SFT((0, 1), [{(0.5, 0): 1}]),
+        lambda: LinearGF2([(0, 0), (1.5, 0), (0, 1)]),
+        lambda: LinearGF2([(0, 0), ("1", 0), (0, 1)]),
+        lambda: validate(ledrappier(), [[(0, 0), 1], [(0, 0), 0]]),
+    ], ids=["sft-site-twice", "sft-symbol-outside", "sft-site-not-integer",
+            "support-site-float", "support-site-string",
+            "validate-site-twice"])
+    def test_outside_input_refused(self, make):
+        with pytest.raises(InputError):
+            make()
 
 
 class TestValidate:
@@ -224,7 +240,7 @@ CLAMPED_CASES = {
 
 @functools.lru_cache(maxsize=1)
 def _ledrappier_window_2():
-    return list(filling_rows(ledrappier(), 2))
+    return list(_RowTransfer(ledrappier(), 2, None).fillings())
 
 
 class TestClampedStream:
@@ -269,7 +285,7 @@ class TestFillingRows:
                              ids=ROW_CASES.keys())
     def test_rows_match_stream(self, spec, clamp, N):
         sites = box_sites(N)
-        rows = list(filling_rows(spec, N, clamp=clamp))
+        rows = list(_RowTransfer(spec, N, clamp).fillings())
         assert rows
         assert all(len(f) == 2 * N + 1 and all(len(r) == 2 * N + 1 for r in f)
                    for f in rows)
@@ -279,18 +295,21 @@ class TestFillingRows:
 
     def test_contradictory_clamp_is_empty(self):
         clamp = {(0, 0): 1, (1, 0): 0, (0, 1): 0}
-        assert next(filling_rows(ledrappier(), 1, clamp=clamp), None) is None
+        walk = _RowTransfer(ledrappier(), 1, clamp).fillings()
+        assert next(walk, None) is None
 
     def test_clamp_outside_window(self):
         with pytest.raises(InputError):
-            filling_rows(ledrappier(), 1, clamp={(0, 2): 0})
+            _RowTransfer(ledrappier(), 1, {(0, 2): 0})
 
     @pytest.mark.parametrize("spec, N, clamp", [
         (FullShift((0, 1)), 0, {(0, 0): 5}),
         (ledrappier(), 1, {(0, 0): 3}),
-        (ledrappier(), 1, {"ab": 1})],
+        (ledrappier(), 1, {"ab": 1}),
+        (FullShift((0, 1)), 0, [[[0.9, 0], 1]]),
+        (ledrappier(), 1, [[[0, 0], 1], [[0, 0], 0]])],
         ids=["symbol-outside-full-shift", "symbol-outside-ledrappier",
-             "site-not-a-pair"])
+             "site-not-a-pair", "site-not-integer", "site-twice"])
     def test_malformed_clamp_refused(self, spec, N, clamp):
         with pytest.raises(InputError):
             list(enumerate_fillings(spec, N, clamp=clamp))
@@ -334,43 +353,45 @@ class TestCountFillings:
     @pytest.mark.parametrize("spec, N", COUNT_CASES.values(),
                              ids=COUNT_CASES.keys())
     def test_count_matches_walk(self, spec, N):
-        n = sum(1 for _ in filling_rows(spec, N))
-        for cap in (0, n - 1, n, n + 1, 10 ** 6):
-            if cap < 0:
+        n = sum(1 for _ in _RowTransfer(spec, N, None).fillings())
+        for budget in (0, n - 1, n, n + 1, 10 ** 6):
+            if budget < 0:
                 continue
-            count = _RowTransfer(spec, N, None).count(cap)
-            if n <= cap:
-                assert count == n, cap
+            array = _window_array(spec, N, budget)
+            if n <= budget:
+                assert len(array) == n, budget
             else:
-                assert count > cap, cap
+                assert array is None, budget
 
     @pytest.mark.parametrize(
         "spec, N", [(VERTICAL_3, 4), (HARD_SQUARE, 3)],
         ids=["vertical-3-window-4", "hard-square-window-3"])
     def test_no_more_row_work_than_the_walk(self, monkeypatch, spec, N):
-        cap = DEFAULT_FILLING_BUDGET
+        budget = DEFAULT_FILLING_BUDGET
         # each run starts from fresh tables, so it expands its own states
         subshifts._check_plan.cache_clear()
         walked, walk_resumes = _with_resumes(monkeypatch, lambda: sum(
-            1 for _ in itertools.islice(filling_rows(spec, N), cap + 1)))
+            1 for _ in itertools.islice(_RowTransfer(spec, N, None).fillings(),
+                                        budget + 1)))
         subshifts._check_plan.cache_clear()
-        count, count_resumes = _with_resumes(
-            monkeypatch, lambda: _RowTransfer(spec, N, None).count(cap))
+        array, array_resumes = _with_resumes(
+            monkeypatch, lambda: _window_array(spec, N, budget))
         # both windows have more fillings than the budget
-        assert walked == cap + 1 and count > cap
-        assert count_resumes <= walk_resumes
+        assert walked == budget + 1 and array is None
+        assert array_resumes <= walk_resumes
 
     @pytest.mark.parametrize("spec, N", COUNT_CASES.values(),
                              ids=COUNT_CASES.keys())
     def test_stream_after_count_expands_nothing(self, monkeypatch, spec, N):
         subshifts._check_plan.cache_clear()  # the count expands every state
+        array = _window_array(spec, N, 10 ** 6)
         walk = _RowTransfer(spec, N, None)
-        count = walk.count(10 ** 6)
         rows, resumes = _with_resumes(monkeypatch,
                                       lambda: list(walk.fillings()))
         assert resumes == 0
-        assert count == len(rows)
-        assert rows == list(filling_rows(spec, N))
+        index = {v: i for i, v in enumerate(spec.alphabet)}
+        assert array.tolist() == [[[index[v] for v in row] for row in f]
+                                  for f in rows]
 
 
 def _varies_by_brute_force(spec, M, clamp, reference, N):
@@ -388,8 +409,9 @@ class TestVariesInside:
     def test_walk_equals_brute_force(self, name, M, N):
         spec, contradiction = CLAMPED_CASES[name]
         sites = box_sites(M)
+        walk = _RowTransfer(spec, M, None).fillings()
         first = [dict(zip(sites, itertools.chain(*rows)))
-                 for rows in itertools.islice(filling_rows(spec, M), 50)]
+                 for rows in itertools.islice(walk, 50)]
         z = first[-1]
         halfplane = {s: z[s] for s in sites if s[0] + 2 * s[1] < 0}
         # a clamp under which the linear rules can force every free inner cell
@@ -416,8 +438,9 @@ class TestVariesInside:
 def _first_fillings(spec, M):
     """The first 200 fillings of [-M, M]^2 in stream order, as dicts."""
     sites = box_sites(M)
+    walk = _RowTransfer(spec, M, None).fillings()
     return [dict(zip(sites, itertools.chain(*rows)))
-            for rows in itertools.islice(filling_rows(spec, M), 200)]
+            for rows in itertools.islice(walk, 200)]
 
 
 class TestInnerWalk:
@@ -438,7 +461,7 @@ class TestInnerWalk:
             clamp = {s: v for s, v in z.items() if s not in free}
             if data.draw(st.booleans()):
                 clamp.update(contradiction)
-        stream = list(filling_rows(spec, M, clamp))
+        stream = list(_RowTransfer(spec, M, clamp).fillings())
         lo, hi = M - N, M + N + 1
 
         def inside(rows):
@@ -518,8 +541,9 @@ class TestSharedTables:
         M, N = 2, 1
         sites = box_sites(M)
         trace = [s for s in sites if 2 * s[1] < s[0]]
-        fillings = [dict(zip(sites, itertools.chain(*rows))) for rows in
-                    itertools.islice(filling_rows(spec, M), 0, 3000, 150)]
+        walk = _RowTransfer(spec, M, None).fillings()
+        fillings = [dict(zip(sites, itertools.chain(*rows)))
+                    for rows in itertools.islice(walk, 0, 3000, 150)]
         asks = [({s: z[s] for s in trace}, w)
                 for z in fillings for w in (z, *fillings[:2])]
         wants = []
@@ -534,17 +558,17 @@ class TestSharedTables:
     def test_second_walk_of_a_clamp_expands_nothing(self, monkeypatch):
         spec = ledrappier()
         clamp = {(-2, 2): 1, (0, 0): 1, (1, -2): 0}
-        first = list(filling_rows(spec, 2, clamp=clamp))
+        first = list(_RowTransfer(spec, 2, clamp).fillings())
         second, resumes = _with_resumes(
-            monkeypatch, lambda: list(filling_rows(spec, 2, clamp=clamp)))
+            monkeypatch, lambda: list(_RowTransfer(spec, 2, clamp).fillings()))
         assert resumes == 0 and second == first
 
     def test_stored_states_stay_under_the_cap(self, monkeypatch):
-        want = list(filling_rows(HARD_SQUARE, 2))
+        want = list(_RowTransfer(HARD_SQUARE, 2, None).fillings())
         monkeypatch.setattr(subshifts, "_PLAN_STATES", 5)
         stores = _stores(monkeypatch)
         subshifts._check_plan.cache_clear()
-        assert list(filling_rows(HARD_SQUARE, 2)) == want
+        assert list(_RowTransfer(HARD_SQUARE, 2, None).fillings()) == want
         assert max(held for _, held in stores) <= 5
         assert [stored for stored, _ in stores].count(1) > 1  # dropped
 
