@@ -35,7 +35,7 @@ from .errors import InputError
 from .horoballs import _check_dim
 from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        _RowTransfer, _window_array, box_sites,
+                        _has_filling, _window_array, box_sites,
                         enumerate_fillings, skew_exponent, solve_forward,
                         validate, varies_inside)
 
@@ -450,8 +450,8 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
     exactly when a filling agreeing with xhat on the larger trace differs
     from it inside [-N, N]^2: one ``varies_inside`` walk per class asks
     that.  Only a class where it hits tries its members in stream order,
-    each by a walk on the same clamp that keeps the fillings equal to the
-    member inside [-N, N]^2, sharing the first walk's row tables.
+    each by a walk on the same clamp and turn that keeps the fillings
+    equal to the member inside [-N, N]^2, sharing the first walk's rows.
     """
     symbols = _window_stream(spec, N, budget)
     if symbols is None:
@@ -480,11 +480,8 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
         if xhat is None or not varies_inside(
                 spec, M, clamp := {s: xhat[s] for s in trace_M}, xhat, N):
             continue
-        walk = _RowTransfer(spec, M, clamp)
         for other in others:
-            inner = [tuple(map(spec.alphabet.__getitem__, row))
-                     for row in symbols[other].tolist()]
-            if next(walk.fillings(inner), None) is not None:
+            if _has_filling(spec, M, clamp, filling(other), N):
                 return Witness((_member(N, filling(rep)),
                                 _member(N, filling(other))), N, k,
                                evidence={"margin": margin,

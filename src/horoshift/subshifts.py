@@ -22,9 +22,10 @@ over its rows; walks clamped on one site set share those rows through one
 check plan of bounded size.  One depth-first walk streams the fillings as
 bare tuples of rows, or only those equal to a reference inside a smaller
 box, or only those that differ from it there; ``varies_inside`` asks whether
-any of the last kind exists.  ``_window_array`` counts the free fillings up
-to a budget over the same row states and, under it, writes them all into
-one numpy array without walking a filling.
+any of the last kind exists, in the quarter turn that meets its clamp first
+(a stream whose order is output walks unturned).  ``_window_array`` counts
+the free fillings up to a budget over the same row states and, under it,
+writes them all into one numpy array without walking a filling.
 """
 
 from functools import lru_cache, partial, reduce
@@ -36,6 +37,9 @@ from .errors import InputError, ResourceBudgetError, field
 DEFAULT_FILLING_BUDGET = 400_000
 # the row states one check plan keeps before it drops them all
 _PLAN_STATES = 2 ** 15
+# the quarter turns of the plane, counterclockwise; _TURNS[-t % 4] undoes t
+_TURNS = (lambda x, y: (x, y), lambda x, y: (-y, x),
+          lambda x, y: (-x, -y), lambda x, y: (y, -x))
 
 
 def box_sites(N):
@@ -59,9 +63,11 @@ def _alphabet(symbols):
 
 
 def _site(s):
-    """A site given as a pair of integers, as a tuple of ints."""
+    """A site given as a pair of integers (not bools), as a tuple of ints."""
     try:
         x, y = s
+        if type(x) is bool or type(y) is bool:
+            raise TypeError
         return (index(x), index(y))
     except (TypeError, ValueError) as e:
         raise InputError(f"a site must be an integer pair, got {s!r}") from e
@@ -73,7 +79,8 @@ def _symbols(pattern, alphabet=None):
     one is given."""
     try:
         pairs = list(pattern.items() if isinstance(pattern, dict) else pattern)
-        symbols = {(index(x), index(y)): v for (x, y), v in pairs}
+        symbols = {(x, y) if type(x) is int is type(y) else _site((x, y)): v
+                   for (x, y), v in pairs}
     except (TypeError, ValueError) as e:
         raise InputError(f"bad [site, symbol] pairs {pattern!r}") from e
     if len(symbols) < len(pairs):
@@ -222,8 +229,8 @@ def _box_placements(support, N):
 
 
 class _CheckPlan:
-    """How the walks of [-N, N]^2 with one set of clamped sites, numbered
-    in raster order, check their rows, and the rows those walks found.
+    """How the walks of [-N, N]^2 in one turn with one clamped site set,
+    numbered in raster order, check their rows, and the rows they found.
 
     Each placement is checked once, at its raster-last unclamped cell (its
     raster-last cell when all are clamped): a clamped symbol never changes,
@@ -234,12 +241,13 @@ class _CheckPlan:
     keyed by state, each row interned, for at most ``_PLAN_STATES`` states.
     """
 
-    def __init__(self, spec, N, clamped):
+    def __init__(self, spec, N, clamped, turn):
         self.width = width = 2 * N + 1
         self.checks = [[] for _ in range(width * width)]
         reads = [{i for i in clamped if i // width == r} for r in range(width)]
         height = 1
         for support, allowed in spec.constraints():
+            support = tuple(_TURNS[turn](*s) for s in support)
             ys = [y for _, y in support]
             height = max(height, max(ys) - min(ys) + 1)
             for get, cells in _box_placements(support, N):
@@ -260,7 +268,8 @@ _check_plan = lru_cache(maxsize=2)(_CheckPlan)
 
 class _RowTransfer:
     """The locally admissible fillings of [-N, N]^2 as walks over its rows,
-    bottom to top, for one spec and clamp.
+    bottom to top, for one spec and clamp, in the turn ``_TURNS[turn]``
+    (turn 0, the identity, for a stream whose order is output).
 
     The admissible next rows of a state follow the check plan of the clamped
     sites.  They are produced lazily, cell by cell with symbols in sorted
@@ -269,7 +278,7 @@ class _RowTransfer:
     where the row reads it, until the plan drops its tables at its cap.
     """
 
-    def __init__(self, spec, N, clamp):
+    def __init__(self, spec, N, clamp, turn=0):
         width = 2 * N + 1
         # per site number, the clamped symbol and the candidate symbols
         self.symbols = [None] * width * width
@@ -278,10 +287,11 @@ class _RowTransfer:
         for s, v in _symbols(clamp or {}, spec.alphabet).items():
             if not (abs(s[0]) <= N and abs(s[1]) <= N):
                 raise InputError(f"clamp site {s} outside window [-{N},{N}]^2")
-            i = (s[1] + N) * width + s[0] + N
+            x, y = _TURNS[turn](*s)
+            i = (y + N) * width + x + N
             self.symbols[i], self.choices[i] = v, (v,)
             clamped.add(i)
-        self.plan = plan = _check_plan(spec, N, frozenset(clamped))
+        self.plan = plan = _check_plan(spec, N, frozenset(clamped), turn)
         self.keep, self.top = plan.keep, width - 1
         self.keys = [(r, tuple(map(self.symbols.__getitem__, reads)))
                      for r, reads in enumerate(plan.reads)]
@@ -369,15 +379,28 @@ class _RowTransfer:
                               self.successors(r + 1, after), found))
 
 
+def _has_filling(spec, M, clamp, reference, N, differ=False):
+    """Does some filling of [-M, M]^2 extending ``clamp`` equal (or with
+    ``differ`` differ from) ``reference`` inside [-N, N]^2?  Walked in the
+    turn with the least sum of turned rows over the clamp (the identity on
+    a tie), it meets the clamp first; one clamped site set keeps one turn."""
+    clamp = _symbols(clamp or {}, spec.alphabet)
+    x, y = map(sum, zip((0, 0), *clamp))
+    turn = min(range(4), key=(y, x, -y, -x).__getitem__)  # rows' sum by turn
+    back = _TURNS[-turn % 4]
+    inner = [tuple(reference[back(i, j)] for i in range(-N, N + 1))
+             for j in range(-N, N + 1)]
+    walk = _RowTransfer(spec, M, clamp, turn).fillings(inner, differ)
+    return next(walk, None) is not None
+
+
 def varies_inside(spec, M, clamp, reference, N):
     """Does some filling of [-M, M]^2 extending ``clamp`` differ from
-    ``reference``, a mapping over [-N, N]^2 (N <= M), inside [-N, N]^2?"""
+    ``reference``, a mapping over [-N, N]^2 (N <= M), inside [-N, N]^2?
+    Only the answer is output, so ``_has_filling`` may turn the walk."""
     if not 0 <= N <= M:
         raise InputError(f"need 0 <= N <= M, got N={N}, M={M}")
-    inner = [tuple(reference[x, y] for x in range(-N, N + 1))
-             for y in range(-N, N + 1)]
-    walk = _RowTransfer(spec, M, clamp).fillings(inner, differ=True)
-    return next(walk, None) is not None
+    return _has_filling(spec, M, clamp, reference, N, differ=True)
 
 
 def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):

@@ -698,10 +698,10 @@ class TestNDSet:
         walks = []
         init = subshifts._RowTransfer.__init__
 
-        def counted(self, spec, N, clamp):
+        def counted(self, spec, N, clamp, *turn):
             if not clamp:
                 walks.append(N)
-            init(self, spec, N, clamp)
+            init(self, spec, N, clamp, *turn)
 
         monkeypatch.setattr(subshifts._RowTransfer, "__init__", counted)
         _window_stream.cache_clear()
@@ -812,10 +812,10 @@ class TestExtensionWalk:
         walks = []
         init = subshifts._RowTransfer.__init__
 
-        def counted(self, spec, N, clamp):
+        def counted(self, spec, N, clamp, *turn):
             if clamp:
                 walks.append(N)
-            init(self, spec, N, clamp)
+            init(self, spec, N, clamp, *turn)
 
         # on the class itself, so a walk made under any module's name counts
         monkeypatch.setattr(subshifts._RowTransfer, "__init__", counted)
@@ -833,9 +833,9 @@ class TestExtensionWalk:
         plans = []
         init = subshifts._CheckPlan.__init__
 
-        def counted(self, spec, N, clamped):
+        def counted(self, spec, N, clamped, turn):
             plans.append(clamped)
-            init(self, spec, N, clamped)
+            init(self, spec, N, clamped, turn)
 
         monkeypatch.setattr(subshifts._CheckPlan, "__init__", counted)
         subshifts._check_plan.cache_clear()
@@ -843,6 +843,25 @@ class TestExtensionWalk:
         report = nd_set(HARD_SQUARE, 1, 2, grid="farey:1")
         assert [c.kind for _, c in report.entries] == ["witness"] * 8
         assert len(plans) <= 10
+
+    def test_walks_meet_the_clamp_first(self, monkeypatch):
+        # every walk at (1, 0) misses, and its clamp is the left half:
+        # walked up from the bottom row, they expand 15,582 row states
+        expansions = []
+        next_rows = subshifts._RowTransfer._next_rows
+
+        def counted(self, r, state):
+            expansions.append(r)
+            return next_rows(self, r, state)
+
+        monkeypatch.setattr(subshifts._RowTransfer, "_next_rows", counted)
+        subshifts._check_plan.cache_clear()
+        _window_stream.cache_clear()
+        for k in (1, 2):
+            cert = direction_status(ledrappier(), (1, 0), k, 2,
+                                    method="enumerate")
+            assert cert.kind == "window-deterministic"
+        assert len(expansions) <= 6000
 
 
 class _SetHoroball:

@@ -290,6 +290,12 @@ BAD_SYSTEMS = {
                                 '"support":[[0,0],[1.5,0],[0,1]]}',
     "forbidden-symbol-outside": '{"kind":"sft","alphabet":[0,1],'
                                 '"forbidden":[[[[0,0],2]]]}',
+    # JSON true and false read as the coordinates 1 and 0: Ledrappier's
+    # support, a pattern at (0, 1)
+    "support-site-bool": '{"kind":"linear-gf2",'
+                         '"support":[[0,0],[true,0],[0,1]]}',
+    "forbidden-site-bool": '{"kind":"sft","alphabet":[0,1],'
+                           '"forbidden":[[[[false,1],1]]]}',
     # the repeated sites cancel: a full shift in disguise
     "support-cancels": '{"kind":"linear-gf2",'
                        '"support":[[0,0],[0,0],[1,0],[1,0]]}',

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horoshift import subshifts
-from horoshift.certify import _window_stream
+from horoshift.certify import (Direction, _window_stream, dilated_trace,
+                               farey_directions)
 from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2,
                        ResourceBudgetError, SFT, SkewActionSpec,
                        complete_upward, config_distance, enumerate_fillings,
                        ledrappier, skew_exponent, validate)
 from horoshift.subshifts import (DEFAULT_FILLING_BUDGET, _RowTransfer,
-                                 _window_array, box_sites, spec_from_dict,
-                                 varies_inside)
+                                 _has_filling, _window_array, box_sites,
+                                 spec_from_dict, varies_inside)
 
 
 class TestSpecs:
@@ -56,9 +57,18 @@ class TestSpecs:
         lambda: LinearGF2([(0, 0), (1.5, 0), (0, 1)]),
         lambda: LinearGF2([(0, 0), ("1", 0), (0, 1)]),
         lambda: validate(ledrappier(), [[(0, 0), 1], [(0, 0), 0]]),
+        # index(True) is 1: a bool read as a coordinate
+        lambda: LinearGF2([(0, 0), (True, 0), (0, 1)]),
+        lambda: SFT((0, 1), [[[(False, 1), 1]]]),
+        lambda: validate(ledrappier(), {(0, True): 1}),
+        lambda: list(enumerate_fillings(ledrappier(), 1,
+                                        clamp={(True, 0): 1})),
+        lambda: varies_inside(ledrappier(), 1, [[(0, False), 1]],
+                              {(0, 0): 0}, 0),
     ], ids=["sft-site-twice", "sft-symbol-outside", "sft-site-not-integer",
             "support-site-float", "support-site-string",
-            "validate-site-twice"])
+            "validate-site-twice", "support-site-bool", "sft-site-bool",
+            "validate-site-bool", "clamp-site-bool", "varies-clamp-bool"])
     def test_outside_input_refused(self, make):
         with pytest.raises(InputError):
             make()
@@ -330,18 +340,23 @@ COUNT_CASES = {
 VERTICAL_3 = SFT((0, 1, 2), [{(0, 0): 2, (0, 1): 2}])
 
 
-def _with_resumes(monkeypatch, run):
+def _with_resumes(monkeypatch, run, limit=None):
     """``run()``, and how often it resumed a ``_RowTransfer._next_rows``
-    walk."""
+    walk; given ``limit``, the test fails as soon as the resumes pass it."""
     resumes = 0
     next_rows = _RowTransfer._next_rows
 
-    def counted(self, r, state):
+    def resumed():
         nonlocal resumes
-        for row in next_rows(self, r, state):
-            resumes += 1
-            yield row
         resumes += 1
+        if limit is not None and resumes > limit:
+            pytest.fail(f"more than {limit} resumes of _next_rows")
+
+    def counted(self, r, state):
+        for row in next_rows(self, r, state):
+            resumed()
+            yield row
+        resumed()
 
     with monkeypatch.context() as m:
         m.setattr(_RowTransfer, "_next_rows", counted)
@@ -375,7 +390,8 @@ class TestCountFillings:
                                         budget + 1)))
         subshifts._check_plan.cache_clear()
         array, array_resumes = _with_resumes(
-            monkeypatch, lambda: _window_array(spec, N, budget))
+            monkeypatch, lambda: _window_array(spec, N, budget),
+            limit=walk_resumes)
         # both windows have more fillings than the budget
         assert walked == budget + 1 and array is None
         assert array_resumes <= walk_resumes
@@ -585,6 +601,94 @@ class TestSharedTables:
         _window_stream.cache_clear()
         assert [stored for stored, _ in stores].count(1) > 1  # dropped
         assert got.shape == (55_447, 5, 5) and np.array_equal(got, want)
+
+
+def _quarter_turn(site, turn):
+    """``site`` turned counterclockwise by ``turn`` quarter turns."""
+    x, y = site
+    for _ in range(turn):
+        x, y = -y, x
+    return x, y
+
+
+# (spec, clamp, M) windows whose turned walks are checked
+TURN_CASES = {
+    "ledrappier": (ledrappier(), {}, 2),
+    "hard-square": (HARD_SQUARE, {}, 1),
+    "vertical-3": (VERTICAL_3, {}, 1),
+    "tall": (TALL, {}, 2),
+    "ledrappier-clamped": (ledrappier(), {(-2, 2): 1, (0, 0): 1, (1, -2): 0},
+                           2),
+    "hard-square-clamped": (HARD_SQUARE, {(0, 0): 1, (2, -1): 0}, 2),
+}
+
+
+class TestQuarterTurns:
+    @pytest.mark.parametrize("spec, clamp, M", TURN_CASES.values(),
+                             ids=TURN_CASES.keys())
+    def test_turned_walk_is_the_turned_stream(self, spec, clamp, M):
+        sites, r = box_sites(M), range(-M, M + 1)
+        stream = [dict(zip(sites, itertools.chain(*rows)))
+                  for rows in _RowTransfer(spec, M, clamp).fillings()]
+        assert stream
+        for turn in range(4):
+            turned = [{_quarter_turn(s, turn): v for s, v in f.items()}
+                      for f in stream]
+            want = {tuple(tuple(g[x, y] for x in r) for y in r)
+                    for g in turned}
+            got = list(_RowTransfer(spec, M, clamp, turn).fillings())
+            assert len(got) == len(stream) and set(got) == want, turn
+
+    # three symbols on the free half of [-2, 2]^2 pass the filling budget
+    @pytest.mark.parametrize("name, M", [
+        *itertools.product(["ledrappier", "hard-square", "tall"], [1, 2]),
+        ("three-symbol", 1)])
+    def test_trace_clamps_equal_brute_force(self, name, M):
+        # the oracle's clamps: a filling on the trace of each direction
+        spec, _ = CLAMPED_CASES[name]
+        sites = box_sites(M)
+        walk = _RowTransfer(spec, M, None).fillings()
+        first = [dict(zip(sites, itertools.chain(*rows)))
+                 for rows in itertools.islice(walk, 3000)]
+        fillings = first[::-(-len(first) // 5)]  # five, spread out
+        for v in farey_directions(1):
+            trace, _ = dilated_trace(v.contains, 1, M)
+            # each filling on the trace, against itself and the next one
+            for z, w in zip(fillings, fillings[1:] + fillings[:1]):
+                clamp = {s: z[s] for s in trace}
+                stream = list(enumerate_fillings(spec, M, clamp=clamp))
+                for N, reference in itertools.product((M - 1, M), (z, w)):
+                    inside = [all(f[s] == reference[s] for s in box_sites(N))
+                              for f in stream]
+                    assert varies_inside(spec, M, clamp, reference, N) == \
+                        _varies_by_brute_force(spec, M, clamp, reference, N), \
+                        (v, N)
+                    assert _has_filling(spec, M, clamp, reference, N) == \
+                        any(inside), (v, N)
+
+    def test_the_clamp_is_walked_first(self, monkeypatch):
+        turns = []
+        init = _RowTransfer.__init__
+
+        def recorded(self, spec, N, clamp, turn=0):
+            turns.append(turn)
+            init(self, spec, N, clamp, turn)
+
+        monkeypatch.setattr(_RowTransfer, "__init__", recorded)
+        M, zero = 3, dict.fromkeys(box_sites(3), 0)
+        for v in [(1, 0), (0, 1), (-1, 0), (0, -1)]:
+            trace, _ = dilated_trace(Direction(*v).contains, 1, M)
+            turns.clear()
+            varies_inside(ledrappier(), M, dict.fromkeys(trace, 0), zero, 1)
+            _has_filling(ledrappier(), M, dict.fromkeys(trace, 0), zero, 1)
+            assert turns[0] == turns[1]
+            # every trace site, the half-plane, lies in the bottom rows
+            assert all(_quarter_turn(s, turns[0])[1] < 0 for s in trace), v
+        # no clamp, and a clamp whose rows sum to 0 in every turn
+        turns.clear()
+        for clamp in ({}, zero):
+            varies_inside(ledrappier(), M, clamp, zero, 1)
+        assert turns == [0, 0]
 
 
 class TestCompleteUpward:
