@@ -35,7 +35,7 @@ from .errors import InputError
 from .horoballs import _check_dim
 from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        _has_filling, _window_array, box_sites,
+                        _RowTransfer, _window_array, box_sites,
                         enumerate_fillings, skew_exponent, solve_forward,
                         validate, varies_inside)
 
@@ -449,9 +449,9 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
     The larger trace meets [-N, N]^2 in the trace, so some member extends
     exactly when a filling agreeing with xhat on the larger trace differs
     from it inside [-N, N]^2: one ``varies_inside`` walk per class asks
-    that.  Only a class where it hits tries its members in stream order,
-    each by a walk on the same clamp and turn that keeps the fillings
-    equal to the member inside [-N, N]^2, sharing the first walk's rows.
+    that.  Only a class where it hits builds one more walk on that clamp,
+    in the same turn and sharing its rows, and tries its members on it in
+    stream order, keeping the fillings equal to each inside [-N, N]^2.
     """
     symbols = _window_stream(spec, N, budget)
     if symbols is None:
@@ -480,12 +480,13 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
         if xhat is None or not varies_inside(
                 spec, M, clamp := {s: xhat[s] for s in trace_M}, xhat, N):
             continue
-        for other in others:
-            if _has_filling(spec, M, clamp, filling(other), N):
-                return Witness((_member(N, filling(rep)),
-                                _member(N, filling(other))), N, k,
-                               evidence={"margin": margin,
-                                         "trace_size": len(trace)})
+        # a filling that differs from xhat inside [-N, N]^2 restricts there
+        # to another member of the class, so some member extends
+        walk = _RowTransfer(spec, M, clamp, turn=None)
+        other = next(o for o in others if any(walk.fillings(filling(o), N)))
+        return Witness((_member(N, filling(rep)), _member(N, filling(other))),
+                       N, k, evidence={"margin": margin,
+                                       "trace_size": len(trace)})
     if origin_forced:
         return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
     return Inconclusive(N, k, "origin not forced; no extendable witness")

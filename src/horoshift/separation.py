@@ -25,10 +25,9 @@ _TOL = 1e-9
 class _Vec:
     """Input vector: exact integer/Fraction data plus the actual floats."""
 
-    __slots__ = ("exact", "scale", "actual", "is_exact", "raw")
+    __slots__ = ("exact", "scale", "actual", "is_exact")
 
     def __init__(self, desc):
-        self.raw = desc
         try:
             self._parse(desc)
         except InputError:

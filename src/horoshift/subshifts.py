@@ -21,11 +21,11 @@ each a dict keyed in raster order, in raster-lexicographic order by a walk
 over its rows; walks clamped on one site set share those rows through one
 check plan of bounded size.  One depth-first walk streams the fillings as
 bare tuples of rows, or only those equal to a reference inside a smaller
-box, or only those that differ from it there; ``varies_inside`` asks whether
-any of the last kind exists, in the quarter turn that meets its clamp first
-(a stream whose order is output walks unturned).  ``_window_array`` counts
-the free fillings up to a budget over the same row states and, under it,
-writes them all into one numpy array without walking a filling.
+box (a site map), or only those that differ from it there; ``varies_inside``
+asks whether any of the last kind exists, in the quarter turn the walk picks
+to meet its clamp first (a stream whose order is output walks unturned).
+``_window_array`` counts the free fillings up to a budget by row states and,
+under it, writes them all into one numpy array without walking a filling.
 """
 
 from functools import lru_cache, partial, reduce
@@ -268,8 +268,8 @@ _check_plan = lru_cache(maxsize=2)(_CheckPlan)
 
 class _RowTransfer:
     """The locally admissible fillings of [-N, N]^2 as walks over its rows,
-    bottom to top, for one spec and clamp, in the turn ``_TURNS[turn]``
-    (turn 0, the identity, for a stream whose order is output).
+    bottom to top, for one spec and clamp, in the frame ``_TURNS[turn]``:
+    0 for a stream whose order is output, None to meet the clamp first.
 
     The admissible next rows of a state follow the check plan of the clamped
     sites.  They are produced lazily, cell by cell with symbols in sorted
@@ -279,12 +279,19 @@ class _RowTransfer:
     """
 
     def __init__(self, spec, N, clamp, turn=0):
+        if N < 0:
+            raise InputError(f"need a window size N >= 0, got N={N}")
         width = 2 * N + 1
+        clamp = _symbols(clamp or {}, spec.alphabet)
+        if turn is None:  # the least sum of turned rows over the clamp
+            x, y = map(sum, zip((0, 0), *clamp))
+            turn = min(range(4), key=(y, x, -y, -x).__getitem__)  # 0 on a tie
+        self.turn = turn
         # per site number, the clamped symbol and the candidate symbols
         self.symbols = [None] * width * width
         self.choices = [sorted(spec.alphabet)] * width * width
         clamped = set()
-        for s, v in _symbols(clamp or {}, spec.alphabet).items():
+        for s, v in clamp.items():
             if not (abs(s[0]) <= N and abs(s[1]) <= N):
                 raise InputError(f"clamp site {s} outside window [-{N},{N}]^2")
             x, y = _TURNS[turn](*s)
@@ -343,14 +350,17 @@ class _RowTransfer:
         rows = self.tables[r].get(state)
         return iter(rows) if rows is not None else self._keep(r, state)
 
-    def fillings(self, inner=(), differ=False):
-        """Every filling as its tuple of rows, lexicographic in raster order;
-        given ``inner``, the rows (tuples) of [-N, N]^2 at the window's
-        centre, only those equal to it there, or with ``differ`` only those
-        that differ from it there.  One depth-first walk over (row, state,
-        differs) compares each row as it places it, and does not walk again
-        a triple that yielded no filling.
+    def fillings(self, reference=None, N=0, differ=False):
+        """Every filling as its tuple of rows in the walk's frame,
+        lexicographic in raster order; given ``reference``, a site map over
+        [-N, N]^2 at least, only those equal to it there, or with ``differ``
+        only those that differ from it there.  One depth-first walk over
+        (row, state, differs) compares each row as it places it, and does
+        not walk again a triple that yielded no filling.
         """
+        back, span = _TURNS[-self.turn % 4], range(-N, N + 1)
+        inner = [tuple(reference[back(x, y)] for x in span)
+                 for y in span] if reference is not None else ()
         top, keep = self.top, self.keep
         lo = (top + 1 - len(inner)) // 2  # the inner rows and columns
         hi = lo + len(inner) - 1
@@ -379,28 +389,17 @@ class _RowTransfer:
                               self.successors(r + 1, after), found))
 
 
-def _has_filling(spec, M, clamp, reference, N, differ=False):
-    """Does some filling of [-M, M]^2 extending ``clamp`` equal (or with
-    ``differ`` differ from) ``reference`` inside [-N, N]^2?  Walked in the
-    turn with the least sum of turned rows over the clamp (the identity on
-    a tie), it meets the clamp first; one clamped site set keeps one turn."""
-    clamp = _symbols(clamp or {}, spec.alphabet)
-    x, y = map(sum, zip((0, 0), *clamp))
-    turn = min(range(4), key=(y, x, -y, -x).__getitem__)  # rows' sum by turn
-    back = _TURNS[-turn % 4]
-    inner = [tuple(reference[back(i, j)] for i in range(-N, N + 1))
-             for j in range(-N, N + 1)]
-    walk = _RowTransfer(spec, M, clamp, turn).fillings(inner, differ)
-    return next(walk, None) is not None
-
-
 def varies_inside(spec, M, clamp, reference, N):
     """Does some filling of [-M, M]^2 extending ``clamp`` differ from
-    ``reference``, a mapping over [-N, N]^2 (N <= M), inside [-N, N]^2?
-    Only the answer is output, so ``_has_filling`` may turn the walk."""
+    ``reference``, a site map over [-N, N]^2 (N <= M), inside [-N, N]^2?
+    Only the answer is output, so the walk turns to meet its clamp first."""
     if not 0 <= N <= M:
         raise InputError(f"need 0 <= N <= M, got N={N}, M={M}")
-    return _has_filling(spec, M, clamp, reference, N, differ=True)
+    if missing := [s for s in box_sites(N) if s not in reference]:
+        raise InputError(f"the reference has no symbol at site {missing[0]} "
+                         f"of [-{N},{N}]^2")
+    walk = _RowTransfer(spec, M, clamp, turn=None)
+    return next(walk.fillings(reference, N, differ=True), None) is not None
 
 
 def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):

@@ -1,5 +1,6 @@
 import collections
 import functools
+import itertools
 import json
 import math
 import random
@@ -23,6 +24,7 @@ from horoshift.certify import (_LinearWindowKernel, _origin_forced,
 from horoshift.horoballs import Horoball, RationalCone, polyhedral_from_ray
 from horoshift.serialize import json_dumps
 from horoshift.subshifts import box_sites, enumerate_fillings, varies_inside
+from test_subshifts import _with_resumes
 
 
 class TestDirection:
@@ -491,12 +493,20 @@ class TestDirectionStatus:
                                   method="enumerate", budget=55_447)
         assert enough.kind == "witness"
 
-    def test_enumeration_budget_bounds_work(self):
+    def test_enumeration_budget_bounds_work(self, monkeypatch):
         # 3^9 states per row of [-4, 4]^2, each with up to 3^9 next rows:
-        # the verdict must come after budget + 1 fillings, not a full walk
-        vertical = SFT((0, 1, 2), [{(0, 0): 2, (0, 1): 2}])
-        cert = direction_status(vertical, (1, 0), 1, 4,
-                                method="enumerate", budget=1000)
+        # the verdict must come after budget + 1 fillings, not a full walk,
+        # so it fails as soon as it resumes more row walks than they take
+        vertical, budget = SFT((0, 1, 2), [{(0, 0): 2, (0, 1): 2}]), 1000
+        subshifts._check_plan.cache_clear()  # each run expands its own rows
+        _, walk_resumes = _with_resumes(monkeypatch, lambda: list(
+            itertools.islice(subshifts._RowTransfer(vertical, 4, None)
+                             .fillings(), budget + 1)))
+        subshifts._check_plan.cache_clear()
+        cert, _ = _with_resumes(
+            monkeypatch, lambda: direction_status(
+                vertical, (1, 0), 1, 4, method="enumerate", budget=budget),
+            limit=walk_resumes)
         assert cert.kind == "inconclusive" and cert.reason == "budget"
 
     def test_negative_budget(self):
@@ -698,10 +708,10 @@ class TestNDSet:
         walks = []
         init = subshifts._RowTransfer.__init__
 
-        def counted(self, spec, N, clamp, *turn):
+        def counted(self, spec, N, clamp, *turn, **kwargs):
             if not clamp:
                 walks.append(N)
-            init(self, spec, N, clamp, *turn)
+            init(self, spec, N, clamp, *turn, **kwargs)
 
         monkeypatch.setattr(subshifts._RowTransfer, "__init__", counted)
         _window_stream.cache_clear()
@@ -753,9 +763,7 @@ def _class_answers(spec, v, k, N, margin=None):
         for y in others:
             member = next(enumerate_fillings(spec, M, clamp=clamp | y),
                           None) is not None
-            rows = [tuple(y[x, r] for x in range(-N, N + 1))
-                    for r in range(-N, N + 1)]
-            assert (next(equal.fillings(rows), None) is not None) == member
+            assert (next(equal.fillings(y, N), None) is not None) == member
             if member:
                 break
         answers.append((varies_inside(spec, M, clamp, xhat, N), member))
@@ -808,14 +816,54 @@ class TestExtensionWalk:
                                 method="enumerate")
         assert cert.pair == (certify._member(N, rep), certify._member(N, y))
 
+    @pytest.mark.parametrize("v", [(-1, 0), (0, -1)])
+    def test_member_tests_share_one_walk(self, monkeypatch, v):
+        # the class that varies tries two or more members (see above), all
+        # on the one walk it builds after its varies_inside walk
+        spec, k, N, margin, _ = CLASS_CASES["repeated-site"]
+        members = []
+        fillings = subshifts._RowTransfer.fillings
+
+        def recorded(self, reference=None, N=0, differ=False):
+            if reference is not None and not differ:
+                members.append(self)
+            return fillings(self, reference, N, differ)
+
+        monkeypatch.setattr(subshifts._RowTransfer, "fillings", recorded)
+        cert = direction_status(spec, v, k, N, margin=margin,
+                                method="enumerate")
+        assert cert.kind == "witness" and len(members) >= 2
+        assert all(walk is members[0] for walk in members)
+
+    def test_one_clamp_parse_per_walk(self, monkeypatch):
+        # oracle-extend's two commands; picking a walk's turn outside the
+        # walk parsed its clamp a second time (578 parses)
+        parses, walks = [], []
+        symbols, init = subshifts._symbols, subshifts._RowTransfer.__init__
+
+        def parsed(*args):
+            parses.append(args)
+            return symbols(*args)
+
+        def built(self, *args, **kwargs):
+            walks.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(subshifts, "_symbols", parsed)
+        monkeypatch.setattr(subshifts._RowTransfer, "__init__", built)
+        _window_stream.cache_clear()
+        for k in (1, 2):
+            direction_status(ledrappier(), (1, 0), k, 2, method="enumerate")
+        assert len(parses) == len(walks) == 386
+
     def test_at_most_two_walks_per_class(self, monkeypatch):
         walks = []
         init = subshifts._RowTransfer.__init__
 
-        def counted(self, spec, N, clamp, *turn):
+        def counted(self, spec, N, clamp, *turn, **kwargs):
             if clamp:
                 walks.append(N)
-            init(self, spec, N, clamp, *turn)
+            init(self, spec, N, clamp, *turn, **kwargs)
 
         # on the class itself, so a walk made under any module's name counts
         monkeypatch.setattr(subshifts._RowTransfer, "__init__", counted)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2,
                        complete_upward, config_distance, enumerate_fillings,
                        ledrappier, skew_exponent, validate)
 from horoshift.subshifts import (DEFAULT_FILLING_BUDGET, _RowTransfer,
-                                 _has_filling, _window_array, box_sites,
-                                 spec_from_dict, varies_inside)
+                                 _window_array, box_sites, spec_from_dict,
+                                 varies_inside)
 
 
 class TestSpecs:
@@ -65,10 +66,13 @@ class TestSpecs:
                                         clamp={(True, 0): 1})),
         lambda: varies_inside(ledrappier(), 1, [[(0, False), 1]],
                               {(0, 0): 0}, 0),
+        # a window of negative size
+        lambda: list(enumerate_fillings(ledrappier(), -1)),
     ], ids=["sft-site-twice", "sft-symbol-outside", "sft-site-not-integer",
             "support-site-float", "support-site-string",
             "validate-site-twice", "support-site-bool", "sft-site-bool",
-            "validate-site-bool", "clamp-site-bool", "varies-clamp-bool"])
+            "validate-site-bool", "clamp-site-bool", "varies-clamp-bool",
+            "window-negative"])
     def test_outside_input_refused(self, make):
         with pytest.raises(InputError):
             make()
@@ -449,6 +453,29 @@ class TestVariesInside:
             with pytest.raises(InputError):
                 varies_inside(spec, M, {s: 0 for s in box_sites(1)}, zero, N)
 
+    @pytest.mark.parametrize("clamp, reference, missing", [
+        ({(0, 0): 0}, {}, (-1, -1)),
+        # a left-half clamp turns the walk; the site is named unturned
+        ({(-2, y): 0 for y in range(-2, 3)},
+         {s: 0 for s in box_sites(1) if s != (1, 0)}, (1, 0))])
+    def test_incomplete_reference_refused(self, clamp, reference, missing):
+        with pytest.raises(InputError, match=re.escape(str(missing))):
+            varies_inside(ledrappier(), 2, clamp, reference, 1)
+
+    def test_clamp_parsed_once(self, monkeypatch):
+        parses = []
+        symbols = subshifts._symbols
+
+        def parsed(*args):
+            parses.append(args)
+            return symbols(*args)
+
+        monkeypatch.setattr(subshifts, "_symbols", parsed)
+        trace, _ = dilated_trace(Direction(1, 0).contains, 1, 2)
+        zero = dict.fromkeys(box_sites(2), 0)
+        varies_inside(ledrappier(), 2, dict.fromkeys(trace, 0), zero, 1)
+        assert len(parses) == 1
+
 
 @functools.lru_cache(maxsize=None)
 def _first_fillings(spec, M):
@@ -488,12 +515,12 @@ class TestInnerWalk:
                      for _ in range(lo, hi)]
         if stream and data.draw(st.booleans()):  # one that some filling has
             reference = inside(data.draw(st.sampled_from(stream)))
-        for differ in (False, True):
-            walk = _RowTransfer(spec, M, clamp).fillings(reference, differ)
-            assert list(walk) == [
-                f for f in stream if (inside(f) != reference) == differ]
         as_map = {(x, y): v for y, row in zip(range(-N, N + 1), reference)
                   for x, v in zip(range(-N, N + 1), row)}
+        for differ in (False, True):
+            walk = _RowTransfer(spec, M, clamp).fillings(as_map, N, differ)
+            assert list(walk) == [
+                f for f in stream if (inside(f) != reference) == differ]
         assert varies_inside(spec, M, clamp, as_map, N) == any(
             inside(f) != reference for f in stream)
         if contradiction.items() <= clamp.items():
@@ -663,16 +690,17 @@ class TestQuarterTurns:
                     assert varies_inside(spec, M, clamp, reference, N) == \
                         _varies_by_brute_force(spec, M, clamp, reference, N), \
                         (v, N)
-                    assert _has_filling(spec, M, clamp, reference, N) == \
-                        any(inside), (v, N)
+                    walk = _RowTransfer(spec, M, clamp, turn=None)
+                    assert (next(walk.fillings(reference, N), None)
+                            is not None) == any(inside), (v, N)
 
     def test_the_clamp_is_walked_first(self, monkeypatch):
         turns = []
         init = _RowTransfer.__init__
 
-        def recorded(self, spec, N, clamp, turn=0):
-            turns.append(turn)
-            init(self, spec, N, clamp, turn)
+        def recorded(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            turns.append(self.turn)
 
         monkeypatch.setattr(_RowTransfer, "__init__", recorded)
         M, zero = 3, dict.fromkeys(box_sites(3), 0)
@@ -680,7 +708,7 @@ class TestQuarterTurns:
             trace, _ = dilated_trace(Direction(*v).contains, 1, M)
             turns.clear()
             varies_inside(ledrappier(), M, dict.fromkeys(trace, 0), zero, 1)
-            _has_filling(ledrappier(), M, dict.fromkeys(trace, 0), zero, 1)
+            _RowTransfer(ledrappier(), M, dict.fromkeys(trace, 0), turn=None)
             assert turns[0] == turns[1]
             # every trace site, the half-plane, lies in the bottom rows
             assert all(_quarter_turn(s, turns[0])[1] < 0 for s in trace), v
