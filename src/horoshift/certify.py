@@ -24,6 +24,7 @@ walks of the larger window clamped on two site sets: the inner box, for
 the class's first extension, then the larger trace.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -35,9 +36,9 @@ from .errors import InputError
 from .horoballs import _check_dim
 from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        _RowTransfer, _window_array, box_sites,
-                        enumerate_fillings, skew_exponent, solve_forward,
-                        validate, varies_inside)
+                        _RowTransfer, _integer, _site, _window_array,
+                        box_sites, enumerate_fillings, skew_exponent,
+                        solve_forward, validate, varies_inside)
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +56,7 @@ class Direction:
     __slots__ = ("a", "b", "label")
 
     def __init__(self, a, b, label="rational"):
-        a, b = int(a), int(b)
+        a, b = _site((a, b))
         if a == 0 and b == 0:
             raise InputError("direction must be nonzero")
         g = math.gcd(a, b)
@@ -302,8 +303,9 @@ class _LinearWindowKernel:
         return (c & self.mask[s]).bit_count() & 1
 
 
-# a linear certificate uses two kernels, on [-N, N]^2 and [-(N + margin),
-# N + margin]^2; an nd run alternates between the same two
+# a linear certificate uses at most two kernels, on [-(N + margin), N +
+# margin]^2 and, when the origin is off the trace, on [-N, N]^2; an nd run
+# alternates between the same two
 @functools.lru_cache(maxsize=4)
 def _window_kernel(support, M):
     return _LinearWindowKernel(support, M)
@@ -336,9 +338,14 @@ def _origin_forced(spec, trace, N):
     """Is the origin symbol of [-N, N]^2 forced by the symbols on the trace?
 
     It is exactly when the origin's mask lies in the span of the trace's
-    masks, so the trace rows are eliminated in sorted site order until the
+    masks.  An origin on the (sorted) trace is one of them, so that answer
+    needs no kernel: a half-plane trace holds the origin at every k >= 2.
+    Otherwise the trace rows are eliminated in sorted site order until the
     origin's mask reduces to 0 or the rows run out.
     """
+    i = bisect.bisect_left(trace, (0, 0))
+    if i < len(trace) and trace[i] == (0, 0):
+        return True
     mask = _window_kernel(spec.support, N).mask
     origin = mask[(0, 0)]
     pivots = {}
@@ -361,7 +368,8 @@ def _linear_status(spec, trace_at, trace, k, N, margin, normal=None):
     artifacts recede only as the margin grows without bound), so for a
     half-plane the existence side is decided by the hull-normal criterion
     and the window is used to exhibit, or to verify determinism of, the
-    certificate.
+    certificate.  The witness scan reads each combination's parities on the
+    inner sites' masks, and builds the symbol map only of the one that hits.
     """
     deterministic = WindowDeterministic(N, k,
                                         evidence={"trace_size": len(trace)})
@@ -373,9 +381,10 @@ def _linear_status(spec, trace_at, trace, k, N, margin, normal=None):
     trace_M, _ = trace_at(M)
     kern = _window_kernel(spec.support, M)
     inner = box_sites(N)
+    masks = [kern.mask[s] for s in inner]
     for c in kern.vanishing_on(trace_M):
-        y = {s: kern.symbol(c, s) for s in inner}
-        if any(y.values()):
+        if any((c & m).bit_count() & 1 for m in masks):
+            y = {s: kern.symbol(c, s) for s in inner}
             evidence = {"margin": margin, "trace_size": len(trace)}
             if normal is not None:
                 evidence["hull-normal"] = list(normal)
@@ -498,9 +507,10 @@ def _status(spec, horoball, k, N, margin, budget, method):
     linear = isinstance(spec, LinearGF2)
     if method == "kernel" and not linear:
         raise InputError("kernel method needs a linear-gf2 spec")
-    if margin is not None and margin < 0:
+    k, N = _integer(k, "k"), _integer(N, "N")
+    if margin is not None and (margin := _integer(margin, "margin")) < 0:
         raise InputError(f"margin must be >= 0, got {margin}")
-    if budget < 0:
+    if (budget := _integer(budget, "budget")) < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
     halfplane = horoball.halfplane_normal()
     trace_at = functools.partial(dilated_trace, horoball.contains, k,
@@ -608,6 +618,7 @@ def skew_horoball_status(spec, horoball, k, N):
       above the base expansivity level).
     * otherwise Inconclusive.
     """
+    k, N = _integer(k, "k"), _integer(N, "N")
     if N < k or k < 1:
         raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
     _check_dim(horoball, 2)

@@ -43,6 +43,14 @@ def _write(o, nl, out):
     """Append the JSON text of ``o`` to ``out``; ``nl`` is its line's indent."""
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
+        if o and all(type(v) is list and v and all(type(w) is int for w in v)
+                     for v in o):  # rows of plain ints: one piece per row
+            cell = inner + "  "
+            sep = "," + cell
+            out += ("[", inner, ("," + inner).join(
+                f"[{cell}{sep.join(map(int.__repr__, v))}{inner}]" for v in o),
+                nl, "]")
+            return
         texts = [_scalar(v) for v in o]
         if o and None not in texts:
             out += ("[", inner, ("," + inner).join(texts), nl, "]")

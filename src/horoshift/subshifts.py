@@ -62,14 +62,23 @@ def _alphabet(symbols):
     return alphabet
 
 
+def _integer(v, name):
+    """``v``, an integer and not a bool, as an int; else an InputError
+    naming it ``name``."""
+    try:
+        if type(v) is bool:
+            raise TypeError
+        return index(v)
+    except TypeError as e:
+        raise InputError(f"{name} must be an integer, got {v!r}") from e
+
+
 def _site(s):
     """A site given as a pair of integers (not bools), as a tuple of ints."""
     try:
         x, y = s
-        if type(x) is bool or type(y) is bool:
-            raise TypeError
-        return (index(x), index(y))
-    except (TypeError, ValueError) as e:
+        return (_integer(x, "x"), _integer(y, "y"))
+    except (TypeError, ValueError) as e:  # an InputError is a ValueError
         raise InputError(f"a site must be an integer pair, got {s!r}") from e
 
 
@@ -279,7 +288,7 @@ class _RowTransfer:
     """
 
     def __init__(self, spec, N, clamp, turn=0):
-        if N < 0:
+        if (N := _integer(N, "N")) < 0:
             raise InputError(f"need a window size N >= 0, got N={N}")
         width = 2 * N + 1
         clamp = _symbols(clamp or {}, spec.alphabet)
@@ -410,8 +419,9 @@ def enumerate_fillings(spec, N, clamp=None, budget=DEFAULT_FILLING_BUDGET):
     sorted order), so deterministic.  Raises a resource error (carrying the
     count so far) after ``budget`` fillings.
     """
+    walk = _RowTransfer(spec, N, clamp)  # checks N before box_sites reads it
     sites = box_sites(N)
-    for count, rows in enumerate(_RowTransfer(spec, N, clamp).fillings(), 1):
+    for count, rows in enumerate(walk.fillings(), 1):
         if count > budget:
             raise ResourceBudgetError(
                 f"filling budget {budget} exceeded", budget, count - 1)

@@ -63,6 +63,19 @@ class TestDirection:
         dirs = parse_grid("1,0;0,-1")
         assert [(d.a, d.b) for d in dirs] == [(1, 0), (0, -1)]
 
+    # each was truncated to another direction: (0.9, 1) to (0, 1), the
+    # others to (1, 0)
+    @pytest.mark.parametrize("v", [(0.9, 1), (1.5, 0), (True, 0), ("1", 0)],
+                             ids=str)
+    def test_non_integer_component_refused(self, v):
+        with pytest.raises(InputError):
+            direction_status(ledrappier(), v, 2, 3)
+
+    def test_integer_components_kept_as_ints(self):
+        v = Direction(np.int64(2), np.int64(-4))
+        assert (v.a, v.b) == (1, -2)
+        assert type(v.a) is int and type(v.b) is int
+
 
 class TestGF2Nullspace:
     def test_full_rank_empty_kernel(self):
@@ -399,6 +412,43 @@ class TestOriginForced:
         assert seen == {True, False}
 
 
+def _dict_per_vector_pair(spec, v, k, N):
+    """The margin kernel's witness pair found by building the symbol dict of
+    every combination vanishing on the margin trace in turn, up to the first
+    that is nonzero inside [-N, N]^2; None if none is."""
+    M = N + N - k + 2
+    trace_M, _ = dilated_trace(v.contains, k, M)
+    kern = _LinearWindowKernel(spec.support, M)
+    inner = box_sites(N)
+    for c in kern.vanishing_on(trace_M):
+        y = {s: kern.symbol(c, s) for s in inner}
+        if any(y.values()):
+            return [certify._member(N, dict.fromkeys(inner, 0)),
+                    certify._member(N, y)]
+    return None
+
+
+class TestWitnessScan:
+    @pytest.mark.parametrize("support", [
+        ledrappier().support, ((0, 0), (0, 1), (1, 2), (2, 0))], ids=str)
+    @pytest.mark.parametrize("N, k", [(4, 2), (5, 1)])
+    def test_equals_dict_per_vector(self, support, N, k):
+        spec = LinearGF2(support)
+        witnesses = collections.Counter()
+        for v in farey_directions(2):
+            want = _dict_per_vector_pair(spec, v, k, N)
+            for method in ("auto", "kernel"):
+                cert = direction_status(spec, v, k, N, method=method)
+                if method == "auto" and not is_hull_normal(spec.support,
+                                                           (v.a, v.b)):
+                    assert cert.kind != "witness", v
+                    continue
+                got = list(cert.pair) if cert.kind == "witness" else None
+                assert got == want, (v, method)
+                witnesses[method] += got is not None
+        assert witnesses["auto"] and witnesses["kernel"]
+
+
 class TestDirectionStatus:
     def test_hull_normal_directions_are_witnesses(self):
         spec = ledrappier()
@@ -477,6 +527,30 @@ class TestDirectionStatus:
         with pytest.raises(InputError):
             direction_status(ledrappier(), (0, 1), 2, 4, method="magic")
 
+    # each was taken as given: N=1.5 raised a TypeError, k=1.0 was written
+    # as 1.0, and a bool was read as 1 (margin=True written as true)
+    @pytest.mark.parametrize("method", ["auto", "enumerate"])
+    @pytest.mark.parametrize("k, N, margin", [
+        (1, 1.5, None), (1.0, 1, None), (True, 1, None), (1, True, None),
+        (1, 1, True), (1, 1, 1.0),
+    ], ids=["N-float", "k-float", "k-bool", "N-bool", "margin-bool",
+            "margin-float"])
+    def test_window_scales_must_be_integers(self, k, N, margin, method):
+        with pytest.raises(InputError):
+            direction_status(ledrappier(), (1, 0), k, N, margin=margin,
+                             method=method)
+        with pytest.raises(InputError):
+            horoball_status(ledrappier(), l2_horoball((1, 0)), k, N,
+                            margin=margin, method=method)
+
+    def test_integer_scales_written_as_ints(self):
+        cert = direction_status(ledrappier(), (0, -1), np.int64(2),
+                                np.int64(3), margin=np.int64(3))
+        assert cert.kind == "witness"
+        assert json.loads(json_dumps(cert.to_dict()))["N"] == 3
+        assert [type(x) for x in (cert.k, cert.N, cert.evidence["margin"])] \
+            == [int] * 3
+
     def test_enumeration_budget_inconclusive(self):
         cert = direction_status(ledrappier(), (0, 1), 2, 2,
                                 method="enumerate", budget=10)
@@ -513,6 +587,14 @@ class TestDirectionStatus:
         for method in ("auto", "enumerate"):
             with pytest.raises(InputError):
                 direction_status(ledrappier(), (1, 0), 1, 1, budget=-1,
+                                 method=method)
+
+    # True was read as a budget of 1
+    @pytest.mark.parametrize("budget", [True, 0.5, 10.0], ids=str)
+    def test_budget_must_be_an_integer(self, budget):
+        for method in ("auto", "enumerate"):
+            with pytest.raises(InputError):
+                direction_status(ledrappier(), (1, 0), 1, 1, budget=budget,
                                  method=method)
 
 
@@ -701,6 +783,41 @@ class TestNDSet:
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
             nd_set(ledrappier(), 2, 4, grid="")
+
+    def test_nd_builds_only_the_margin_kernel(self, monkeypatch):
+        """At k = 3 the origin of every direction is a trace site, so the
+        origin test builds no kernel and eliminates nothing: one kernel,
+        on the margin window, and every reduction inside gf2_nullspace."""
+        builds, depth = [], [0]
+        init = _LinearWindowKernel.__init__
+        nullspace, reduce = certify.gf2_nullspace, certify._reduce
+
+        def counted(self, support, M):
+            builds.append(M)
+            init(self, support, M)
+
+        def solve(rows, ncols):
+            depth[0] += 1
+            try:
+                return nullspace(rows, ncols)
+            finally:
+                depth[0] -= 1
+
+        def reduced(r, pivots):
+            assert depth[0], "_reduce outside gf2_nullspace"
+            return reduce(r, pivots)
+
+        monkeypatch.setattr(_LinearWindowKernel, "__init__", counted)
+        monkeypatch.setattr(certify, "gf2_nullspace", solve)
+        monkeypatch.setattr(certify, "_reduce", reduced)
+        certify._window_kernel.cache_clear()
+        try:
+            report = nd_set(ledrappier(), 3, 6, "farey:8+diag")
+        finally:
+            certify._window_kernel.cache_clear()
+        assert builds == [6 + (6 - 3 + 2)]
+        assert {(d.a, d.b) for d in report.witness_directions()} == \
+            {(0, -1), (-1, 0), (1, 1)}
 
     def test_enumeration_walks_the_window_once(self, monkeypatch):
         hard_square = SFT((0, 1), [{(0, 0): 1, (1, 0): 1},
@@ -1102,3 +1219,10 @@ class TestSkew:
             skew_horoball_status(self.spec,
                                  Horoball(PolyhedralZ2("halfplane-diagonal",
                                                        side=-1)), 2, 1)
+
+    @pytest.mark.parametrize("k, N", [(1.0, 2), (True, 2), (1, 2.5),
+                                      (1, True)], ids=str)
+    def test_scales_must_be_integers(self, k, N):
+        horoball = Horoball(PolyhedralZ2("halfplane-diagonal", side=-1))
+        with pytest.raises(InputError):
+            skew_horoball_status(self.spec, horoball, k, N)

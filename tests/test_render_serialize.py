@@ -161,9 +161,20 @@ class TestJsonDumps:
         np.float64(0.1), [np.float64(-1e300), np.float64("nan")],
         _Level.LOW, {"level": [_Level.LOW, True, False, 1, 1.0]},
         True, [True, False, None], "\u00e9\"\\\x01",
+        # rows of plain ints, and rows holding a bool, an enum, a float,
+        # a tuple or nothing
+        [[1, 2], [3, True]], [[1], []], [[_Level.LOW, 2]], [(1, 2), [3]],
+        [[2 ** 70, -1], [0]], [[1.0, 2]],
     ])
     def test_special_values(self, obj):
         assert json_dumps(obj) == _reference(obj)
+
+    # _TREES' lists hold at most 5 items, so long runs of int rows are rare
+    @given(st.lists(st.lists(st.integers() | st.booleans(), max_size=4),
+                    max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_int_rows_match_json_module(self, rows):
+        assert json_dumps(rows) == _reference(rows)
 
     def test_readme_artifacts(self, tmp_path, monkeypatch):
         """Every object the README's commands serialize, and so every JSON
@@ -187,7 +198,7 @@ class TestJsonDumps:
 
     @pytest.mark.parametrize("obj", [
         Fraction(1, 3), {1, 2}, np.int64(3), [np.int64(3)], {1: "a"},
-        {"a": [{(0, 1): 2}]},
+        {"a": [{(0, 1): 2}]}, [[1], [np.int64(3)]],
     ])
     def test_unserializable_raises(self, obj):
         with pytest.raises(TypeError):

@@ -66,13 +66,18 @@ class TestSpecs:
                                         clamp={(True, 0): 1})),
         lambda: varies_inside(ledrappier(), 1, [[(0, False), 1]],
                               {(0, 0): 0}, 0),
-        # a window of negative size
+        # a window of negative size, or one that is not an integer: N=True
+        # walked N=1, N=1.5 raised a TypeError
         lambda: list(enumerate_fillings(ledrappier(), -1)),
+        lambda: list(enumerate_fillings(ledrappier(), True)),
+        lambda: list(enumerate_fillings(ledrappier(), 1.5)),
+        lambda: _RowTransfer(ledrappier(), 1.0, None),
     ], ids=["sft-site-twice", "sft-symbol-outside", "sft-site-not-integer",
             "support-site-float", "support-site-string",
             "validate-site-twice", "support-site-bool", "sft-site-bool",
             "validate-site-bool", "clamp-site-bool", "varies-clamp-bool",
-            "window-negative"])
+            "window-negative", "window-bool", "window-float",
+            "walk-window-float"])
     def test_outside_input_refused(self, make):
         with pytest.raises(InputError):
             make()
