@@ -10,8 +10,8 @@ from .horoballs import (Horoball, Linear, PolyhedralZ2, RationalCone, Sampled,
                         polyhedral_from_ray, sampled_l1_horoball_z2,
                         verify_cone_shift, verify_tangency)
 from .subshifts import (FullShift, FullShiftZ, LinearGF2, SFT, SkewActionSpec,
-                        complete_upward, config_distance, enumerate_fillings,
-                        ledrappier, skew_exponent, validate)
+                        enumerate_fillings, ledrappier, skew_exponent,
+                        validate)
 from .certify import (Direction, Inconclusive, NDReport, Witness,
                       WindowDeterministic, direction_status, farey_directions,
                       horoball_status, nd_set, parse_grid,

@@ -279,36 +279,23 @@ def gf2_nullspace(rows, ncols):
     return basis
 
 
-class _LinearWindowKernel:
-    """Kernel of a GF(2) linear rule on the box [-M, M]^2.
-
-    Fillings of a LinearGF2 spec form a GF(2) vector space; witness pairs
-    (x, y) correspond to kernel vectors z = x + y.  The basis is kept as one
-    mask per site: bit j of ``mask[s]`` is basis vector j's symbol at s, so a
-    combination c of basis vectors has symbol parity(c & mask[s]) at s.
-    ``solve_forward`` gives the j-th free site of the raster walk bit j.
-    """
-
-    def __init__(self, support, M):
-        free = itertools.count()  # after the solve, the number of free sites
-        self.mask = solve_forward(support, box_sites(M), (1 << j for j in free))
-        self.dim = next(free)
-
-    def vanishing_on(self, sites):
-        """Combinations whose kernel vectors vanish on the given sites."""
-        return gf2_nullspace([self.mask[s] for s in sites], self.dim)
-
-    def symbol(self, c, s):
-        """Symbol at site s of the kernel vector of combination c."""
-        return (c & self.mask[s]).bit_count() & 1
-
-
 # a linear certificate uses at most two kernels, on [-(N + margin), N +
 # margin]^2 and, when the origin is off the trace, on [-N, N]^2; an nd run
 # alternates between the same two
 @functools.lru_cache(maxsize=4)
 def _window_kernel(support, M):
-    return _LinearWindowKernel(support, M)
+    """Kernel of a GF(2) linear rule on the box [-M, M]^2, as (mask, dim).
+
+    Fillings of a LinearGF2 spec form a GF(2) vector space of dimension
+    ``dim``; witness pairs (x, y) correspond to kernel vectors z = x + y.  The
+    basis is kept as one mask per site: bit j of ``mask[s]`` is basis vector
+    j's symbol at s, so a combination c of basis vectors has symbol
+    parity(c & mask[s]) at s.  ``solve_forward`` gives the j-th free site of
+    the raster walk bit j.
+    """
+    free = itertools.count()  # after the solve, the number of free sites
+    mask = solve_forward(support, box_sites(M), (1 << j for j in free))
+    return mask, next(free)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +333,7 @@ def _origin_forced(spec, trace, N):
     i = bisect.bisect_left(trace, (0, 0))
     if i < len(trace) and trace[i] == (0, 0):
         return True
-    mask = _window_kernel(spec.support, N).mask
+    mask, _ = _window_kernel(spec.support, N)
     origin = mask[(0, 0)]
     pivots = {}
     for s in trace:
@@ -379,12 +366,12 @@ def _linear_status(spec, trace_at, trace, k, N, margin, normal=None):
         return Inconclusive(N, k, "origin not forced")
     M = N + margin
     trace_M, _ = trace_at(M)
-    kern = _window_kernel(spec.support, M)
+    mask, dim = _window_kernel(spec.support, M)
     inner = box_sites(N)
-    masks = [kern.mask[s] for s in inner]
-    for c in kern.vanishing_on(trace_M):
+    masks = [mask[s] for s in inner]
+    for c in gf2_nullspace([mask[s] for s in trace_M], dim):
         if any((c & m).bit_count() & 1 for m in masks):
-            y = {s: kern.symbol(c, s) for s in inner}
+            y = {s: (c & m).bit_count() & 1 for s, m in zip(inner, masks)}
             evidence = {"margin": margin, "trace_size": len(trace)}
             if normal is not None:
                 evidence["hull-normal"] = list(normal)
@@ -519,8 +506,9 @@ def _status(spec, horoball, k, N, margin, budget, method):
     if not hits:
         return Inconclusive(N, k, "horoball misses window")
     if margin is None:
-        # wide enough that boundary effects of the margin window cannot
-        # propagate into [-N, N]^2 along a rule of unit step
+        # a window claim only: a kernel or enumerate witness extends to the
+        # margin window, whose boundary still fakes some (Ledrappier's (2,1)
+        # and (1,2) at k=1, N=2); auto decides half-planes by hull normals
         margin = N - k + 2
     if method == "auto" and isinstance(spec, FullShift):
         return _fullshift_status(spec, trace, k, N)

@@ -44,6 +44,7 @@ _TURNS = (lambda x, y: (x, y), lambda x, y: (-y, x),
 
 def box_sites(N):
     """Sites of [-N, N]^2 in raster order (row by row, left to right)."""
+    N = _integer(N, "N")
     return [(x, y) for y in range(-N, N + 1) for x in range(-N, N + 1)]
 
 
@@ -402,6 +403,7 @@ def varies_inside(spec, M, clamp, reference, N):
     """Does some filling of [-M, M]^2 extending ``clamp`` differ from
     ``reference``, a site map over [-N, N]^2 (N <= M), inside [-N, N]^2?
     Only the answer is output, so the walk turns to meet its clamp first."""
+    N, M = _integer(N, "N"), _integer(M, "M")
     if not 0 <= N <= M:
         raise InputError(f"need 0 <= N <= M, got N={N}, M={M}")
     if missing := [s for s in box_sites(N) if s not in reference]:
@@ -488,43 +490,6 @@ def _window_array(spec, N, budget):
         prefixes = child[taken]
         states = list(number)
     return symbols
-
-
-def complete_upward(spec, rows, x_start=0, y_start=0):
-    """Deterministic upward completion of the Ledrappier rule by
-    ``solve_forward`` from the bottom row.
-
-    ``rows`` is a list of bit rows, bottom first, each one shorter than the
-    previous (the rule x_{i,j+1} = x_{i,j} + x_{i+1,j} shrinks width by 1).
-    Returns the full triangle down to width 1 as a dict from site to bit,
-    row by row from the bottom.
-    """
-    if not (isinstance(spec, LinearGF2)
-            and set(spec.support) == {(0, 0), (1, 0), (0, 1)}):
-        raise InputError("complete_upward implements the rule with support "
-                         "{(0,0),(1,0),(0,1)}")
-    rows = [tuple(int(b) & 1 for b in r) for r in rows]
-    if not rows or not rows[0]:
-        raise InputError("need at least one nonempty initial row")
-    if any(len(b) != len(a) - 1 for a, b in zip(rows, rows[1:])):
-        raise InputError("each initial row must be one shorter than the last")
-    w = len(rows[0])
-    sites = [(x_start + i, y_start + j) for j in range(w) for i in range(w - j)]
-    tri = solve_forward(spec.support, sites, iter(rows[0]))
-    if any(tri[s] != b for s, b in zip(sites, [b for r in rows for b in r])):
-        raise InputError("initial rows violate the rule")
-    return tri
-
-
-def config_distance(x, y):
-    """2^{-r} for two fillings of one window, each a dict from site to
-    symbol, with r the minimum l-infinity norm of a disagreement site; 0.0
-    when they agree everywhere.  Fillings of different site sets are
-    refused."""
-    if x.keys() != y.keys():
-        raise InputError("the fillings cover different sites")
-    r = min((max(abs(s[0]), abs(s[1])) for s in x if x[s] != y[s]), default=None)
-    return 0.0 if r is None else 2.0 ** (-r)
 
 
 class FullShiftZ:

@@ -16,8 +16,8 @@ from horoshift import (Direction, FullShift, InputError, LinearGF2,
                        ledrappier, nd_set, parse_grid, skew_exponent,
                        skew_horoball_status)
 from horoshift import certify, subshifts
-from horoshift.certify import (_LinearWindowKernel, _origin_forced,
-                               _trace_classes, _window_stream, dilated_trace,
+from horoshift.certify import (_origin_forced, _trace_classes,
+                               _window_kernel, _window_stream, dilated_trace,
                                Inconclusive, WindowDeterministic, Witness,
                                gf2_nullspace, is_hull_normal,
                                verify_window_deterministic, verify_witness)
@@ -101,6 +101,17 @@ class TestGF2Nullspace:
             seen.add(vec)
 
 
+def _parity(c, m):
+    """Symbol at a site of mask ``m`` of the kernel vector of combination c."""
+    return (c & m).bit_count() & 1
+
+
+def _vanishing_on(mask, dim, sites):
+    """Combinations whose kernel vectors vanish on ``sites``: the null space
+    of their masks."""
+    return gf2_nullspace([mask[s] for s in sites], dim)
+
+
 class TestWindowKernel:
     SUPPORTS = [ledrappier().support, [(0, 0), (1, 0), (0, 1), (1, 1)],
                 [(0, 0), (0, 0), (1, 0), (0, 1)],
@@ -110,14 +121,14 @@ class TestWindowKernel:
     @pytest.mark.parametrize("support", SUPPORTS, ids=str)
     def test_spans_exactly_the_fillings(self, support, M):
         spec = LinearGF2(support)
-        kern = _LinearWindowKernel(spec.support, M)
+        mask, dim = _window_kernel(spec.support, M)
         sites = box_sites(M)
-        assert kern.dim <= 16
-        spanned = {tuple(kern.symbol(c, s) for s in sites)
-                   for c in range(2 ** kern.dim)}
+        assert dim <= 16
+        spanned = {tuple(_parity(c, mask[s]) for s in sites)
+                   for c in range(2 ** dim)}
         fillings = [tuple(f[s] for s in sites)
                     for f in enumerate_fillings(spec, M)]
-        assert len(spanned) == len(fillings) == 2 ** kern.dim
+        assert len(spanned) == len(fillings) == 2 ** dim
         assert spanned == set(fillings)
 
 
@@ -401,12 +412,12 @@ class TestOriginForced:
         spec = LinearGF2(support)
         seen = set()
         for N in (3, 5, 8):
-            small = _LinearWindowKernel(spec.support, N)
+            mask, dim = _window_kernel(spec.support, N)
             for v in farey_directions(4):
                 for k in (1, 2, 3):
                     trace, _ = dilated_trace(v.contains, k, N)
-                    want = not any(small.symbol(c, (0, 0))
-                                   for c in small.vanishing_on(trace))
+                    want = not any(_parity(c, mask[0, 0])
+                                   for c in _vanishing_on(mask, dim, trace))
                     assert _origin_forced(spec, trace, N) == want, (N, v, k)
                     seen.add(want)
         assert seen == {True, False}
@@ -418,10 +429,10 @@ def _dict_per_vector_pair(spec, v, k, N):
     that is nonzero inside [-N, N]^2; None if none is."""
     M = N + N - k + 2
     trace_M, _ = dilated_trace(v.contains, k, M)
-    kern = _LinearWindowKernel(spec.support, M)
+    mask, dim = _window_kernel(spec.support, M)
     inner = box_sites(N)
-    for c in kern.vanishing_on(trace_M):
-        y = {s: kern.symbol(c, s) for s in inner}
+    for c in _vanishing_on(mask, dim, trace_M):
+        y = {s: _parity(c, mask[s]) for s in inner}
         if any(y.values()):
             return [certify._member(N, dict.fromkeys(inner, 0)),
                     certify._member(N, y)]
@@ -751,10 +762,29 @@ class TestNDSet:
         assert report.metadata["spec"]["kind"] == "linear-gf2"
         assert report.epsilon == 0.25
 
-    def test_witness_directions_are_hull_normals(self):
-        report = nd_set(ledrappier(), 2, 5, grid="farey:2")
+    @pytest.mark.parametrize("k, N", [(1, 2), (2, 3), (2, 5)])
+    @pytest.mark.parametrize("support", [
+        ledrappier().support, ((0, 2), (1, 0), (1, 1), (2, 0)),
+        ((0, 0), (0, 1), (1, 2), (2, 0)), ((0, 0), (0, 2), (1, 1), (2, 0))],
+        ids=str)
+    def test_witness_directions_are_hull_normals(self, support, k, N):
+        """auto's witnesses over farey:2 are the known answer for a GF(2)
+        rule, the outward normals of its hull's edges (Einsiedler-Lind-
+        Miles-Ward), and every other direction is window-deterministic."""
+        normals = set()
+        for p, q in itertools.permutations(support, 2):
+            g = math.gcd(q[1] - p[1], p[0] - q[0])
+            n = ((q[1] - p[1]) // g, (p[0] - q[0]) // g)
+            if all(s[0] * n[0] + s[1] * n[1] <= p[0] * n[0] + p[1] * n[1]
+                   for s in support):
+                normals.add(n)
+        report = nd_set(LinearGF2(support), k, N, grid="farey:2")
         wit = {(d.a, d.b) for d in report.witness_directions()}
-        assert wit == {(0, -1), (-1, 0), (1, 1)}
+        assert wit == normals & {(d.a, d.b) for d in farey_directions(2)}
+        if support == ledrappier().support:
+            assert wit == {(0, -1), (-1, 0), (1, 1)}
+        assert all(isinstance(c, WindowDeterministic)
+                   for d, c in report.entries if (d.a, d.b) not in wit)
 
     def test_entries_cover_grid_in_order(self):
         grid = parse_grid("farey:1")
@@ -789,12 +819,12 @@ class TestNDSet:
         origin test builds no kernel and eliminates nothing: one kernel,
         on the margin window, and every reduction inside gf2_nullspace."""
         builds, depth = [], [0]
-        init = _LinearWindowKernel.__init__
+        solve_forward = certify.solve_forward
         nullspace, reduce = certify.gf2_nullspace, certify._reduce
 
-        def counted(self, support, M):
-            builds.append(M)
-            init(self, support, M)
+        def counted(support, sites, free):
+            builds.append(sites[-1])  # (M, M), the last site of [-M, M]^2
+            return solve_forward(support, sites, free)
 
         def solve(rows, ncols):
             depth[0] += 1
@@ -807,15 +837,17 @@ class TestNDSet:
             assert depth[0], "_reduce outside gf2_nullspace"
             return reduce(r, pivots)
 
-        monkeypatch.setattr(_LinearWindowKernel, "__init__", counted)
+        monkeypatch.setattr(certify, "solve_forward", counted)
         monkeypatch.setattr(certify, "gf2_nullspace", solve)
         monkeypatch.setattr(certify, "_reduce", reduced)
-        certify._window_kernel.cache_clear()
+        _window_kernel.cache_clear()
         try:
             report = nd_set(ledrappier(), 3, 6, "farey:8+diag")
+            assert _window_kernel.cache_info().misses == 1
         finally:
-            certify._window_kernel.cache_clear()
-        assert builds == [6 + (6 - 3 + 2)]
+            _window_kernel.cache_clear()
+        M = 6 + (6 - 3 + 2)
+        assert builds == [(M, M)]
         assert {(d.a, d.b) for d in report.witness_directions()} == \
             {(0, -1), (-1, 0), (1, 1)}
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import re
 
 import numpy as np
@@ -11,11 +12,11 @@ from horoshift.certify import (Direction, _window_stream, dilated_trace,
                                farey_directions)
 from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2,
                        ResourceBudgetError, SFT, SkewActionSpec,
-                       complete_upward, config_distance, enumerate_fillings,
-                       ledrappier, skew_exponent, validate)
+                       enumerate_fillings, ledrappier, skew_exponent,
+                       validate)
 from horoshift.subshifts import (DEFAULT_FILLING_BUDGET, _RowTransfer,
-                                 _window_array, box_sites, spec_from_dict,
-                                 varies_inside)
+                                 _window_array, box_sites, solve_forward,
+                                 spec_from_dict, varies_inside)
 
 
 class TestSpecs:
@@ -72,12 +73,16 @@ class TestSpecs:
         lambda: list(enumerate_fillings(ledrappier(), True)),
         lambda: list(enumerate_fillings(ledrappier(), 1.5)),
         lambda: _RowTransfer(ledrappier(), 1.0, None),
+        lambda: varies_inside(ledrappier(), 2, {}, {(0, 0): 0}, 0.5),
+        lambda: varies_inside(ledrappier(), "2", {}, {(0, 0): 0}, 0),
+        lambda: box_sites(0.5),
     ], ids=["sft-site-twice", "sft-symbol-outside", "sft-site-not-integer",
             "support-site-float", "support-site-string",
             "validate-site-twice", "support-site-bool", "sft-site-bool",
             "validate-site-bool", "clamp-site-bool", "varies-clamp-bool",
             "window-negative", "window-bool", "window-float",
-            "walk-window-float"])
+            "walk-window-float", "varies-window-float", "varies-outer-string",
+            "box-window-float"])
     def test_outside_input_refused(self, make):
         with pytest.raises(InputError):
             make()
@@ -724,9 +729,17 @@ class TestQuarterTurns:
         assert turns == [0, 0]
 
 
+def _complete_upward(spec, row):
+    """The triangle of sites (i, j), i < len(row) - j, over the bottom row
+    ``row`` at (0, 0), (1, 0), ..., completed upward by ``solve_forward``:
+    the row's bits fill the free sites, the bottom row, in order."""
+    sites = [(i, j) for j in range(len(row)) for i in range(len(row) - j)]
+    return solve_forward(spec.support, sites, iter(row))
+
+
 class TestCompleteUpward:
     def test_triangle(self):
-        pat = complete_upward(ledrappier(), [(1, 0, 0, 0)])
+        pat = _complete_upward(ledrappier(), (1, 0, 0, 0))
         assert pat[(0, 0)] == 1 and pat[(0, 1)] == 1 and pat[(0, 2)] == 1
         assert pat[(0, 3)] == 1
         assert validate(ledrappier(), pat)
@@ -734,75 +747,33 @@ class TestCompleteUpward:
     def test_pascal_mod_two(self):
         # x_{i,j} = sum_k C(j,k) x_{i+k,0} over GF(2): a centered impulse
         # spreads as binomial coefficients mod 2
-        pat = complete_upward(ledrappier(), [(0, 0, 1, 0, 0)])
-        from math import comb
+        pat = _complete_upward(ledrappier(), (0, 0, 1, 0, 0))
         for j in range(5):
             for i in range(5 - j):
-                want = comb(j, 2 - i) % 2 if 0 <= 2 - i <= j else 0
+                want = math.comb(j, 2 - i) % 2 if 0 <= 2 - i <= j else 0
                 assert pat[(i, j)] == want
 
     def test_consistent_initial_rows_accepted(self):
-        pat = complete_upward(ledrappier(), [(1, 1, 0), (0, 1)])
+        # the rows (1, 1, 0) and (0, 1) agree with the rule: the second is
+        # the row the solver completes from the first
+        pat = _complete_upward(ledrappier(), (1, 1, 0))
+        assert (pat[(0, 1)], pat[(1, 1)]) == (0, 1)
         assert pat[(0, 2)] == 1
         assert validate(ledrappier(), pat)
-
-    def test_inconsistent_initial_rows_rejected(self):
-        with pytest.raises(InputError):
-            complete_upward(ledrappier(), [(1, 1, 0), (1, 1)])
-
-    def test_wrong_spec_rejected(self):
-        with pytest.raises(InputError):
-            complete_upward(LinearGF2([(0, 0), (2, 0)]), [(1, 0)])
 
     def test_repeated_site_rule_completes(self):
         # (0, 0) twice cancels: the rule is x_{i,j+1} = x_{i+1,j}, not
         # Ledrappier's, and the completion must respect it
         spec = LinearGF2([(0, 0), (0, 0), (1, 0), (0, 1)])
-        pat = complete_upward(spec, [(1, 0, 1)])
+        pat = _complete_upward(spec, (1, 0, 1))
         assert validate(spec, pat)
         assert [pat[(0, j)] for j in range(3)] == [1, 0, 1]
 
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=9))
     @settings(max_examples=100, deadline=None)
     def test_any_bottom_row_completes(self, row):
-        pat = complete_upward(ledrappier(), [tuple(row)])
+        pat = _complete_upward(ledrappier(), row)
         assert validate(ledrappier(), pat)
-
-
-def _fill(N, fn):
-    return {s: fn(s) for s in box_sites(N)}
-
-
-class TestConfigDistance:
-    def test_examples(self):
-        x = _fill(2, lambda s: 0)
-        y = _fill(2, lambda s: 1 if s == (2, -2) else 0)
-        z = _fill(2, lambda s: 1 if s == (0, 1) else 0)
-        assert config_distance(x, y) == 0.25
-        assert config_distance(x, z) == 0.5
-        assert config_distance(x, x) == 0.0
-
-    def test_origin_disagreement(self):
-        x = _fill(1, lambda s: 0)
-        y = _fill(1, lambda s: 1 if s == (0, 0) else 0)
-        assert config_distance(x, y) == 1.0
-
-    def test_symmetry_and_window_mismatch(self):
-        x = _fill(1, lambda s: 0)
-        y = _fill(1, lambda s: abs(s[0]))
-        assert config_distance(x, y) == config_distance(y, x)
-        with pytest.raises(InputError):
-            config_distance(x, _fill(2, lambda s: 0))
-
-    def test_different_sites_refused(self):
-        x = _fill(1, lambda s: 0)
-        missing = {s: v for s, v in x.items() if s != (1, 1)}
-        moved = {**missing, (2, 2): 0}
-        for y in (missing, moved):
-            with pytest.raises(InputError):
-                config_distance(x, y)
-            with pytest.raises(InputError):
-                config_distance(y, x)
 
 
 class TestSkew:
