@@ -36,9 +36,10 @@ from .errors import InputError
 from .horoballs import _check_dim
 from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        _RowTransfer, _integer, _site, _window_array,
-                        box_sites, enumerate_fillings, skew_exponent,
-                        solve_forward, validate, varies_inside)
+                        _RowTransfer, _integer, _odd_sites, _site,
+                        _window_array, box_sites, enumerate_fillings,
+                        skew_exponent, solve_forward, validate,
+                        varies_inside)
 
 
 # ---------------------------------------------------------------------------
@@ -216,30 +217,49 @@ def horoball_box_mask(contains, B):
     return np.array([[contains((x, y)) for y in r] for x in r], dtype=bool)
 
 
+def _scales(k, N):
+    """The window scales k and N as ints, given N >= k >= 1."""
+    k, N = _integer(k, "k"), _integer(N, "N")
+    if not 1 <= k <= N:
+        raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
+    return k, N
+
+
+def _halfplane_rows(normal, k, N):
+    """The dilated trace of the half-plane H = {a*x + b*y < 0} of ``normal``
+    (a, b) as the range of its y at each x of [-N, N]: the (2k-1)-square
+    around s in [-N, N]^2 lies in [-2N, 2N]^2 (k <= N) and meets H exactly
+    when a*s_x + b*s_y < (k-1)(|a|+|b|), and H always meets that box."""
+    a, b = normal
+    c, xs = (k - 1) * (abs(a) + abs(b)), range(-N, N + 1)
+    # (x, y) is a site exactly when b*y < c - a*x
+    if b > 0:
+        return [range(-N, min(N, (c - a * x - 1) // b) + 1) for x in xs]
+    if b < 0:
+        return [range(max(-N, (a * x - c) // -b + 1), N + 1) for x in xs]
+    return [range(-N, N + 1 if a * x < c else -N) for x in xs]
+
+
 def dilated_trace(contains, k, N, normal=None):
     """Sites of [-N, N]^2 at l-infinity distance < k from H /\\ [-2N, 2N]^2,
     in sorted order, and whether H meets that box.
 
-    Given ``normal`` (a, b), H is {a*x + b*y < 0}: the (2k-1)-square around
-    s in [-N, N]^2 lies in [-2N, 2N]^2 (k <= N) and meets H exactly when
-    a*s_x + b*s_y < (k-1)(|a|+|b|), one int64 comparison per site (and H
-    always meets the box).  Otherwise, or past int64, the (2k-1)-squares
-    slide over the ``contains`` mask of [-2N, 2N]^2.
+    Given ``normal``, H is its half-plane and the sites are read from
+    ``_halfplane_rows``, exactly at any size of normal.  Otherwise the
+    (2k-1)-squares slide over the ``contains`` mask of [-2N, 2N]^2.
     """
-    if not 1 <= k <= N:
-        raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
-    if normal is not None and (abs(normal[0]) + abs(normal[1])) * 2 * N < 2 ** 63:
-        a, b = normal
-        r = np.arange(-N, N + 1, dtype=np.int64)
-        hit = a * r[:, None] + b * r[None, :] < (k - 1) * (abs(a) + abs(b))
-    else:
-        mask = horoball_box_mask(contains, 2 * N)
-        if not mask.any():
-            return [], False
-        # site x sits at mask index x + 2N; it is in the trace iff the w-wide
-        # square around it meets H, and k <= N keeps those squares in the mask
-        lo, hi, w = N - k + 1, 3 * N + k, 2 * k - 1
-        hit = sliding_window_view(mask[lo:hi, lo:hi], (w, w)).any(axis=(2, 3))
+    k, N = _scales(k, N)
+    if normal is not None:
+        return [(x, y) for x, ys in zip(range(-N, N + 1),
+                                        _halfplane_rows(normal, k, N))
+                for y in ys], True
+    mask = horoball_box_mask(contains, 2 * N)
+    if not mask.any():
+        return [], False
+    # site x sits at mask index x + 2N; it is in the trace iff the w-wide
+    # square around it meets H, and k <= N keeps those squares in the mask
+    lo, hi, w = N - k + 1, 3 * N + k, 2 * k - 1
+    hit = sliding_window_view(mask[lo:hi, lo:hi], (w, w)).any(axis=(2, 3))
     # hit[x + N, y + N]; nonzero lists it in C order, the sorted (x, y) order
     xs, ys = np.nonzero(hit)
     return list(zip((xs - N).tolist(), (ys - N).tolist())), True
@@ -281,7 +301,8 @@ def gf2_nullspace(rows, ncols):
 
 # a linear certificate uses at most two kernels, on [-(N + margin), N +
 # margin]^2 and, when the origin is off the trace, on [-N, N]^2; an nd run
-# alternates between the same two
+# builds the first once, and the second only at k = 1, where a half-plane
+# trace misses the origin
 @functools.lru_cache(maxsize=4)
 def _window_kernel(support, M):
     """Kernel of a GF(2) linear rule on the box [-M, M]^2, as (mask, dim).
@@ -296,6 +317,27 @@ def _window_kernel(support, M):
     free = itertools.count()  # after the solve, the number of free sites
     mask = solve_forward(support, box_sites(M), (1 << j for j in free))
     return mask, next(free)
+
+
+def _rank_rows(support, sites, M, mask):
+    """The masks of ``mask``, a kernel on [-M, M]^2 or a larger box, at those
+    of ``sites`` (in [-M, M]^2, kept in order) that can add rank to the rest:
+    the raster-last odd cell of a placement in [-M, M]^2 is the xor of its
+    other odd cells, so when those are sites too its row is the xor of
+    theirs, and dropping every such row leaves the row space as it was."""
+    *odd, (lx, ly) = _odd_sites(support)
+    xs, ys = zip(*support)
+    # the sites whose other odd cells are sites too, numbered x*w + y; the
+    # numbering is one to one on the box, which holds every cell of the
+    # placements that lie in it, the rectangle [x0, x1] x [y0, y1]
+    w = 2 * M + 1
+    ids = [x * w + y for x, y in sites]
+    spanned = set(ids).intersection(*(map(((lx - ox) * w + ly - oy).__add__,
+                                          ids) for ox, oy in odd))
+    x0, x1 = lx - M - min(xs), lx + M - max(xs)
+    y0, y1 = ly - M - min(ys), ly + M - max(ys)
+    return [mask[s] for s, i in zip(sites, ids) if i not in spanned
+            or not (x0 <= s[0] <= x1 and y0 <= s[1] <= y1)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +358,7 @@ def is_hull_normal(support, v):
     the extreme support site is alone on its supporting line and forces
     the configuration to vanish line by line.
     """
-    heights = [p[0] * v[0] + p[1] * v[1]
-               for p in set(support) if support.count(p) % 2]
+    heights = [p[0] * v[0] + p[1] * v[1] for p in _odd_sites(support)]
     return heights.count(max(heights)) >= 2
 
 
@@ -326,8 +367,8 @@ def _origin_forced(spec, trace, N):
 
     It is exactly when the origin's mask lies in the span of the trace's
     masks.  An origin on the (sorted) trace is one of them, so that answer
-    needs no kernel: a half-plane trace holds the origin at every k >= 2.
-    Otherwise the trace rows are eliminated in sorted site order until the
+    needs no kernel.  Otherwise the rows of ``_rank_rows``, which span what
+    all the trace rows span, are eliminated in sorted site order until the
     origin's mask reduces to 0 or the rows run out.
     """
     i = bisect.bisect_left(trace, (0, 0))
@@ -336,10 +377,10 @@ def _origin_forced(spec, trace, N):
     mask, _ = _window_kernel(spec.support, N)
     origin = mask[(0, 0)]
     pivots = {}
-    for s in trace:
+    for r in _rank_rows(spec.support, trace, N, mask):
         if not origin:
             break
-        if r := _reduce(mask[s], pivots):
+        if r := _reduce(r, pivots):
             pivots[r.bit_length() - 1] = r
             origin = _reduce(origin, pivots)
     return not origin
@@ -353,25 +394,25 @@ def _linear_status(spec, trace_at, trace, k, N, margin, normal=None):
     window kernel search alone cannot distinguish genuine asymptotic
     behavior from boundary artifacts for slanted expansive directions (the
     artifacts recede only as the margin grows without bound), so for a
-    half-plane the existence side is decided by the hull-normal criterion
-    and the window is used to exhibit, or to verify determinism of, the
-    certificate.  The witness scan reads each combination's parities on the
-    inner sites' masks, and builds the symbol map only of the one that hits.
+    half-plane ``_status`` decides the existence side by the hull-normal
+    criterion and comes here only at a hull normal, where the window
+    exhibits the certificate.
+
+    The null space of the margin trace's ``_rank_rows`` has the basis of
+    all its rows, one vector per free column of the same row space.  A
+    combination vanishes on [-N, N]^2 exactly when it vanishes on that
+    box's ``_rank_rows``, the sites its own solve leaves free, so the scan
+    reads only their parities, and builds the symbol map only of the
+    combination that hits.
     """
-    deterministic = WindowDeterministic(N, k,
-                                        evidence={"trace_size": len(trace)})
-    if normal is not None and not is_hull_normal(spec.support, normal):
-        if _origin_forced(spec, trace, N):
-            return deterministic
-        return Inconclusive(N, k, "origin not forced")
     M = N + margin
     trace_M, _ = trace_at(M)
     mask, dim = _window_kernel(spec.support, M)
     inner = box_sites(N)
-    masks = [mask[s] for s in inner]
-    for c in gf2_nullspace([mask[s] for s in trace_M], dim):
-        if any((c & m).bit_count() & 1 for m in masks):
-            y = {s: (c & m).bit_count() & 1 for s, m in zip(inner, masks)}
+    free = _rank_rows(spec.support, inner, N, mask)
+    for c in gf2_nullspace(_rank_rows(spec.support, trace_M, M, mask), dim):
+        if any((c & m).bit_count() & 1 for m in free):
+            y = {s: (c & mask[s]).bit_count() & 1 for s in inner}
             evidence = {"margin": margin, "trace_size": len(trace)}
             if normal is not None:
                 evidence["hull-normal"] = list(normal)
@@ -381,7 +422,7 @@ def _linear_status(spec, trace_at, trace, k, N, margin, normal=None):
         return Inconclusive(N, k, "hull normal direction but no window "
                                   "witness at this scale; enlarge N")
     if _origin_forced(spec, trace, N):
-        return deterministic
+        return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
     return Inconclusive(N, k, "origin not forced; no extendable witness")
 
 
@@ -494,7 +535,7 @@ def _status(spec, horoball, k, N, margin, budget, method):
     linear = isinstance(spec, LinearGF2)
     if method == "kernel" and not linear:
         raise InputError("kernel method needs a linear-gf2 spec")
-    k, N = _integer(k, "k"), _integer(N, "N")
+    k, N = _scales(k, N)
     if margin is not None and (margin := _integer(margin, "margin")) < 0:
         raise InputError(f"margin must be >= 0, got {margin}")
     if (budget := _integer(budget, "budget")) < 0:
@@ -502,6 +543,15 @@ def _status(spec, horoball, k, N, margin, budget, method):
     halfplane = horoball.halfplane_normal()
     trace_at = functools.partial(dilated_trace, horoball.contains, k,
                                  normal=halfplane)
+    if (method == "auto" and linear and halfplane is not None
+            and not is_hull_normal(spec.support, halfplane)):
+        # the origin is a trace site at k >= 2 (rows[N] is x = 0): the rows
+        # say so and give the trace's size without listing it
+        rows = _halfplane_rows(halfplane, k, N)
+        if 0 in rows[N] or _origin_forced(spec, trace_at(N)[0], N):
+            return WindowDeterministic(
+                N, k, evidence={"trace_size": sum(map(len, rows))})
+        return Inconclusive(N, k, "origin not forced")
     trace, hits = trace_at(N)
     if not hits:
         return Inconclusive(N, k, "horoball misses window")
@@ -606,9 +656,7 @@ def skew_horoball_status(spec, horoball, k, N):
       above the base expansivity level).
     * otherwise Inconclusive.
     """
-    k, N = _integer(k, "k"), _integer(N, "N")
-    if N < k or k < 1:
-        raise InputError(f"need N >= k >= 1, got N={N}, k={k}")
+    k, N = _scales(k, N)
     _check_dim(horoball, 2)
     exp_k = getattr(spec.base, "expansivity_k", None)
     if exp_k is None:

@@ -268,7 +268,9 @@ def cmd_render(args):
 
 # ---------------------------------------------------------------------------
 
-def build_parser():
+def build_parser(command=None):
+    """The CLI parser, with only the subcommand ``command`` when it names one:
+    building them all costs more than most commands take to run."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", default=".", help="output directory")
     shared.add_argument("--seed", type=int, default=0,
@@ -297,79 +299,89 @@ def build_parser():
         sp.add_argument("--method", default="auto",
                         choices=["auto", "kernel", "enumerate"])
 
-    sp = add_parser("nd", help="per-direction certificates over a grid")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--grid", default="farey:8+diag")
-    common(sp)
-    sp.set_defaults(func=cmd_nd)
+    if command in (None, "nd"):
+        sp = add_parser("nd", help="per-direction certificates over a grid")
+        sp.add_argument("--system", required=True)
+        sp.add_argument("--grid", default="farey:8+diag")
+        common(sp)
+        sp.set_defaults(func=cmd_nd)
 
-    sp = add_parser("direction", help="certificate for one direction")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--dir", required=True, help="integer pair a,b")
-    common(sp)
-    sp.set_defaults(func=cmd_direction)
+    if command in (None, "direction"):
+        sp = add_parser("direction", help="certificate for one direction")
+        sp.add_argument("--system", required=True)
+        sp.add_argument("--dir", required=True, help="integer pair a,b")
+        common(sp)
+        sp.set_defaults(func=cmd_direction)
 
-    sp = add_parser("horoball", help="certificate for a horoball")
-    sp.add_argument("--system", required=True)
-    sp.add_argument("--horoball", required=True, help="JSON descriptor")
-    common(sp)
-    sp.set_defaults(func=cmd_horoball)
+    if command in (None, "horoball"):
+        sp = add_parser("horoball", help="certificate for a horoball")
+        sp.add_argument("--system", required=True)
+        sp.add_argument("--horoball", required=True, help="JSON descriptor")
+        common(sp)
+        sp.set_defaults(func=cmd_horoball)
 
-    sp = add_parser("busemann", help="Busemann values on a ball")
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--center", required=True, help="integer vector a,b,...")
-    sp.add_argument("--radius", type=int, default=10)
-    sp.set_defaults(func=cmd_busemann)
+    if command in (None, "busemann"):
+        sp = add_parser("busemann", help="Busemann values on a ball")
+        sp.add_argument("--group", required=True)
+        sp.add_argument("--center", required=True, help="integer vector a,b,...")
+        sp.add_argument("--radius", type=int, default=10)
+        sp.set_defaults(func=cmd_busemann)
 
-    sp = add_parser("verify", help="finite verifiers for the geometric "
+    if command in (None, "verify"):
+        sp = add_parser("verify", help="finite verifiers for the geometric "
                                        "statements")
-    sp.add_argument("check",
-                    choices=["lemma2.2", "lemma2.3", "lemma2.5", "largeness"])
-    sp.add_argument("--directions", type=int, default=10000)
-    sp.add_argument("--M", type=float, default=5)
-    sp.add_argument("--eps", type=float, default=0.5)
-    sp.add_argument("--ray", default="1,0")
-    sp.add_argument("--n-max", type=int, default=100)
-    sp.add_argument("--cone", default="1,-1:1,1")
-    sp.add_argument("--eta", type=float, default=1.0)
-    sp.add_argument("--g", default="-2,0")
-    sp.add_argument("--r-max", type=int, default=50)
-    sp.add_argument("--group", default="z2-l2")
-    sp.add_argument("--horoball", default='{"kind":"linear","v":[1,0]}')
-    sp.add_argument("--R", type=int, default=1)
-    sp.add_argument("--bound", type=int, default=20)
-    sp.set_defaults(func=cmd_verify)
+        sp.add_argument("check",
+                        choices=["lemma2.2", "lemma2.3", "lemma2.5", "largeness"])
+        sp.add_argument("--directions", type=int, default=10000)
+        sp.add_argument("--M", type=float, default=5)
+        sp.add_argument("--eps", type=float, default=0.5)
+        sp.add_argument("--ray", default="1,0")
+        sp.add_argument("--n-max", type=int, default=100)
+        sp.add_argument("--cone", default="1,-1:1,1")
+        sp.add_argument("--eta", type=float, default=1.0)
+        sp.add_argument("--g", default="-2,0")
+        sp.add_argument("--r-max", type=int, default=50)
+        sp.add_argument("--group", default="z2-l2")
+        sp.add_argument("--horoball", default='{"kind":"linear","v":[1,0]}')
+        sp.add_argument("--R", type=int, default=1)
+        sp.add_argument("--bound", type=int, default=20)
+        sp.set_defaults(func=cmd_verify)
 
-    sp = add_parser("skew", help="horoball certificate for a skew action")
-    sp.add_argument("--alpha", type=int, default=1)
-    sp.add_argument("--beta", type=int, default=-2)
-    sp.add_argument("--horoball", required=True, help="JSON descriptor")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--window", type=int, required=True)
-    sp.set_defaults(func=cmd_skew)
+    if command in (None, "skew"):
+        sp = add_parser("skew", help="horoball certificate for a skew action")
+        sp.add_argument("--alpha", type=int, default=1)
+        sp.add_argument("--beta", type=int, default=-2)
+        sp.add_argument("--horoball", required=True, help="JSON descriptor")
+        sp.add_argument("--k", type=int, required=True)
+        sp.add_argument("--window", type=int, required=True)
+        sp.set_defaults(func=cmd_skew)
 
-    sp = add_parser("convex", help="convex separation tests")
-    sp.add_argument("test", choices=["origin-test", "coverage", "intersection"])
-    sp.add_argument("--vectors", required=True,
-                    help="JSON list, or path to a JSON list / ND report")
-    sp.add_argument("--probes", type=int, default=100)
-    sp.set_defaults(func=cmd_convex)
+    if command in (None, "convex"):
+        sp = add_parser("convex", help="convex separation tests")
+        sp.add_argument("test", choices=["origin-test", "coverage", "intersection"])
+        sp.add_argument("--vectors", required=True,
+                        help="JSON list, or path to a JSON list / ND report")
+        sp.add_argument("--probes", type=int, default=100)
+        sp.set_defaults(func=cmd_convex)
 
-    sp = add_parser("render", help="figures: PGM rasters, SVG plots")
-    sp.add_argument("what", choices=["horoball", "nd"])
-    sp.add_argument("--group", default="z2-l1")
-    sp.add_argument("--centers", default="ray:1,0")
-    sp.add_argument("--t", type=int, default=100)
-    sp.add_argument("--window", type=int, default=20)
-    sp.add_argument("--report", default="nd_report.json")
-    sp.set_defaults(func=cmd_render)
+    if command in (None, "render"):
+        sp = add_parser("render", help="figures: PGM rasters, SVG plots")
+        sp.add_argument("what", choices=["horoball", "nd"])
+        sp.add_argument("--group", default="z2-l1")
+        sp.add_argument("--centers", default="ray:1,0")
+        sp.add_argument("--t", type=int, default=100)
+        sp.add_argument("--window", type=int, default=20)
+        sp.add_argument("--report", default="nd_report.json")
+        sp.set_defaults(func=cmd_render)
 
+    if not sub.choices:  # no subcommand named: all of them
+        return build_parser()
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(*argv[:1]).parse_args(argv)
     try:
         return args.func(args)
     except InputError as e:

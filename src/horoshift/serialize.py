@@ -9,6 +9,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, field
@@ -43,13 +44,14 @@ def _write(o, nl, out):
     """Append the JSON text of ``o`` to ``out``; ``nl`` is its line's indent."""
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
-        if o and all(type(v) is list and v and all(type(w) is int for w in v)
-                     for v in o):  # rows of plain ints: one piece per row
+        # rows of plain ints, all of one width: one % template writes them
+        if (o and {*map(type, o)} == {list} and len(width := {*map(len, o)})
+                == 1 and {*map(type, cells := [*chain.from_iterable(o)])}
+                == {int}):
             cell = inner + "  "
-            sep = "," + cell
-            out += ("[", inner, ("," + inner).join(
-                f"[{cell}{sep.join(map(int.__repr__, v))}{inner}]" for v in o),
-                nl, "]")
+            row = f"[{cell}{(',' + cell).join(['%d'] * width.pop())}{inner}]"
+            out += ("[", inner, ("," + inner).join([row] * len(o)) % (*cells,),
+                    nl, "]")
             return
         texts = [_scalar(v) for v in o]
         if o and None not in texts:

@@ -29,7 +29,7 @@ under it, writes them all into one numpy array without walking a filling.
 """
 
 from functools import lru_cache, partial, reduce
-from itertools import chain
+from itertools import chain, compress
 from operator import index, itemgetter, ne, xor
 
 from .errors import InputError, ResourceBudgetError, field
@@ -126,8 +126,7 @@ class LinearGF2:
 
     def __init__(self, support):
         sup = sorted(_site(s) for s in support)
-        # a site repeated an even number of times cancels in GF(2)
-        if sum(sup.count(s) % 2 for s in set(sup)) < 2:
+        if len(_odd_sites(sup)) < 2:
             raise InputError("linear-gf2 support needs at least 2 sites of "
                              "odd multiplicity")
         self.support = tuple(sup)
@@ -191,10 +190,19 @@ def spec_from_dict(d):
 def placements(support, sites):
     """Iterates the cells z + support for every anchor z that puts the support
     inside ``sites`` (a set or dict); anchors sites - support[0] give each once."""
-    x0, y0 = support[0]
-    shifted = (tuple((x - x0 + sx, y - y0 + sy) for sx, sy in support)
-               for x, y in sites)
-    return (cells for cells in shifted if all(c in sites for c in cells))
+    (x0, y0), (xs, ys) = support[0], zip(*sites) if sites else ((), ())
+    # cells[i][n]: the i-th cell of the support placed at the n-th anchor
+    cells = [list(zip(map((x - x0).__add__, xs), map((y - y0).__add__, ys)))
+             for x, y in support]
+    inside = map(all, zip(*[map(sites.__contains__, c) for c in cells]))
+    return compress(zip(*cells), inside)
+
+
+def _odd_sites(support):
+    """The sites of odd multiplicity in ``support``, in raster order: a site
+    repeated an even number of times cancels in GF(2)."""
+    return sorted((s for s in set(support) if support.count(s) % 2),
+                  key=_raster_key)
 
 
 def solve_forward(support, sites, free):
@@ -202,13 +210,15 @@ def solve_forward(support, sites, free):
     order: the raster-last odd-multiplicity cell of each placement (taken with
     the full support, so a repeated site cancels) is the xor of the
     placement's other odd cells, and every other site takes ``next(free)``."""
-    odd = sorted((s for s in set(support) if support.count(s) % 2),
-                 key=_raster_key)
     values = dict.fromkeys(sites)
-    get = itemgetter(*map(support.index, odd))
-    lead = {c[-1]: c[:-1] for c in map(get, placements(support, values))}
+    get = itemgetter(*map(support.index, _odd_sites(support)))
+    odd = list(map(get, placements(support, values)))
+    lead = dict(zip(map(itemgetter(-1), odd), map(itemgetter(slice(-1)), odd)))
+    read = values.__getitem__
     for s in values:
-        values[s] = reduce(xor, map(values.get, lead[s])) if s in lead else next(free)
+        cells = lead.get(s)
+        values[s] = (next(free) if cells is None
+                     else reduce(xor, map(read, cells)))
     return values
 
 

@@ -214,7 +214,7 @@ class TestHalfPlaneTrace:
         **{f"direction-{v.a},{v.b}": v for v in farey_directions(8)},
         "linear-integer": l2_horoball((2, -3)),
         "linear-rational": l2_horoball((0.5, -0.125)),
-        # beyond int64 from N = 3, so the trace falls back to contains there
+        # beyond int64 from N = 3: the rows are exact at any size
         "linear-huge": l2_horoball((10 ** 18 + 1, -10 ** 18)),
         **{f"{shape}-{side}": Horoball(PolyhedralZ2(f"halfplane-{shape}",
                                                     side=side))
@@ -228,9 +228,8 @@ class TestHalfPlaneTrace:
         for name, h in self.HALF_PLANES.items():
             normal = h.halfplane_normal()
             assert normal is not None, name
-            scan_only = h.contains if name == "linear-huge" else _refuse
             for N, k in self.SCALES:
-                assert dilated_trace(scan_only, k, N, normal) == \
+                assert dilated_trace(_refuse, k, N, normal) == \
                     dilated_trace(h.contains, k, N), (name, N, k)
 
 
@@ -406,20 +405,54 @@ class TestWindowArray:
             monkeypatch.undo()
 
 
+R3 = ((0, 2), (1, 0), (1, 1), (2, 0))  # a rule three rows tall
+# the last rule's even cell (2, 0) lies outside its odd cells' bounding box,
+# so a placement can hold its odd cells but not its whole support
+RANK_SUPPORTS = TestWindowKernel.SUPPORTS + [
+    R3, ((0, 0), (1, 0), (0, 1), (2, 0), (2, 0))]
+
+
+def _traces(M):
+    """(name, trace on [-M, M]^2) of every farey:4 half-plane and of some
+    quarter-spaces, at k = 1, 2 and 3."""
+    horoballs = {repr(v): v.contains for v in farey_directions(4)}
+    horoballs.update({f"quarter-{apex}{o}": Horoball(PolyhedralZ2(
+        "quarter-space", apex=apex, opening=o)).contains
+        for apex in ((0, 0), (1, -2)) for o in ("+x", "-x", "+y", "-y")})
+    for name, contains in horoballs.items():
+        for k in (1, 2, 3):
+            yield f"{name} k={k}", dilated_trace(contains, k, M)[0]
+
+
+class TestRankRows:
+    @pytest.mark.parametrize("support", RANK_SUPPORTS, ids=str)
+    def test_same_null_space_as_every_row(self, support):
+        """Dropping the rows solved from other trace rows keeps the row
+        space, so the null-space basis is the one of all the rows."""
+        support = LinearGF2(support).support
+        kept = total = 0
+        for M in (3, 5, 8):
+            mask, dim = _window_kernel(support, M)
+            for name, trace in _traces(M):
+                rows = certify._rank_rows(support, trace, M, mask)
+                assert gf2_nullspace(rows, dim) == \
+                    _vanishing_on(mask, dim, trace), (M, name)
+                kept, total = kept + len(rows), total + len(trace)
+        assert kept < total / 2
+
+
 class TestOriginForced:
-    @pytest.mark.parametrize("support", TestWindowKernel.SUPPORTS, ids=str)
+    @pytest.mark.parametrize("support", RANK_SUPPORTS, ids=str)
     def test_equals_nullspace_answer(self, support):
         spec = LinearGF2(support)
         seen = set()
         for N in (3, 5, 8):
             mask, dim = _window_kernel(spec.support, N)
-            for v in farey_directions(4):
-                for k in (1, 2, 3):
-                    trace, _ = dilated_trace(v.contains, k, N)
-                    want = not any(_parity(c, mask[0, 0])
-                                   for c in _vanishing_on(mask, dim, trace))
-                    assert _origin_forced(spec, trace, N) == want, (N, v, k)
-                    seen.add(want)
+            for name, trace in _traces(N):
+                want = not any(_parity(c, mask[0, 0])
+                               for c in _vanishing_on(mask, dim, trace))
+                assert _origin_forced(spec, trace, N) == want, (N, name)
+                seen.add(want)
         assert seen == {True, False}
 
 
@@ -441,7 +474,8 @@ def _dict_per_vector_pair(spec, v, k, N):
 
 class TestWitnessScan:
     @pytest.mark.parametrize("support", [
-        ledrappier().support, ((0, 0), (0, 1), (1, 2), (2, 0))], ids=str)
+        ledrappier().support, ((0, 0), (0, 1), (1, 2), (2, 0)), R3,
+        ((0, 0), (0, 0), (1, 0), (0, 1))], ids=str)
     @pytest.mark.parametrize("N, k", [(4, 2), (5, 1)])
     def test_equals_dict_per_vector(self, support, N, k):
         spec = LinearGF2(support)
@@ -816,17 +850,24 @@ class TestNDSet:
 
     def test_nd_builds_only_the_margin_kernel(self, monkeypatch):
         """At k = 3 the origin of every direction is a trace site, so the
-        origin test builds no kernel and eliminates nothing: one kernel,
-        on the margin window, and every reduction inside gf2_nullspace."""
-        builds, depth = [], [0]
-        solve_forward = certify.solve_forward
+        origin test builds no kernel, eliminates nothing and lists no trace:
+        one kernel, on the margin window, traces only at the hull normals,
+        every reduction inside gf2_nullspace, and O(M) rows for each."""
+        builds, depth, normals = [], [0], []
+        M = 6 + (6 - 3 + 2)
+        solve_forward, trace = certify.solve_forward, certify.dilated_trace
         nullspace, reduce = certify.gf2_nullspace, certify._reduce
 
         def counted(support, sites, free):
             builds.append(sites[-1])  # (M, M), the last site of [-M, M]^2
             return solve_forward(support, sites, free)
 
+        def traced(contains, k, N, normal=None):
+            normals.append(normal)
+            return trace(contains, k, N, normal)
+
         def solve(rows, ncols):
+            assert len(rows) <= 4 * (2 * M + 1)
             depth[0] += 1
             try:
                 return nullspace(rows, ncols)
@@ -838,6 +879,7 @@ class TestNDSet:
             return reduce(r, pivots)
 
         monkeypatch.setattr(certify, "solve_forward", counted)
+        monkeypatch.setattr(certify, "dilated_trace", traced)
         monkeypatch.setattr(certify, "gf2_nullspace", solve)
         monkeypatch.setattr(certify, "_reduce", reduced)
         _window_kernel.cache_clear()
@@ -846,10 +888,11 @@ class TestNDSet:
             assert _window_kernel.cache_info().misses == 1
         finally:
             _window_kernel.cache_clear()
-        M = 6 + (6 - 3 + 2)
         assert builds == [(M, M)]
-        assert {(d.a, d.b) for d in report.witness_directions()} == \
-            {(0, -1), (-1, 0), (1, 1)}
+        hull = {(0, -1), (-1, 0), (1, 1)}
+        assert {(d.a, d.b) for d in report.witness_directions()} == hull
+        # the trace on [-N, N]^2 and on the margin window
+        assert sorted(normals) == sorted(2 * list(hull))
 
     def test_enumeration_walks_the_window_once(self, monkeypatch):
         hard_square = SFT((0, 1), [{(0, 0): 1, (1, 0): 1},

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from horoshift.cli import main
+from horoshift.cli import build_parser, main
+from test_golden import readme_commands
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -375,3 +376,36 @@ class TestSkewConvexRender:
         with pytest.raises(SystemExit) as exc:
             main(["nd", "--system", "ledrappier"])  # missing required flags
         assert exc.value.code == 2
+
+
+class TestParser:
+    COMMANDS = ["nd", "direction", "horoball", "busemann", "verify", "skew",
+                "convex", "render"]
+
+    @staticmethod
+    def _subparsers(parser):
+        return next(a for a in parser._actions
+                    if a.dest == "command").choices
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_one_command_parser_reads_like_the_full_one(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == \
+            build_parser().parse_args(argv)
+
+    def test_only_the_named_command_is_built(self):
+        for name in self.COMMANDS:
+            assert list(self._subparsers(build_parser(name))) == [name]
+        for word in (None, "-h", "--help", "nonsense"):
+            assert list(self._subparsers(build_parser(word))) == \
+                self.COMMANDS
+
+    def test_help_unchanged(self, capsys):
+        full = self._subparsers(build_parser())
+        for name in self.COMMANDS:
+            assert self._subparsers(build_parser(name))[name].format_help() \
+                == full[name].format_help()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        listed = capsys.readouterr().out
+        assert all(name in listed for name in self.COMMANDS)
+        assert "{" + ",".join(self.COMMANDS) + "}" in listed

@@ -116,6 +116,39 @@ ND_DIGESTS = {
         "direction_report.json": "039e3218856fb13d67cb5a40e9282330"
                                  "9be11abe600acdf54648d559ba7a1389",
     },
+    # the margin kernel of a rule three rows tall (R3), and of a rule whose
+    # repeated site cancels; both record window claims only (false
+    # witnesses off the hull normals at this margin)
+    "nd --system '{\"kind\":\"linear-gf2\",\"support\":"
+    "[[0,2],[1,0],[1,1],[2,0]]}' --k 1 --window 2 --grid farey:2 "
+    "--method kernel": {
+        "nd_report.json": "9117a217365fe7abf91c87ab1f7fdd3a"
+                          "c59c8dad37e6705933852abe2f9e462f",
+        "nd_report.csv": "f8eadd0b94230a25848c073da3f3fa1e"
+                         "0eafbb91872967d0281333a0c80a965c",
+        "direction_circle.svg": "9d1586a34a23a900685dccd51fae69da"
+                                "7f16b4a9d3ebab5f09f73fdc41e3374c",
+    },
+    "nd --system '{\"kind\":\"linear-gf2\",\"support\":"
+    "[[0,0],[0,0],[1,0],[0,1]]}' --k 1 --window 3 --grid farey:2 "
+    "--method kernel": {
+        "nd_report.json": "faaea464b319fb7d19a2d2c2d22f88f0"
+                          "4acf790c5476f0d1af0e9ef72504544c",
+        "nd_report.csv": "b5829085bf0f22adcdad3f4adcb72cda"
+                         "426dd97642b7b3d587c6261a0a582e49",
+        "direction_circle.svg": "ac3da360158435b2daf7663076135d14"
+                                "e93fbb1edd655c0e42c29c6b759c41b1",
+    },
+    # auto at k=1, where the origin is off every half-plane trace and is
+    # settled by eliminating the trace rows of the [-N, N]^2 kernel
+    "nd --system ledrappier --k 1 --window 5 --grid farey:4": {
+        "nd_report.json": "122d9db6c72f5e8b4806c0ed811cbcfc"
+                          "6153f460b0c29a7a164147537a14ff36",
+        "nd_report.csv": "3abc3339c45f40399e09341b0fa546ec"
+                         "27fe85619098d3f324dbdb4a2320ff56",
+        "direction_circle.svg": "1d6f2aa0bfc97cdd2167790176579b94"
+                                "fde68dd47a679c3b257fc5db8d0e7f1f",
+    },
     # the benchmark's oracle-extend commands: 192 trace classes of two or
     # more fillings, each settled by one clamped extension walk over
     # [-5, 5]^2 or [-4, 4]^2, none of which finds a witness
