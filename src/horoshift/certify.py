@@ -33,13 +33,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
-from .horoballs import _check_dim
+from .horoballs import PolyhedralZ2, _check_dim
 from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
                         _RowTransfer, _integer, _odd_sites, _site,
                         _window_array, box_sites, enumerate_fillings,
-                        skew_exponent, solve_forward, validate,
-                        varies_inside)
+                        solve_forward, validate, varies_inside)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +237,17 @@ def _halfplane_rows(normal, k, N):
     if b < 0:
         return [range(max(-N, (a * x - c) // -b + 1), N + 1) for x in xs]
     return [range(-N, N + 1 if a * x < c else -N) for x in xs]
+
+
+def _columns(horoball, B):
+    """H /\\ [-B, B]^2 as the sorted y of H at each x of [-B, B]: ranges for
+    a half-plane or a quarter space, else one ``contains`` call per cell."""
+    if normal := getattr(horoball, "halfplane_normal", lambda: None)():
+        return _halfplane_rows(normal, 1, B)
+    if isinstance(j := getattr(horoball, "j", None), PolyhedralZ2):
+        return j.columns(B)
+    r = range(-B, B + 1)
+    return [[y for y in r if horoball.contains((x, y))] for x in r]
 
 
 def dilated_trace(contains, k, N, normal=None):
@@ -646,7 +656,9 @@ def skew_horoball_status(spec, horoball, k, N):
     """Certificate for a skew action T_{(n,m)} = sigma^{alpha n + beta m}.
 
     Decides through the exponent images E_B = exponent(H /\\ [-B, B]^2),
-    B = N, 2N, ..., 16N, all read from one scan of the largest box:
+    B = N, 2N, ..., 16N, read from the sorted columns of H on the largest
+    box (``_columns``): the exponent is linear in m, so bisection finds each
+    column's extremes in [-B, B] and its exponents in [-N, N].  Then:
 
     * E_B bounded on one side (min or max stabilizes as B doubles): a
       one-sided asymptotic pair of the base shift, placed so every
@@ -663,23 +675,28 @@ def skew_horoball_status(spec, horoball, k, N):
         return Inconclusive(N, k, "unknown base expansivity constant")
     if k < exp_k:
         return Inconclusive(N, k, f"k below base expansivity level {exp_k}")
-    contains = horoball.contains
-    B_max = 16 * N
-    # one scan of [-B_max, B_max]^2: the exponent range of each ring
-    # max(|n|, |m|) = r, and the exponents that fall in [-N, N]
-    lo, hi, window = [math.inf] * (B_max + 1), [-math.inf] * (B_max + 1), set()
-    for n in range(-B_max, B_max + 1):
-        for m in range(-B_max, B_max + 1):
-            if contains((n, m)):
-                e = skew_exponent(spec, (n, m))
-                r = max(abs(n), abs(m))
-                lo[r], hi[r] = min(lo[r], e), max(hi[r], e)
-                if -N <= e <= N:
-                    window.add(e)
-    # the box [-B, B]^2 is the union of the rings r <= B
-    lo, hi = list(itertools.accumulate(lo, min)), list(itertools.accumulate(hi, max))
-    stages = [(B, (lo[B], hi[B]) if lo[B] < math.inf else None)
-              for B in (N, 2 * N, 4 * N, 8 * N, B_max)]
+    B_max, a, b = 16 * N, spec.alpha, spec.beta
+    columns = list(zip(range(-B_max, B_max + 1), _columns(horoball, B_max)))
+
+    def extremes(B):  # of the exponent, at the ends of each column's part
+        ends = []
+        for n, ms in columns[B_max - B:B_max + B + 1]:
+            i, j = bisect.bisect_left(ms, -B), bisect.bisect_right(ms, B)
+            ends += (a * n + b * ms[i], a * n + b * ms[j - 1]) if i < j else ()
+        return (min(ends), max(ends)) if ends else None
+
+    # the exponents in [-N, N]: at x = n, those of the m with
+    # |c + |b|*m| <= N, c = a*n*sign(b); for b = 0, a*n itself or nothing
+    window = set()
+    for n, ms in columns:
+        if b:
+            c, d = (a * n if b > 0 else -a * n), abs(b)
+            ms = ms[bisect.bisect_left(ms, -((N + c) // d)):
+                    bisect.bisect_right(ms, (N - c) // d)]
+        else:
+            ms = ms[:1] if abs(a * n) <= N else ()
+        window.update(a * n + b * m for m in ms)
+    stages = [(B, extremes(B)) for B in (N, 2 * N, 4 * N, 8 * N, B_max)]
     evidence = {"stages": stages, "B_max": B_max}
     if stages[-1][1] is None:
         return Inconclusive(N, k, "horoball misses window")

@@ -22,6 +22,7 @@ import math
 from .errors import InputError, ResourceBudgetError
 from .groups import DEFAULT_BALL_BUDGET, ZdLp, _as_fraction
 from .separation import _cross
+from .subshifts import _site
 
 # sample indices of a truncated limit (see ``Sampled``)
 _SAMPLES = 48
@@ -103,7 +104,7 @@ class PolyhedralZ2:
         if shape not in ("halfplane-diagonal", "halfplane-antidiagonal", "quarter-space"):
             raise InputError(f"unknown polyhedral shape {shape!r}")
         self.shape = shape
-        self.apex = (int(apex[0]), int(apex[1]))
+        self.apex = _site(apex)
         if shape == "quarter-space":
             if opening not in self.OPENINGS:
                 raise InputError(f"quarter-space needs opening in {self.OPENINGS}")
@@ -132,6 +133,19 @@ class PolyhedralZ2:
     def sign(self, p):
         v = self.value(p)
         return (v > 0) - (v < 0)
+
+    def columns(self, B):
+        """A quarter space's horoball on [-B, B]^2 as the range of its y at
+        each x of [-B, B]: s*(y - b) > |x - a| when it opens along +-y, and
+        |y - b| < s*(x - a) along +-x."""
+        (a, b), (axis, s) = self.apex, _OPENING_AXES[self.opening]
+        xs = range(-B, B + 1)
+        if axis == 0:
+            return [range(max(-B, b - s * (x - a) + 1),
+                          min(B, b + s * (x - a) - 1) + 1) for x in xs]
+        if s > 0:
+            return [range(max(-B, b + abs(x - a) + 1), B + 1) for x in xs]
+        return [range(-B, min(B, b - abs(x - a) - 1) + 1) for x in xs]
 
     def halfplane_normal(self):
         if self.shape == "halfplane-diagonal":
@@ -392,13 +406,11 @@ def meeting_radius(group, directions):
     return MeetingRadiusReport(N, witnesses)
 
 
-def _lt_sqrt_plus(a2, b2, eps):
-    """Exact test sqrt(a2) < sqrt(b2) + eps for integers a2, b2 and a
-    Fraction eps > 0."""
-    L = Fraction(a2) - Fraction(b2) - eps * eps
-    if L < 0:
-        return True
-    return L * L < 4 * eps * eps * Fraction(b2)
+def _lt_sqrt_plus(a2, b2, p, q):
+    """Exact test sqrt(a2) < sqrt(b2) + p/q for integers a2, b2 and p, q > 0:
+    with L = (a2 - b2) q^2 - p^2, L < 0 or L^2 < 4 p^2 q^2 b2."""
+    L = (a2 - b2) * q * q - p * p
+    return L < 0 or L * L < 4 * p * p * q * q * b2
 
 
 class TangencyCheck:
@@ -417,12 +429,13 @@ def _tangency_check(group, M, eps):
     if eps <= 0:
         raise InputError(f"eps must be > 0, got {eps}")
     ball = sorted(group.ball(group.identity(), M, closed=True))
+    num, den = eps.numerator, eps.denominator
 
     def offending(g):
         g2 = group.norm_exact(g)
         return next((p for p in ball if sum(a * b for a, b in zip(p, g)) <= 0
-                     and not _lt_sqrt_plus(group.norm_exact(group.op(p, g)), g2, eps)),
-                    None)
+                     and not _lt_sqrt_plus(group.norm_exact(group.op(p, g)),
+                                           g2, num, den)), None)
     return offending
 
 

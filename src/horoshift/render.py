@@ -4,7 +4,10 @@ No timestamps, fixed number formatting, stable iteration order: the same
 input always produces byte-identical files.
 """
 
+import math
+
 from .errors import InputError, field
+from .groups import ZdLp
 from .serialize import direction_from_dict
 
 
@@ -42,6 +45,15 @@ def ball_raster(group, center, N):
     """Raster of the ball {x : d(center, x) < d(center, 0)} on [-N, N]^2."""
     center = group.check(center)
     radius = group.norm_exact(center)
+    if isinstance(group, ZdLp) and group.dim == 2:
+        # on Z^2 with an l^p norm, row y is |x - cx| <= reach(|y - cy|), the
+        # largest dx with (dx, dy) of exact norm <= r, or -1 for none
+        (cx, cy), r = center, radius - 1
+        reach = {1: lambda dy: r - dy, "inf": lambda dy: r if dy <= r else -1,
+                 2: lambda dy: math.isqrt(r - dy * dy) if dy * dy <= r else -1}
+        ws = (reach[group.p](abs(y - cy)) for y in range(N, -N - 1, -1))
+        return [[0 if abs(x - cx) <= w else 255 for x in range(-N, N + 1)]
+                for w in ws]
 
     def sign(p):
         # b_center(p) < 0  <=>  d(center, p) < d(center, 0), exact

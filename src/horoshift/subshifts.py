@@ -531,8 +531,8 @@ class SkewActionSpec:
 
     def __init__(self, base, alpha, beta):
         self.base = base
-        self.alpha = int(alpha)
-        self.beta = int(beta)
+        self.alpha = _integer(alpha, "alpha")
+        self.beta = _integer(beta, "beta")
         if self.alpha == 0 and self.beta == 0:
             raise InputError("exponent map must be nonzero")
 

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from horoshift import (Direction, FullShift, InputError, LinearGF2,
                        PolyhedralZ2, SFT,
@@ -1284,6 +1284,43 @@ class TestSkew:
                                                     side=-1)))
         skew_horoball_status(self.spec, h, 1, N)
         assert h.calls == (32 * N + 1) ** 2
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(
+               st.builds(lambda o, a: PolyhedralZ2("quarter-space", apex=a,
+                                                   opening=o),
+                         st.sampled_from(PolyhedralZ2.OPENINGS),
+                         st.tuples(st.integers(-80, 80), st.integers(-80, 80))),
+               st.builds(PolyhedralZ2,
+                         st.sampled_from(("halfplane-diagonal",
+                                          "halfplane-antidiagonal")),
+                         side=st.sampled_from((1, -1))),
+               st.builds(lambda v: l2_horoball(v).j,
+                         st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+                         .filter(any))),
+           st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 2),
+           st.booleans())
+    def test_exact_regions_match_reference(self, j, alpha, beta, N, wide_k):
+        assume((alpha, beta) != (0, 0))
+        spec, h = SkewActionSpec(FullShiftZ(), alpha, beta), Horoball(j)
+        k = N if wide_k else 1
+        assert skew_horoball_status(spec, h, k, N).to_dict() == \
+            _skew_status_reference(spec, h, k, N).to_dict()
+
+    @pytest.mark.parametrize("horoball", [
+        Horoball(PolyhedralZ2("quarter-space", apex=(a, 2), opening=o))
+        for o in PolyhedralZ2.OPENINGS for a in (2, 70)] + [
+        Horoball(PolyhedralZ2("halfplane-antidiagonal", side=1)),
+        l2_horoball((1, 2)), Direction(-3, 1)], ids=repr)
+    def test_exact_regions_read_no_cell(self, horoball, monkeypatch):
+        calls = []
+        for cls, name in ((PolyhedralZ2, "value"), (Horoball, "contains"),
+                          (Direction, "contains")):
+            method = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, p, m=method:
+                                calls.append(p) or m(self, p))
+        skew_horoball_status(self.spec, horoball, 1, 4)
+        assert calls == []
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(InputError):

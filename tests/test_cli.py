@@ -261,6 +261,9 @@ BAD_HOROBALLS = {
     "apex-not-integer": '{"kind":"quarter-space","apex":["a",1],'
                         '"opening":"+x"}',
     "apex-short": '{"kind":"quarter-space","apex":[1],"opening":"+x"}',
+    # JSON true and false read as the apex (1, 0)
+    "apex-bool": '{"kind":"quarter-space","apex":[true,false],'
+                 '"opening":"+x"}',
     "n-star-not-integer": '{"kind":"sampled-l1-ray","ray":[1,0],'
                           '"n_star":"x"}',
     "linear-3d": '{"kind":"linear","v":[1,0,5]}',

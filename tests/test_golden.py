@@ -1,10 +1,12 @@
 """The README's CLI commands, run in README order into one output directory,
 reproduce the recorded SHA-256 of every artifact they write; so do a few
-``nd`` and ``direction`` commands the README does not run.
+``nd``, ``direction``, ``skew`` and ``render`` commands the README does
+not run.
 
 ``readme_cli_digests.json`` maps "<command index>/<artifact>" to the digest
-of that artifact right after the command ran; re-record it and
-``ND_DIGESTS`` when an artifact changes on purpose.
+of that artifact right after the command ran; re-record it,
+``ND_DIGESTS`` and ``SKEW_RENDER_DIGESTS`` when an artifact changes on
+purpose.
 """
 
 import hashlib
@@ -165,9 +167,83 @@ ND_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("command", ND_DIGESTS)
-def test_nd_artifacts(tmp_path, command):
+# skew exponent images read from column ranges (the four quarter-space
+# openings, both diagonal half-planes, a rational linear half-plane) and
+# from the per-cell scan (a sampled ray), and ball rasters read from row
+# intervals in each l^p norm of Z^2
+SKEW_RENDER_DIGESTS = {
+    "skew --alpha 1 --beta=-2 --horoball "
+    "'{\"kind\":\"quarter-space\",\"apex\":[2,2],\"opening\":\"-y\"}' "
+    "--k 1 --window 4": {
+        "skew_report.json": "6349fddb38b30916033d5afe666bfd8d"
+                            "1d2b02b0d10e5ddf0c2a1f8866f3348f",
+    },
+    "skew --alpha 1 --beta=-2 --horoball "
+    "'{\"kind\":\"quarter-space\",\"apex\":[0,-1],\"opening\":\"+y\"}' "
+    "--k 1 --window 4": {
+        "skew_report.json": "e6e1abe05826604f703561eaeacc3600"
+                            "c61f888c0de1cd5d24e24c033c829885",
+    },
+    "skew --alpha 1 --beta=-2 --horoball "
+    "'{\"kind\":\"quarter-space\",\"apex\":[-1,1],\"opening\":\"+x\"}' "
+    "--k 1 --window 4": {
+        "skew_report.json": "cca797ae70f38beee6ac2b024675adfc"
+                            "6281c4a574ca7c9a09472225453121c4",
+    },
+    "skew --alpha 1 --beta=-2 --horoball "
+    "'{\"kind\":\"quarter-space\",\"apex\":[3,-2],\"opening\":\"-x\"}' "
+    "--k 1 --window 4": {
+        "skew_report.json": "c9598de2ae3f57fa0aa45a5acf624b88"
+                            "7ce39fa0dec80d5399ae68af769d1c9f",
+    },
+    "skew --alpha 1 --beta=-2 --horoball "
+    "'{\"kind\":\"halfplane-diagonal\",\"side\":-1}' --k 1 --window 4": {
+        "skew_report.json": "d68a9cdbbc66eee24050031b1c5278ef"
+                            "5ab0643c1cb576cbe118fd70aadeb8f5",
+    },
+    "skew --alpha 1 --beta=-2 --horoball "
+    "'{\"kind\":\"halfplane-antidiagonal\",\"side\":1}' --k 1 --window 4": {
+        "skew_report.json": "116a45008947f89ca0712a98b08863e6"
+                            "d6675eca55579187693d42d6ad004e30",
+    },
+    "skew --alpha 1 --beta=-2 --horoball "
+    "'{\"kind\":\"linear\",\"v\":[1,2]}' --k 1 --window 4": {
+        "skew_report.json": "a18c1f4285d25df554070ac1a7cedfc1"
+                            "a953876b7d1135f66d201e217c3ecf6a",
+    },
+    "skew --alpha 1 --beta=-2 --horoball "
+    "'{\"kind\":\"sampled-l1-ray\",\"ray\":[1,0]}' --k 1 --window 4": {
+        "skew_report.json": "735b3491580cab80db606b95ee34993f"
+                            "720d78b16dae41f98b9c715a32ff716f",
+    },
+    "render horoball --group z2-l1 --centers ray:1,0 --t 100 --window 20": {
+        "horoball.pgm": "b3a232b37bdf1e3e7530fa6c708644ba"
+                        "9be16b31f60206dfb046acab3fe1bbc8",
+    },
+    "render horoball --group z2-l2 --centers ray:2,1 --t 9 --window 25": {
+        "horoball.pgm": "494e20836059d9115b8838a921c530bf"
+                        "4c2979dc4f3e38803595a5528dbcd42f",
+    },
+    "render horoball --group z2-linf --centers ray:1,-1 --t 12 "
+    "--window 15": {
+        "horoball.pgm": "3e630bcd9176b6133731c75e83a03130"
+                        "3b20c9eeb373efb8d4468589c798531b",
+    },
+}
+
+
+def _check_artifacts(tmp_path, command, digests):
     assert main(shlex.split(command) + ["--out", str(tmp_path)]) == 0
-    for name, want in ND_DIGESTS[command].items():
+    for name, want in digests.items():
         got = hashlib.sha256((tmp_path / name).read_bytes())
         assert got.hexdigest() == want, name
+
+
+@pytest.mark.parametrize("command", ND_DIGESTS)
+def test_nd_artifacts(tmp_path, command):
+    _check_artifacts(tmp_path, command, ND_DIGESTS[command])
+
+
+@pytest.mark.parametrize("command", SKEW_RENDER_DIGESTS)
+def test_skew_and_render_artifacts(tmp_path, command):
+    _check_artifacts(tmp_path, command, SKEW_RENDER_DIGESTS[command])

@@ -162,6 +162,23 @@ class TestPolyhedralZ2:
             assert _quarter_apexes(opening, reach) == \
                 self._apexes_reference(opening, reach)
 
+    # each was read as another apex: (0.7, 2) as (0, 2), (True, 0) as (1, 0)
+    @pytest.mark.parametrize("apex", [(0.7, 2), (1, 2.0), (True, 0),
+                                      (0, False), ("1", 0), (1,), 5], ids=str)
+    def test_apex_must_be_an_integer_pair(self, apex):
+        with pytest.raises(InputError):
+            PolyhedralZ2("quarter-space", apex=apex, opening="+x")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(PolyhedralZ2.OPENINGS),
+           st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+           st.integers(0, 30))
+    def test_columns_match_cell_scan(self, opening, apex, B):
+        j = PolyhedralZ2("quarter-space", apex=apex, opening=opening)
+        r = range(-B, B + 1)
+        assert [list(ys) for ys in j.columns(B)] == \
+            [[y for y in r if j.value((x, y)) < 0] for x in r]
+
     def test_halfplane_values_match_shapes(self):
         for side in (1, -1):
             diag = PolyhedralZ2("halfplane-diagonal", side=side)
@@ -372,6 +389,13 @@ def _meeting_radius_scan(group, directions):
     return math.isqrt(max(n2 for _, n2 in witnesses.values())) + 1, witnesses
 
 
+def _lt_sqrt_plus_reference(a2, b2, eps):
+    """sqrt(a2) < sqrt(b2) + eps in Fractions: with L = a2 - b2 - eps^2,
+    L < 0 or L^2 < 4 eps^2 b2."""
+    L = Fraction(a2) - Fraction(b2) - eps * eps
+    return L < 0 or L * L < 4 * eps * eps * Fraction(b2)
+
+
 def _tangency_threshold_reference(group, M, eps, ray, n_max):
     """The per-n loop: for each n from n_max down, the radius-M ball is
     built, sorted and scanned again along g = n * ray."""
@@ -382,7 +406,8 @@ def _tangency_threshold_reference(group, M, eps, ray, n_max):
         for p in sorted(group.ball(group.identity(), M, closed=True)):
             if sum(a * b for a, b in zip(p, g)) > 0:
                 continue
-            if not _lt_sqrt_plus(group.norm_exact(group.op(p, g)), g2, eps):
+            if not _lt_sqrt_plus_reference(group.norm_exact(group.op(p, g)),
+                                           g2, eps):
                 return False
         return True
 
@@ -420,6 +445,21 @@ class TestTangency:
                 (M, eps, ray, n_max)
             seen.add("none" if want is None else "one" if want == 1 else "n0")
         assert seen == {"none", "one", "n0"}
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.integers(0, 10 ** 4), st.integers(0, 10 ** 30)),
+           st.one_of(st.integers(0, 10 ** 4), st.integers(0, 10 ** 30)),
+           st.fractions(min_value=Fraction(1, 10 ** 6), max_value=10 ** 6))
+    def test_integer_comparison_matches_fractions(self, a2, b2, eps):
+        assert _lt_sqrt_plus(a2, b2, eps.numerator, eps.denominator) == \
+            _lt_sqrt_plus_reference(a2, b2, eps)
+
+    def test_integer_comparison_at_equality(self):
+        # sqrt(25) = sqrt(9) + 2 exactly, and sqrt(2) - 1 is irrational
+        assert not _lt_sqrt_plus(25, 9, 2, 1)
+        assert _lt_sqrt_plus(25, 9, 2000001, 1000000)
+        assert _lt_sqrt_plus(2, 1, 41422, 100000)
+        assert not _lt_sqrt_plus(2, 1, 41421, 100000)
 
     def test_one_ball_per_call(self):
         g = _CountingZdLp(2, 2)

@@ -25,6 +25,19 @@ from horoshift.separation import halfspace_coverage, uniform_probes
 from test_golden import readme_commands
 
 
+def _ball_raster_reference(p, center, N):
+    """The raster of {x : d(center, x) < |center|} in the l^p norm of Z^2,
+    one norm per cell."""
+    norm = {1: lambda x, y: abs(x) + abs(y),
+            2: lambda x, y: x * x + y * y,
+            "inf": lambda x, y: max(abs(x), abs(y))}[p]
+    (cx, cy), rows = center, []
+    for y in range(N, -N - 1, -1):
+        rows.append([0 if norm(x - cx, y - cy) < norm(cx, cy) else 255
+                     for x in range(-N, N + 1)])
+    return rows
+
+
 class TestPGM:
     def test_header_and_payload(self, tmp_path):
         path = tmp_path / "img.pgm"
@@ -57,6 +70,26 @@ class TestPGM:
             for xi, x in enumerate(range(-2, 3)):
                 inside = abs(x - 5) + abs(y) < 5
                 assert (rows[yi][xi] == 0) == inside
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((1, 2, "inf")),
+           st.tuples(*[st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                                 st.integers(-30, 30))] * 2),
+           st.integers(0, 25))
+    def test_ball_raster_matches_cell_reference(self, p, center, N):
+        assert ball_raster(ZdLp(2, p), center, N) == \
+            _ball_raster_reference(p, center, N)
+
+    @pytest.mark.parametrize("p", [1, 2, "inf"])
+    def test_ball_raster_reads_rows_not_cells(self, p, monkeypatch):
+        calls = []
+        for name in ("op", "inv", "norm_exact"):
+            method = getattr(ZdLp, name)
+            monkeypatch.setattr(ZdLp, name, lambda self, *a, m=method, n=name:
+                                calls.append(n) or m(self, *a))
+        ball_raster(ZdLp(2, p), (100, 0), 20)
+        assert calls.count("op") == calls.count("inv") == 0
+        assert calls.count("norm_exact") <= 1
 
     def test_pgm_bytes_stable(self, tmp_path):
         g = ZdLp(2, 1)

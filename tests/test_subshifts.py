@@ -790,6 +790,13 @@ class TestSkew:
         with pytest.raises(InputError):
             SkewActionSpec(FullShiftZ(), 0, 0)
 
+    # each was read as another map: 1.5 as 1, True as 1, "1" as 1
+    @pytest.mark.parametrize("alpha, beta", [(1.5, -2), (1, -2.0), (True, -2),
+                                             (1, False), ("1", -2)], ids=str)
+    def test_exponents_must_be_integers(self, alpha, beta):
+        with pytest.raises(InputError):
+            SkewActionSpec(FullShiftZ(), alpha, beta)
+
     def test_round_trip_dict(self):
         spec = SkewActionSpec(FullShiftZ(), 1, -2)
         d = spec.to_dict()
