@@ -36,8 +36,8 @@ from .errors import InputError
 from .horoballs import PolyhedralZ2, _check_dim
 from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
-                        _RowTransfer, _integer, _odd_sites, _site,
-                        _window_array, box_sites, enumerate_fillings,
+                        _RowTransfer, _integer, _lead_rectangle, _odd_sites,
+                        _site, _window_array, box_sites, enumerate_fillings,
                         solve_forward, validate, varies_inside)
 
 
@@ -325,7 +325,7 @@ def _window_kernel(support, M):
     the raster walk bit j.
     """
     free = itertools.count()  # after the solve, the number of free sites
-    mask = solve_forward(support, box_sites(M), (1 << j for j in free))
+    mask = solve_forward(support, M, (1 << j for j in free))
     return mask, next(free)
 
 
@@ -336,7 +336,6 @@ def _rank_rows(support, sites, M, mask):
     other odd cells, so when those are sites too its row is the xor of
     theirs, and dropping every such row leaves the row space as it was."""
     *odd, (lx, ly) = _odd_sites(support)
-    xs, ys = zip(*support)
     # the sites whose other odd cells are sites too, numbered x*w + y; the
     # numbering is one to one on the box, which holds every cell of the
     # placements that lie in it, the rectangle [x0, x1] x [y0, y1]
@@ -344,8 +343,7 @@ def _rank_rows(support, sites, M, mask):
     ids = [x * w + y for x, y in sites]
     spanned = set(ids).intersection(*(map(((lx - ox) * w + ly - oy).__add__,
                                           ids) for ox, oy in odd))
-    x0, x1 = lx - M - min(xs), lx + M - max(xs)
-    y0, y1 = ly - M - min(ys), ly + M - max(ys)
+    x0, x1, y0, y1 = _lead_rectangle(support, M)
     return [mask[s] for s, i in zip(sites, ids) if i not in spanned
             or not (x0 <= s[0] <= x1 and y0 <= s[1] <= y1)]
 

@@ -120,7 +120,7 @@ def cmd_busemann(args):
     if not isinstance(group, groups.ZdLp):
         raise InputError("busemann compares with <x, v> and needs a Z^d group")
     try:
-        center = group.check(args.center.split(","))
+        center = group.check([int(c) for c in args.center.split(",")])
     except ValueError as e:
         raise InputError(f"bad center {args.center!r}: {e}") from e
     n = group.norm(center)
@@ -245,6 +245,9 @@ def cmd_convex(args):
 def cmd_render(args):
     if args.what == "horoball":
         group = serialize.parse_group(args.group)
+        if not (isinstance(group, groups.ZdLp) and group.dim == 2):
+            raise InputError("render horoball draws [-N, N]^2 and needs a Z^2 "
+                             "group")
         if not args.centers.startswith("ray:"):
             raise InputError("centers descriptor must be 'ray:a,b'")
         ray = parse_pair(args.centers[4:])

@@ -25,6 +25,7 @@ from itertools import count, product
 import math
 
 from .errors import InputError, ResourceBudgetError
+from .subshifts import _integer
 
 DEFAULT_BALL_BUDGET = 500_000
 
@@ -94,7 +95,9 @@ class ZdLp(MetricGroup):
     def check(self, g):
         if len(g) != self.dim:
             raise InputError(f"element {g} has dimension {len(g)}, group has {self.dim}")
-        return tuple(int(c) for c in g)
+        if {*map(type, g)} <= {int}:  # the common case, without a call per entry
+            return tuple(g)
+        return tuple(_integer(c, "a coordinate") for c in g)
 
     def op(self, g, h):
         return tuple(a + b for a, b in zip(self.check(g), self.check(h)))

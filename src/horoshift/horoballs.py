@@ -253,7 +253,7 @@ def l2_horoball(v):
 
 def sampled_l1_horoball_z2(ray, n_star=512):
     """Truncated l1 horoball of Z^2 generated by centers t * ray."""
-    ray = (int(ray[0]), int(ray[1]))
+    ray = _site(ray)
     if ray == (0, 0):
         raise InputError("ray must be nonzero")
     group = ZdLp(2, 1)
@@ -267,7 +267,7 @@ def polyhedral_from_ray(ray):
     A ray inside a quadrant, with signs (sx, sy), gives the half-plane
     {sx*x + sy*y > 0}; a ray on an axis, the quarter space opening along it.
     """
-    sx, sy = ((c > 0) - (c < 0) for c in (int(ray[0]), int(ray[1])))
+    sx, sy = ((c > 0) - (c < 0) for c in _site(ray))
     if (sx, sy) == (0, 0):
         raise InputError("ray must be nonzero")
     if sx and sy:
@@ -484,8 +484,7 @@ class RationalCone:
     """
 
     def __init__(self, u1, u2, closed=False):
-        self.u1 = (int(u1[0]), int(u1[1]))
-        self.u2 = (int(u2[0]), int(u2[1]))
+        self.u1, self.u2 = _site(u1), _site(u2)
         if self.u1 == (0, 0) or self.u2 == (0, 0):
             raise InputError("cone directions must be nonzero")
         turn = _cross(self.u1, self.u2)

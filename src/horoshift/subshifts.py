@@ -14,22 +14,24 @@ pattern given to ``validate``, the clamp of a walk) may also be a list of
 Every spec gives its rule as ``constraints()``, a list of ``(support,
 allowed)``: ``allowed(values)`` judges the symbols read at z + support (a
 bare symbol for a one-site support).  ``placements`` is the one rule for
-where a support fits inside a finite set of sites; ``solve_forward`` solves a
-GF(2) rule on them in raster order.  ``enumerate_fillings`` streams the
-locally admissible total assignments (window fillings) of the box [-N, N]^2,
-each a dict keyed in raster order, in raster-lexicographic order by a walk
-over its rows; walks clamped on one site set share those rows through one
-check plan of bounded size.  One depth-first walk streams the fillings as
-bare tuples of rows, or only those equal to a reference inside a smaller
-box (a site map), or only those that differ from it there; ``varies_inside``
-asks whether any of the last kind exists, in the quarter turn the walk picks
-to meet its clamp first (a stream whose order is output walks unturned).
+where a support fits inside a finite set of sites.  ``solve_forward`` solves
+a GF(2) rule on a box a row at a time: the cells it solves for fill a
+rectangle, ``_lead_rectangle``, so each row's are xors of slices of the rows
+below.  ``enumerate_fillings`` streams the locally admissible total
+assignments (window fillings) of the box [-N, N]^2, each a dict keyed in
+raster order, in raster-lexicographic order by a walk over its rows; walks
+clamped on one site set share those rows through one check plan of bounded
+size.  One depth-first walk streams the fillings as bare tuples of rows, or
+only those equal to a reference inside a smaller box (a site map), or only
+those that differ from it there; ``varies_inside`` asks whether any of the
+last kind exists, in the quarter turn the walk picks to meet its clamp first
+(a stream whose order is output walks unturned).
 ``_window_array`` counts the free fillings up to a budget by row states and,
 under it, writes them all into one numpy array without walking a filling.
 """
 
 from functools import lru_cache, partial, reduce
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import index, itemgetter, ne, xor
 
 from .errors import InputError, ResourceBudgetError, field
@@ -205,21 +207,44 @@ def _odd_sites(support):
                   key=_raster_key)
 
 
-def solve_forward(support, sites, free):
-    """Solve the GF(2) rule with ``support`` on ``sites``, given in raster
-    order: the raster-last odd-multiplicity cell of each placement (taken with
-    the full support, so a repeated site cancels) is the xor of the
-    placement's other odd cells, and every other site takes ``next(free)``."""
-    values = dict.fromkeys(sites)
-    get = itemgetter(*map(support.index, _odd_sites(support)))
-    odd = list(map(get, placements(support, values)))
-    lead = dict(zip(map(itemgetter(-1), odd), map(itemgetter(slice(-1)), odd)))
-    read = values.__getitem__
-    for s in values:
-        cells = lead.get(s)
-        values[s] = (next(free) if cells is None
-                     else reduce(xor, map(read, cells)))
-    return values
+def _lead_rectangle(support, M):
+    """The sites [x0, x1] x [y0, y1] of [-M, M]^2 (none when x0 > x1 or
+    y0 > y1) that are the raster-last odd cell of a placement in the box:
+    those whose anchor fits the whole support, cancelled sites too."""
+    (lx, ly), (xs, ys) = _odd_sites(support)[-1], zip(*support)
+    return (lx - M - min(xs), lx + M - max(xs),
+            ly - M - min(ys), ly + M - max(ys))
+
+
+def solve_forward(support, M, free):
+    """Solve the GF(2) rule with ``support`` on the box [-M, M]^2, as a site
+    map in raster order: the raster-last odd-multiplicity cell of each
+    placement (taken with the full support, so a repeated site cancels) is
+    the xor of the placement's other odd cells, and every other site takes
+    ``next(free)`` in raster order.
+
+    Those lead cells fill a rectangle, so a row is solved at once: its leads
+    are the xor of slices of the rows below, one per odd cell below the
+    last, and then its cells' odd cells to their left, if any, are folded in
+    left to right."""
+    *odd, (lx, ly) = _odd_sites(support)
+    w = 2 * M + 1
+    # the lead columns and rows, numbered from 0 at -M
+    x0, x1, y0, y1 = (c + M for c in _lead_rectangle(support, M))
+    below = [(oy - ly, x0 + ox - lx) for ox, oy in odd if oy < ly]
+    left = [ox - lx for ox, oy in odd if oy == ly]
+    rows, n = [], x1 - x0 + 1
+    for r in range(w):
+        if not (y0 <= r <= y1 and n > 0):
+            rows.append(list(islice(free, w)))
+            continue
+        leads = reduce(partial(map, xor),
+                       [rows[r + dy][c:c + n] for dy, c in below] or [[0] * n])
+        row = [*islice(free, x0), *leads, *islice(free, w - 1 - x1)]
+        for c in range(x0, x1 + 1) if left else ():
+            row[c] = reduce(xor, (row[c + dx] for dx in left), row[c])
+        rows.append(row)
+    return dict(zip(box_sites(M), chain.from_iterable(rows)))
 
 
 def validate(spec, pattern):

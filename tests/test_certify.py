@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 
 import numpy as np
@@ -112,10 +113,66 @@ def _vanishing_on(mask, dim, sites):
     return gf2_nullspace([mask[s] for s in sites], dim)
 
 
+def _solve_forward_reference(support, sites, free):
+    """The GF(2) rule with ``support`` solved site by site on ``sites``, in
+    raster order: the raster-last odd-multiplicity cell of each placement is
+    the xor of the placement's other odd cells, and every other site takes
+    ``next(free)``."""
+    values = dict.fromkeys(sites)
+    get = operator.itemgetter(*map(support.index, subshifts._odd_sites(support)))
+    odd = [get(cells) for cells in subshifts.placements(support, values)]
+    lead = {cells[-1]: cells[:-1] for cells in odd}
+    for s in values:
+        cells = lead.get(s)
+        values[s] = (next(free) if cells is None else
+                     functools.reduce(operator.xor, map(values.get, cells)))
+    return values
+
+
+def _window_kernel_reference(support, M):
+    free = itertools.count()
+    mask = _solve_forward_reference(support, box_sites(M),
+                                    (1 << j for j in free))
+    return mask, next(free)
+
+
+# rules of 2 to 6 sites, a site possibly repeated, some wider than the box
+_RULES = st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+                  min_size=2, max_size=6)
+
+
 class TestWindowKernel:
     SUPPORTS = [ledrappier().support, [(0, 0), (1, 0), (0, 1), (1, 1)],
                 [(0, 0), (0, 0), (1, 0), (0, 1)],
                 [(0, 0), (0, 1), (1, 2), (2, 0)]]
+    ROWS = SUPPORTS + [
+        # a cancelled site above the odd ones bounds the lead rows
+        [(0, 0), (1, 0), (0, 1), (0, 2), (0, 2)],
+        [(0, -1), (0, -1), (0, 0), (1, 0), (0, 1)],
+        [(0, 0), (1, 0), (0, 1), (2, 1), (2, 1)],
+        [(-1, 1), (-1, 1), (0, 0), (1, 0), (0, 1)],
+        # taps only in the lead's row, or only in the rows below it
+        [(0, 0), (1, 0)], [(0, 0), (2, 0), (3, 0)], [(0, 0), (0, 1)],
+        # wider or taller than the small boxes
+        [(-2, 0), (3, 0), (0, 1)], [(0, -2), (1, 3)]]
+
+    @staticmethod
+    def _is_the_site_solve(support, M):
+        mask, dim = _window_kernel(support, M)
+        want, want_dim = _window_kernel_reference(support, M)
+        assert list(mask.items()) == list(want.items()) and dim == want_dim
+
+    @pytest.mark.parametrize("M", range(5))
+    @pytest.mark.parametrize("support", ROWS, ids=str)
+    def test_row_solve_matches_site_solve(self, support, M):
+        self._is_the_site_solve(LinearGF2(support).support, M)
+
+    @given(_RULES, st.integers(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_row_solve_matches_any_rule(self, support, M):
+        support = tuple(sorted(support))
+        assume(len(subshifts._odd_sites(support)) >= 2)
+        self._is_the_site_solve(support, M)
 
     @pytest.mark.parametrize("M", [1, 2])
     @pytest.mark.parametrize("support", SUPPORTS, ids=str)
@@ -858,9 +915,9 @@ class TestNDSet:
         solve_forward, trace = certify.solve_forward, certify.dilated_trace
         nullspace, reduce = certify.gf2_nullspace, certify._reduce
 
-        def counted(support, sites, free):
-            builds.append(sites[-1])  # (M, M), the last site of [-M, M]^2
-            return solve_forward(support, sites, free)
+        def counted(support, box, free):
+            builds.append(box)  # the box [-box, box]^2
+            return solve_forward(support, box, free)
 
         def traced(contains, k, N, normal=None):
             normals.append(normal)
@@ -888,7 +945,7 @@ class TestNDSet:
             assert _window_kernel.cache_info().misses == 1
         finally:
             _window_kernel.cache_clear()
-        assert builds == [(M, M)]
+        assert builds == [M] == [11]
         hull = {(0, -1), (-1, 0), (1, 1)}
         assert {(d.a, d.b) for d in report.witness_directions()} == hull
         # the trace on [-N, N]^2 and on the margin window

@@ -215,6 +215,13 @@ MALFORMED = {
     "report-directory": ["render", "nd", "--report", HERE],
     "report-not-utf8": ["render", "nd", "--report", b'{"k": \xff}'],
     "busemann-dsz2": ["busemann", "--group", "dsz2-index", "--center", "1,2"],
+    # the centre t * ray is a pair of integers, an element of Z^2 only
+    "render-wfa": ["render", "horoball", "--group", "wfa-index",
+                   "--centers", "ray:1,0", "--t", "5", "--window", "3"],
+    "render-dsz2": ["render", "horoball", "--group", "dsz2-index",
+                    "--centers", "ray:1,2", "--t", "5", "--window", "3"],
+    "render-z3": ["render", "horoball", "--group", "z3-l2",
+                  "--centers", "ray:1,0", "--t", "5", "--window", "3"],
     "group-dim-not-integer": ["verify", "largeness", "--group",
                               '{"kind":"zd-lp","dim":"x","p":1}'],
     "group-dim-fractional": ["verify", "largeness", "--group",
@@ -264,6 +271,8 @@ BAD_HOROBALLS = {
     # JSON true and false read as the apex (1, 0)
     "apex-bool": '{"kind":"quarter-space","apex":[true,false],'
                  '"opening":"+x"}',
+    # JSON true and false read as the ray (1, 0)
+    "ray-bool": '{"kind":"sampled-l1-ray","ray":[true,false]}',
     "n-star-not-integer": '{"kind":"sampled-l1-ray","ray":[1,0],'
                           '"n_star":"x"}',
     "linear-3d": '{"kind":"linear","v":[1,0,5]}',

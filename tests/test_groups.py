@@ -20,6 +20,14 @@ class TestZdLp:
         assert g.op((1, 2), (3, -1)) == (4, 1)
         assert g.inv((1, 2)) == (-1, -2)
 
+    def test_check_reads_integers_only(self):
+        g = ZdLp(2, 1)
+        assert g.check([3, -4]) == (3, -4)
+        # a float was truncated and a bool read as 1
+        for bad in ((1.5, True), (1, True), (1.0, 2), ("1", 2)):
+            with pytest.raises(InputError):
+                g.check(bad)
+
     def test_norms(self):
         assert ZdLp(2, 1).norm((3, -4)) == 7
         assert ZdLp(2, "inf").norm((3, -4)) == 4

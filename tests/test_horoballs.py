@@ -215,8 +215,10 @@ class TestPolyhedralZ2:
             assert (got.shape, got.side, got.opening, got.apex) \
                 == (want.shape, want.side, want.opening, want.apex)
             assert [got.value(c) for c in cells] == [want.value(c) for c in cells]
-        with pytest.raises(InputError):
-            polyhedral_from_ray((0, 0))
+        # (0.5, 1) was read as (0, 1), the +y quarter space
+        for ray in ((0, 0), (0.5, 1), (True, 1)):
+            with pytest.raises(InputError):
+                polyhedral_from_ray(ray)
 
     def test_horofunction_vanishes_at_identity(self):
         for ray in ((1, 0), (0, -1), (1, 1), (-2, 3), (5, -1)):
@@ -576,6 +578,12 @@ class TestConeShift:
     def test_rejects_degenerate_and_reflex(self, u1, u2):
         with pytest.raises(InputError):
             RationalCone(u1, u2)
+
+    @pytest.mark.parametrize("u1", [(1.7, 0), (True, 0), ("1", 0), (1,)])
+    def test_rays_must_be_integer_pairs(self, u1):
+        # (1.7, 0) and (True, 0) were read as (1, 0)
+        with pytest.raises(InputError):
+            RationalCone(u1, (0, 1))
 
     def test_halfplane_needs_opposite_rays(self):
         cone = RationalCone((1, 1), (-2, -2))

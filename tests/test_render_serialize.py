@@ -140,6 +140,12 @@ class TestSerializers:
                                 "n_star": 64})
         assert h.j.value((3, 2)) == polyhedral_from_ray((1, 0)).value((3, 2))
 
+    @pytest.mark.parametrize("ray", [[True, False], [1.5, 0]])
+    def test_sampled_horoball_ray_must_be_integers(self, ray):
+        # [true, false] was read as the ray (1, 0)
+        with pytest.raises(InputError):
+            horoball_from_dict({"kind": "sampled-l1-ray", "ray": ray})
+
     def test_spec_descriptors(self):
         assert parse_spec("ledrappier").to_dict() == ledrappier().to_dict()
         assert parse_spec("fullshift").alphabet == (0, 1)

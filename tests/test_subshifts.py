@@ -731,10 +731,16 @@ class TestQuarterTurns:
 
 def _complete_upward(spec, row):
     """The triangle of sites (i, j), i < len(row) - j, over the bottom row
-    ``row`` at (0, 0), (1, 0), ..., completed upward by ``solve_forward``:
-    the row's bits fill the free sites, the bottom row, in order."""
-    sites = [(i, j) for j in range(len(row)) for i in range(len(row) - j)]
-    return solve_forward(spec.support, sites, iter(row))
+    ``row`` at (0, 0), (1, 0), ..., completed upward by ``solve_forward``
+    on the box [-M, M]^2 of width 2M + 1 >= len(row), read with the
+    triangle's corner at (-M, -M).  The box's first free sites, its bottom
+    row, take the row's bits and then 0; the other free sites, each at the
+    box's right edge, take 0, and no triangle site reads them."""
+    M = len(row) // 2
+    bits = itertools.chain(row, itertools.repeat(0))
+    box = solve_forward(spec.support, M, bits)
+    return {(i, j): box[i - M, j - M]
+            for j in range(len(row)) for i in range(len(row) - j)}
 
 
 class TestCompleteUpward:
