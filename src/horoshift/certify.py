@@ -20,8 +20,9 @@ For GF(2) linear rules the search is linear algebra: valid fillings form a
 GF(2) vector space, so witness pairs correspond to kernel vectors
 vanishing on the trace.  The generic path enumerates fillings and serves
 as the independent oracle, settling each trace class of fillings with
-walks of the larger window clamped on two site sets: the inner box, for
-the class's first extension, then the larger trace.
+two walks of the larger window, built once per direction and rebound per
+class, clamped on two site sets: the inner box, for the class's first
+extension, then the larger trace.
 """
 
 import bisect
@@ -38,7 +39,7 @@ from .separation import _ccw_key
 from .subshifts import (DEFAULT_FILLING_BUDGET, FullShift, LinearGF2,
                         _RowTransfer, _integer, _lead_rectangle, _odd_sites,
                         _site, _window_array, box_sites, enumerate_fillings,
-                        solve_forward, validate, varies_inside)
+                        solve_forward, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -484,55 +485,85 @@ def _trace_classes(values, base):
     return order, starts
 
 
+def _shared_trace_classes(values, base):
+    """The classes of ``_trace_classes(values, base)`` that hold two or more
+    rows, in its order, each as its row numbers ascending.  Lazily: the
+    first class holds row 0, so one comparison pass finds it, and the sort
+    runs only when a later class is asked for."""
+    first = np.flatnonzero((values == values[:1]).all(axis=1))
+    if len(first) > 1:
+        yield first.tolist()
+    if len(first) < len(values):
+        order, starts = _trace_classes(values, base)
+        stops = np.append(starts[1:], len(order))
+        shared = stops - starts > 1
+        shared[0] = False  # the class of row 0, yielded above
+        for start, stop in zip(starts[shared].tolist(),
+                               stops[shared].tolist()):
+            yield order[start:stop].tolist()
+
+
 def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
     """Enumeration oracle: the window's fillings fall into classes by their
     symbols on the trace; the first pair of a class, in stream order, whose
     second filling extends to [-M, M]^2 agreeing on the larger trace with an
     extension xhat of the first is a witness.  Classes are keyed in one
-    array pass, and a symbol dict is built only for a compared member.
+    array pass and sorted only once the first class misses; a symbol dict
+    is built only for a compared member.
 
     The larger trace meets [-N, N]^2 in the trace, so some member extends
     exactly when a filling agreeing with xhat on the larger trace differs
-    from it inside [-N, N]^2: one ``varies_inside`` walk per class asks
-    that.  Only a class where it hits builds one more walk on that clamp,
-    in the same turn and sharing its rows, and tries its members on it in
-    stream order, keeping the fillings equal to each inside [-N, N]^2.
+    from it inside [-N, N]^2.  A direction builds two walks of [-M, M]^2
+    and rebinds them per class: one clamped on [-N, N]^2 finds xhat, as
+    rows, and one clamped on the larger trace, read from those rows, asks
+    that and, only where it hits, tries the members in stream order,
+    keeping the fillings equal to each inside [-N, N]^2.
     """
     symbols = _window_stream(spec, N, budget)
     if symbols is None:
         return Inconclusive(N, k, "budget")
     M = N + margin
     trace_M, _ = trace_at(M)
-    sites = box_sites(N)
+    sites, alphabet = box_sites(N), spec.alphabet
+    at_trace, at_inner = ([(y + M) * (2 * M + 1) + x + M for x, y in cells]
+                          for cells in (trace_M, sites))
+    walks = {}  # by turn: 0 on [-N, N]^2, None on trace_M
+
+    def walk(turn, clamped, values):
+        if turn in walks:
+            walks[turn].bind(values)
+        else:
+            walks[turn] = _RowTransfer(spec, M, dict(zip(clamped, values)),
+                                       turn)
+        return walks[turn]
 
     def filling(i):
-        values = map(spec.alphabet.__getitem__, symbols[i].ravel().tolist())
+        values = map(alphabet.__getitem__, symbols[i].ravel().tolist())
         return dict(zip(sites, values))
 
     # a filling's class is its symbols on the trace, read in one fixed order
     cells = np.array(trace, dtype=np.intp).reshape(-1, 2) + N
-    order, starts = _trace_classes(symbols[:, cells[:, 1], cells[:, 0]],
-                                   len(spec.alphabet))
-    origin = symbols[order, N, N]
-    origin_forced = np.array_equal(np.minimum.reduceat(origin, starts),
-                                   np.maximum.reduceat(origin, starts))
-    stops = np.append(starts[1:], len(order))
-    shared = stops - starts > 1
-    for start, stop in zip(starts[shared].tolist(), stops[shared].tolist()):
+    origin, forced = symbols[:, N, N].tolist(), True
+    for members in _shared_trace_classes(symbols[:, cells[:, 1], cells[:, 0]],
+                                         len(alphabet)):
+        forced = forced and len({origin[i] for i in members}) == 1
         # the stream has no repeats, so every other member differs from rep
-        rep, *others = order[start:stop].tolist()
-        xhat = next(enumerate_fillings(spec, M, clamp=filling(rep)), None)
-        if xhat is None or not varies_inside(
-                spec, M, clamp := {s: xhat[s] for s in trace_M}, xhat, N):
+        rep, *others = members
+        xhat = next(walk(0, sites, filling(rep).values()).fillings(), None)
+        if xhat is None:
+            continue
+        xhat = list(itertools.chain.from_iterable(xhat))
+        extends = walk(None, trace_M, map(xhat.__getitem__, at_trace))
+        reference = dict(zip(sites, map(xhat.__getitem__, at_inner)))
+        if next(extends.fillings(reference, N, differ=True), None) is None:
             continue
         # a filling that differs from xhat inside [-N, N]^2 restricts there
         # to another member of the class, so some member extends
-        walk = _RowTransfer(spec, M, clamp, turn=None)
-        other = next(o for o in others if any(walk.fillings(filling(o), N)))
+        other = next(o for o in others if any(extends.fillings(filling(o), N)))
         return Witness((_member(N, filling(rep)), _member(N, filling(other))),
                        N, k, evidence={"margin": margin,
                                        "trace_size": len(trace)})
-    if origin_forced:
+    if forced:
         return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
     return Inconclusive(N, k, "origin not forced; no extendable witness")
 

@@ -273,7 +273,12 @@ class WeightedFreeAbelian(WeightedSum):
         return ()
 
     def check(self, g):
-        g = tuple(sorted((int(i), int(c)) for i, c in g))
+        try:
+            g = tuple(sorted((_integer(i, "an index"),
+                              _integer(c, "a coefficient")) for i, c in g))
+        except (TypeError, ValueError) as e:  # an InputError is a ValueError
+            raise InputError("an element must be (index, coefficient) "
+                             f"integer pairs, got {g!r}") from e
         seen = set()
         for i, c in g:
             if i < 1:
@@ -320,7 +325,11 @@ class DirectSumZ2(WeightedSum):
         return frozenset()
 
     def check(self, g):
-        g = frozenset(int(i) for i in g)
+        try:
+            g = frozenset(_integer(i, "an index") for i in g)
+        except TypeError as e:
+            raise InputError("an element must be a set of integer "
+                             f"indices, got {g!r}") from e
         for i in g:
             if i < 1:
                 raise InputError(f"generator index {i} < 1")

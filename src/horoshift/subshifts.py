@@ -21,10 +21,11 @@ below.  ``enumerate_fillings`` streams the locally admissible total
 assignments (window fillings) of the box [-N, N]^2, each a dict keyed in
 raster order, in raster-lexicographic order by a walk over its rows; walks
 clamped on one site set share those rows through one check plan of bounded
-size.  One depth-first walk streams the fillings as bare tuples of rows, or
-only those equal to a reference inside a smaller box (a site map), or only
-those that differ from it there; ``varies_inside`` asks whether any of the
-last kind exists, in the quarter turn the walk picks to meet its clamp first
+size, and one walk can be rebound to each clamp of its sites.  One
+depth-first walk streams the fillings as bare tuples of rows, or only those
+equal to a reference inside a smaller box (a site map), or only those that
+differ from it there; ``varies_inside`` asks whether any of the last kind
+exists, in the quarter turn the walk picks to meet its clamp first
 (a stream whose order is output walks unturned).
 ``_window_array`` counts the free fillings up to a budget by row states and,
 under it, writes them all into one numpy array without walking a filling.
@@ -306,8 +307,10 @@ class _CheckPlan:
         self.tables, self.interned, self.stored = {}, {}, 0
 
 
-# an oracle class walks two clamped site sets of one margin window in turn:
-# the inner box for its first extension, then the larger trace
+# an oracle direction walks two clamped site sets of one margin window, the
+# inner box for each class's first extension and the larger trace, each with
+# one walk that it rebinds per class; the inner box's plan serves every
+# direction of an nd run
 _check_plan = lru_cache(maxsize=2)(_CheckPlan)
 
 
@@ -321,6 +324,8 @@ class _RowTransfer:
     order, so in lexicographic order, and once fully walked they are kept in
     the plan's tables, shared by every walk whose clamp has the same symbols
     where the row reads it, until the plan drops its tables at its cap.
+    ``bind`` clamps the same sites to other symbols, so a caller that walks
+    many clamps of one site set builds one walk for them.
     """
 
     def __init__(self, spec, N, clamp, turn=0):
@@ -335,19 +340,25 @@ class _RowTransfer:
         # per site number, the clamped symbol and the candidate symbols
         self.symbols = [None] * width * width
         self.choices = [sorted(spec.alphabet)] * width * width
-        clamped = set()
-        for s, v in clamp.items():
+        self.clamped = []  # the clamp's site numbers, in its order
+        for s in clamp:
             if not (abs(s[0]) <= N and abs(s[1]) <= N):
                 raise InputError(f"clamp site {s} outside window [-{N},{N}]^2")
             x, y = _TURNS[turn](*s)
-            i = (y + N) * width + x + N
+            self.clamped.append((y + N) * width + x + N)
+        self.plan = _check_plan(spec, N, frozenset(self.clamped), turn)
+        self.keep, self.top = self.plan.keep, width - 1
+        self.bind(clamp.values())
+
+    def bind(self, values):
+        """Clamp the clamp's sites, in its order, to the symbols ``values``
+        instead: the plan stays, and the walk reads the new symbols' rows."""
+        for i, v in zip(self.clamped, values):
             self.symbols[i], self.choices[i] = v, (v,)
-            clamped.add(i)
-        self.plan = plan = _check_plan(spec, N, frozenset(clamped), turn)
-        self.keep, self.top = plan.keep, width - 1
         self.keys = [(r, tuple(map(self.symbols.__getitem__, reads)))
-                     for r, reads in enumerate(plan.reads)]
-        self.tables = [plan.tables.setdefault(key, {}) for key in self.keys]
+                     for r, reads in enumerate(self.plan.reads)]
+        self.tables = [self.plan.tables.setdefault(key, {})
+                       for key in self.keys]
 
     def _next_rows(self, r, state):
         """The admissible rows r above the rows ``state``, lexicographically."""

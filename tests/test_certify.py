@@ -17,9 +17,10 @@ from horoshift import (Direction, FullShift, InputError, LinearGF2,
                        ledrappier, nd_set, parse_grid, skew_exponent,
                        skew_horoball_status)
 from horoshift import certify, subshifts
-from horoshift.certify import (_origin_forced, _trace_classes,
-                               _window_kernel, _window_stream, dilated_trace,
-                               Inconclusive, WindowDeterministic, Witness,
+from horoshift.certify import (_origin_forced, _shared_trace_classes,
+                               _trace_classes, _window_kernel, _window_stream,
+                               dilated_trace, Inconclusive,
+                               WindowDeterministic, Witness,
                                gf2_nullspace, is_hull_normal,
                                verify_window_deterministic, verify_witness)
 from horoshift.horoballs import Horoball, RationalCone, polyhedral_from_ray
@@ -372,6 +373,30 @@ class TestTraceClasses:
         values = np.array([row + tail for row in rows],
                           dtype=np.uint8).reshape(n, width)
         assert _array_classes(values, base) == _dict_classes(rows)
+        assert list(_shared_trace_classes(values, base)) == \
+            [c for c in _array_classes(values, base) if len(c) > 1]
+
+    @pytest.mark.parametrize("rows, shared, sorts", [
+        ([[1, 0], [0, 0], [1, 1], [0, 0]], [[1, 3]], 1),  # row 0 alone
+        ([[0, 1], [1, 1], [0, 1], [1, 1]], [[0, 2], [1, 3]], 1),
+        ([[1, 0, 1]] * 5, [list(range(5))], 0),  # a single class
+        ([[0], [1], [2]], [], 1),
+        ([[]] * 3, [[0, 1, 2]], 0),  # an empty trace
+        (np.zeros((0, 2)), [], 0)])
+    def test_shared_classes_sort_after_the_first(self, monkeypatch, rows,
+                                                 shared, sorts):
+        values = np.array(rows, dtype=np.uint8)
+        calls = []
+        monkeypatch.setattr(certify, "_trace_classes",
+                            lambda *args: calls.append(args)
+                            or _trace_classes(*args))
+        classes = _shared_trace_classes(values, 3)
+        if shared and shared[0][0] == 0:  # row 0's class needs no sort
+            assert next(classes) == shared[0] and not calls
+            assert [shared[0], *classes] == shared
+        else:
+            assert list(classes) == shared
+        assert len(calls) == sorts
 
 
 # a 1 has a 1 above it, and a 0 has no 1 two rows above it: every column is
@@ -1084,9 +1109,10 @@ class TestExtensionWalk:
         assert cert.kind == "witness" and len(members) >= 2
         assert all(walk is members[0] for walk in members)
 
-    def test_one_clamp_parse_per_walk(self, monkeypatch):
-        # oracle-extend's two commands; picking a walk's turn outside the
-        # walk parsed its clamp a second time (578 parses)
+    def test_one_clamp_parse_per_build(self, monkeypatch):
+        # oracle-extend's two commands: a walk per direction and clamped site
+        # set, rebound per class, parses only the clamp it is built with
+        # (386 walks and parses when every class built its own)
         parses, walks = [], []
         symbols, init = subshifts._symbols, subshifts._RowTransfer.__init__
 
@@ -1100,29 +1126,63 @@ class TestExtensionWalk:
 
         monkeypatch.setattr(subshifts, "_symbols", parsed)
         monkeypatch.setattr(subshifts._RowTransfer, "__init__", built)
-        _window_stream.cache_clear()
         for k in (1, 2):
+            _window_stream.cache_clear()
             direction_status(ledrappier(), (1, 0), k, 2, method="enumerate")
-        assert len(parses) == len(walks) == 386
+        assert len(parses) == len(walks) <= 6
 
-    def test_at_most_two_walks_per_class(self, monkeypatch):
+    def test_at_most_three_walks_per_direction(self, monkeypatch):
+        # the free window's walk, then the margin window's walks on the
+        # inner box and on the trace, which serve every shared class
         walks = []
         init = subshifts._RowTransfer.__init__
 
         def counted(self, spec, N, clamp, *turn, **kwargs):
-            if clamp:
-                walks.append(N)
+            walks.append((N, bool(clamp)))
             init(self, spec, N, clamp, *turn, **kwargs)
 
-        # on the class itself, so a walk made under any module's name counts
-        monkeypatch.setattr(subshifts._RowTransfer, "__init__", counted)
-        for k, most in ((1, 128), (2, 256)):
+        for k, M, most in ((1, 5, 128), (2, 4, 256)):
+            shared = _shared_classes(ledrappier(), Direction(1, 0), k, 2)
+            assert 2 < len(shared) <= most
             walks.clear()
-            cert = direction_status(ledrappier(), (1, 0), k, 2,
-                                    method="enumerate")
+            _window_stream.cache_clear()
+            # on the class itself, so a walk made under any module's name
+            # counts
+            with monkeypatch.context() as patched:
+                patched.setattr(subshifts._RowTransfer, "__init__", counted)
+                cert = direction_status(ledrappier(), (1, 0), k, 2,
+                                        method="enumerate")
             assert cert.kind == "window-deterministic"
-            shared = len(_shared_classes(ledrappier(), Direction(1, 0), k, 2))
-            assert shared <= len(walks) <= 2 * shared <= most
+            assert walks[0] == (2, False) and len(walks) <= 3
+            assert set(walks[1:]) == {(M, True)}
+
+    def test_origin_test_agrees_with_the_recheck(self):
+        # where no class finds a witness, the oracle says deterministic
+        # exactly when the origin is forced in every trace class
+        kinds = collections.Counter()
+        for spec, k, N, grid in ((LinearGF2(R3), 1, 1, "farey:2"),
+                                 (ledrappier(), 2, 2, "1,0;0,1")):
+            report = nd_set(spec, k, N, grid=grid, method="enumerate")
+            for v, cert in report.entries:
+                kinds[cert.kind] += 1
+                if cert.kind != "witness":
+                    assert verify_window_deterministic(
+                        spec, v.contains, cert) == \
+                        (cert.kind == "window-deterministic"), v
+        assert kinds["inconclusive"] == 6
+        assert kinds["window-deterministic"] == 2
+
+    def test_first_class_settles_hard_square_nd(self, monkeypatch):
+        # each direction's witness lies in the class of the stream's first
+        # filling, so no direction sorts its classes
+        sorts = []
+        monkeypatch.setattr(certify, "_trace_classes",
+                            lambda *args: sorts.append(args)
+                            or _trace_classes(*args))
+        _window_stream.cache_clear()
+        report = nd_set(HARD_SQUARE, 1, 2, grid="farey:1")
+        assert [c.kind for _, c in report.entries] == ["witness"] * 8
+        assert sorts == []
 
     def test_two_plans_per_direction(self, monkeypatch):
         # hard-square nd: the free window's plan, then per direction one

@@ -152,6 +152,15 @@ class TestWeightedFreeAbelian:
         assert {w.op(e, w.inv(c)) for e in ball} \
             == set(w.ball(w.identity(), 2, closed=True))
 
+    def test_check_reads_integer_pairs_only(self):
+        w = WeightedFreeAbelian()
+        assert w.check([(3, -1), (1, 2)]) == ((1, 2), (3, -1))
+        # (2.5, 2.7) was read as (2, 2), and (5, 0) raised a TypeError
+        for bad in ([(2.5, 2.7)], [(True, 1)], [(1, False)], [("1", 2)],
+                    (5, 0), [(1, 2, 3)], 7):
+            with pytest.raises(InputError):
+                w.check(bad)
+
     def test_bounded_weight_rejected(self):
         with pytest.raises(InputError):
             WeightedFreeAbelian(lambda i: 1)
@@ -179,6 +188,14 @@ class TestDirectSumZ2:
         a = d.check([1, 3])
         assert d.op(a, a) == d.identity()
         assert d.inv(a) == a
+
+    def test_check_reads_integers_only(self):
+        d = DirectSumZ2()
+        assert d.check([3, 1, 3]) == frozenset({1, 3})
+        # [1.5, True, 3] was read as {1, 3}
+        for bad in ([1.5, True, 3], [True], [2.0], ["1"], 4):
+            with pytest.raises(InputError):
+                d.check(bad)
 
     def test_norm_and_ball(self):
         d = DirectSumZ2("index")

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -638,6 +639,77 @@ class TestSharedTables:
         _window_stream.cache_clear()
         assert [stored for stored, _ in stores].count(1) > 1  # dropped
         assert got.shape == (55_447, 5, 5) and np.array_equal(got, want)
+
+
+@functools.lru_cache(maxsize=None)
+def _spread_fillings(name, M=2):
+    """Twenty fillings of the free window [-M, M]^2 of a clamped case's
+    spec, spread over the first 3,000 of its stream, as site maps."""
+    spec, _ = CLAMPED_CASES[name]
+    sites = box_sites(M)
+    walk = _RowTransfer(spec, M, None).fillings()
+    return [dict(zip(sites, itertools.chain(*rows)))
+            for rows in itertools.islice(walk, 0, 3000, 150)]
+
+
+def _three_streams(walk, reference, N, limit=100):
+    """The first fillings of each of the walk's streams: all, those equal
+    to ``reference`` inside [-N, N]^2, and those that differ from it."""
+    return [list(itertools.islice(walk.fillings(*args), limit))
+            for args in ((), (reference, N), (reference, N, True))]
+
+
+class TestRebind:
+    @pytest.mark.parametrize("turn", [0, None])
+    @pytest.mark.parametrize("name", ["ledrappier", "hard-square", "tall",
+                                      "three-symbol"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rebound_walk_streams_as_a_fresh_one(self, name, turn, data):
+        spec, _ = CLAMPED_CASES[name]
+        M, N, fillings = 2, 1, _spread_fillings(name)
+        # clamps of one site set: fillings' symbols there, or any symbols
+        sites = sorted(data.draw(st.sets(st.sampled_from(box_sites(M)),
+                                         min_size=1, max_size=9)))
+        symbols = st.one_of(
+            st.sampled_from(fillings).map(lambda f: [f[s] for s in sites]),
+            st.lists(st.sampled_from(spec.alphabet), min_size=len(sites),
+                     max_size=len(sites)))
+        clamps = [dict(zip(sites, values)) for values in
+                  data.draw(st.lists(symbols, min_size=2, max_size=4))]
+        reference = data.draw(st.sampled_from(fillings))
+        cap = data.draw(st.sampled_from([subshifts._PLAN_STATES, 5]))
+        with mock.patch.object(subshifts, "_PLAN_STATES", cap):
+            subshifts._check_plan.cache_clear()
+            walk = _RowTransfer(spec, M, clamps[-1], turn)
+            for clamp in clamps:
+                walk.bind(clamp.values())
+                got = _three_streams(walk, reference, N)
+                subshifts._check_plan.cache_clear()  # a plan of its own
+                fresh = _RowTransfer(spec, M, clamp, turn)
+                assert got == _three_streams(fresh, reference, N), clamp
+
+    @pytest.mark.parametrize("turn", [0, None])
+    def test_rebind_after_the_plan_drops_its_tables(self, monkeypatch, turn):
+        sites = [(-1, 2), (0, 0), (2, -1)]
+        clamps = [dict(zip(sites, values))
+                  for values in ((1, 0, 0), (0, 1, 1), (0, 0, 0), (1, 0, 0))]
+        monkeypatch.setattr(subshifts, "_PLAN_STATES", 5)
+        stores = _stores(monkeypatch)
+        subshifts._check_plan.cache_clear()
+        walk = _RowTransfer(HARD_SQUARE, 2, clamps[0], turn)
+        for clamp in clamps:
+            # zeros but at the clamped (0, 0): all three streams are nonempty
+            reference = {**dict.fromkeys(box_sites(1), 0),
+                         (0, 0): clamp[0, 0]}
+            dropped = [stored for stored, _ in stores].count(1)
+            walk.bind(clamp.values())
+            got = _three_streams(walk, reference, 1)
+            assert dropped > 1 or clamp is clamps[0]  # tables were dropped
+            subshifts._check_plan.cache_clear()
+            fresh = _RowTransfer(HARD_SQUARE, 2, clamp, turn)
+            assert got == _three_streams(fresh, reference, 1)
+            assert all(got), clamp
 
 
 def _quarter_turn(site, turn):
