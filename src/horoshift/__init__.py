@@ -5,8 +5,7 @@ from .errors import InputError, ResourceBudgetError
 from .groups import (BallSequenceGroup, DirectSumZ2, WeightedFreeAbelian,
                      ZdLp, ball_sequence_check)
 from .horoballs import (Horoball, Linear, PolyhedralZ2, RationalCone, Sampled,
-                        enumerate_l1_horoballs_z2, l2_horoball,
-                        largeness_certificate, meeting_radius,
+                        l2_horoball, largeness_certificate, meeting_radius,
                         polyhedral_from_ray, sampled_l1_horoball_z2,
                         verify_cone_shift, verify_tangency)
 from .subshifts import (FullShift, FullShiftZ, LinearGF2, SFT, SkewActionSpec,

@@ -245,9 +245,6 @@ def cmd_convex(args):
 def cmd_render(args):
     if args.what == "horoball":
         group = serialize.parse_group(args.group)
-        if not (isinstance(group, groups.ZdLp) and group.dim == 2):
-            raise InputError("render horoball draws [-N, N]^2 and needs a Z^2 "
-                             "group")
         if not args.centers.startswith("ray:"):
             raise InputError("centers descriptor must be 'ray:a,b'")
         ray = parse_pair(args.centers[4:])

@@ -78,7 +78,7 @@ class ZdLp(MetricGroup):
     """Z^d with an l^p norm, p in {1, 2, inf}."""
 
     def __init__(self, dim, p):
-        if dim < 1:
+        if (dim := _integer(dim, "dimension")) < 1:
             raise InputError(f"dimension must be >= 1, got {dim}")
         if isinstance(p, bool) or p not in (1, 2, "inf", math.inf):
             raise InputError(f"p must be 1, 2 or 'inf', got {p!r}")

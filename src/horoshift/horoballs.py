@@ -22,7 +22,7 @@ import math
 from .errors import InputError, ResourceBudgetError
 from .groups import DEFAULT_BALL_BUDGET, ZdLp, _as_fraction
 from .separation import _cross
-from .subshifts import _site
+from .subshifts import _integer, _site
 
 # sample indices of a truncated limit (see ``Sampled``)
 _SAMPLES = 48
@@ -186,9 +186,8 @@ class Sampled:
     kind = "sampled"
 
     def __init__(self, group, gen, n_star, ray=None):
-        if not isinstance(n_star, int) or n_star < 1:
-            raise InputError(f"truncation index must be an integer >= 1, "
-                             f"got {n_star!r}")
+        if (n_star := _integer(n_star, "truncation index")) < 1:
+            raise InputError(f"truncation index must be >= 1, got {n_star}")
         self.group = group
         self.dim = getattr(group, "dim", None)
         self.ray = ray
@@ -277,38 +276,6 @@ def polyhedral_from_ray(ray):
     along = (int(sx == 0), sx + sy)
     return PolyhedralZ2("quarter-space", opening=next(
         o for o, axis in _OPENING_AXES.items() if axis == along))
-
-
-def _quarter_apexes(opening, reach):
-    """Apexes along the valid boundary rays for a given opening."""
-    axis, s = _OPENING_AXES[opening]
-    out = [(-s * abs(t), t) for t in range(-reach, reach + 1)]
-    return sorted(p[::-1] if axis else p for p in out)
-
-
-def enumerate_l1_horoballs_z2(window):
-    """All l1 horoballs of Z^2 with distinct traces on the given box.
-
-    ``window`` is (xmin, xmax, ymin, ymax), inclusive.  Returns
-    PolyhedralZ2 descriptors: the four half-planes plus quarter spaces
-    (4 openings x apexes near the window), deduplicated by their trace.
-    """
-    xmin, xmax, ymin, ymax = window
-    cells = [(x, y) for x in range(xmin, xmax + 1) for y in range(ymin, ymax + 1)]
-    reach = max(xmax - xmin, ymax - ymin) + max(abs(xmin), abs(xmax), abs(ymin), abs(ymax)) + 1
-    candidates = []
-    for shape in ("halfplane-diagonal", "halfplane-antidiagonal"):
-        for side in (1, -1):
-            candidates.append(PolyhedralZ2(shape, side=side))
-    for opening in PolyhedralZ2.OPENINGS:
-        for apex in _quarter_apexes(opening, reach):
-            candidates.append(PolyhedralZ2("quarter-space", apex=apex, opening=opening))
-    seen = {}
-    for h in candidates:
-        trace = frozenset(c for c in cells if h.sign(c) < 0)
-        if trace not in seen:
-            seen[trace] = h
-    return list(seen.values())
 
 
 class LargenessResult:
@@ -458,7 +425,7 @@ def verify_tangency(group, M, eps, g):
 def tangency_threshold(group, M, eps, ray, n_max=100):
     """Smallest n0 such that verify_tangency passes for all n in [n0, n_max]
     along g = n * ray.  Returns None if it still fails at n_max."""
-    if n_max < 1:
+    if (n_max := _integer(n_max, "n_max")) < 1:
         raise InputError(f"n_max must be >= 1, got {n_max}")
     ray = group.check(ray)
     if not any(ray):
@@ -553,7 +520,7 @@ def verify_cone_shift(cone, eta, g, r_max):
     eta = _as_fraction(eta)
     if eta <= 0:
         raise InputError(f"eta must be > 0, got {eta}")
-    if r_max < 1:
+    if (r_max := _integer(r_max, "r_max")) < 1:
         raise InputError(f"r_max must be >= 1, got {r_max}")
     g = (int(g[0]), int(g[1]))
     if RationalCone(cone.u1, cone.u2, closed=True).mask(*g):

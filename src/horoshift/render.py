@@ -31,35 +31,24 @@ def write_pgm(path, rows):
     return len(data)
 
 
-def sublevel_raster(sign, N):
-    """(2N+1)^2 raster of {sign < 0}, black inside and white outside: row 0
-    is y = N, column 0 is x = -N."""
-    rows = []
-    for y in range(N, -N - 1, -1):
-        rows.append([0 if sign((x, y)) < 0 else 255
-                     for x in range(-N, N + 1)])
-    return rows
-
-
 def ball_raster(group, center, N):
-    """Raster of the ball {x : d(center, x) < d(center, 0)} on [-N, N]^2."""
+    """Raster of the ball {x : d(center, x) < d(center, 0)} on [-N, N]^2,
+    black inside and white outside: row 0 is y = N, column 0 is x = -N.
+
+    Only Z^2 with an l^p norm is drawn; any other group is refused.
+    """
+    if not (isinstance(group, ZdLp) and group.dim == 2):
+        raise InputError("render horoball draws [-N, N]^2 and needs a Z^2 "
+                         "group")
+    # row y is |x - cx| <= reach(|y - cy|), the largest dx with (dx, dy) of
+    # exact norm <= r, or -1 for none
     center = group.check(center)
-    radius = group.norm_exact(center)
-    if isinstance(group, ZdLp) and group.dim == 2:
-        # on Z^2 with an l^p norm, row y is |x - cx| <= reach(|y - cy|), the
-        # largest dx with (dx, dy) of exact norm <= r, or -1 for none
-        (cx, cy), r = center, radius - 1
-        reach = {1: lambda dy: r - dy, "inf": lambda dy: r if dy <= r else -1,
-                 2: lambda dy: math.isqrt(r - dy * dy) if dy * dy <= r else -1}
-        ws = (reach[group.p](abs(y - cy)) for y in range(N, -N - 1, -1))
-        return [[0 if abs(x - cx) <= w else 255 for x in range(-N, N + 1)]
-                for w in ws]
-
-    def sign(p):
-        # b_center(p) < 0  <=>  d(center, p) < d(center, 0), exact
-        return -1 if group.norm_exact(group.op(p, group.inv(center))) < radius else 1
-
-    return sublevel_raster(sign, N)
+    (cx, cy), r = center, group.norm_exact(center) - 1
+    reach = {1: lambda dy: r - dy, "inf": lambda dy: r if dy <= r else -1,
+             2: lambda dy: math.isqrt(r - dy * dy) if dy * dy <= r else -1}
+    ws = (reach[group.p](abs(y - cy)) for y in range(N, -N - 1, -1))
+    return [[0 if abs(x - cx) <= w else 255 for x in range(-N, N + 1)]
+            for w in ws]
 
 
 def _fmt(x):

@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
+from .subshifts import _integer
 
 _TOL = 1e-9
 
@@ -265,7 +266,7 @@ class CoverageReport:
 
 def uniform_probes(n):
     """n >= 1 unit probe directions uniformly spaced on the circle."""
-    if n < 1:
+    if (n := _integer(n, "the probe count")) < 1:
         raise InputError(f"need at least one probe direction, got {n}")
     return [(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n))
             for i in range(n)]

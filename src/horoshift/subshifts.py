@@ -548,7 +548,7 @@ class FullShiftZ:
     kind = "full-shift-z"
 
     def __init__(self, alphabet=(0, 1)):
-        self.alphabet = tuple(sorted(set(alphabet)))
+        self.alphabet = _alphabet(alphabet)
         if len(self.alphabet) < 2:
             raise InputError("base shift needs at least 2 symbols")
         self.expansivity_k = 1

@@ -65,6 +65,10 @@ class TestDirection:
         dirs = parse_grid("1,0;0,-1")
         assert [(d.a, d.b) for d in dirs] == [(1, 0), (0, -1)]
 
+    def test_parse_grid_farey_order_zero_refused(self):
+        with pytest.raises(InputError, match="Farey order must be >= 1"):
+            parse_grid("farey:0")
+
     # each was truncated to another direction: (0.9, 1) to (0, 1), the
     # others to (1, 0)
     @pytest.mark.parametrize("v", [(0.9, 1), (1.5, 0), (True, 0), ("1", 0)],
@@ -825,7 +829,35 @@ def test_witness_round_trips_through_its_artifact(spec, v, k, N, method):
         assert [tuple(c[:2]) for c in member["symbols"]] == box_sites(N)
 
 
+# (spec, horoball, k, N, method) -> the certificate's to_dict(), for
+# verdict branches that no other test reaches
+PINNED_VERDICTS = {
+    # the forcing placement of R3 does not fit the 3x3 window
+    "r3-auto-not-hull-normal": (
+        (LinearGF2(R3), Direction(1, 0), 1, 1, "auto"),
+        {"kind": "inconclusive", "N": 1, "k": 1,
+         "reason": "origin not forced"}),
+    "r3-kernel-no-witness": (
+        (LinearGF2(R3), Direction(-1, 2), 1, 1, "kernel"),
+        {"kind": "inconclusive", "N": 1, "k": 1,
+         "reason": "origin not forced; no extendable witness"}),
+    # the dilated trace covers [-2, 2]^2, so no site is left free
+    "full-shift-no-free-site": (
+        (FullShift((0, 1)), Horoball(PolyhedralZ2(
+            "quarter-space", apex=(-100, 0), opening="+x")), 1, 2, "auto"),
+        {"kind": "window-deterministic", "N": 2, "k": 1,
+         "evidence": {"trace_size": 25}}),
+}
+
+
 class TestHoroballStatus:
+    @pytest.mark.parametrize("case, want", PINNED_VERDICTS.values(),
+                             ids=PINNED_VERDICTS.keys())
+    def test_pinned_verdicts(self, case, want):
+        spec, horoball, k, N, method = case
+        cert = horoball_status(spec, horoball, k, N, method=method)
+        assert cert.to_dict() == want
+
     def test_polyhedral_halfplane_matches_direction(self):
         spec = ledrappier()
         pairs = [
@@ -856,6 +888,12 @@ class TestHoroballStatus:
         far = PolyhedralZ2("quarter-space", apex=(100, 0), opening="+x")
         cert = horoball_status(ledrappier(), Horoball(far), 2, 4)
         assert cert.kind == "inconclusive"
+
+    def test_missing_horoball_not_rechecked_deterministic(self):
+        # no trace on [-2N, 2N]^2, so nothing can force the origin
+        far = PolyhedralZ2("quarter-space", apex=(-100, 0), opening="-x")
+        assert not verify_window_deterministic(
+            ledrappier(), Horoball(far).contains, WindowDeterministic(2, 1))
 
     @pytest.mark.parametrize("v", [(1, 0, 5), (1,)])
     def test_wrong_dimension_rejected(self, v):

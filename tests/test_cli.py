@@ -242,6 +242,11 @@ MALFORMED = {
     "report-direction-bool": ["render", "nd", "--report", BOOL_DIRECTION],
     "vectors-direction-bool": ["convex", "origin-test", "--vectors",
                                BOOL_DIRECTION],
+    "kernel-on-sft": ["direction", "--system",
+                      '{"kind":"sft","alphabet":[0,1],'
+                      '"forbidden":[[[[0,0],1],[[1,0],1]]]}',
+                      "--dir", "1,0", "--k", "1", "--window", "1",
+                      "--method", "kernel"],
     "budget-negative": ["direction", "--system", "ledrappier", "--dir", "1,0",
                         "--k", "1", "--window", "1", "--budget", "-1"],
     "ray-zero": ["verify", "lemma2.3", "--ray", "0,0"],
@@ -275,6 +280,8 @@ BAD_HOROBALLS = {
     "ray-bool": '{"kind":"sampled-l1-ray","ray":[true,false]}',
     "n-star-not-integer": '{"kind":"sampled-l1-ray","ray":[1,0],'
                           '"n_star":"x"}',
+    # JSON true was carried into the report as the truncation index 1
+    "n-star-bool": '{"kind":"sampled-l1-ray","ray":[1,0],"n_star":true}',
     "linear-3d": '{"kind":"linear","v":[1,0,5]}',
 }
 MALFORMED.update({name: ["horoball", "--system", "ledrappier", "--horoball",

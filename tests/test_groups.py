@@ -28,6 +28,12 @@ class TestZdLp:
             with pytest.raises(InputError):
                 g.check(bad)
 
+    # 2.0 was accepted as a dimension and True built Z^1
+    @pytest.mark.parametrize("dim", [2.0, True, "2"], ids=str)
+    def test_dim_must_be_an_integer(self, dim):
+        with pytest.raises(InputError, match="dimension must be an integer"):
+            ZdLp(dim, 2)
+
     def test_norms(self):
         assert ZdLp(2, 1).norm((3, -4)) == 7
         assert ZdLp(2, "inf").norm((3, -4)) == 4

@@ -9,15 +9,13 @@ from hypothesis import given, settings, strategies as st
 from horoshift import (DirectSumZ2, Horoball, InputError, Linear,
                        PolyhedralZ2, RationalCone, Sampled,
                        WeightedFreeAbelian, ZdLp,
-                       enumerate_l1_horoballs_z2, l2_horoball,
-                       largeness_certificate, meeting_radius,
+                       l2_horoball, largeness_certificate, meeting_radius,
                        polyhedral_from_ray, sampled_l1_horoball_z2,
                        uniform_probes, verify_cone_shift, verify_tangency)
 from horoshift.errors import ResourceBudgetError
 from horoshift.groups import DEFAULT_BALL_BUDGET
 from horoshift.horoballs import (_cone_shift_failures, _lt_sqrt_plus,
-                                 _quarter_apexes, _threshold,
-                                 tangency_threshold)
+                                 _threshold, tangency_threshold)
 
 site = st.tuples(st.integers(-15, 15), st.integers(-15, 15))
 
@@ -134,20 +132,6 @@ class TestPolyhedralZ2:
             return abs(x - a) - (y - b)
         return abs(x - a) + (y - b)
 
-    @staticmethod
-    def _apexes_reference(opening, reach):
-        out = []
-        for t in range(-reach, reach + 1):
-            if opening == "+x":
-                out.append((-abs(t), t))
-            elif opening == "-x":
-                out.append((abs(t), t))
-            elif opening == "+y":
-                out.append((t, -abs(t)))
-            else:
-                out.append((t, abs(t)))
-        return sorted(set(out))
-
     def test_openings_order(self):
         assert PolyhedralZ2.OPENINGS == ("+x", "-x", "+y", "-y")
 
@@ -158,9 +142,6 @@ class TestPolyhedralZ2:
             j = PolyhedralZ2("quarter-space", apex=apex, opening=opening)
             for p in cells:
                 assert j.value(p) == self._value_reference(opening, apex, p)
-        for reach in (0, 1, 4):
-            assert _quarter_apexes(opening, reach) == \
-                self._apexes_reference(opening, reach)
 
     # each was read as another apex: (0.7, 2) as (0, 2), (True, 0) as (1, 0)
     @pytest.mark.parametrize("apex", [(0.7, 2), (1, 2.0), (True, 0),
@@ -265,32 +246,18 @@ class TestSampledCrossValidation:
         for x in ((3, 2), (-5, 1), (0, -7), (40, 40)):
             assert h.j.value(x) == h.j.value_with_span(x)[0]
 
+    # True was carried into the descriptor as the truncation index 1
+    @pytest.mark.parametrize("n_star", [True, 2.0, "x", 0], ids=str)
+    def test_truncation_index_must_be_a_positive_integer(self, n_star):
+        with pytest.raises(InputError, match="truncation index must be"):
+            sampled_l1_horoball_z2((1, 0), n_star=n_star)
+
     def test_sampled_sign_on_directsum(self):
         ds = DirectSumZ2("index")
         j = Sampled(ds, lambda n: frozenset([n]), n_star=64)
         # truncated horofunction of a sparse escaping sequence: j(x) = |x|
         assert j.value(frozenset()) == 0
         assert j.value(frozenset([1, 2])) == 3
-
-
-class TestEnumerateL1Horoballs:
-    def test_distinct_traces(self):
-        window = (-3, 3, -3, 3)
-        hs = enumerate_l1_horoballs_z2(window)
-        cells = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
-        traces = [frozenset(c for c in cells if h.sign(c) < 0) for h in hs]
-        assert len(traces) == len(set(traces))
-
-    def test_contains_expected_shapes(self):
-        hs = enumerate_l1_horoballs_z2((-3, 3, -3, 3))
-        kinds = {(h.shape, h.side, h.opening) for h in hs}
-        assert ("halfplane-diagonal", 1, None) in kinds
-        assert ("halfplane-antidiagonal", -1, None) in kinds
-        assert any(h.shape == "quarter-space" and h.opening == "+x"
-                   and h.apex == (0, 0) for h in hs)
-
-    def test_count_frozen(self):
-        assert len(enumerate_l1_horoballs_z2((-3, 3, -3, 3))) == 24
 
 
 class TestLargeness:
@@ -528,6 +495,12 @@ class TestTangency:
         with pytest.raises(InputError):
             tangency_threshold(ZdLp(2, 2), 5, 0.5, (1, 0), n_max=n_max)
 
+    # 2.5 failed inside range() with a bare TypeError; True ran as n_max=1
+    @pytest.mark.parametrize("n_max", [2.5, True], ids=str)
+    def test_n_max_must_be_an_integer(self, n_max):
+        with pytest.raises(InputError, match="n_max must be an integer"):
+            tangency_threshold(ZdLp(2, 2), 5, 0.5, (1, 0), n_max=n_max)
+
     @pytest.mark.parametrize("ray", [(1, 1), (2, 1)])
     def test_threshold_matches_full_scan(self, ray):
         g, n_max = ZdLp(2, 2), 30
@@ -594,6 +567,13 @@ class TestConeShift:
     def test_r_max_below_one_rejected(self):
         with pytest.raises(InputError):
             verify_cone_shift(RationalCone((1, -1), (1, 1)), 1, (-2, 0), 0)
+
+    # 2.5 failed inside range() with a bare TypeError; True ran as r_max=1
+    @pytest.mark.parametrize("r_max", [2.5, True], ids=str)
+    def test_r_max_must_be_an_integer(self, r_max):
+        with pytest.raises(InputError, match="r_max must be an integer"):
+            verify_cone_shift(RationalCone((1, -1), (1, 1)), 1, (-2, 0),
+                              r_max)
 
 
 def _in_cone_reference(cone, p):

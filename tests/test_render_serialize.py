@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horoshift import (Direction, FullShift, InputError, ZdLp, ledrappier,
-                       nd_set, serialize)
+from horoshift import (DirectSumZ2, Direction, FullShift, InputError,
+                       WeightedFreeAbelian, ZdLp, ball_sequence_check,
+                       ledrappier, nd_set, serialize)
 from horoshift.cli import main
 from horoshift.horoballs import PolyhedralZ2, polyhedral_from_ray
-from horoshift.render import (ball_raster, direction_circle_svg,
-                              sublevel_raster, write_pgm)
+from horoshift.render import ball_raster, direction_circle_svg, write_pgm
 from horoshift.serialize import (coverage_report_to_dict,
                                  direction_from_dict, direction_to_dict,
                                  direction_to_vector_descriptor,
@@ -53,13 +53,6 @@ class TestPGM:
         with pytest.raises(InputError):
             write_pgm(tmp_path / "bad.pgm", [])
 
-    def test_sublevel_raster_orientation(self):
-        # H = {y < 0}: bottom rows dark, row 0 is y = N
-        rows = sublevel_raster(PolyhedralZ2("halfplane-diagonal", side=1).sign, 2)
-        # {x - y < 0} = upper-left triangle
-        assert rows[0] == [0, 0, 0, 0, 255]   # y = 2
-        assert rows[4] == [255] * 5           # y = -2
-
     def test_ball_raster_deterministic_and_exact(self, tmp_path):
         g = ZdLp(2, 1)
         rows = ball_raster(g, (5, 0), 2)
@@ -90,6 +83,19 @@ class TestPGM:
         ball_raster(ZdLp(2, p), (100, 0), 20)
         assert calls.count("op") == calls.count("inv") == 0
         assert calls.count("norm_exact") <= 1
+
+    # the last is an l1 ball sequence of Z^2 checked to radius 1: a metric
+    # on Z^2, but not a ZdLp
+    @pytest.mark.parametrize("group", [
+        WeightedFreeAbelian("index"), DirectSumZ2("index"), ZdLp(1, 2),
+        ZdLp(3, 1),
+        ball_sequence_check([[(0, 0)], [(0, 0), (1, 0), (-1, 0), (0, 1),
+                                        (0, -1)]], 1).group],
+        ids=["wfa", "dsz2", "z1", "z3", "ball-sequence"])
+    def test_ball_raster_refuses_groups_other_than_z2(self, group):
+        assert group is not None
+        with pytest.raises(InputError, match="needs a Z\\^2 group"):
+            ball_raster(group, (1, 0), 2)
 
     def test_pgm_bytes_stable(self, tmp_path):
         g = ZdLp(2, 1)

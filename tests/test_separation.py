@@ -119,6 +119,12 @@ class TestCoverage:
         with pytest.raises(InputError):
             halfspace_coverage([], uniform_probes(4))
 
+    # 2.5 failed inside range() with a bare TypeError; True gave one probe
+    @pytest.mark.parametrize("n", [2.5, True], ids=str)
+    def test_uniform_probes_count_must_be_an_integer(self, n):
+        with pytest.raises(InputError, match="probe count must be an integer"):
+            uniform_probes(n)
+
     def test_uniform_probes_on_circle(self):
         probes = uniform_probes(12)
         assert len(probes) == 12

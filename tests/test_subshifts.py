@@ -875,6 +875,11 @@ class TestSkew:
         with pytest.raises(InputError):
             SkewActionSpec(FullShiftZ(), alpha, beta)
 
+    def test_base_alphabet_must_be_ordered(self):
+        # symbols that do not compare failed in sorted() with a bare TypeError
+        with pytest.raises(InputError, match="bad alphabet"):
+            FullShiftZ((0, "a"))
+
     def test_round_trip_dict(self):
         spec = SkewActionSpec(FullShiftZ(), 1, -2)
         d = spec.to_dict()
