@@ -7,30 +7,27 @@ Four families are supported:
   but every *comparison* (ball membership, symmetry checks) goes through
   exact squared-integer arithmetic.
 * ``WeightedFreeAbelian`` -- the free abelian group on generators e_1, e_2,
-  ... with norm sum(|x_i| * w(i)).  Elements are sorted tuples of
+  ... with norm sum(|x_i| * i).  Elements are sorted tuples of
   (index, coefficient) pairs with no zero coefficients.
 * ``DirectSumZ2`` -- infinite direct sum of Z/2Z with the same weighted
   norm.  Elements are frozensets of generator indices.
 * ``BallSequenceGroup`` -- a metric induced by an explicit nested sequence
   of finite symmetric sets, checked by :func:`ball_sequence_check`.
 
-The two weighted families share ``WeightedSum``, which holds their weights
-and the one ball walk.  They require weights tending to infinity (finitely
-many indices per weight bound); properness is enforced at construction time
-and again during every enumeration.
+Every group's exact norm is an integer, so ``ball`` and ``dist_lt`` read a
+radius through one rule, ``MetricGroup._bound``: the largest exact norm
+inside it.  The two weighted families share ``WeightedSum``, whose one ball
+walk lists one element per node.
 """
 
 from fractions import Fraction
-from itertools import count, product
+from itertools import product
 import math
 
 from .errors import InputError, ResourceBudgetError
 from .subshifts import _integer
 
 DEFAULT_BALL_BUDGET = 500_000
-
-# probe horizon for weight validation
-_WEIGHT_PROBE = 4096
 
 
 def _as_fraction(r):
@@ -43,16 +40,12 @@ def _as_fraction(r):
     raise InputError(f"expected a finite int, float or Fraction, got {r!r}")
 
 
-def _within(value, radius_sq_or_lin, closed):
-    return value <= radius_sq_or_lin if closed else value < radius_sq_or_lin
-
-
 class MetricGroup:
     """Right-invariant distance d(g, h) = |g h^-1| from a group's norm.
 
     Subclasses provide ``identity``, ``op``, ``inv``, ``norm`` and ``ball``;
-    ``norm_exact`` is the norm itself unless a subclass needs another exact
-    form (the squared l2 norm of ``ZdLp``).
+    ``norm_exact``, an integer, is the norm itself unless a subclass needs
+    another exact form (the squared l2 norm of ``ZdLp``).
     """
 
     def norm_exact(self, g):
@@ -62,7 +55,23 @@ class MetricGroup:
         return self.norm(self.op(g, self.inv(h)))
 
     def dist_lt(self, g, h, radius, closed=False):
-        return _within(Fraction(self.dist(g, h)), _as_fraction(radius), closed)
+        """Exact comparison d(g, h) < radius (or <= when closed)."""
+        r = _as_fraction(radius)
+        if r < 0:
+            return False
+        return self.norm_exact(self.op(g, self.inv(h))) <= self._bound(r, closed)
+
+    def _bound(self, r, closed):
+        """The largest exact norm within radius r >= 0: an integer e is
+        <= r exactly when e <= floor(r), and < r when e <= ceil(r) - 1."""
+        return math.floor(r) if closed else math.ceil(r) - 1
+
+    def _ball_bound(self, radius, closed):
+        """``_bound`` of a ball's radius, which must not be negative."""
+        r = _as_fraction(radius)
+        if r < 0:
+            raise InputError(f"radius must be >= 0, got {radius}")
+        return self._bound(r, closed)
 
     def busemann(self, g, x):
         return self.dist(g, x) - self.norm(g)
@@ -80,10 +89,10 @@ class ZdLp(MetricGroup):
     def __init__(self, dim, p):
         if (dim := _integer(dim, "dimension")) < 1:
             raise InputError(f"dimension must be >= 1, got {dim}")
-        if isinstance(p, bool) or p not in (1, 2, "inf", math.inf):
+        p = "inf" if p in ("inf", math.inf) else _integer(p, "p")
+        if p not in (1, 2, "inf"):
             raise InputError(f"p must be 1, 2 or 'inf', got {p!r}")
-        self.dim = dim
-        self.p = "inf" if p == math.inf else p
+        self.dim, self.p = dim, p
         self._norm = _EXACT_NORMS[self.p]
 
     def __repr__(self):
@@ -113,18 +122,9 @@ class ZdLp(MetricGroup):
         n = self.norm_exact(g)
         return math.sqrt(n) if self.p == 2 else n
 
-    def dist_lt(self, g, h, radius, closed=False):
-        """Exact comparison d(g, h) < radius (or <= when closed)."""
-        r = _as_fraction(radius)
-        if r < 0:
-            return False
-        return self.norm_exact(self.op(g, self.inv(h))) <= self._bound(r, closed)
-
     def _bound(self, r, closed):
-        """The largest exact norm within radius r >= 0: an integer e is
-        <= x exactly when e <= floor(x), and < x when e <= ceil(x) - 1."""
-        x = r * r if self.p == 2 else r
-        return math.floor(x) if closed else math.ceil(x) - 1
+        """The l2 bound is on the squared norm, so it squares r >= 0."""
+        return super()._bound(r * r if self.p == 2 else r, closed)
 
     def busemann(self, g, x):
         """b_g(x) = d(g, x) - d(g, 1); exact int for l1/linf, stable float for l2."""
@@ -143,129 +143,73 @@ class ZdLp(MetricGroup):
     def ball(self, center, radius, closed=False, budget=DEFAULT_BALL_BUDGET):
         """Exact enumeration of the (open or closed) ball around ``center``."""
         center = self.check(center)
-        r = _as_fraction(radius)
-        if r < 0:
-            raise InputError(f"radius must be >= 0, got {radius}")
-        reach = math.floor(r) if closed else math.ceil(r) - 1
-        reach = max(reach, 0)
+        bound, norm = self._ball_bound(radius, closed), self._norm
+        # the largest |coordinate| of an offset within the bound
+        reach = math.isqrt(max(bound, 0)) if self.p == 2 else max(bound, 0)
         if (2 * reach + 1) ** self.dim > budget:
             raise ResourceBudgetError(
                 f"ball of radius {radius} in Z^{self.dim} exceeds budget {budget}",
                 budget=budget,
             )
-        bound, norm = self._bound(r, closed), self._norm
         return {tuple(c + o for c, o in zip(center, offs))
                 for offs in product(range(-reach, reach + 1), repeat=self.dim)
                 if norm(offs) <= bound}
 
 
-class _Weights:
-    """Validated weight function i -> w(i) >= 1, nondecreasing, unbounded."""
-
-    def __init__(self, weight):
-        if isinstance(weight, str):
-            if weight != "index":
-                raise InputError(f"unknown weight rule {weight!r}")
-            weight = lambda i: i  # noqa: E731
-        elif not callable(weight):
-            raise InputError(f"weight must be 'index' or a function, got {weight!r}")
-        self.fn = weight
-        prev = None
-        for i in range(1, 65):
-            w = weight(i)
-            if w < 1:
-                raise InputError(f"weight w({i}) = {w} < 1")
-            if prev is not None and w < prev:
-                raise InputError(f"weights must be nondecreasing, w({i}) = {w} < w({i - 1}) = {prev}")
-            prev = w
-        if weight(_WEIGHT_PROBE) <= weight(1):
-            raise InputError(
-                "weights must tend to infinity (finitely many indices per bound); "
-                f"w({_WEIGHT_PROBE}) = w(1) = {weight(1)} looks bounded, rejecting"
-            )
-
-    def indices_upto(self, bound, closed):
-        """All generator indices whose weight is < bound (<= when closed)."""
-        out = []
-        i = 1
-        prev = None
-        while True:
-            w = self.fn(i)
-            if prev is not None and w < prev:
-                raise InputError(f"weights must be nondecreasing, w({i}) = {w}")
-            prev = w
-            if not _within(Fraction(w), bound, closed):
-                return out
-            out.append(i)
-            if i > _WEIGHT_PROBE:
-                raise ResourceBudgetError(
-                    f"more than {_WEIGHT_PROBE} generator indices below weight bound "
-                    f"{bound}; weights not proper enough",
-                    budget=_WEIGHT_PROBE,
-                )
-            i += 1
-
-
 class WeightedSum(MetricGroup):
-    """Direct sum over generators e_1, e_2, ... with norm sum |x_i| w(i).
+    """Direct sum over generators e_1, e_2, ... with norm sum |x_i| * i.
 
-    Subclasses give ``coefficients()``, the coefficients of one generator in
-    the order the ball walk tries them (0 first, then nondecreasing in
-    absolute value), and ``from_pairs``, which turns the walk's list of
-    (index, coefficient) pairs, zeros included, into an element.
+    Subclasses give ``coefficients(n)``, the nonzero coefficients of one
+    generator of absolute value at most n, and ``from_pairs``, which turns
+    the walk's (index, coefficient) pairs into an element.
     """
-
-    def __init__(self, weight="index"):
-        self.weights = _Weights(weight)
 
     def __repr__(self):
         return f"{type(self).__name__}()"
 
     def ball(self, center, radius, closed=False, budget=DEFAULT_BALL_BUDGET):
-        """Depth-first enumeration of the (open or closed) ball: one generator
-        index per level, its coefficients tried while their cost fits."""
+        """Depth-first walk of the (open or closed) ball.  Each node adds one
+        generator above the last one used, with a nonzero coefficient that
+        fits the bound left, so each node is a new element.  The walk keeps
+        one lazy child iterator per level, and the budget bounds its nodes."""
         center = self.check(center)
-        r = _as_fraction(radius)
-        if r < 0:
-            raise InputError(f"radius must be >= 0, got {radius}")
-        idxs = self.weights.indices_upto(r, closed)
-        out = set()
+        bound = self._ball_bound(radius, closed)
+        if bound < 0:
+            return set()
 
-        def rec(pos, remaining, acc):
+        def children(last, left):
+            return ((i, c, left - abs(c) * i) for i in range(last + 1, left + 1)
+                    for c in self.coefficients(left // i))
+
+        out, pairs, levels = {center}, [], [children(0, bound)]
+        while levels:
+            step = next(levels[-1], None)
+            if step is None:
+                levels.pop()
+                if pairs:  # the popped level's node, unless it was the root
+                    pairs.pop()
+                continue
+            i, c, left = step
+            pairs.append((i, c))
+            out.add(self.op(self.from_pairs(pairs), center))
             if len(out) > budget:
                 raise ResourceBudgetError(
                     f"ball enumeration exceeds budget {budget}", budget=budget,
-                    count=len(out),
-                )
-            if pos == len(idxs):
-                if _within(r - remaining, r, closed):
-                    out.add(self.op(self.from_pairs(acc), center))
-                return
-            i = idxs[pos]
-            w = Fraction(self.weights.fn(i))
-            for c in self.coefficients():
-                cost = abs(c) * w
-                if cost > remaining:
-                    return
-                acc.append((i, c))
-                rec(pos + 1, remaining - cost, acc)
-                acc.pop()
-
-        rec(0, r, [])
+                    count=len(out))
+            levels.append(children(i, left))
         return out
 
 
 class WeightedFreeAbelian(WeightedSum):
-    """Free abelian group on e_1, e_2, ... with norm sum |x_i| w(i).
+    """Free abelian group on e_1, e_2, ... with norm sum |x_i| * i.
 
     Elements are sorted tuples of (index, coeff) pairs, coeff != 0.
     """
 
     @staticmethod
-    def coefficients():
-        """0, 1, -1, 2, -2, ..."""
-        yield 0
-        for c in count(1):
+    def coefficients(n):
+        """1, -1, 2, -2, ..., n, -n."""
+        for c in range(1, n + 1):
             yield c
             yield -c
 
@@ -307,19 +251,20 @@ class WeightedFreeAbelian(WeightedSum):
         return tuple((i, -c) for i, c in self.check(g))
 
     def norm(self, g):
-        return sum(abs(c) * self.weights.fn(i) for i, c in self.check(g))
+        return sum(abs(c) * i for i, c in self.check(g))
 
 
 class DirectSumZ2(WeightedSum):
-    """Infinite direct sum of Z/2Z with weighted norm; elements are frozensets."""
+    """Infinite direct sum of Z/2Z with norm sum(indices); elements are
+    frozensets of indices."""
 
     @staticmethod
-    def coefficients():
-        return (0, 1)
+    def coefficients(n):
+        return (1,)
 
     @staticmethod
     def from_pairs(pairs):
-        return frozenset(i for i, c in pairs if c)
+        return frozenset(i for i, _ in pairs)
 
     def identity(self):
         return frozenset()
@@ -342,7 +287,7 @@ class DirectSumZ2(WeightedSum):
         return self.check(g)
 
     def norm(self, g):
-        return sum(self.weights.fn(i) for i in self.check(g))
+        return sum(self.check(g))
 
 
 class BallSequenceViolation:
@@ -438,8 +383,7 @@ class BallSequenceGroup(MetricGroup):
         raise InputError(f"element {g!r} outside the cutoff-{self.cutoff} ball sequence")
 
     def ball(self, center, radius, closed=False, budget=DEFAULT_BALL_BUDGET):
-        r = _as_fraction(radius)
-        n = math.floor(r) if closed else math.ceil(r) - 1
+        n = self._ball_bound(radius, closed)
         if n < 0:
             return set()
         if n > self.cutoff:

@@ -122,7 +122,7 @@ class PolyhedralZ2:
         return f"PolyhedralZ2({self.shape!r}, side={self.side})"
 
     def value(self, p):
-        x, y = int(p[0]), int(p[1])
+        x, y = _site(p)
         if self.opening is None:
             a, b = self.halfplane_normal()
             return a * x + b * y
@@ -483,7 +483,7 @@ class RationalCone:
         return side & ((x != 0) | (y != 0))
 
     def contains(self, p):
-        return self.mask(int(p[0]), int(p[1]))
+        return self.mask(*_site(p))
 
 
 class ConeShiftReport:
@@ -522,7 +522,7 @@ def verify_cone_shift(cone, eta, g, r_max):
         raise InputError(f"eta must be > 0, got {eta}")
     if (r_max := _integer(r_max, "r_max")) < 1:
         raise InputError(f"r_max must be >= 1, got {r_max}")
-    g = (int(g[0]), int(g[1]))
+    g = _site(g)
     if RationalCone(cone.u1, cone.u2, closed=True).mask(*g):
         raise InputError(f"direction of g={g} lies inside the cone arc; "
                          "horofunction value would be positive")

@@ -105,9 +105,9 @@ def parse_group(descriptor):
             raise InputError(f"bad group descriptor {descriptor!r}")
         return groups.ZdLp(int(dim_s), p)
     if d == "wfa-index":
-        return groups.WeightedFreeAbelian("index")
+        return groups.WeightedFreeAbelian()
     if d == "dsz2-index":
-        return groups.DirectSumZ2("index")
+        return groups.DirectSumZ2()
     raise InputError(f"unknown group descriptor {descriptor!r}")
 
 
@@ -125,11 +125,13 @@ def group_from_dict(d):
     kind = d.get("kind")
     if kind == "zd-lp":
         return groups.ZdLp(field(d, "dim", int), field(d, "p"))
-    if kind == "weighted-free-abelian":
-        return groups.WeightedFreeAbelian(d.get("weight", "index"))
+    if kind not in ("weighted-free-abelian", "direct-sum-z2"):
+        raise InputError(f"unknown group kind {kind!r}")
+    if (weight := d.get("weight", "index")) != "index":
+        raise InputError(f"the weight must be 'index' (w(i) = i), got {weight!r}")
     if kind == "direct-sum-z2":
-        return groups.DirectSumZ2(d.get("weight", "index"))
-    raise InputError(f"unknown group kind {kind!r}")
+        return groups.DirectSumZ2()
+    return groups.WeightedFreeAbelian()
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,8 @@ def _site(s):
     """A site given as a pair of integers (not bools), as a tuple of ints."""
     try:
         x, y = s
+        if type(x) is int is type(y):  # the common case, without two calls
+            return (x, y)
         return (_integer(x, "x"), _integer(y, "y"))
     except (TypeError, ValueError) as e:  # an InputError is a ValueError
         raise InputError(f"a site must be an integer pair, got {s!r}") from e

@@ -148,7 +148,7 @@ def test_criterion_8_largeness():
         ok = ok and rc.found and rl.found
         ok = ok and all(cone.contains(x)
                         for x in gl1.ball(rc.center, R, closed=False))
-    ds = DirectSumZ2("index")
+    ds = DirectSumZ2()
     sparse = Horoball(Sampled(ds, lambda n: frozenset([n]), 64))
     res = largeness_certificate(ds, sparse, 1, search_bound=20)
     ok = ok and not res.found

@@ -239,6 +239,13 @@ MALFORMED = {
                        '{"kind":"zd-lp","dim":true,"p":1}'],
     "group-p-bool": ["verify", "largeness", "--group",
                      '{"kind":"zd-lp","dim":2,"p":true}'],
+    # a float p was kept and written back as "p": 1.0
+    "group-p-float-1": ["busemann", "--group",
+                        '{"kind":"zd-lp","dim":2,"p":1.0}',
+                        "--center", "5,0", "--radius", "2"],
+    "group-p-float-2": ["busemann", "--group",
+                        '{"kind":"zd-lp","dim":2,"p":2.0}',
+                        "--center", "5,0", "--radius", "2"],
     "report-direction-bool": ["render", "nd", "--report", BOOL_DIRECTION],
     "vectors-direction-bool": ["convex", "origin-test", "--vectors",
                                BOOL_DIRECTION],

@@ -34,6 +34,13 @@ class TestZdLp:
         with pytest.raises(InputError, match="dimension must be an integer"):
             ZdLp(dim, 2)
 
+    # 1.0 and 2.0 were kept as float p and serialized as such
+    @pytest.mark.parametrize("p", [1.0, 2.0, True, "2", 3, 0])
+    def test_p_must_be_1_2_or_inf(self, p):
+        with pytest.raises(InputError):
+            ZdLp(2, p)
+        assert ZdLp(2, math.inf).p == ZdLp(2, "inf").p == "inf"
+
     def test_norms(self):
         assert ZdLp(2, 1).norm((3, -4)) == 7
         assert ZdLp(2, "inf").norm((3, -4)) == 4
@@ -132,27 +139,27 @@ class TestZdLp:
 
 class TestWeightedFreeAbelian:
     def test_element_and_norm(self):
-        w = WeightedFreeAbelian("index")
+        w = WeightedFreeAbelian()
         e = w.element({1: 2, 3: -1})
         assert w.norm(e) == 2 * 1 + 1 * 3
         assert w.norm(w.identity()) == 0
 
     def test_op_inverse(self):
-        w = WeightedFreeAbelian("index")
+        w = WeightedFreeAbelian()
         a = w.element({1: 2})
         b = w.element({1: -2, 2: 1})
         assert w.op(a, b) == w.element({2: 1})
         assert w.op(a, w.inv(a)) == w.identity()
 
     def test_ball_count(self):
-        w = WeightedFreeAbelian("index")
+        w = WeightedFreeAbelian()
         assert len(w.ball(w.identity(), 3, closed=True)) == 15
         # strict ball drops the norm-3 shell
         strict = w.ball(w.identity(), 3, closed=False)
         assert all(w.norm(e) < 3 for e in strict)
 
     def test_ball_translation_invariance(self):
-        w = WeightedFreeAbelian("index")
+        w = WeightedFreeAbelian()
         c = w.element({2: 1})
         ball = w.ball(c, 2, closed=True)
         assert {w.op(e, w.inv(c)) for e in ball} \
@@ -167,21 +174,13 @@ class TestWeightedFreeAbelian:
             with pytest.raises(InputError):
                 w.check(bad)
 
-    def test_bounded_weight_rejected(self):
-        with pytest.raises(InputError):
-            WeightedFreeAbelian(lambda i: 1)
-
-    def test_decreasing_weight_rejected(self):
-        with pytest.raises(InputError):
-            WeightedFreeAbelian(lambda i: 100 - i if i < 99 else i)
-
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-2, 2)),
                     max_size=3),
            st.lists(st.tuples(st.integers(1, 4), st.integers(-2, 2)),
                     max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_norm_symmetry_triangle(self, a_items, b_items):
-        w = WeightedFreeAbelian("index")
+        w = WeightedFreeAbelian()
         a = w.element(dict(a_items))
         b = w.element(dict(b_items))
         assert w.norm(a) == w.norm(w.inv(a))
@@ -190,7 +189,7 @@ class TestWeightedFreeAbelian:
 
 class TestDirectSumZ2:
     def test_involutive(self):
-        d = DirectSumZ2("index")
+        d = DirectSumZ2()
         a = d.check([1, 3])
         assert d.op(a, a) == d.identity()
         assert d.inv(a) == a
@@ -204,13 +203,13 @@ class TestDirectSumZ2:
                 d.check(bad)
 
     def test_norm_and_ball(self):
-        d = DirectSumZ2("index")
+        d = DirectSumZ2()
         assert d.norm(d.check([1, 2])) == 3
         assert len(d.ball(d.identity(), 3, closed=True)) == 5
 
     def test_every_element_far_from_deep_negative(self):
         # weights grow, so balls are finite and norms unbounded
-        d = DirectSumZ2("index")
+        d = DirectSumZ2()
         ball = d.ball(d.identity(), 6, closed=True)
         assert all(d.norm(e) <= 6 for e in ball)
         assert len(ball) == len(set(ball))
@@ -240,7 +239,7 @@ class TestWeightedBall:
     @pytest.mark.parametrize("closed", [False, True])
     def test_matches_brute_force(self, name, radius, closed):
         cls, other = WEIGHTED[name]
-        grp = cls("index")
+        grp = cls()
         for center in (grp.identity(), grp.check(other)):
             expected = {x for x in (grp.op(e, center)
                                     for e in _index_weight_box(grp))
@@ -249,10 +248,37 @@ class TestWeightedBall:
 
     @pytest.mark.parametrize("name", WEIGHTED)
     def test_budget(self, name):
-        grp = WEIGHTED[name][0]("index")
+        grp = WEIGHTED[name][0]()
         with pytest.raises(ResourceBudgetError) as exc:
             grp.ball(grp.identity(), 6, closed=True, budget=5)
         assert exc.value.budget == 5 and exc.value.count == 6
+
+    @pytest.mark.parametrize("name", WEIGHTED)
+    def test_deep_radius_stops_at_budget(self, name):
+        # the walk was recursive, one frame per generator index up to the
+        # radius, and raised RecursionError here whatever the budget
+        grp = WEIGHTED[name][0]()
+        with pytest.raises(ResourceBudgetError) as exc:
+            grp.ball(grp.identity(), 1500, budget=10)
+        assert exc.value.count == 11
+
+    @pytest.mark.parametrize("name", WEIGHTED)
+    @pytest.mark.parametrize("radius", [3, 10])
+    def test_one_element_per_node(self, monkeypatch, name, radius):
+        # each coefficients() call starts at least one node, each node is a
+        # new element; the closed radius-10 free abelian ball made 3,856
+        # calls for its 643 elements
+        cls, calls = WEIGHTED[name][0], []
+        coefficients = cls.coefficients
+        monkeypatch.setattr(cls, "coefficients",
+                            staticmethod(lambda n: calls.append(n)
+                                         or coefficients(n)))
+        ball = cls().ball(cls().identity(), radius, closed=True)
+        assert 0 < len(calls) < len(ball)
+
+    def test_closed_radius_20_size(self):
+        w = WeightedFreeAbelian()
+        assert len(w.ball(w.identity(), 20, closed=True)) == 26_341
 
 
 def _l1_balls(n_max):
@@ -295,3 +321,32 @@ class TestBallSequence:
             gf = (g[0] + f[0], g[1] + f[1])
             hf = (h[0] + f[0], h[1] + f[1])
             assert grp.dist(gf, hf) == grp.dist(g, h)
+
+
+def _weighted_case(cls, other):
+    grp = cls()
+    center = grp.check(other)
+    return grp, center, [grp.op(e, center) for e in _index_weight_box(grp)]
+
+
+# every family with a center and a box of candidates holding its radius-3 ball
+RULE_CASES = {
+    **{f"z2-l{p}": (ZdLp(2, p), (1, -1),
+                    list(product(range(-6, 9), range(-9, 7))))
+       for p in (1, 2, "inf")},
+    **{name: _weighted_case(*case) for name, case in WEIGHTED.items()},
+    "ball-sequence": (ball_sequence_check(_l1_balls(5), cutoff=5).group,
+                      (0, 0), _l1_balls(5)[5]),
+}
+
+
+@pytest.mark.parametrize("name", RULE_CASES)
+@pytest.mark.parametrize("radius", [0, Fraction(5, 2), 2.5, 3], ids=str)
+@pytest.mark.parametrize("closed", [False, True])
+def test_ball_and_dist_lt_share_one_radius_rule(name, radius, closed):
+    grp, center, candidates = RULE_CASES[name]
+    assert grp.ball(center, radius, closed=closed) == \
+        {x for x in candidates if grp.dist_lt(x, center, radius, closed)}
+    assert not any(grp.dist_lt(x, center, -1, closed) for x in candidates)
+    with pytest.raises(InputError, match="radius must be >= 0"):
+        grp.ball(center, -1, closed=closed)

@@ -150,6 +150,14 @@ class TestPolyhedralZ2:
         with pytest.raises(InputError):
             PolyhedralZ2("quarter-space", apex=apex, opening="+x")
 
+    # (1.9, 0.5) was read as (1, 0), where the +x quarter space is -1
+    @pytest.mark.parametrize("p", [(1.9, 0.5), (True, 0), (1,)], ids=str)
+    def test_value_needs_an_integer_pair(self, p):
+        j = PolyhedralZ2("quarter-space", opening="+x")
+        with pytest.raises(InputError):
+            j.value(p)
+        assert j.value((np.int64(2), 1)) == -1
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(PolyhedralZ2.OPENINGS),
            st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
@@ -253,7 +261,7 @@ class TestSampledCrossValidation:
             sampled_l1_horoball_z2((1, 0), n_star=n_star)
 
     def test_sampled_sign_on_directsum(self):
-        ds = DirectSumZ2("index")
+        ds = DirectSumZ2()
         j = Sampled(ds, lambda n: frozenset([n]), n_star=64)
         # truncated horofunction of a sparse escaping sequence: j(x) = |x|
         assert j.value(frozenset()) == 0
@@ -279,7 +287,7 @@ class TestLargeness:
         assert h.j.value(res.center) < -16
 
     def test_directsum_bounded_search_fails(self):
-        ds = DirectSumZ2("index")
+        ds = DirectSumZ2()
         h = Horoball(Sampled(ds, lambda n: frozenset([n]), 64))
         res = largeness_certificate(ds, h, 1, search_bound=20)
         assert not res.found
@@ -299,8 +307,8 @@ class TestLargeness:
         with pytest.raises(InputError):
             largeness_certificate(group, h, 1, search_bound=4)
 
-    @pytest.mark.parametrize("group", [WeightedFreeAbelian("index"),
-                                       DirectSumZ2("index")],
+    @pytest.mark.parametrize("group", [WeightedFreeAbelian(),
+                                       DirectSumZ2()],
                              ids=["wfa", "dsz2"])
     @pytest.mark.parametrize("h", [
         l2_horoball((1, 0)), Horoball(polyhedral_from_ray((1, 0))),
@@ -558,11 +566,25 @@ class TestConeShift:
         with pytest.raises(InputError):
             RationalCone(u1, (0, 1))
 
+    # (0.9, 0.5), inside the cone, was read as (0, 0) and left out, and
+    # (True, 0) was read as (1, 0) and let in
+    @pytest.mark.parametrize("p", [(0.9, 0.5), (True, 0), ("1", 0), (1,)],
+                             ids=str)
+    def test_contains_needs_an_integer_pair(self, p):
+        with pytest.raises(InputError):
+            RationalCone((1, -1), (1, 1)).contains(p)
+
     def test_halfplane_needs_opposite_rays(self):
         cone = RationalCone((1, 1), (-2, -2))
         assert cone.contains((-1, 5)) and not cone.contains((5, -1))
         assert not cone.contains((3, 3)) and not cone.contains((-1, -1))
         assert RationalCone((1, 1), (-2, -2), closed=True).contains((3, 3))
+
+    # (-2.7, 0.9) was checked as g = (-2, 0) without a word
+    @pytest.mark.parametrize("g", [(-2.7, 0.9), (-2, False), (-2,)], ids=str)
+    def test_g_must_be_an_integer_pair(self, g):
+        with pytest.raises(InputError):
+            verify_cone_shift(RationalCone((1, -1), (1, 1)), 1, g, 5)
 
     def test_r_max_below_one_rejected(self):
         with pytest.raises(InputError):

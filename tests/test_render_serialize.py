@@ -87,7 +87,7 @@ class TestPGM:
     # the last is an l1 ball sequence of Z^2 checked to radius 1: a metric
     # on Z^2, but not a ZdLp
     @pytest.mark.parametrize("group", [
-        WeightedFreeAbelian("index"), DirectSumZ2("index"), ZdLp(1, 2),
+        WeightedFreeAbelian(), DirectSumZ2(), ZdLp(1, 2),
         ZdLp(3, 1),
         ball_sequence_check([[(0, 0)], [(0, 0), (1, 0), (-1, 0), (0, 1),
                                         (0, -1)]], 1).group],
