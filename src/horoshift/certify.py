@@ -455,69 +455,49 @@ def _fullshift_status(spec, trace, k, N):
 _window_stream = functools.lru_cache(maxsize=1)(_window_array)
 
 
-def _trace_classes(values, base):
-    """Group the rows of ``values``, an (n, t) array of symbol indices below
-    ``base``, by equality, with one stable sort of their packed keys.
-
-    Returns ``order``, the row numbers class after class, and ``starts``,
-    the offset in ``order`` of each class: the classes come in the order of
-    their first rows, and each lists its rows in ascending order.
-    """
-    # pack each row into one int64 in base ``base``, renumbering the keys
-    # densely before the next column could overflow
-    key = np.zeros(len(values), dtype=np.int64)
-    size = 1  # every key lies in range(size)
-    for column in values.T:
-        if size * base > 2 ** 63:
-            _, key = np.unique(key, return_inverse=True)
-            size = len(values)
-        key = key * base + column
-        size *= base
-    key = key.astype(np.min_scalar_type(size - 1))  # 16-bit keys sort by radix
-    by_key = np.argsort(key, kind="stable")  # each group's rows ascending
-    ranked = key[by_key]  # each class begins where its key first shows
-    bounds = np.flatnonzero(np.diff(ranked, prepend=ranked[:1] + 1))
-    rank = np.argsort(by_key[bounds], kind="stable")  # by their first rows
-    sizes = np.diff(bounds, append=len(key))[rank]
-    starts = np.cumsum(sizes) - sizes
-    order = by_key[np.repeat(bounds[rank] - starts, sizes)
-                   + np.arange(len(key))]
-    return order, starts
+def _unique_rows(values):
+    """numpy's ``unique`` over the rows of ``values``, an (n, t) array with
+    t >= 1, each row's bytes one key: each class's first row, each row's
+    class and each class's size, the classes in key order."""
+    values = np.ascontiguousarray(values)
+    # the view's single column: numpy 2.0 shapes the inverse like the keys
+    keys = values.view(np.dtype((np.void, values[0].nbytes)))[:, 0]
+    return np.unique(keys, return_index=True, return_inverse=True,
+                     return_counts=True)[1:]
 
 
-def _shared_trace_classes(values, base):
-    """The classes of ``_trace_classes(values, base)`` that hold two or more
-    rows, in its order, each as its row numbers ascending.  Lazily: the
-    first class holds row 0, so one comparison pass finds it, and the sort
-    runs only when a later class is asked for."""
+def _shared_trace_classes(values):
+    """The classes of two or more equal rows of ``values``, an (n, t) array,
+    in the order of their first rows, each as its row numbers ascending.
+    Lazily: one comparison pass finds row 0's class, and the other rows
+    are grouped only when a later class is asked for."""
     first = np.flatnonzero((values == values[:1]).all(axis=1))
     if len(first) > 1:
         yield first.tolist()
     if len(first) < len(values):
-        order, starts = _trace_classes(values, base)
-        stops = np.append(starts[1:], len(order))
-        shared = stops - starts > 1
-        shared[0] = False  # the class of row 0, yielded above
-        for start, stop in zip(starts[shared].tolist(),
-                               stops[shared].tolist()):
-            yield order[start:stop].tolist()
+        firsts, labels, sizes = _unique_rows(values)
+        by_class = np.argsort(labels, kind="stable")  # each class ascending
+        offsets = [0, *np.cumsum(sizes).tolist()]
+        shared = np.flatnonzero((sizes > 1) & (firsts > 0))  # not row 0's
+        for c in shared[np.argsort(firsts[shared])].tolist():
+            yield by_class[offsets[c]:offsets[c + 1]].tolist()
 
 
 def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
     """Enumeration oracle: the window's fillings fall into classes by their
     symbols on the trace; the first pair of a class, in stream order, whose
     second filling extends to [-M, M]^2 agreeing on the larger trace with an
-    extension xhat of the first is a witness.  Classes are keyed in one
-    array pass and sorted only once the first class misses; a symbol dict
+    extension xhat of the first is a witness.  Row 0's class takes one
+    array pass, the rest are grouped only once it misses, and a symbol dict
     is built only for a compared member.
 
-    The larger trace meets [-N, N]^2 in the trace, so some member extends
-    exactly when a filling agreeing with xhat on the larger trace differs
-    from it inside [-N, N]^2.  A direction builds two walks of [-M, M]^2
-    and rebinds them per class: one clamped on [-N, N]^2 finds xhat, as
-    rows, and one clamped on the larger trace, read from those rows, asks
-    that and, only where it hits, tries the members in stream order,
-    keeping the fillings equal to each inside [-N, N]^2.
+    xhat equals the first filling on [-N, N]^2, and the larger trace meets
+    [-N, N]^2 in the trace, so some member extends exactly when a filling
+    agreeing with xhat on the larger trace differs from xhat there.  Two
+    walks of [-M, M]^2, built before the classes, are bound to each: one
+    clamped on [-N, N]^2 finds xhat, as rows, and one clamped on the larger
+    trace, read from those rows, asks that and, only where it hits, tries
+    the members in stream order.
     """
     symbols = _window_stream(spec, N, budget)
     if symbols is None:
@@ -525,17 +505,9 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
     M = N + margin
     trace_M, _ = trace_at(M)
     sites, alphabet = box_sites(N), spec.alphabet
-    at_trace, at_inner = ([(y + M) * (2 * M + 1) + x + M for x, y in cells]
-                          for cells in (trace_M, sites))
-    walks = {}  # by turn: 0 on [-N, N]^2, None on trace_M
-
-    def walk(turn, clamped, values):
-        if turn in walks:
-            walks[turn].bind(values)
-        else:
-            walks[turn] = _RowTransfer(spec, M, dict(zip(clamped, values)),
-                                       turn)
-        return walks[turn]
+    at_trace = [(y + M) * (2 * M + 1) + x + M for x, y in trace_M]
+    inner = _RowTransfer(spec, M, dict.fromkeys(sites, alphabet[0]))
+    extends = _RowTransfer(spec, M, dict.fromkeys(trace_M, alphabet[0]), None)
 
     def filling(i):
         values = map(alphabet.__getitem__, symbols[i].ravel().tolist())
@@ -543,24 +515,24 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
 
     # a filling's class is its symbols on the trace, read in one fixed order
     cells = np.array(trace, dtype=np.intp).reshape(-1, 2) + N
-    origin, forced = symbols[:, N, N].tolist(), True
-    for members in _shared_trace_classes(symbols[:, cells[:, 1], cells[:, 0]],
-                                         len(alphabet)):
-        forced = forced and len({origin[i] for i in members}) == 1
+    forced = True
+    for members in _shared_trace_classes(symbols[:, cells[:, 1], cells[:, 0]]):
+        forced = forced and len(set(symbols[members, N, N].tolist())) == 1
         # the stream has no repeats, so every other member differs from rep
         rep, *others = members
-        xhat = next(walk(0, sites, filling(rep).values()).fillings(), None)
+        reference = filling(rep)
+        inner.bind(reference.values())
+        xhat = next(inner.fillings(), None)
         if xhat is None:
             continue
         xhat = list(itertools.chain.from_iterable(xhat))
-        extends = walk(None, trace_M, map(xhat.__getitem__, at_trace))
-        reference = dict(zip(sites, map(xhat.__getitem__, at_inner)))
+        extends.bind(map(xhat.__getitem__, at_trace))
         if next(extends.fillings(reference, N, differ=True), None) is None:
             continue
         # a filling that differs from xhat inside [-N, N]^2 restricts there
         # to another member of the class, so some member extends
         other = next(o for o in others if any(extends.fillings(filling(o), N)))
-        return Witness((_member(N, filling(rep)), _member(N, filling(other))),
+        return Witness((_member(N, reference), _member(N, filling(other))),
                        N, k, evidence={"margin": margin,
                                        "trace_size": len(trace)})
     if forced:

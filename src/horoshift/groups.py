@@ -160,18 +160,23 @@ class WeightedSum(MetricGroup):
     """Direct sum over generators e_1, e_2, ... with norm sum |x_i| * i.
 
     Subclasses give ``coefficients(n)``, the nonzero coefficients of one
-    generator of absolute value at most n, and ``from_pairs``, which turns
-    the walk's (index, coefficient) pairs into an element.
+    generator of absolute value at most n, ``from_pairs``, which turns the
+    walk's (index, coefficient) pairs into an element, and ``_sum``, the
+    group operation on checked elements.
     """
 
     def __repr__(self):
         return f"{type(self).__name__}()"
 
+    def op(self, g, h):
+        return self._sum(self.check(g), self.check(h))
+
     def ball(self, center, radius, closed=False, budget=DEFAULT_BALL_BUDGET):
         """Depth-first walk of the (open or closed) ball.  Each node adds one
         generator above the last one used, with a nonzero coefficient that
         fits the bound left, so each node is a new element.  The walk keeps
-        one lazy child iterator per level, and the budget bounds its nodes."""
+        one lazy child iterator per level, and the budget bounds its nodes.
+        Only the center is checked: the walk builds valid elements."""
         center = self.check(center)
         bound = self._ball_bound(radius, closed)
         if bound < 0:
@@ -191,7 +196,7 @@ class WeightedSum(MetricGroup):
                 continue
             i, c, left = step
             pairs.append((i, c))
-            out.add(self.op(self.from_pairs(pairs), center))
+            out.add(self._sum(self.from_pairs(pairs), center))
             if len(out) > budget:
                 raise ResourceBudgetError(
                     f"ball enumeration exceeds budget {budget}", budget=budget,
@@ -241,9 +246,9 @@ class WeightedFreeAbelian(WeightedSum):
 
     from_pairs = element
 
-    def op(self, g, h):
-        acc = dict(self.check(g))
-        for i, c in self.check(h):
+    def _sum(self, g, h):
+        acc = dict(g)
+        for i, c in h:
             acc[i] = acc.get(i, 0) + c
         return self.element(acc)
 
@@ -280,8 +285,7 @@ class DirectSumZ2(WeightedSum):
                 raise InputError(f"generator index {i} < 1")
         return g
 
-    def op(self, g, h):
-        return self.check(g) ^ self.check(h)
+    _sum = staticmethod(frozenset.symmetric_difference)
 
     def inv(self, g):
         return self.check(g)

@@ -15,7 +15,7 @@ def write_pgm(path, rows):
     """Write a grayscale image as binary PGM (P5).
 
     ``rows`` is a sequence of equal-length sequences of ints in 0..255,
-    top row first.
+    top row first; anything else, a bool or a float too, is refused.
     """
     h = len(rows)
     if h == 0:
@@ -25,7 +25,10 @@ def write_pgm(path, rows):
     for r in rows:
         if len(r) != w:
             raise InputError("ragged image rows")
-        data.extend(bytes(int(v) & 0xFF for v in r))
+        for v in r:
+            if type(v) is not int or not 0 <= v <= 255:
+                raise InputError(f"pixel {v!r} is not an int in 0..255")
+        data.extend(r)
     with open(path, "wb") as f:
         f.write(bytes(data))
     return len(data)

@@ -18,7 +18,7 @@ from horoshift import (Direction, FullShift, InputError, LinearGF2,
                        skew_horoball_status)
 from horoshift import certify, subshifts
 from horoshift.certify import (_origin_forced, _shared_trace_classes,
-                               _trace_classes, _window_kernel, _window_stream,
+                               _unique_rows, _window_kernel, _window_stream,
                                dilated_trace, Inconclusive,
                                WindowDeterministic, Witness,
                                gf2_nullspace, is_hull_normal,
@@ -304,11 +304,19 @@ def _dict_classes(keys):
     return list(classes.values())
 
 
-def _array_classes(values, base):
-    order, starts = _trace_classes(np.asarray(values), base)
-    if not len(order):
-        return []
-    return [c.tolist() for c in np.split(order, starts[1:])]
+def _shared_dict_classes(keys):
+    """The classes of ``_dict_classes(keys)`` that hold two or more rows."""
+    return [c for c in _dict_classes(keys) if len(c) > 1]
+
+
+def _counted_sorts(monkeypatch):
+    """The calls ``_shared_trace_classes`` makes to group rows past row 0's
+    class, from now on."""
+    calls = []
+    monkeypatch.setattr(certify, "_unique_rows",
+                        lambda values: calls.append(values)
+                        or _unique_rows(values))
+    return calls
 
 
 class TestTraceClasses:
@@ -331,40 +339,55 @@ class TestTraceClasses:
                                     for f in rows]
         for v in (Direction(1, 0), Direction(1, 2), Direction(-1, -1)):
             cells = sorted(dilated_trace(v.contains, 1, N)[0])
-            want = _dict_classes([[f[y + N][x + N] for x, y in cells]
-                                  for f in rows])
+            keys = [[f[y + N][x + N] for x, y in cells] for f in rows]
             ys, xs = [y + N for _, y in cells], [x + N for x, _ in cells]
-            assert _array_classes(symbols[:, ys, xs], len(index)) == want
-            assert len(want) < len(rows)
+            assert list(_shared_trace_classes(symbols[:, ys, xs])) == \
+                _shared_dict_classes(keys)
+            assert len(_dict_classes(keys)) < len(rows)
 
-    def test_wide_keys_are_renumbered(self):
-        # 45 ternary or 70 binary columns need more than 63 bits of key;
-        # the rows differ in their first columns only, which an int64 key
-        # that wrapped around would lose
+    def test_wide_rows(self):
+        # 45 ternary or 70 binary columns, more than 63 bits of symbols;
+        # the rows differ in their first columns only
         rng = np.random.default_rng(0)
         for base, width in ((3, 45), (2, 70)):
             rows = rng.integers(0, base, size=(30, width))
             rows[:, 6:] = rows[0, 6:]
             values = rows[rng.integers(0, 30, size=400)].astype(np.uint8)
-            want = _dict_classes(values.tolist())
-            assert _array_classes(values, base) == want
+            want = _shared_dict_classes(values.tolist())
+            assert list(_shared_trace_classes(values)) == want
             assert 1 < len(want) < 400
 
     def test_empty_and_single_class(self):
-        assert _array_classes(np.zeros((0, 4), dtype=np.uint8), 2) == []
-        assert _array_classes(np.ones((7, 3), dtype=np.uint8), 2) == \
-            [list(range(7))]
+        assert list(_shared_trace_classes(
+            np.zeros((0, 4), dtype=np.uint8))) == []
+        assert list(_shared_trace_classes(np.ones((7, 3), dtype=np.uint8))) \
+            == [list(range(7))]
         # an empty trace puts every filling in one class
-        assert _array_classes(np.zeros((5, 0), dtype=np.uint8), 3) == \
-            [list(range(5))]
+        assert list(_shared_trace_classes(
+            np.zeros((5, 0), dtype=np.uint8))) == [list(range(5))]
+
+    def test_wider_symbols_and_strided_rows(self):
+        # uint16 symbols are two bytes each, and a column slice is not
+        # contiguous: both group as the plain rows do; the rows differ only
+        # past their first two columns, so each key must hold the whole row
+        rng = np.random.default_rng(1)
+        pool = rng.integers(0, 300, size=(5, 4))
+        pool[:, :2] = pool[0, :2]
+        values = pool[rng.integers(0, 5, size=60)].astype(np.uint16)
+        want = _shared_dict_classes(values.tolist())
+        assert list(_shared_trace_classes(values)) == want
+        assert len(want) > 1
+        strided = values[:, ::2]
+        assert not strided.flags.c_contiguous
+        assert list(_shared_trace_classes(strided)) == \
+            _shared_dict_classes(strided.tolist())
 
     @given(data=st.data(), base=st.sampled_from([2, 3, 5]),
            n=st.integers(0, 40), width=st.sampled_from([0, 1, 2, 5, 12, 70]))
     @settings(max_examples=150, deadline=None)
     def test_drawn_rows(self, data, base, n, width):
         # rows drawn from a pool of one to four, which differ in their first
-        # columns only: 70 columns pass 63 bits of key at every base here,
-        # and a binary key that wrapped around would lose those columns
+        # columns only
         symbol = st.integers(0, base - 1)
         head = data.draw(st.integers(0, min(width, 8)))
         tail = data.draw(st.lists(symbol, min_size=width - head,
@@ -376,9 +399,13 @@ class TestTraceClasses:
                                   max_size=n))
         values = np.array([row + tail for row in rows],
                           dtype=np.uint8).reshape(n, width)
-        assert _array_classes(values, base) == _dict_classes(rows)
-        assert list(_shared_trace_classes(values, base)) == \
-            [c for c in _array_classes(values, base) if len(c) > 1]
+        assert list(_shared_trace_classes(values)) == \
+            _shared_dict_classes(rows)
+        if n and width:  # each row's class, of one row or more
+            firsts, labels, sizes = _unique_rows(values)
+            want = {i: (c[0], len(c)) for c in _dict_classes(rows) for i in c}
+            assert list(zip(firsts[labels].tolist(), sizes[labels].tolist())) \
+                == [want[i] for i in range(n)]
 
     @pytest.mark.parametrize("rows, shared, sorts", [
         ([[1, 0], [0, 0], [1, 1], [0, 0]], [[1, 3]], 1),  # row 0 alone
@@ -390,11 +417,8 @@ class TestTraceClasses:
     def test_shared_classes_sort_after_the_first(self, monkeypatch, rows,
                                                  shared, sorts):
         values = np.array(rows, dtype=np.uint8)
-        calls = []
-        monkeypatch.setattr(certify, "_trace_classes",
-                            lambda *args: calls.append(args)
-                            or _trace_classes(*args))
-        classes = _shared_trace_classes(values, 3)
+        calls = _counted_sorts(monkeypatch)
+        classes = _shared_trace_classes(values)
         if shared and shared[0][0] == 0:  # row 0's class needs no sort
             assert next(classes) == shared[0] and not calls
             assert [shared[0], *classes] == shared
@@ -1046,12 +1070,11 @@ def _shared_classes(spec, v, k, N):
     symbols = _window_stream(spec, N, certify.DEFAULT_FILLING_BUDGET)
     sites = box_sites(N)
     cells = np.array(sorted(trace)).reshape(-1, 2) + N
-    order, starts = _trace_classes(symbols[:, cells[:, 1], cells[:, 0]],
-                                   len(spec.alphabet))
     return [[dict(zip(sites, map(
         spec.alphabet.__getitem__, symbols[m].ravel().tolist())))
-        for m in members.tolist()]
-        for members in np.split(order, starts[1:]) if len(members) > 1]
+        for m in members]
+        for members in _shared_trace_classes(
+            symbols[:, cells[:, 1], cells[:, 0]])]
 
 
 def _class_answers(spec, v, k, N, margin=None):
@@ -1213,10 +1236,7 @@ class TestExtensionWalk:
     def test_first_class_settles_hard_square_nd(self, monkeypatch):
         # each direction's witness lies in the class of the stream's first
         # filling, so no direction sorts its classes
-        sorts = []
-        monkeypatch.setattr(certify, "_trace_classes",
-                            lambda *args: sorts.append(args)
-                            or _trace_classes(*args))
+        sorts = _counted_sorts(monkeypatch)
         _window_stream.cache_clear()
         report = nd_set(HARD_SQUARE, 1, 2, grid="farey:1")
         assert [c.kind for _, c in report.entries] == ["witness"] * 8

@@ -276,6 +276,19 @@ class TestWeightedBall:
         ball = cls().ball(cls().identity(), radius, closed=True)
         assert 0 < len(calls) < len(ball)
 
+    @pytest.mark.parametrize("name", WEIGHTED)
+    def test_checks_the_center_once(self, monkeypatch, name):
+        # the walk builds valid elements; checking each of them again made
+        # 52,681 check calls for the closed radius-20 free abelian ball
+        cls, other = WEIGHTED[name]
+        calls, check = [], cls.check
+        monkeypatch.setattr(cls, "check",
+                            lambda self, g: calls.append(g) or check(self, g))
+        for center in (cls().identity(), other):
+            calls.clear()
+            assert len(cls().ball(center, 6, closed=True)) > 1
+            assert calls == [center]
+
     def test_closed_radius_20_size(self):
         w = WeightedFreeAbelian()
         assert len(w.ball(w.identity(), 20, closed=True)) == 26_341

@@ -53,6 +53,15 @@ class TestPGM:
         with pytest.raises(InputError):
             write_pgm(tmp_path / "bad.pgm", [])
 
+    @pytest.mark.parametrize("pixel", [256, -1, 1.7, True, "a", 255.0])
+    def test_pixel_outside_0_to_255_refused(self, tmp_path, pixel):
+        # 256, -1, 1.7 and True were written as 0, 255, 1 and 1 through
+        # int(v) & 0xFF, and "a" raised a bare ValueError
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(InputError):
+            write_pgm(path, [[0, 255], [0, pixel]])
+        assert not path.exists()
+
     def test_ball_raster_deterministic_and_exact(self, tmp_path):
         g = ZdLp(2, 1)
         rows = ball_raster(g, (5, 0), 2)
