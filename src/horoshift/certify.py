@@ -19,10 +19,11 @@ unconstrained edge cells can fake a disagreement.
 For GF(2) linear rules the search is linear algebra: valid fillings form a
 GF(2) vector space, so witness pairs correspond to kernel vectors
 vanishing on the trace.  The generic path enumerates fillings and serves
-as the independent oracle, settling each trace class of fillings with
-two walks of the larger window, built once per direction and rebound per
-class, clamped on two site sets: the inner box, for the class's first
-extension, then the larger trace.
+as the independent oracle: on a half-plane it first asks whether the
+k = 1 trace forces the origin, a proof on Z^2; if not, it settles each
+trace class of fillings with two walks of the larger window, built once
+per direction and rebound per class, clamped on two site sets: the inner
+box, for the class's first extension, then the larger trace.
 """
 
 import bisect
@@ -483,18 +484,23 @@ def _shared_trace_classes(values):
             yield by_class[offsets[c]:offsets[c + 1]].tolist()
 
 
-def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
+def _enumeration_status(spec, trace_at, trace, k, N, margin, budget, trace_1):
     """Enumeration oracle: the window's fillings fall into classes by their
-    symbols on the trace; the first pair of a class, in stream order, whose
-    second filling extends to [-M, M]^2 agreeing on the larger trace with an
-    extension xhat of the first is a witness.  Row 0's class takes one
-    array pass, the rest are grouped only once it misses, and a symbol dict
-    is built only for a compared member.
+    symbols on the trace.  On an exact half-plane H the origin is asked
+    first, on ``trace_1``, the k = 1 trace: if each class holds one origin
+    symbol, configurations of Z^2 that agree on H agree at the origin,
+    hence everywhere (translate along the boundary line, then line by
+    line), and so do those agreeing on its k-dilation.  The test stops at
+    the first class whose origin varies.  Then the first pair of a class,
+    in stream order, whose second filling extends to [-M, M]^2 agreeing on
+    the larger trace with an extension xhat of the first is a witness; at
+    k = 1 the classes tested are not grouped again, and a symbol dict is
+    built only for a compared member.
 
     xhat equals the first filling on [-N, N]^2, and the larger trace meets
     [-N, N]^2 in the trace, so some member extends exactly when a filling
     agreeing with xhat on the larger trace differs from xhat there.  Two
-    walks of [-M, M]^2, built before the classes, are bound to each: one
+    walks of [-M, M]^2, built after the test, are bound to each class: one
     clamped on [-N, N]^2 finds xhat, as rows, and one clamped on the larger
     trace, read from those rows, asks that and, only where it hits, tries
     the members in stream order.
@@ -502,6 +508,19 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
     symbols = _window_stream(spec, N, budget)
     if symbols is None:
         return Inconclusive(N, k, "budget")
+
+    def classes(trace):  # by the fillings' symbols on it, in one fixed order
+        cells = np.array(trace, dtype=np.intp).reshape(-1, 2) + N
+        yield from _shared_trace_classes(symbols[:, cells[:, 1], cells[:, 0]])
+
+    shared, tested = classes(trace), []
+    if trace_1 is not None:
+        for members in shared if k == 1 else classes(trace_1):
+            tested.append(members)
+            if len(set(symbols[members, N, N].tolist())) > 1:
+                break
+        else:
+            return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
     M = N + margin
     trace_M, _ = trace_at(M)
     sites, alphabet = box_sites(N), spec.alphabet
@@ -513,10 +532,8 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
         values = map(alphabet.__getitem__, symbols[i].ravel().tolist())
         return dict(zip(sites, values))
 
-    # a filling's class is its symbols on the trace, read in one fixed order
-    cells = np.array(trace, dtype=np.intp).reshape(-1, 2) + N
-    forced = True
-    for members in _shared_trace_classes(symbols[:, cells[:, 1], cells[:, 0]]):
+    forced = trace_1 is None  # other horoballs ask the origin here
+    for members in itertools.chain(tested if k == 1 else (), shared):
         forced = forced and len(set(symbols[members, N, N].tolist())) == 1
         # the stream has no repeats, so every other member differs from rep
         rep, *others = members
@@ -535,7 +552,7 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget):
         return Witness((_member(N, reference), _member(N, filling(other))),
                        N, k, evidence={"margin": margin,
                                        "trace_size": len(trace)})
-    if forced:
+    if forced or trace_1 is not None and k > 1:  # k > 1: a traced origin
         return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
     return Inconclusive(N, k, "origin not forced; no extendable witness")
 
@@ -567,16 +584,19 @@ def _status(spec, horoball, k, N, margin, budget, method):
     if not hits:
         return Inconclusive(N, k, "horoball misses window")
     if margin is None:
-        # a window claim only: a kernel or enumerate witness extends to the
-        # margin window, whose boundary still fakes some (Ledrappier's (2,1)
-        # and (1,2) at k=1, N=2); auto decides half-planes by hull normals
+        # a window claim only: a witness extends to the margin window, whose
+        # boundary still fakes some under kernel (Ledrappier's (2,1) and (1,2)
+        # at k=1, N=2); auto decides half-planes by hull normals
         margin = N - k + 2
     if method == "auto" and isinstance(spec, FullShift):
         return _fullshift_status(spec, trace, k, N)
     if method == "kernel" or (method == "auto" and linear):
         normal = halfplane if method == "auto" else None
         return _linear_status(spec, trace_at, trace, k, N, margin, normal)
-    return _enumeration_status(spec, trace_at, trace, k, N, margin, budget)
+    trace_1 = (None if halfplane is None else trace if k == 1 else
+               dilated_trace(horoball.contains, 1, N, normal=halfplane)[0])
+    return _enumeration_status(spec, trace_at, trace, k, N, margin, budget,
+                               trace_1)
 
 
 def direction_status(spec, v, k, N, margin=None, budget=DEFAULT_FILLING_BUDGET,

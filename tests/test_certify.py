@@ -319,6 +319,19 @@ def _counted_sorts(monkeypatch):
     return calls
 
 
+def _counted_walks(monkeypatch):
+    """(N, clamped) of each ``_RowTransfer`` built from now on, patched on
+    the class itself, so a walk made under any module's name counts."""
+    walks, init = [], subshifts._RowTransfer.__init__
+
+    def counted(self, spec, N, clamp, *turn, **kwargs):
+        walks.append((N, bool(clamp)))
+        init(self, spec, N, clamp, *turn, **kwargs)
+
+    monkeypatch.setattr(subshifts._RowTransfer, "__init__", counted)
+    return walks
+
+
 class TestTraceClasses:
     SPECS = {
         "three-symbol": SFT((0, 1, 2), [{(0, 0): 2, (0, 1): 2},
@@ -604,6 +617,20 @@ class TestWitnessScan:
         assert witnesses["auto"] and witnesses["kernel"]
 
 
+def _hull_normals(support):
+    """The primitive outward edge normals of the convex hull of a GF(2)
+    support's sites of odd multiplicity, computed from pairs of sites."""
+    odd = [p for p, c in collections.Counter(support).items() if c % 2]
+    normals = set()
+    for p, q in itertools.permutations(odd, 2):
+        g = math.gcd(q[1] - p[1], p[0] - q[0])
+        n = ((q[1] - p[1]) // g, (p[0] - q[0]) // g)
+        if all(s[0] * n[0] + s[1] * n[1] <= p[0] * n[0] + p[1] * n[1]
+               for s in odd):
+            normals.add(n)
+    return normals
+
+
 class TestDirectionStatus:
     def test_hull_normal_directions_are_witnesses(self):
         spec = ledrappier()
@@ -632,23 +659,61 @@ class TestDirectionStatus:
             assert direction_status(spec, (0, 1), 2, N).kind == "window-deterministic"
             assert direction_status(spec, (0, -1), 2, N).kind == "witness"
 
+    # enumerate is compared with the known answer, the hull normals; kernel
+    # finds each of them too, and its extra witnesses are margin artifacts
+    # (correctness gap 1) that still hold as window claims
     def test_kernel_vs_enumeration_oracle(self):
-        spec = ledrappier()
+        spec, normals = ledrappier(), _hull_normals(ledrappier().support)
+        extra = set()
         for v in ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1)):
             kcert = direction_status(spec, v, 2, 3, margin=2, method="kernel")
             ecert = direction_status(spec, v, 2, 3, margin=2, method="enumerate")
-            assert kcert.kind == ecert.kind, (v, kcert, ecert)
-            if kcert.kind == "witness":
-                assert verify_witness(spec, Direction(*v).contains, kcert)
-                assert verify_witness(spec, Direction(*v).contains, ecert)
+            hull = v in normals
+            assert ecert.kind == ("witness" if hull else
+                                  "window-deterministic"), (v, ecert)
+            assert ecert.kind == direction_status(spec, v, 2, 3).kind
+            assert kcert.kind == "witness" or not hull, (v, kcert)
+            for cert in (kcert, ecert):
+                if cert.kind == "witness":
+                    assert verify_witness(spec, Direction(*v).contains, cert)
+            if kcert.kind != ecert.kind:
+                extra.add(v)
+        assert extra == {(0, 1), (1, 0)}
 
     def test_kernel_vs_enumeration_repeated_site(self):
-        # a repeated support site cancels in GF(2): this rule is x_{1,0} = x_{0,1}
+        # a repeated support site cancels in GF(2): this rule is x_{1,0} =
+        # x_{0,1}, whose only nonexpansive directions are +-(1,1)
         spec = LinearGF2([(0, 0), (0, 0), (1, 0), (0, 1)])
-        for v in ((0, 1), (1, 0), (1, -1), (-1, 1)):
-            kcert = direction_status(spec, v, 1, 2, margin=1, method="kernel")
-            ecert = direction_status(spec, v, 1, 2, margin=1, method="enumerate")
-            assert kcert.kind == ecert.kind, (v, kcert, ecert)
+        assert _hull_normals(spec.support) == {(1, 1), (-1, -1)}
+        witnesses = {"kernel": set(), "enumerate": set()}
+        for v in farey_directions(1):
+            for method, found in witnesses.items():
+                cert = direction_status(spec, v, 1, 2, margin=1, method=method)
+                if cert.kind == "witness":
+                    assert verify_witness(spec, v.contains, cert), (v, method)
+                    found.add((v.a, v.b))
+                else:
+                    assert cert.kind == "window-deterministic", (v, method)
+        assert witnesses["enumerate"] == {(1, 1), (-1, -1)}
+        assert witnesses["kernel"] == {(1, 1), (-1, -1), (1, 0), (0, 1),
+                                       (-1, 0), (0, -1)}
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_enumeration_on_an_empty_window(self, monkeypatch, k):
+        # no filling of [-2, 2]^2 exists, so the origin test has no class
+        # to read: every direction is deterministic, as before the test came
+        # first, and no walk of the margin window is built
+        spec = SFT((0, 1), [{(0, 0): 0}, {(0, 0): 1}])
+        walks = _counted_walks(monkeypatch)
+        _window_stream.cache_clear()
+        for v in farey_directions(1):
+            size = 10 if k == 1 else 15 if 0 in (v.a, v.b) else 19
+            assert size == len(dilated_trace(v.contains, k, 2)[0])
+            assert direction_status(spec, v, k, 2, method="enumerate") \
+                .to_dict() == {"kind": "window-deterministic", "N": 2,
+                               "k": k, "evidence": {"trace_size": size}}
+        _window_stream.cache_clear()
+        assert walks == [(2, False)]
 
     def test_auto_vs_kernel_repeated_site(self):
         # the hull criterion of ``auto`` must see the GF(2) support too
@@ -949,13 +1014,7 @@ class TestNDSet:
         """auto's witnesses over farey:2 are the known answer for a GF(2)
         rule, the outward normals of its hull's edges (Einsiedler-Lind-
         Miles-Ward), and every other direction is window-deterministic."""
-        normals = set()
-        for p, q in itertools.permutations(support, 2):
-            g = math.gcd(q[1] - p[1], p[0] - q[0])
-            n = ((q[1] - p[1]) // g, (p[0] - q[0]) // g)
-            if all(s[0] * n[0] + s[1] * n[1] <= p[0] * n[0] + p[1] * n[1]
-                   for s in support):
-                normals.add(n)
+        normals = _hull_normals(support)
         report = nd_set(LinearGF2(support), k, N, grid="farey:2")
         wit = {(d.a, d.b) for d in report.witness_directions()}
         assert wit == normals & {(d.a, d.b) for d in farey_directions(2)}
@@ -963,6 +1022,44 @@ class TestNDSet:
             assert wit == {(0, -1), (-1, 0), (1, 1)}
         assert all(isinstance(c, WindowDeterministic)
                    for d, c in report.entries if (d.a, d.b) not in wit)
+
+    # the 4-site rules at (2, 3) run out of the default filling budget
+    @pytest.mark.parametrize("support, k, N", [
+        (ledrappier().support, 1, 2), (ledrappier().support, 2, 3),
+        (ledrappier().support, 1, 3), (R3, 1, 2),
+        (((0, 0), (0, 0), (1, 0), (0, 1)), 1, 2),
+        (((0, 0), (0, 1), (1, 2), (2, 0)), 1, 2),
+        (((0, 0), (0, 2), (1, 1), (2, 0)), 1, 2)], ids=str)
+    def test_enumeration_witnesses_are_hull_normals(self, monkeypatch,
+                                                    support, k, N):
+        """enumerate's witnesses over farey:2 are the hull normals too.
+        Everywhere else the origin is forced on the k = 1 trace, by the
+        independent re-check, and the oracle says so before it builds any
+        walk of the margin window; at a hull normal it builds two."""
+        spec, normals = LinearGF2(support), _hull_normals(support)
+        # the re-check lists the window's fillings once, not per direction
+        listed = functools.lru_cache(maxsize=1)(
+            lambda spec, N: list(enumerate_fillings(spec, N)))
+        monkeypatch.setattr(certify, "enumerate_fillings", listed)
+        walks = _counted_walks(monkeypatch)
+        _window_stream.cache_clear()
+        try:
+            for v in farey_directions(2):
+                walks.clear()
+                cert = direction_status(spec, v, k, N, method="enumerate")
+                margin_walks = [w for w in walks if w[1]]
+                forced = verify_window_deterministic(
+                    spec, v.contains, WindowDeterministic(N, 1))
+                assert forced == ((v.a, v.b) not in normals), v
+                if forced:
+                    assert cert.kind == "window-deterministic", v
+                    assert margin_walks == [], v
+                else:
+                    assert cert.kind == "witness", v
+                    assert verify_witness(spec, v.contains, cert), v
+                    assert len(margin_walks) == 2, v
+        finally:
+            _window_stream.cache_clear()
 
     def test_entries_cover_grid_in_order(self):
         grid = parse_grid("farey:1")
@@ -1120,6 +1217,11 @@ CLASS_CASES = {
 }
 
 
+# a real witness, at a hull normal of R3, whose first class that varies
+# tries members that extend to no filling before one that does
+R3_WITNESS = (LinearGF2(R3), Direction(0, -1), 1, 2, 1)
+
+
 class TestExtensionWalk:
     @pytest.mark.parametrize("spec, k, N, margin, directions",
                              CLASS_CASES.values(), ids=CLASS_CASES.keys())
@@ -1131,12 +1233,12 @@ class TestExtensionWalk:
                 seen.add(walk)
         assert seen
 
-    @pytest.mark.parametrize("v", [(-1, 0), (0, -1)])
-    def test_witness_is_the_first_member_that_extends(self, v):
-        # here the first class that varies has a member before the first
-        # one that extends, and that member extends to no filling
-        spec, k, N, margin, _ = CLASS_CASES["repeated-site"]
-        v, M = Direction(*v), N + margin
+    def test_witness_is_the_first_member_that_extends(self):
+        # here, at a hull normal, the first class that varies has members
+        # before the first one that extends, and those extend to no filling
+        spec, v, k, N, margin = R3_WITNESS
+        M = N + margin
+        assert (v.a, v.b) in _hull_normals(spec.support)
         trace_M, _ = dilated_trace(v.contains, k, M)
         for rep, *others in _shared_classes(spec, v, k, N):
             xhat = next(enumerate_fillings(spec, M, clamp=rep), None)
@@ -1151,11 +1253,10 @@ class TestExtensionWalk:
                                 method="enumerate")
         assert cert.pair == (certify._member(N, rep), certify._member(N, y))
 
-    @pytest.mark.parametrize("v", [(-1, 0), (0, -1)])
-    def test_member_tests_share_one_walk(self, monkeypatch, v):
+    def test_member_tests_share_one_walk(self, monkeypatch):
         # the class that varies tries two or more members (see above), all
         # on the one walk it builds after its varies_inside walk
-        spec, k, N, margin, _ = CLASS_CASES["repeated-site"]
+        spec, v, k, N, margin = R3_WITNESS
         members = []
         fillings = subshifts._RowTransfer.fillings
 
@@ -1171,9 +1272,10 @@ class TestExtensionWalk:
         assert all(walk is members[0] for walk in members)
 
     def test_one_clamp_parse_per_build(self, monkeypatch):
-        # oracle-extend's two commands: a walk per direction and clamped site
-        # set, rebound per class, parses only the clamp it is built with
-        # (386 walks and parses when every class built its own)
+        # R3 at k = 1, N = 1 in two directions that fail the origin test and
+        # find no witness, so their 24 shared classes are all walked: a walk
+        # per direction and clamped site set, rebound per class, parses only
+        # the clamp it is built with
         parses, walks = [], []
         symbols, init = subshifts._symbols, subshifts._RowTransfer.__init__
 
@@ -1187,35 +1289,26 @@ class TestExtensionWalk:
 
         monkeypatch.setattr(subshifts, "_symbols", parsed)
         monkeypatch.setattr(subshifts._RowTransfer, "__init__", built)
-        for k in (1, 2):
+        for v in ((-1, 2), (1, -1)):
             _window_stream.cache_clear()
-            direction_status(ledrappier(), (1, 0), k, 2, method="enumerate")
+            cert = direction_status(LinearGF2(R3), v, 1, 1, method="enumerate")
+            assert cert.kind == "inconclusive"
         assert len(parses) == len(walks) <= 6
 
-    def test_at_most_three_walks_per_direction(self, monkeypatch):
-        # the free window's walk, then the margin window's walks on the
-        # inner box and on the trace, which serve every shared class
-        walks = []
-        init = subshifts._RowTransfer.__init__
-
-        def counted(self, spec, N, clamp, *turn, **kwargs):
-            walks.append((N, bool(clamp)))
-            init(self, spec, N, clamp, *turn, **kwargs)
-
-        for k, M, most in ((1, 5, 128), (2, 4, 256)):
+    def test_deterministic_directions_build_only_the_free_walk(self,
+                                                              monkeypatch):
+        # the k = 1 origin test settles oracle-extend's two directions from
+        # the free window's walk, before any walk of the margin window
+        for k, most in ((1, 128), (2, 256)):
             shared = _shared_classes(ledrappier(), Direction(1, 0), k, 2)
             assert 2 < len(shared) <= most
-            walks.clear()
             _window_stream.cache_clear()
-            # on the class itself, so a walk made under any module's name
-            # counts
             with monkeypatch.context() as patched:
-                patched.setattr(subshifts._RowTransfer, "__init__", counted)
+                walks = _counted_walks(patched)
                 cert = direction_status(ledrappier(), (1, 0), k, 2,
                                         method="enumerate")
             assert cert.kind == "window-deterministic"
-            assert walks[0] == (2, False) and len(walks) <= 3
-            assert set(walks[1:]) == {(M, True)}
+            assert walks == [(2, False)]
 
     def test_origin_test_agrees_with_the_recheck(self):
         # where no class finds a witness, the oracle says deterministic
@@ -1260,8 +1353,9 @@ class TestExtensionWalk:
         assert len(plans) <= 10
 
     def test_walks_meet_the_clamp_first(self, monkeypatch):
-        # every walk at (1, 0) misses, and its clamp is the left half:
-        # walked up from the bottom row, they expand 15,582 row states
+        # R3 at k = 1, N = 1: both directions fail the origin test and walk
+        # every class, and their trace clamps lie above and to the left;
+        # walked up from the bottom row, they expand 283,282 row states
         expansions = []
         next_rows = subshifts._RowTransfer._next_rows
 
@@ -1272,11 +1366,11 @@ class TestExtensionWalk:
         monkeypatch.setattr(subshifts._RowTransfer, "_next_rows", counted)
         subshifts._check_plan.cache_clear()
         _window_stream.cache_clear()
-        for k in (1, 2):
-            cert = direction_status(ledrappier(), (1, 0), k, 2,
+        for v in ((-1, -2), (1, -1)):
+            cert = direction_status(LinearGF2(R3), v, 1, 1,
                                     method="enumerate")
-            assert cert.kind == "window-deterministic"
-        assert len(expansions) <= 6000
+            assert cert.kind == "inconclusive"
+        assert len(expansions) <= 1500
 
 
 class _SetHoroball:
