@@ -204,8 +204,9 @@ class NDReport:
 
 def _member(N, symbols):
     """A window pair member in artifact form: N and [x, y, symbol] for each
-    site of [-N, N]^2 in ``box_sites`` order, read from the dict ``symbols``."""
-    return {"N": N, "symbols": [[x, y, symbols[x, y]] for x, y in box_sites(N)]}
+    site of [-N, N]^2, the ``symbols`` given in ``box_sites`` order."""
+    return {"N": N, "symbols": [[x, y, v] for (x, y), v in
+                                zip(box_sites(N), symbols)]}
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +332,31 @@ def _window_kernel(support, M):
     return mask, next(free)
 
 
-def _rank_rows(support, sites, M, mask):
-    """The masks of ``mask``, a kernel on [-M, M]^2 or a larger box, at those
-    of ``sites`` (in [-M, M]^2, kept in order) that can add rank to the rest:
-    the raster-last odd cell of a placement in [-M, M]^2 is the xor of its
-    other odd cells, so when those are sites too its row is the xor of
-    theirs, and dropping every such row leaves the row space as it was."""
+def _rank_rows(support, columns, M, mask):
+    """The masks of ``mask``, a kernel on [-M, M]^2 or a larger box, at the
+    sites of ``columns`` (the sorted y at each x of [-M, M]) that can add
+    rank to the rest, in sorted (x, y) order: the raster-last odd cell of a
+    placement in [-M, M]^2 is the xor of its other odd cells, so when those
+    are sites too its row is the xor of theirs, and dropping every such row
+    leaves the row space as it was.  In a column, such sites lie between
+    the shifted ends of the columns of the other cells: a slice, whose
+    sites are tested one by one only next to a column with a gap."""
     *odd, (lx, ly) = _odd_sites(support)
-    # the sites whose other odd cells are sites too, numbered x*w + y; the
-    # numbering is one to one on the box, which holds every cell of the
-    # placements that lie in it, the rectangle [x0, x1] x [y0, y1]
-    w = 2 * M + 1
-    ids = [x * w + y for x, y in sites]
-    spanned = set(ids).intersection(*(map(((lx - ox) * w + ly - oy).__add__,
-                                          ids) for ox, oy in odd))
     x0, x1, y0, y1 = _lead_rectangle(support, M)
-    return [mask[s] for s, i in zip(sites, ids) if i not in spanned
-            or not (x0 <= s[0] <= x1 and y0 <= s[1] <= y1)]
+    kept = list(columns)
+    for x in range(x0, x1 + 1):  # the leads of placements in the box
+        # the other odd cells of a placement led at (x, y): y + d in c
+        near = [(columns[x + ox - lx + M], oy - ly) for ox, oy in odd]
+        if not all(c for c, _ in near):
+            continue
+        ys = columns[x + M]
+        i = bisect.bisect_left(ys, max([y0, *(c[0] - d for c, d in near)]))
+        j = bisect.bisect_right(ys, min([y1, *(c[-1] - d for c, d in near)]))
+        gaps = [(c, d) for c, d in near if len(c) <= c[-1] - c[0]]
+        mid = [y for y in ys[i:j]
+               if not all(y + d in c for c, d in gaps)] if gaps else ()
+        kept[x + M] = itertools.chain(ys[:i], mid, ys[max(i, j):])
+    return [mask[x, y] for x, ys in zip(range(-M, M + 1), kept) for y in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +381,22 @@ def is_hull_normal(support, v):
     return heights.count(max(heights)) >= 2
 
 
-def _origin_forced(spec, trace, N):
-    """Is the origin symbol of [-N, N]^2 forced by the symbols on the trace?
+def _origin_forced(spec, columns, N):
+    """Is the origin symbol of [-N, N]^2 forced by the symbols on the trace,
+    given as its ``columns`` (the sorted y at each x of [-N, N])?
 
     It is exactly when the origin's mask lies in the span of the trace's
-    masks.  An origin on the (sorted) trace is one of them, so that answer
-    needs no kernel.  Otherwise the rows of ``_rank_rows``, which span what
-    all the trace rows span, are eliminated in sorted site order until the
-    origin's mask reduces to 0 or the rows run out.
+    masks.  An origin on the trace is one of them, so that answer needs no
+    kernel.  Otherwise the rows of ``_rank_rows``, which span what all the
+    trace rows span, are eliminated in sorted site order until the origin's
+    mask reduces to 0 or the rows run out.
     """
-    i = bisect.bisect_left(trace, (0, 0))
-    if i < len(trace) and trace[i] == (0, 0):
+    if 0 in columns[N]:
         return True
     mask, _ = _window_kernel(spec.support, N)
     origin = mask[(0, 0)]
     pivots = {}
-    for r in _rank_rows(spec.support, trace, N, mask):
+    for r in _rank_rows(spec.support, columns, N, mask):
         if not origin:
             break
         if r := _reduce(r, pivots):
@@ -396,10 +405,21 @@ def _origin_forced(spec, trace, N):
     return not origin
 
 
-def _linear_status(spec, trace_at, trace, k, N, margin, normal=None):
+@functools.lru_cache(maxsize=4)  # read at every hull normal of an nd run
+def _box_rows(support, N, M):
+    """The masks of the kernel on [-M, M]^2 at the sites of [-N, N]^2, in
+    ``box_sites`` order, and its ``_rank_rows`` on that box."""
+    mask, _ = _window_kernel(support, M)
+    box = range(-N, N + 1)
+    return (tuple(map(mask.__getitem__, box_sites(N))),
+            tuple(_rank_rows(support, [box] * len(box), N, mask)))
+
+
+def _linear_status(spec, columns_at, trace, k, N, margin, normal=None):
     """LinearGF2 certificate from the window kernels.
 
-    ``trace_at(M)`` is the dilated trace on [-M, M]^2.  ``normal`` is the
+    ``columns_at(M)`` is the dilated trace on [-M, M]^2 as the sorted y at
+    each x of [-M, M]: ranges on a half-plane.  ``normal`` is the
     primitive outward normal when the horoball is an exact half-plane.  The
     window kernel search alone cannot distinguish genuine asymptotic
     behavior from boundary artifacts for slanted expansive directions (the
@@ -408,30 +428,29 @@ def _linear_status(spec, trace_at, trace, k, N, margin, normal=None):
     criterion and comes here only at a hull normal, where the window
     exhibits the certificate.
 
-    The null space of the margin trace's ``_rank_rows`` has the basis of
-    all its rows, one vector per free column of the same row space.  A
-    combination vanishes on [-N, N]^2 exactly when it vanishes on that
-    box's ``_rank_rows``, the sites its own solve leaves free, so the scan
-    reads only their parities, and builds the symbol map only of the
-    combination that hits.
+    The null space of the margin trace's ``_rank_rows``, read from its
+    columns without listing its sites, has the basis of all its rows, one
+    vector per free column of the same row space.  A combination vanishes
+    on [-N, N]^2 exactly when it vanishes on that box's ``_rank_rows``, the
+    sites its own solve leaves free, so the scan reads only their
+    parities, and builds the symbols only of the combination that hits.
     """
     M = N + margin
-    trace_M, _ = trace_at(M)
     mask, dim = _window_kernel(spec.support, M)
-    inner = box_sites(N)
-    free = _rank_rows(spec.support, inner, N, mask)
-    for c in gf2_nullspace(_rank_rows(spec.support, trace_M, M, mask), dim):
+    masks, free = _box_rows(spec.support, N, M)
+    for c in gf2_nullspace(_rank_rows(spec.support, columns_at(M), M, mask),
+                           dim):
         if any((c & m).bit_count() & 1 for m in free):
-            y = {s: (c & mask[s]).bit_count() & 1 for s in inner}
             evidence = {"margin": margin, "trace_size": len(trace)}
             if normal is not None:
                 evidence["hull-normal"] = list(normal)
-            return Witness((_member(N, dict.fromkeys(inner, 0)), _member(N, y)),
+            y = [(c & m).bit_count() & 1 for m in masks]
+            return Witness((_member(N, [0] * len(y)), _member(N, y)),
                            N, k, evidence=evidence)
     if normal is not None:
         return Inconclusive(N, k, "hull normal direction but no window "
                                   "witness at this scale; enlarge N")
-    if _origin_forced(spec, trace, N):
+    if _origin_forced(spec, columns_at(N), N):
         return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
     return Inconclusive(N, k, "origin not forced; no extendable witness")
 
@@ -447,8 +466,8 @@ def _fullshift_status(spec, trace, k, N):
     # center (deterministic tie-break by raster order)
     site = max(free, key=lambda s: (max(abs(s[0]), abs(s[1])), s[1], s[0]))
     a0, a1 = spec.alphabet[:2]
-    x = dict.fromkeys(inner, a0)
-    return Witness((_member(N, x), _member(N, {**x, site: a1})), N, k,
+    y = [a1 if s == site else a0 for s in inner]
+    return Witness((_member(N, [a0] * len(y)), _member(N, y)), N, k,
                    evidence={"difference_site": site, "trace_size": len(trace)})
 
 
@@ -549,7 +568,8 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget, trace_1):
         # a filling that differs from xhat inside [-N, N]^2 restricts there
         # to another member of the class, so some member extends
         other = next(o for o in others if any(extends.fillings(filling(o), N)))
-        return Witness((_member(N, reference), _member(N, filling(other))),
+        return Witness((_member(N, reference.values()),
+                        _member(N, filling(other).values())),
                        N, k, evidence={"margin": margin,
                                        "trace_size": len(trace)})
     if forced or trace_1 is not None and k > 1:  # k > 1: a traced origin
@@ -571,12 +591,20 @@ def _status(spec, horoball, k, N, margin, budget, method):
     halfplane = horoball.halfplane_normal()
     trace_at = functools.partial(dilated_trace, horoball.contains, k,
                                  normal=halfplane)
+
+    def columns_at(M):  # the sorted y of the trace on [-M, M]^2 at each x
+        if halfplane is not None:
+            return _halfplane_rows(halfplane, k, M)
+        columns = [[] for _ in range(2 * M + 1)]
+        for x, y in trace if M == N else trace_at(M)[0]:
+            columns[x + M].append(y)
+        return columns
     if (method == "auto" and linear and halfplane is not None
             and not is_hull_normal(spec.support, halfplane)):
-        # the origin is a trace site at k >= 2 (rows[N] is x = 0): the rows
-        # say so and give the trace's size without listing it
-        rows = _halfplane_rows(halfplane, k, N)
-        if 0 in rows[N] or _origin_forced(spec, trace_at(N)[0], N):
+        # the rows give the trace's size without listing it, and the origin
+        # is a trace site at k >= 2 (rows[N] is x = 0)
+        rows = columns_at(N)
+        if _origin_forced(spec, rows, N):
             return WindowDeterministic(
                 N, k, evidence={"trace_size": sum(map(len, rows))})
         return Inconclusive(N, k, "origin not forced")
@@ -592,7 +620,7 @@ def _status(spec, horoball, k, N, margin, budget, method):
         return _fullshift_status(spec, trace, k, N)
     if method == "kernel" or (method == "auto" and linear):
         normal = halfplane if method == "auto" else None
-        return _linear_status(spec, trace_at, trace, k, N, margin, normal)
+        return _linear_status(spec, columns_at, trace, k, N, margin, normal)
     trace_1 = (None if halfplane is None else trace if k == 1 else
                dilated_trace(horoball.contains, 1, N, normal=halfplane)[0])
     return _enumeration_status(spec, trace_at, trace, k, N, margin, budget,

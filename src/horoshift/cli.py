@@ -394,6 +394,7 @@ def main(argv=None):
             _write(args.out, "partial_report.json", serialize.json_dumps(
                 {"error": "budget-exhausted", "budget": e.budget,
                  "count": e.count}))
+            _log(args.out, "wrote partial_report.json")
         except OSError:
             pass
         return 3

@@ -118,6 +118,11 @@ def _vanishing_on(mask, dim, sites):
     return gf2_nullspace([mask[s] for s in sites], dim)
 
 
+def _member(N, symbols):
+    """``certify._member`` of the symbol dict ``symbols`` of [-N, N]^2."""
+    return certify._member(N, map(symbols.get, box_sites(N)))
+
+
 def _solve_forward_reference(support, sites, free):
     """The GF(2) rule with ``support`` solved site by site on ``sites``, in
     raster order: the raster-last odd-multiplicity cell of each placement is
@@ -535,6 +540,30 @@ RANK_SUPPORTS = TestWindowKernel.SUPPORTS + [
     R3, ((0, 0), (1, 0), (0, 1), (2, 0), (2, 0))]
 
 
+def _columns(sites, M):
+    """The sorted y of the sorted ``sites`` at each x of [-M, M], as lists."""
+    columns = [[] for _ in range(2 * M + 1)]
+    for x, y in sites:
+        columns[x + M].append(y)
+    return columns
+
+
+def _rank_rows_by_sets(support, sites, M, mask):
+    """``_rank_rows`` as a set intersection over listed ``sites`` (sorted):
+    the masks at the sites that are not the raster-last odd cell of a
+    placement in [-M, M]^2 whose other odd cells are sites too."""
+    *odd, (lx, ly) = subshifts._odd_sites(support)
+    # sites numbered x*w + y, one to one on the box, which holds every cell
+    # of the placements led in the rectangle [x0, x1] x [y0, y1]
+    w = 2 * M + 1
+    ids = [x * w + y for x, y in sites]
+    spanned = set(ids).intersection(*(map(((lx - ox) * w + ly - oy).__add__,
+                                          ids) for ox, oy in odd))
+    x0, x1, y0, y1 = subshifts._lead_rectangle(support, M)
+    return [mask[s] for s, i in zip(sites, ids) if i not in spanned
+            or not (x0 <= s[0] <= x1 and y0 <= s[1] <= y1)]
+
+
 def _traces(M):
     """(name, trace on [-M, M]^2) of every farey:4 half-plane and of some
     quarter-spaces, at k = 1, 2 and 3."""
@@ -557,11 +586,51 @@ class TestRankRows:
         for M in (3, 5, 8):
             mask, dim = _window_kernel(support, M)
             for name, trace in _traces(M):
-                rows = certify._rank_rows(support, trace, M, mask)
+                rows = certify._rank_rows(support, _columns(trace, M), M,
+                                          mask)
                 assert gf2_nullspace(rows, dim) == \
                     _vanishing_on(mask, dim, trace), (M, name)
                 kept, total = kept + len(rows), total + len(trace)
         assert kept < total / 2
+
+    @pytest.mark.parametrize("support", [
+        ledrappier().support, R3, ((0, 0), (0, 0), (1, 0), (0, 1))], ids=str)
+    def test_columns_equal_the_set_reference(self, support):
+        """The same rows in the same order as the set intersection over the
+        listed trace: half-plane ranges, the box, a quarter space's lists."""
+        support = LinearGF2(support).support
+        quarter = Horoball(PolyhedralZ2("quarter-space", apex=(0, 0),
+                                        opening="+x")).contains
+        # (2, 4): the scale of the README's horoball command
+        for k, N in ((1, 2), (2, 3), (3, 6), (2, 4)):
+            for M in range(N, 2 * N + 2):
+                mask, _ = _window_kernel(support, M)
+                box = range(-N, N + 1)
+                assert certify._rank_rows(support, [box] * len(box), N, mask) \
+                    == _rank_rows_by_sets(support, sorted(box_sites(N)), N,
+                                          mask), (N, M)
+                for v in farey_directions(4):
+                    rows = certify._halfplane_rows((v.a, v.b), k, M)
+                    trace, _ = dilated_trace(v.contains, k, M)
+                    assert certify._rank_rows(support, rows, M, mask) == \
+                        _rank_rows_by_sets(support, trace, M, mask), (v, k, M)
+                trace, _ = dilated_trace(quarter, k, M)
+                assert certify._rank_rows(support, _columns(trace, M), M,
+                                          mask) == \
+                    _rank_rows_by_sets(support, trace, M, mask), (k, M)
+
+    @pytest.mark.parametrize("support", RANK_SUPPORTS, ids=str)
+    def test_columns_with_gaps(self, support):
+        """Columns with gaps, or empty, test the sites between the ends."""
+        support, rng = LinearGF2(support).support, random.Random(7)
+        for M in (2, 3, 5):
+            mask, _ = _window_kernel(support, M)
+            for density in (0.3, 0.7, 0.9):
+                sites = [s for s in sorted(box_sites(M))
+                         if rng.random() < density]
+                assert certify._rank_rows(support, _columns(sites, M), M,
+                                          mask) == \
+                    _rank_rows_by_sets(support, sites, M, mask), (M, density)
 
 
 class TestOriginForced:
@@ -574,7 +643,8 @@ class TestOriginForced:
             for name, trace in _traces(N):
                 want = not any(_parity(c, mask[0, 0])
                                for c in _vanishing_on(mask, dim, trace))
-                assert _origin_forced(spec, trace, N) == want, (N, name)
+                assert _origin_forced(spec, _columns(trace, N), N) == want, \
+                    (N, name)
                 seen.add(want)
         assert seen == {True, False}
 
@@ -590,8 +660,7 @@ def _dict_per_vector_pair(spec, v, k, N):
     for c in _vanishing_on(mask, dim, trace_M):
         y = {s: _parity(c, mask[s]) for s in inner}
         if any(y.values()):
-            return [certify._member(N, dict.fromkeys(inner, 0)),
-                    certify._member(N, y)]
+            return [_member(N, dict.fromkeys(inner, 0)), _member(N, y)]
     return None
 
 
@@ -845,15 +914,13 @@ class TestVerifyWitness:
         # admissible, but nonzero on the trace: only the trace test refuses it
         on_trace = next(f for f in enumerate_fillings(self.spec, 4)
                         if any(f[s] for s in trace))
-        assert not self.check(certify._member(4, zero),
-                              certify._member(4, on_trace))
+        assert not self.check(_member(4, zero), _member(4, on_trace))
 
     def test_inadmissible_member_refused(self):
         zero = {s: 0 for s in box_sites(4)}
         # one symbol far below the horoball breaks the rule there
         lone = {**zero, (0, -4): 1}
-        assert not self.check(certify._member(4, zero),
-                              certify._member(4, lone))
+        assert not self.check(_member(4, zero), _member(4, lone))
 
     def test_symbol_outside_alphabet_refused(self):
         x, y = self.cert.pair
@@ -1092,20 +1159,26 @@ class TestNDSet:
     def test_nd_builds_only_the_margin_kernel(self, monkeypatch):
         """At k = 3 the origin of every direction is a trace site, so the
         origin test builds no kernel, eliminates nothing and lists no trace:
-        one kernel, on the margin window, traces only at the hull normals,
-        every reduction inside gf2_nullspace, and O(M) rows for each."""
-        builds, depth, normals = [], [0], []
+        one kernel, on the margin window, traces only at the hull normals
+        and only on [-N, N]^2, every reduction inside gf2_nullspace, O(M)
+        rows for each, and the box's rank rows built once."""
+        builds, depth, normals, ranked = [], [0], [], []
         M = 6 + (6 - 3 + 2)
         solve_forward, trace = certify.solve_forward, certify.dilated_trace
         nullspace, reduce = certify.gf2_nullspace, certify._reduce
+        rank_rows = certify._rank_rows
 
         def counted(support, box, free):
             builds.append(box)  # the box [-box, box]^2
             return solve_forward(support, box, free)
 
         def traced(contains, k, N, normal=None):
-            normals.append(normal)
+            normals.append((normal, N))
             return trace(contains, k, N, normal)
+
+        def ranks(support, columns, box, mask):
+            ranked.append(box)
+            return rank_rows(support, columns, box, mask)
 
         def solve(rows, ncols):
             assert len(rows) <= 4 * (2 * M + 1)
@@ -1123,17 +1196,47 @@ class TestNDSet:
         monkeypatch.setattr(certify, "dilated_trace", traced)
         monkeypatch.setattr(certify, "gf2_nullspace", solve)
         monkeypatch.setattr(certify, "_reduce", reduced)
+        monkeypatch.setattr(certify, "_rank_rows", ranks)
         _window_kernel.cache_clear()
+        certify._box_rows.cache_clear()
         try:
             report = nd_set(ledrappier(), 3, 6, "farey:8+diag")
             assert _window_kernel.cache_info().misses == 1
         finally:
             _window_kernel.cache_clear()
+            certify._box_rows.cache_clear()
         assert builds == [M] == [11]
         hull = {(0, -1), (-1, 0), (1, 1)}
         assert {(d.a, d.b) for d in report.witness_directions()} == hull
-        # the trace on [-N, N]^2 and on the margin window
-        assert sorted(normals) == sorted(2 * list(hull))
+        # the trace on [-N, N]^2 only: the margin trace is read as ranges
+        assert sorted(normals) == sorted((n, 6) for n in hull)
+        # the box [-N, N]^2 once, the margin trace at each hull normal
+        assert sorted(ranked) == [6, M, M, M]
+
+    def test_certificates_share_no_mutable_object(self):
+        """Editing one certificate's pair or evidence leaves every other
+        certificate, and a later run, as it was."""
+        spec = LinearGF2(R3)
+        runs = [nd_set(spec, k, N, "farey:2", method=method)
+                for k, N, method in ((1, 3, "auto"), (2, 3, "auto"),
+                                     (1, 2, "kernel"), (1, 2, "enumerate"))]
+        runs.append(nd_set(FullShift((0, 1)), 1, 2, "farey:1"))
+        certs = [c for report in runs for _, c in report.entries]
+        assert sum(c.kind == "witness" for c in certs) >= 8
+        first = [json_dumps(c.to_dict()) for _, c in runs[0].entries]
+        for i, cert in enumerate(certs):
+            if cert.kind != "witness":
+                continue
+            before = [json_dumps(c.to_dict()) for c in certs]
+            for member in cert.pair:
+                member["symbols"][0][2] = "edited"
+                member["symbols"].append([0, 0, "edited"])
+            cert.evidence["edited"] = True
+            after = [json_dumps(c.to_dict()) for c in certs]
+            assert [b for j, b in enumerate(before) if j != i] == \
+                [a for j, a in enumerate(after) if j != i], i
+        again = nd_set(spec, 1, 3, "farey:2")
+        assert [json_dumps(c.to_dict()) for _, c in again.entries] == first
 
     def test_enumeration_walks_the_window_once(self, monkeypatch):
         hard_square = SFT((0, 1), [{(0, 0): 1, (1, 0): 1},
@@ -1251,7 +1354,7 @@ class TestExtensionWalk:
         y = others[extends.index(True)]
         cert = direction_status(spec, v, k, N, margin=margin,
                                 method="enumerate")
-        assert cert.pair == (certify._member(N, rep), certify._member(N, y))
+        assert cert.pair == (_member(N, rep), _member(N, y))
 
     def test_member_tests_share_one_walk(self, monkeypatch):
         # the class that varies tries two or more members (see above), all

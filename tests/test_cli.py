@@ -18,6 +18,12 @@ def read_json(tmp_path, name):
         return json.load(f)
 
 
+def _logged(tmp_path):
+    """The messages of ``run.log``, each line less its timestamp."""
+    with open(os.path.join(tmp_path, "run.log"), encoding="utf-8") as f:
+        return [line.split(" ", 1)[1] for line in f.read().splitlines()]
+
+
 class TestND:
     def test_nd_artifacts(self, tmp_path):
         rc = run(tmp_path, "nd", "--system", "ledrappier", "--k", "2",
@@ -99,6 +105,7 @@ class TestBusemann:
         assert rc == 3
         d = read_json(tmp_path, "partial_report.json")
         assert d["error"] == "budget-exhausted"
+        assert _logged(tmp_path) == ["wrote partial_report.json"]
 
 
 class TestVerify:
@@ -129,6 +136,7 @@ class TestVerify:
         assert run(tmp_path, "verify", "lemma2.5", "--r-max", "1000000") == 3
         d = read_json(tmp_path, "partial_report.json")
         assert d["error"] == "budget-exhausted"
+        assert _logged(tmp_path) == ["wrote partial_report.json"]
 
     def test_largeness(self, tmp_path):
         rc = run(tmp_path, "verify", "largeness", "--group", "z2-l2",
