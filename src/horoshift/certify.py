@@ -18,12 +18,13 @@ unconstrained edge cells can fake a disagreement.
 
 For GF(2) linear rules the search is linear algebra: valid fillings form a
 GF(2) vector space, so witness pairs correspond to kernel vectors
-vanishing on the trace.  The generic path enumerates fillings and serves
-as the independent oracle: on a half-plane it first asks whether the
-k = 1 trace forces the origin, a proof on Z^2; if not, it settles each
-trace class of fillings with two walks of the larger window, built once
-per direction and rebound per class, clamped on two site sets: the inner
-box, for the class's first extension, then the larger trace.
+vanishing on the trace, sought on a half-plane only at a hull normal.
+The generic path enumerates fillings and serves as the independent
+oracle: on a half-plane it first asks whether the k = 1 trace forces the
+origin, a proof on Z^2; if not, it settles each trace class of fillings
+with two walks of the larger window, built once per direction and rebound
+per class, clamped on two site sets: the inner box, for the class's first
+extension, then the larger trace.
 """
 
 import bisect
@@ -415,44 +416,63 @@ def _box_rows(support, N, M):
             tuple(_rank_rows(support, [box] * len(box), N, mask)))
 
 
-def _linear_status(spec, columns_at, trace, k, N, margin, normal=None):
+def _trace_columns(trace, M):
+    """A sorted site list of [-M, M]^2 as the sorted y at each x."""
+    columns = [[] for _ in range(2 * M + 1)]
+    for x, y in trace:
+        columns[x + M].append(y)
+    return columns
+
+
+def _linear_status(spec, horoball, k, N, margin):
     """LinearGF2 certificate from the window kernels.
 
-    ``columns_at(M)`` is the dilated trace on [-M, M]^2 as the sorted y at
-    each x of [-M, M]: ranges on a half-plane.  ``normal`` is the
-    primitive outward normal when the horoball is an exact half-plane.  The
-    window kernel search alone cannot distinguish genuine asymptotic
-    behavior from boundary artifacts for slanted expansive directions (the
-    artifacts recede only as the margin grows without bound), so for a
-    half-plane ``_status`` decides the existence side by the hull-normal
-    criterion and comes here only at a hull normal, where the window
-    exhibits the certificate.
+    On an exact half-plane the trace is read as ``_halfplane_rows`` ranges,
+    never listed, and the hull-normal criterion decides the side: the
+    window kernel alone cannot tell asymptotic behavior from boundary
+    artifacts for slanted expansive directions (they recede only as the
+    margin grows without bound), so only a hull normal scans for a
+    witness, and every other normal asks ``_origin_forced``.  Any other
+    horoball lists its trace on [-N, N]^2 and [-M, M]^2, M = N + margin,
+    scans, then asks the origin.
 
-    The null space of the margin trace's ``_rank_rows``, read from its
-    columns without listing its sites, has the basis of all its rows, one
-    vector per free column of the same row space.  A combination vanishes
-    on [-N, N]^2 exactly when it vanishes on that box's ``_rank_rows``, the
-    sites its own solve leaves free, so the scan reads only their
-    parities, and builds the symbols only of the combination that hits.
+    The null space of the margin trace's ``_rank_rows`` has the basis of
+    all its rows, one vector per free column of the same row space.  A
+    combination vanishes on [-N, N]^2 exactly when it vanishes on that
+    box's ``_rank_rows``, the sites its own solve leaves free, so the scan
+    reads only their parities, and builds the symbols only of the
+    combination that hits.
     """
-    M = N + margin
-    mask, dim = _window_kernel(spec.support, M)
-    masks, free = _box_rows(spec.support, N, M)
-    for c in gf2_nullspace(_rank_rows(spec.support, columns_at(M), M, mask),
-                           dim):
-        if any((c & m).bit_count() & 1 for m in free):
-            evidence = {"margin": margin, "trace_size": len(trace)}
-            if normal is not None:
-                evidence["hull-normal"] = list(normal)
-            y = [(c & m).bit_count() & 1 for m in masks]
-            return Witness((_member(N, [0] * len(y)), _member(N, y)),
-                           N, k, evidence=evidence)
-    if normal is not None:
-        return Inconclusive(N, k, "hull normal direction but no window "
-                                  "witness at this scale; enlarge N")
-    if _origin_forced(spec, columns_at(N), N):
-        return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
-    return Inconclusive(N, k, "origin not forced; no extendable witness")
+    M, normal = N + margin, horoball.halfplane_normal()
+    if normal is None:
+        trace, hits = dilated_trace(horoball.contains, k, N)
+        if not hits:
+            return Inconclusive(N, k, "horoball misses window")
+        columns, size = _trace_columns(trace, N), {"trace_size": len(trace)}
+        wide = _trace_columns(dilated_trace(horoball.contains, k, M)[0], M)
+    else:
+        columns = _halfplane_rows(normal, k, N)
+        size = {"trace_size": sum(map(len, columns))}
+        wide = (_halfplane_rows(normal, k, M)
+                if is_hull_normal(spec.support, normal) else None)
+    if wide is not None:
+        mask, dim = _window_kernel(spec.support, M)
+        masks, free = _box_rows(spec.support, N, M)
+        for c in gf2_nullspace(_rank_rows(spec.support, wide, M, mask), dim):
+            if any((c & m).bit_count() & 1 for m in free):
+                evidence = {"margin": margin, **size}
+                if normal is not None:
+                    evidence["hull-normal"] = list(normal)
+                y = [(c & m).bit_count() & 1 for m in masks]
+                return Witness((_member(N, [0] * len(y)), _member(N, y)),
+                               N, k, evidence=evidence)
+        if normal is not None:
+            return Inconclusive(N, k, "hull normal direction but no window "
+                                      "witness at this scale; enlarge N")
+    if _origin_forced(spec, columns, N):
+        return WindowDeterministic(N, k, evidence=size)
+    return Inconclusive(N, k, "origin not forced" if normal is not None else
+                              "origin not forced; no extendable witness")
 
 
 def _fullshift_status(spec, trace, k, N):
@@ -578,49 +598,25 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget, trace_1):
 
 
 def _status(spec, horoball, k, N, margin, budget, method):
-    if method not in ("auto", "kernel", "enumerate"):
+    if method not in ("auto", "enumerate"):
         raise InputError(f"unknown method {method!r}")
-    linear = isinstance(spec, LinearGF2)
-    if method == "kernel" and not linear:
-        raise InputError("kernel method needs a linear-gf2 spec")
     k, N = _scales(k, N)
     if margin is not None and (margin := _integer(margin, "margin")) < 0:
         raise InputError(f"margin must be >= 0, got {margin}")
     if (budget := _integer(budget, "budget")) < 0:
         raise InputError(f"budget must be >= 0, got {budget}")
+    if margin is None:  # a window claim only: a witness extends that far
+        margin = N - k + 2
+    if method == "auto" and isinstance(spec, LinearGF2):
+        return _linear_status(spec, horoball, k, N, margin)
     halfplane = horoball.halfplane_normal()
     trace_at = functools.partial(dilated_trace, horoball.contains, k,
                                  normal=halfplane)
-
-    def columns_at(M):  # the sorted y of the trace on [-M, M]^2 at each x
-        if halfplane is not None:
-            return _halfplane_rows(halfplane, k, M)
-        columns = [[] for _ in range(2 * M + 1)]
-        for x, y in trace if M == N else trace_at(M)[0]:
-            columns[x + M].append(y)
-        return columns
-    if (method == "auto" and linear and halfplane is not None
-            and not is_hull_normal(spec.support, halfplane)):
-        # the rows give the trace's size without listing it, and the origin
-        # is a trace site at k >= 2 (rows[N] is x = 0)
-        rows = columns_at(N)
-        if _origin_forced(spec, rows, N):
-            return WindowDeterministic(
-                N, k, evidence={"trace_size": sum(map(len, rows))})
-        return Inconclusive(N, k, "origin not forced")
     trace, hits = trace_at(N)
     if not hits:
         return Inconclusive(N, k, "horoball misses window")
-    if margin is None:
-        # a window claim only: a witness extends to the margin window, whose
-        # boundary still fakes some under kernel (Ledrappier's (2,1) and (1,2)
-        # at k=1, N=2); auto decides half-planes by hull normals
-        margin = N - k + 2
     if method == "auto" and isinstance(spec, FullShift):
         return _fullshift_status(spec, trace, k, N)
-    if method == "kernel" or (method == "auto" and linear):
-        normal = halfplane if method == "auto" else None
-        return _linear_status(spec, columns_at, trace, k, N, margin, normal)
     trace_1 = (None if halfplane is None else trace if k == 1 else
                dilated_trace(horoball.contains, 1, N, normal=halfplane)[0])
     return _enumeration_status(spec, trace_at, trace, k, N, margin, budget,

@@ -297,7 +297,7 @@ def build_parser(command=None):
                              "enumeration oracle keeps (default %(default)s); "
                              "its extension walks are not budgeted")
         sp.add_argument("--method", default="auto",
-                        choices=["auto", "kernel", "enumerate"])
+                        choices=["auto", "enumerate"])
 
     if command in (None, "nd"):
         sp = add_parser("nd", help="per-direction certificates over a grid")

@@ -23,7 +23,8 @@ from horoshift.certify import (_origin_forced, _shared_trace_classes,
                                WindowDeterministic, Witness,
                                gf2_nullspace, is_hull_normal,
                                verify_window_deterministic, verify_witness)
-from horoshift.horoballs import Horoball, RationalCone, polyhedral_from_ray
+from horoshift.horoballs import (Horoball, RationalCone, polyhedral_from_ray,
+                                 sampled_l1_horoball_z2)
 from horoshift.serialize import json_dumps
 from horoshift.subshifts import box_sites, enumerate_fillings, varies_inside
 from test_subshifts import _with_resumes
@@ -671,19 +672,16 @@ class TestWitnessScan:
     @pytest.mark.parametrize("N, k", [(4, 2), (5, 1)])
     def test_equals_dict_per_vector(self, support, N, k):
         spec = LinearGF2(support)
-        witnesses = collections.Counter()
+        witnesses = 0
         for v in farey_directions(2):
-            want = _dict_per_vector_pair(spec, v, k, N)
-            for method in ("auto", "kernel"):
-                cert = direction_status(spec, v, k, N, method=method)
-                if method == "auto" and not is_hull_normal(spec.support,
-                                                           (v.a, v.b)):
-                    assert cert.kind != "witness", v
-                    continue
-                got = list(cert.pair) if cert.kind == "witness" else None
-                assert got == want, (v, method)
-                witnesses[method] += got is not None
-        assert witnesses["auto"] and witnesses["kernel"]
+            cert = direction_status(spec, v, k, N)
+            if not is_hull_normal(spec.support, (v.a, v.b)):
+                assert cert.kind != "witness", v
+                continue
+            got = list(cert.pair) if cert.kind == "witness" else None
+            assert got == _dict_per_vector_pair(spec, v, k, N), v
+            witnesses += got is not None
+        assert witnesses
 
 
 def _hull_normals(support):
@@ -728,44 +726,34 @@ class TestDirectionStatus:
             assert direction_status(spec, (0, 1), 2, N).kind == "window-deterministic"
             assert direction_status(spec, (0, -1), 2, N).kind == "witness"
 
-    # enumerate is compared with the known answer, the hull normals; kernel
-    # finds each of them too, and its extra witnesses are margin artifacts
-    # (correctness gap 1) that still hold as window claims
-    def test_kernel_vs_enumeration_oracle(self):
+    # enumerate is compared with the known answer, the hull normals
+    def test_auto_vs_enumeration_oracle(self):
         spec, normals = ledrappier(), _hull_normals(ledrappier().support)
-        extra = set()
         for v in ((0, 1), (0, -1), (1, 0), (-1, 0), (1, 1), (-1, -1)):
-            kcert = direction_status(spec, v, 2, 3, margin=2, method="kernel")
+            acert = direction_status(spec, v, 2, 3)
             ecert = direction_status(spec, v, 2, 3, margin=2, method="enumerate")
-            hull = v in normals
-            assert ecert.kind == ("witness" if hull else
+            assert ecert.kind == ("witness" if v in normals else
                                   "window-deterministic"), (v, ecert)
-            assert ecert.kind == direction_status(spec, v, 2, 3).kind
-            assert kcert.kind == "witness" or not hull, (v, kcert)
-            for cert in (kcert, ecert):
+            assert ecert.kind == acert.kind
+            for cert in (acert, ecert):
                 if cert.kind == "witness":
                     assert verify_witness(spec, Direction(*v).contains, cert)
-            if kcert.kind != ecert.kind:
-                extra.add(v)
-        assert extra == {(0, 1), (1, 0)}
 
-    def test_kernel_vs_enumeration_repeated_site(self):
+    def test_enumeration_repeated_site(self):
         # a repeated support site cancels in GF(2): this rule is x_{1,0} =
         # x_{0,1}, whose only nonexpansive directions are +-(1,1)
         spec = LinearGF2([(0, 0), (0, 0), (1, 0), (0, 1)])
         assert _hull_normals(spec.support) == {(1, 1), (-1, -1)}
-        witnesses = {"kernel": set(), "enumerate": set()}
+        found = set()
         for v in farey_directions(1):
-            for method, found in witnesses.items():
-                cert = direction_status(spec, v, 1, 2, margin=1, method=method)
-                if cert.kind == "witness":
-                    assert verify_witness(spec, v.contains, cert), (v, method)
-                    found.add((v.a, v.b))
-                else:
-                    assert cert.kind == "window-deterministic", (v, method)
-        assert witnesses["enumerate"] == {(1, 1), (-1, -1)}
-        assert witnesses["kernel"] == {(1, 1), (-1, -1), (1, 0), (0, 1),
-                                       (-1, 0), (0, -1)}
+            cert = direction_status(spec, v, 1, 2, margin=1,
+                                    method="enumerate")
+            if cert.kind == "witness":
+                assert verify_witness(spec, v.contains, cert), v
+                found.add((v.a, v.b))
+            else:
+                assert cert.kind == "window-deterministic", v
+        assert found == {(1, 1), (-1, -1)}
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_enumeration_on_an_empty_window(self, monkeypatch, k):
@@ -784,13 +772,30 @@ class TestDirectionStatus:
         _window_stream.cache_clear()
         assert walks == [(2, False)]
 
-    def test_auto_vs_kernel_repeated_site(self):
+    @pytest.mark.parametrize("support", [
+        ledrappier().support, R3, ((0, 0), (0, 0), (1, 0), (0, 1))],
+        ids=["ledrappier", "r3", "repeated-site"])
+    @pytest.mark.parametrize("k, N", [(1, 2), (2, 3), (3, 6)])
+    def test_trace_size_is_the_listed_trace(self, support, k, N):
+        # the half-plane ranges give the size; the mask path lists the trace
+        spec, kinds = LinearGF2(support), set()
+        for v in farey_directions(4):
+            cert = direction_status(spec, v, k, N)
+            kinds.add(cert.kind)
+            assert cert.evidence["trace_size"] == \
+                len(dilated_trace(v.contains, k, N)[0]), v
+        assert kinds == {"witness", "window-deterministic"}
+
+    def test_kernel_method_refused(self):
+        with pytest.raises(InputError, match=r"^unknown method 'kernel'$"):
+            direction_status(ledrappier(), (1, 0), 1, 1, method="kernel")
+
+    def test_auto_vs_hull_normals_repeated_site(self):
         # the hull criterion of ``auto`` must see the GF(2) support too
         spec = LinearGF2([(0, 0), (0, 0), (1, 0), (0, 1)])
-        for v in farey_directions(1):
-            auto = direction_status(spec, v, 1, 2)
-            kernel = direction_status(spec, v, 1, 2, method="kernel")
-            assert auto.kind == kernel.kind, (v, auto, kernel)
+        found = {(v.a, v.b) for v in farey_directions(1)
+                 if direction_status(spec, v, 1, 2).kind == "witness"}
+        assert found == _hull_normals(spec.support)
 
     def test_fullshift_all_witness(self):
         spec = FullShift((0, 1))
@@ -960,23 +965,26 @@ class TestVerifyWitness:
                                   Witness((x, y, y), 4, 2))
 
 
-# (spec, direction, k, N, method) of one witness per producer
+# (spec, horoball, k, N, method) of one witness per producer; the quarter
+# space is the README's, a GF(2) witness off the half-plane path
 ROUND_TRIP_CASES = {
-    "ledrappier-auto": (ledrappier(), (0, -1), 2, 4, "auto"),
-    "ledrappier-kernel": (ledrappier(), (1, 1), 2, 4, "kernel"),
-    "full-shift": (FullShift((0, 1)), (1, 0), 2, 4, "auto"),
-    "hard-square-enumerate": (HARD_SQUARE, (1, 0), 1, 2, "auto"),
+    "ledrappier-auto": (ledrappier(), Direction(0, -1), 2, 4, "auto"),
+    "ledrappier-quarter-space": (ledrappier(), Horoball(PolyhedralZ2(
+        "quarter-space", apex=(0, 0), opening="+x")), 2, 4, "auto"),
+    "full-shift": (FullShift((0, 1)), Direction(1, 0), 2, 4, "auto"),
+    "hard-square-enumerate": (HARD_SQUARE, Direction(1, 0), 1, 2, "auto"),
 }
 
 
-@pytest.mark.parametrize("spec, v, k, N, method", ROUND_TRIP_CASES.values(),
+@pytest.mark.parametrize("case", ROUND_TRIP_CASES.values(),
                          ids=ROUND_TRIP_CASES.keys())
-def test_witness_round_trips_through_its_artifact(spec, v, k, N, method):
-    cert = direction_status(spec, v, k, N, method=method)
+def test_witness_round_trips_through_its_artifact(case):
+    spec, horoball, k, N, method = case
+    cert = horoball_status(spec, horoball, k, N, method=method)
     assert cert.kind == "witness"
     written = json.loads(json_dumps(cert.to_dict()))
     again = Witness(written["pair"], N, k, written["evidence"])
-    assert verify_witness(spec, Direction(*v).contains, again)
+    assert verify_witness(spec, horoball.contains, again)
     assert again.to_dict() == written
     assert again.to_dict()["pair"] == cert.to_dict()["pair"]
     assert json_dumps(again.to_dict()) == json_dumps(cert.to_dict())
@@ -993,8 +1001,10 @@ PINNED_VERDICTS = {
         (LinearGF2(R3), Direction(1, 0), 1, 1, "auto"),
         {"kind": "inconclusive", "N": 1, "k": 1,
          "reason": "origin not forced"}),
-    "r3-kernel-no-witness": (
-        (LinearGF2(R3), Direction(-1, 2), 1, 1, "kernel"),
+    # a sampled l1 ball is no half-plane, so the kernel scans for a witness
+    "r3-sampled-ray-no-witness": (
+        (LinearGF2(R3), sampled_l1_horoball_z2((-1, 2), n_star=64), 1, 1,
+         "auto"),
         {"kind": "inconclusive", "N": 1, "k": 1,
          "reason": "origin not forced; no extendable witness"}),
     # the dilated trace covers [-2, 2]^2, so no site is left free
@@ -1158,11 +1168,11 @@ class TestNDSet:
 
     def test_nd_builds_only_the_margin_kernel(self, monkeypatch):
         """At k = 3 the origin of every direction is a trace site, so the
-        origin test builds no kernel, eliminates nothing and lists no trace:
-        one kernel, on the margin window, traces only at the hull normals
-        and only on [-N, N]^2, every reduction inside gf2_nullspace, O(M)
-        rows for each, and the box's rank rows built once."""
-        builds, depth, normals, ranked = [], [0], [], []
+        origin test builds no kernel and eliminates nothing; every trace is
+        read as half-plane ranges, so no direction lists one: one kernel,
+        on the margin window, every reduction inside gf2_nullspace, O(M)
+        rows for each hull normal, and the box's rank rows built once."""
+        builds, depth, traces, ranked = [], [0], [], []
         M = 6 + (6 - 3 + 2)
         solve_forward, trace = certify.solve_forward, certify.dilated_trace
         nullspace, reduce = certify.gf2_nullspace, certify._reduce
@@ -1173,7 +1183,7 @@ class TestNDSet:
             return solve_forward(support, box, free)
 
         def traced(contains, k, N, normal=None):
-            normals.append((normal, N))
+            traces.append((normal, N))
             return trace(contains, k, N, normal)
 
         def ranks(support, columns, box, mask):
@@ -1208,8 +1218,8 @@ class TestNDSet:
         assert builds == [M] == [11]
         hull = {(0, -1), (-1, 0), (1, 1)}
         assert {(d.a, d.b) for d in report.witness_directions()} == hull
-        # the trace on [-N, N]^2 only: the margin trace is read as ranges
-        assert sorted(normals) == sorted((n, 6) for n in hull)
+        # the trace sizes are read from the ranges too
+        assert traces == []
         # the box [-N, N]^2 once, the margin trace at each hull normal
         assert sorted(ranked) == [6, M, M, M]
 
@@ -1219,7 +1229,7 @@ class TestNDSet:
         spec = LinearGF2(R3)
         runs = [nd_set(spec, k, N, "farey:2", method=method)
                 for k, N, method in ((1, 3, "auto"), (2, 3, "auto"),
-                                     (1, 2, "kernel"), (1, 2, "enumerate"))]
+                                     (1, 2, "enumerate"))]
         runs.append(nd_set(FullShift((0, 1)), 1, 2, "farey:1"))
         certs = [c for report in runs for _, c in report.entries]
         assert sum(c.kind == "witness" for c in certs) >= 8

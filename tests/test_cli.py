@@ -257,11 +257,6 @@ MALFORMED = {
     "report-direction-bool": ["render", "nd", "--report", BOOL_DIRECTION],
     "vectors-direction-bool": ["convex", "origin-test", "--vectors",
                                BOOL_DIRECTION],
-    "kernel-on-sft": ["direction", "--system",
-                      '{"kind":"sft","alphabet":[0,1],'
-                      '"forbidden":[[[[0,0],1],[[1,0],1]]]}',
-                      "--dir", "1,0", "--k", "1", "--window", "1",
-                      "--method", "kernel"],
     "budget-negative": ["direction", "--system", "ledrappier", "--dir", "1,0",
                         "--k", "1", "--window", "1", "--budget", "-1"],
     "ray-zero": ["verify", "lemma2.3", "--ray", "0,0"],
@@ -353,6 +348,24 @@ def test_malformed_descriptor_exit_2(tmp_path, capsys, argv):
             for arg in argv]
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# the retired kernel method: its margin-window witnesses were false off the
+# hull normals, and the parser refuses the value before anything is written
+@pytest.mark.parametrize("argv", [
+    ["direction", "--system", "ledrappier", "--dir", "1,0"],
+    ["nd", "--system", "ledrappier", "--grid", "farey:1"],
+    ["horoball", "--system", "ledrappier", "--horoball",
+     '{"kind": "quarter-space", "apex": [0, 0], "opening": "+x"}']],
+    ids=lambda argv: argv[0])
+def test_kernel_method_refused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv, "--k", "1", "--window", "1", "--method", "kernel")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--method" in err and "'kernel'" in err
+    assert "auto" in err and "enumerate" in err
+    assert not os.listdir(tmp_path)
 
 
 class TestSkewConvexRender:

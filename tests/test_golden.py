@@ -48,17 +48,8 @@ def test_readme_cli_artifacts(tmp_path, monkeypatch):
                 assert got.hexdigest() == want, (argv, name)
 
 
-# the margin-kernel witness search on every farey:4 direction, and the
-# Ledrappier k=3 scan at N=18 over farey:8+diag
+# the Ledrappier k=3 scan at N=18 over farey:8+diag
 ND_DIGESTS = {
-    "nd --system ledrappier --k 2 --window 5 --grid farey:4 --method kernel": {
-        "nd_report.json": "5d1d45d3e7555b7e0563963f0d30f6ca"
-                          "3fb7be5986a4df8f0998e6caa98aed60",
-        "nd_report.csv": "5bdefb9e2d2a6aba264ace60c16483c5"
-                         "7107777ccf47baf9f2f5590b05cd3650",
-        "direction_circle.svg": "c499ba18a5e2c34bc7308a8847dca7ca"
-                                "75e6590caea389ab106cea834d90acd8",
-    },
     "nd --system ledrappier --k 3 --window 18 --grid farey:8+diag": {
         "nd_report.json": "9957abb3b8abab228d803ac9ad755dc3"
                           "26fdeeabc8e200d4dfad4f59de4fcdda",
@@ -117,29 +108,6 @@ ND_DIGESTS = {
     "--window 1": {
         "direction_report.json": "039e3218856fb13d67cb5a40e9282330"
                                  "9be11abe600acdf54648d559ba7a1389",
-    },
-    # the margin kernel of a rule three rows tall (R3), and of a rule whose
-    # repeated site cancels; both record window claims only (false
-    # witnesses off the hull normals at this margin)
-    "nd --system '{\"kind\":\"linear-gf2\",\"support\":"
-    "[[0,2],[1,0],[1,1],[2,0]]}' --k 1 --window 2 --grid farey:2 "
-    "--method kernel": {
-        "nd_report.json": "9117a217365fe7abf91c87ab1f7fdd3a"
-                          "c59c8dad37e6705933852abe2f9e462f",
-        "nd_report.csv": "f8eadd0b94230a25848c073da3f3fa1e"
-                         "0eafbb91872967d0281333a0c80a965c",
-        "direction_circle.svg": "9d1586a34a23a900685dccd51fae69da"
-                                "7f16b4a9d3ebab5f09f73fdc41e3374c",
-    },
-    "nd --system '{\"kind\":\"linear-gf2\",\"support\":"
-    "[[0,0],[0,0],[1,0],[0,1]]}' --k 1 --window 3 --grid farey:2 "
-    "--method kernel": {
-        "nd_report.json": "faaea464b319fb7d19a2d2c2d22f88f0"
-                          "4acf790c5476f0d1af0e9ef72504544c",
-        "nd_report.csv": "b5829085bf0f22adcdad3f4adcb72cda"
-                         "426dd97642b7b3d587c6261a0a582e49",
-        "direction_circle.svg": "ac3da360158435b2daf7663076135d14"
-                                "e93fbb1edd655c0e42c29c6b759c41b1",
     },
     # auto at k=1, where the origin is off every half-plane trace and is
     # settled by eliminating the trace rows of the [-N, N]^2 kernel
