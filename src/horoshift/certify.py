@@ -9,7 +9,9 @@ window is *deterministic* for H.
 The dilated trace is {p in [-N,N]^2 : linf-dist(p, H /\\ [-2N,2N]^2) < k},
 so every disagreement site of a witness automatically sits at distance
 >= k from the horoball, forcing the pair 2^{-k}-close under T_g for all
-g in H within the window horizon.
+g in H within the window horizon.  The search builds it once per window,
+as columns (``_trace``), in closed form on an exact half-plane; the
+re-checks list it from ``contains`` alone (``dilated_trace``).
 
 Witnesses are only reported when they extend to a larger window (margin)
 while agreeing on the larger dilated trace; this is what separates genuine
@@ -254,19 +256,12 @@ def _columns(horoball, B):
     return [[y for y in r if horoball.contains((x, y))] for x in r]
 
 
-def dilated_trace(contains, k, N, normal=None):
+def dilated_trace(contains, k, N):
     """Sites of [-N, N]^2 at l-infinity distance < k from H /\\ [-2N, 2N]^2,
-    in sorted order, and whether H meets that box.
-
-    Given ``normal``, H is its half-plane and the sites are read from
-    ``_halfplane_rows``, exactly at any size of normal.  Otherwise the
-    (2k-1)-squares slide over the ``contains`` mask of [-2N, 2N]^2.
-    """
+    in sorted order, and whether H meets that box, from ``contains`` alone:
+    the (2k-1)-squares slide over its mask of [-2N, 2N]^2.  The re-checks
+    read it as it is; ``_trace`` groups it by x off a half-plane."""
     k, N = _scales(k, N)
-    if normal is not None:
-        return [(x, y) for x, ys in zip(range(-N, N + 1),
-                                        _halfplane_rows(normal, k, N))
-                for y in ys], True
     mask = horoball_box_mask(contains, 2 * N)
     if not mask.any():
         return [], False
@@ -277,6 +272,24 @@ def dilated_trace(contains, k, N, normal=None):
     # hit[x + N, y + N]; nonzero lists it in C order, the sorted (x, y) order
     xs, ys = np.nonzero(hit)
     return list(zip((xs - N).tolist(), (ys - N).tolist())), True
+
+
+def _trace(horoball, k, B):
+    """The dilated trace of H on [-B, B]^2 as the sorted y at each x of
+    [-B, B], or None when H misses [-2B, 2B]^2: the ``_halfplane_rows``
+    ranges on an exact half-plane, else ``dilated_trace`` grouped by x."""
+    if (normal := horoball.halfplane_normal()) is not None:
+        return _halfplane_rows(normal, k, B)
+    trace, hits = dilated_trace(horoball.contains, k, B)
+    columns = [[] for _ in range(2 * B + 1)]
+    for x, y in trace:
+        columns[x + B].append(y)
+    return columns if hits else None
+
+
+def _sites(columns, B):
+    """The sites of ``columns`` on [-B, B]^2, in sorted (x, y) order."""
+    return [(x, y) for x, ys in zip(range(-B, B + 1), columns) for y in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -416,25 +429,17 @@ def _box_rows(support, N, M):
             tuple(_rank_rows(support, [box] * len(box), N, mask)))
 
 
-def _trace_columns(trace, M):
-    """A sorted site list of [-M, M]^2 as the sorted y at each x."""
-    columns = [[] for _ in range(2 * M + 1)]
-    for x, y in trace:
-        columns[x + M].append(y)
-    return columns
+def _linear_status(spec, horoball, columns, k, N, margin):
+    """LinearGF2 certificate from the window kernels, given the trace's
+    ``columns`` on [-N, N]^2.
 
-
-def _linear_status(spec, horoball, k, N, margin):
-    """LinearGF2 certificate from the window kernels.
-
-    On an exact half-plane the trace is read as ``_halfplane_rows`` ranges,
-    never listed, and the hull-normal criterion decides the side: the
+    On an exact half-plane the hull-normal criterion decides the side: the
     window kernel alone cannot tell asymptotic behavior from boundary
     artifacts for slanted expansive directions (they recede only as the
     margin grows without bound), so only a hull normal scans for a
     witness, and every other normal asks ``_origin_forced``.  Any other
-    horoball lists its trace on [-N, N]^2 and [-M, M]^2, M = N + margin,
-    scans, then asks the origin.
+    horoball scans on the trace of [-M, M]^2, M = N + margin, then asks
+    the origin.
 
     The null space of the margin trace's ``_rank_rows`` has the basis of
     all its rows, one vector per free column of the same row space.  A
@@ -444,18 +449,9 @@ def _linear_status(spec, horoball, k, N, margin):
     combination that hits.
     """
     M, normal = N + margin, horoball.halfplane_normal()
-    if normal is None:
-        trace, hits = dilated_trace(horoball.contains, k, N)
-        if not hits:
-            return Inconclusive(N, k, "horoball misses window")
-        columns, size = _trace_columns(trace, N), {"trace_size": len(trace)}
-        wide = _trace_columns(dilated_trace(horoball.contains, k, M)[0], M)
-    else:
-        columns = _halfplane_rows(normal, k, N)
-        size = {"trace_size": sum(map(len, columns))}
-        wide = (_halfplane_rows(normal, k, M)
-                if is_hull_normal(spec.support, normal) else None)
-    if wide is not None:
+    size = {"trace_size": sum(map(len, columns))}
+    if normal is None or is_hull_normal(spec.support, normal):
+        wide = _trace(horoball, k, M)
         mask, dim = _window_kernel(spec.support, M)
         masks, free = _box_rows(spec.support, N, M)
         for c in gf2_nullspace(_rank_rows(spec.support, wide, M, mask), dim):
@@ -475,11 +471,11 @@ def _linear_status(spec, horoball, k, N, margin):
                               "origin not forced; no extendable witness")
 
 
-def _fullshift_status(spec, trace, k, N):
-    inner = box_sites(N)
-    free = set(inner).difference(trace)
+def _fullshift_status(spec, columns, k, N):
+    inner, size = box_sites(N), sum(map(len, columns))
+    free = set(inner).difference(_sites(columns, N))
     if not free:
-        return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
+        return WindowDeterministic(N, k, evidence={"trace_size": size})
     if len(spec.alphabet) == 1:
         return WindowDeterministic(N, k, evidence={"alphabet": "singleton"})
     # single-difference witness at the free site farthest from the window
@@ -488,7 +484,7 @@ def _fullshift_status(spec, trace, k, N):
     a0, a1 = spec.alphabet[:2]
     y = [a1 if s == site else a0 for s in inner]
     return Witness((_member(N, [a0] * len(y)), _member(N, y)), N, k,
-                   evidence={"difference_site": site, "trace_size": len(trace)})
+                   evidence={"difference_site": site, "trace_size": size})
 
 
 # every direction of an nd run reads the same free window array
@@ -523,18 +519,19 @@ def _shared_trace_classes(values):
             yield by_class[offsets[c]:offsets[c + 1]].tolist()
 
 
-def _enumeration_status(spec, trace_at, trace, k, N, margin, budget, trace_1):
+def _enumeration_status(spec, horoball, columns, k, N, margin, budget):
     """Enumeration oracle: the window's fillings fall into classes by their
-    symbols on the trace.  On an exact half-plane H the origin is asked
-    first, on ``trace_1``, the k = 1 trace: if each class holds one origin
-    symbol, configurations of Z^2 that agree on H agree at the origin,
-    hence everywhere (translate along the boundary line, then line by
-    line), and so do those agreeing on its k-dilation.  The test stops at
-    the first class whose origin varies.  Then the first pair of a class,
-    in stream order, whose second filling extends to [-M, M]^2 agreeing on
-    the larger trace with an extension xhat of the first is a witness; at
-    k = 1 the classes tested are not grouped again, and a symbol dict is
-    built only for a compared member.
+    symbols on the trace's ``columns``.  On an exact half-plane H the
+    origin is asked first, on the k = 1 trace: if each class holds one
+    origin symbol, configurations of Z^2 that agree on H agree at the
+    origin, hence everywhere (translate along the boundary line, then line
+    by line), and so do those agreeing on its k-dilation.  The test stops
+    at the first class whose origin varies.  Then the first pair of a
+    class, in stream order, whose second filling extends to [-M, M]^2
+    agreeing on the larger trace with an extension xhat of the first is a
+    witness; at k = 1 the tested classes are replayed, and a symbol dict
+    is built only for a compared member.  With no witness, every class
+    holding one origin symbol (on a half-plane: k > 1) is deterministic.
 
     xhat equals the first filling on [-N, N]^2, and the larger trace meets
     [-N, N]^2 in the trace, so some member extends exactly when a filling
@@ -547,21 +544,26 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget, trace_1):
     symbols = _window_stream(spec, N, budget)
     if symbols is None:
         return Inconclusive(N, k, "budget")
+    size = {"trace_size": sum(map(len, columns))}
 
-    def classes(trace):  # by the fillings' symbols on it, in one fixed order
-        cells = np.array(trace, dtype=np.intp).reshape(-1, 2) + N
+    def classes(trace):  # by the fillings' symbols on its columns, in order
+        cells = np.array(_sites(trace, N), dtype=np.intp).reshape(-1, 2) + N
         yield from _shared_trace_classes(symbols[:, cells[:, 1], cells[:, 0]])
 
-    shared, tested = classes(trace), []
-    if trace_1 is not None:
-        for members in shared if k == 1 else classes(trace_1):
-            tested.append(members)
-            if len(set(symbols[members, N, N].tolist())) > 1:
-                break
+    def fixed(members):  # does the class hold one origin symbol?
+        return len(set(symbols[members, N, N].tolist())) == 1
+
+    shared = classes(columns)
+    if horoball.halfplane_normal() is not None:
+        if k == 1:  # the walks replay the classes tested
+            shared, tested = itertools.tee(shared)
         else:
-            return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
+            tested = classes(_trace(horoball, 1, N))
+        if all(map(fixed, tested)):
+            return WindowDeterministic(N, k, evidence=size)
+        del tested  # else the tee keeps every class the walks read after
     M = N + margin
-    trace_M, _ = trace_at(M)
+    trace_M = _sites(_trace(horoball, k, M), M)
     sites, alphabet = box_sites(N), spec.alphabet
     at_trace = [(y + M) * (2 * M + 1) + x + M for x, y in trace_M]
     inner = _RowTransfer(spec, M, dict.fromkeys(sites, alphabet[0]))
@@ -571,9 +573,9 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget, trace_1):
         values = map(alphabet.__getitem__, symbols[i].ravel().tolist())
         return dict(zip(sites, values))
 
-    forced = trace_1 is None  # other horoballs ask the origin here
-    for members in itertools.chain(tested if k == 1 else (), shared):
-        forced = forced and len(set(symbols[members, N, N].tolist())) == 1
+    forced = True
+    for members in shared:
+        forced = forced and fixed(members)
         # the stream has no repeats, so every other member differs from rep
         rep, *others = members
         reference = filling(rep)
@@ -590,10 +592,9 @@ def _enumeration_status(spec, trace_at, trace, k, N, margin, budget, trace_1):
         other = next(o for o in others if any(extends.fillings(filling(o), N)))
         return Witness((_member(N, reference.values()),
                         _member(N, filling(other).values())),
-                       N, k, evidence={"margin": margin,
-                                       "trace_size": len(trace)})
-    if forced or trace_1 is not None and k > 1:  # k > 1: a traced origin
-        return WindowDeterministic(N, k, evidence={"trace_size": len(trace)})
+                       N, k, evidence={"margin": margin, **size})
+    if forced:
+        return WindowDeterministic(N, k, evidence=size)
     return Inconclusive(N, k, "origin not forced; no extendable witness")
 
 
@@ -607,20 +608,14 @@ def _status(spec, horoball, k, N, margin, budget, method):
         raise InputError(f"budget must be >= 0, got {budget}")
     if margin is None:  # a window claim only: a witness extends that far
         margin = N - k + 2
-    if method == "auto" and isinstance(spec, LinearGF2):
-        return _linear_status(spec, horoball, k, N, margin)
-    halfplane = horoball.halfplane_normal()
-    trace_at = functools.partial(dilated_trace, horoball.contains, k,
-                                 normal=halfplane)
-    trace, hits = trace_at(N)
-    if not hits:
+    columns = _trace(horoball, k, N)
+    if columns is None:
         return Inconclusive(N, k, "horoball misses window")
+    if method == "auto" and isinstance(spec, LinearGF2):
+        return _linear_status(spec, horoball, columns, k, N, margin)
     if method == "auto" and isinstance(spec, FullShift):
-        return _fullshift_status(spec, trace, k, N)
-    trace_1 = (None if halfplane is None else trace if k == 1 else
-               dilated_trace(horoball.contains, 1, N, normal=halfplane)[0])
-    return _enumeration_status(spec, trace_at, trace, k, N, margin, budget,
-                               trace_1)
+        return _fullshift_status(spec, columns, k, N)
+    return _enumeration_status(spec, horoball, columns, k, N, margin, budget)
 
 
 def direction_status(spec, v, k, N, margin=None, budget=DEFAULT_FILLING_BUDGET,

@@ -39,7 +39,7 @@ class _Vec:
     def _parse(self, desc):
         if (isinstance(desc, (tuple, list)) and desc
                 and desc[0] == "sqrt-normalized"):
-            ints = tuple(int(c) for c in desc[1:])
+            ints = tuple(_integer(c, "a symbolic component") for c in desc[1:])
             if all(c == 0 for c in ints):
                 raise InputError("zero symbolic vector")
             self.exact = ints
@@ -49,6 +49,9 @@ class _Vec:
             self.is_exact = True
             return
         comps = tuple(desc)
+        if not all(type(c) is not bool and isinstance(c, (int, float, Fraction))
+                   for c in comps):
+            raise InputError(f"a vector must be numbers, got {desc!r}")
         if all(isinstance(c, (int, Fraction)) or float(c).is_integer()
                for c in comps):
             fr = tuple(Fraction(c) for c in comps)

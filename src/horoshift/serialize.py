@@ -142,9 +142,11 @@ def parse_horoball(descriptor):
 
 
 def _numbers(d, key, kind=(int, float), length=None):
-    """``d[key]`` as a tuple of numbers of the given kind (and length)."""
+    """``d[key]`` as a tuple of numbers of the given kind (and length); a
+    JSON boolean is no number, although bool is an int in Python."""
     v = field(d, key, list)
-    if all(isinstance(c, kind) for c in v) and len(v) == (length or len(v)):
+    if (all(isinstance(c, kind) and type(c) is not bool for c in v)
+            and len(v) == (length or len(v))):
         return tuple(v)
     raise InputError(f"bad {key!r} vector {v!r}")
 

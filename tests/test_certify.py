@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import random
+import types
 
 import numpy as np
 import pytest
@@ -244,24 +245,27 @@ class TestDilatedTrace:
         assert not hits and trace == []
 
     HOROBALLS = {
-        "direction-0,1": Direction(0, 1).contains,
-        "direction-1,2": Direction(1, 2).contains,
-        "direction--3,1": Direction(-3, 1).contains,
+        "direction-0,1": Direction(0, 1),
+        "direction-1,2": Direction(1, 2),
+        "direction--3,1": Direction(-3, 1),
         "quarter-apex-inside": Horoball(PolyhedralZ2(
-            "quarter-space", apex=(1, -2), opening="+x")).contains,
+            "quarter-space", apex=(1, -2), opening="+x")),
         "quarter-apex-outside": Horoball(PolyhedralZ2(
-            "quarter-space", apex=(0, 7), opening="-y")).contains,
+            "quarter-space", apex=(0, 7), opening="-y")),
         # meets [-2N, 2N]^2 only at N = 5, in the single site (0, 10)
         "quarter-apex-far": Horoball(PolyhedralZ2(
-            "quarter-space", apex=(0, 9), opening="+y")).contains,
-        "irrational-linear": l2_horoball((1, math.sqrt(2))).contains,
+            "quarter-space", apex=(0, 9), opening="+y")),
+        "irrational-linear": l2_horoball((1, math.sqrt(2))),
     }
 
     @pytest.mark.parametrize("name", HOROBALLS)
     def test_matches_definition(self, name):
         """{p in [-N, N]^2 : linf-dist(p, H /\\ [-2N, 2N]^2) < k}, by brute
-        force, for every 1 <= k <= N <= 5; k = N reaches the mask border."""
-        contains = self.HOROBALLS[name]
+        force, for every 1 <= k <= N <= 5; k = N reaches the mask border.
+        Off a half-plane, the search's ``_trace`` is that list grouped by x,
+        or None exactly when H misses [-2N, 2N]^2."""
+        horoball = self.HOROBALLS[name]
+        contains = horoball.contains
         for N in range(1, 6):
             box = [(x, y) for x in range(-N, N + 1) for y in range(-N, N + 1)]
             ball = [(x, y) for x in range(-2 * N, 2 * N + 1)
@@ -271,6 +275,11 @@ class TestDilatedTrace:
                     max(abs(p[0] - h[0]), abs(p[1] - h[1])) < k for h in ball)}
                 assert dilated_trace(contains, k, N) == \
                     (sorted(want), bool(ball)), (N, k)
+                if horoball.halfplane_normal() is None:
+                    columns = [sorted(y for x, y in want if x == c)
+                               for c in range(-N, N + 1)]
+                    assert certify._trace(horoball, k, N) == \
+                        (columns if ball else None), (N, k)
 
 
 def _refuse(p):
@@ -291,14 +300,20 @@ class TestHalfPlaneTrace:
     SCALES = [(N, k) for N in range(1, 7) for k in range(1, N + 1)] + [(18, 3)]
 
     def test_equals_contains_scan(self):
-        """The closed form given a normal is the sliding-window scan of the
-        contains mask, for every 1 <= k <= N <= 6 and (N, k) = (18, 3)."""
+        """The closed form ``_trace`` reads from a half-plane's normal alone,
+        listed by x, is the sliding-window scan of the contains mask, for
+        every 1 <= k <= N <= 6 and (N, k) = (18, 3)."""
         for name, h in self.HALF_PLANES.items():
             normal = h.halfplane_normal()
             assert normal is not None, name
+            stand_in = types.SimpleNamespace(halfplane_normal=lambda: normal,
+                                             contains=_refuse)
             for N, k in self.SCALES:
-                assert dilated_trace(_refuse, k, N, normal) == \
-                    dilated_trace(h.contains, k, N), (name, N, k)
+                columns = certify._trace(stand_in, k, N)
+                listed = [(x, y) for x, ys in zip(range(-N, N + 1), columns)
+                          for y in ys]
+                assert (listed, True) == dilated_trace(h.contains, k, N), \
+                    (name, N, k)
 
 
 def _dict_classes(keys):
@@ -1050,10 +1065,16 @@ class TestHoroballStatus:
         if cert.kind == "witness":
             assert verify_witness(spec, cone.contains, cert)
 
-    def test_missing_horoball_inconclusive(self):
+    @pytest.mark.parametrize("spec, method", [
+        (ledrappier(), "auto"), (ledrappier(), "enumerate"),
+        (FullShift((0, 1)), "auto"), (HARD_SQUARE, "auto")],
+        ids=["ledrappier-auto", "ledrappier-enumerate", "full-shift-auto",
+             "hard-square-auto"])
+    def test_missing_horoball_inconclusive(self, spec, method):
         far = PolyhedralZ2("quarter-space", apex=(100, 0), opening="+x")
-        cert = horoball_status(ledrappier(), Horoball(far), 2, 4)
+        cert = horoball_status(spec, Horoball(far), 2, 4, method=method)
         assert cert.kind == "inconclusive"
+        assert cert.reason == "horoball misses window"
 
     def test_missing_horoball_not_rechecked_deterministic(self):
         # no trace on [-2N, 2N]^2, so nothing can force the origin
@@ -1149,18 +1170,18 @@ class TestNDSet:
         from the half-plane closed form the search used."""
         spec = ledrappier()
         report = nd_set(spec, 3, 8)
-        normals = []
+        scans = []
 
-        def recorded(contains, k, N, normal=None):
-            normals.append(normal)
-            return dilated_trace(contains, k, N, normal)
+        def recorded(contains, k, N):
+            scans.append(N)
+            return dilated_trace(contains, k, N)
 
         monkeypatch.setattr(certify, "dilated_trace", recorded)
         witnesses = [(v, c) for v, c in report.entries if c.kind == "witness"]
         assert len(witnesses) == 3
         for v, cert in witnesses:
             assert verify_witness(spec, v.contains, cert), v
-        assert normals == [None] * 3
+        assert scans == [8] * 3
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InputError):
@@ -1182,9 +1203,9 @@ class TestNDSet:
             builds.append(box)  # the box [-box, box]^2
             return solve_forward(support, box, free)
 
-        def traced(contains, k, N, normal=None):
-            traces.append((normal, N))
-            return trace(contains, k, N, normal)
+        def traced(contains, k, N):
+            traces.append(N)
+            return trace(contains, k, N)
 
         def ranks(support, columns, box, mask):
             ranked.append(box)

@@ -195,6 +195,16 @@ MALFORMED = {
     "vectors-not-vector": ["convex", "origin-test", "--vectors", "[5]"],
     "vectors-not-number": ["convex", "origin-test", "--vectors",
                            '[["a",1]]'],
+    # each was read as numbers: the first as (1, 0)/|(1, 0)|, in the hull
+    # with (-1, 0), though (1.7, 0.2) and (-1, 0) are separated; true was
+    # written back into convex_report.json
+    "vectors-symbolic-float": ["convex", "origin-test", "--vectors",
+                               '[["sqrt-normalized",1.7,0.2],[-1,0]]'],
+    "vectors-symbolic-bool": ["convex", "origin-test", "--vectors",
+                              '[["sqrt-normalized",true,0],[-1,0]]'],
+    "vectors-string": ["convex", "origin-test", "--vectors",
+                       '[["1",0],[-1,"0"]]'],
+    "vectors-bool": ["convex", "origin-test", "--vectors", '[[true,0],[-1,0]]'],
     "directions-zero": ["verify", "lemma2.2", "--directions", "0"],
     "probes-zero": ["convex", "coverage", "--probes", "0",
                     "--vectors", "[[1,0]]"],
@@ -293,6 +303,8 @@ BAD_HOROBALLS = {
     # JSON true was carried into the report as the truncation index 1
     "n-star-bool": '{"kind":"sampled-l1-ray","ray":[1,0],"n_star":true}',
     "linear-3d": '{"kind":"linear","v":[1,0,5]}',
+    # JSON true and false were recorded as the vector [1, 0]
+    "linear-v-bool": '{"kind":"linear","v":[true,false]}',
 }
 MALFORMED.update({name: ["horoball", "--system", "ledrappier", "--horoball",
                          horoball, "--k", "1", "--window", "1"]

@@ -49,6 +49,27 @@ class TestOriginInHull:
         assert abs(lam[0] / lam[1] - math.sqrt(2)) < 1e-9
         assert abs(lam[1] - lam[2]) < 1e-12
 
+    # each was read as numbers: the first as the in-hull pair (1, 0), (-1, 0)
+    # with lambda = [1/2, 1/2], though (1.7, 0.2) and (-1, 0) are separated
+    @pytest.mark.parametrize("vecs", [
+        [("sqrt-normalized", 1.7, 0.2), (-1, 0)],
+        [("sqrt-normalized", True, 0), (-1, 0)],
+        [("sqrt-normalized", "1", 0), (-1, 0)],
+        [("1", 0), (-1, "0")],
+        [(True, 0), (-1, 0)],
+        [(1, None), (-1, 0)],
+    ], ids=["symbolic-float", "symbolic-bool", "symbolic-str", "str", "bool",
+            "none"])
+    def test_non_number_component_refused(self, vecs):
+        with pytest.raises(InputError):
+            origin_in_hull(vecs)
+
+    def test_float_and_fraction_components_read(self):
+        cert = origin_in_hull([(2.0, 0), (Fraction(-2), 0.0)])
+        assert cert.coefficients == [Fraction(1, 2), Fraction(1, 2)]
+        cert = origin_in_hull([(1.5, 0.5), (Fraction(-3, 2), -0.5)])
+        assert cert.variant == "in-hull" and cert.residual <= 1e-9
+
     def test_numeric_dimension_three(self):
         vecs = [(1.0, 0.0, 0.0), (-1.0, 0.5, 0.0), (0.0, -1.0, 0.5),
                 (0.0, 0.5, -1.0), (0.25, 0.25, 0.75)]
