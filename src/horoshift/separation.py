@@ -52,7 +52,8 @@ class _Vec:
         if not all(type(c) is not bool and isinstance(c, (int, float, Fraction))
                    for c in comps):
             raise InputError(f"a vector must be numbers, got {desc!r}")
-        if all(isinstance(c, (int, Fraction)) or float(c).is_integer()
+        # a finite float is a dyadic rational, so it is read exactly too
+        if all(isinstance(c, (int, Fraction)) or math.isfinite(c)
                for c in comps):
             fr = tuple(Fraction(c) for c in comps)
             den = math.lcm(*(f.denominator for f in fr)) if fr else 1

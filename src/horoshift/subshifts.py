@@ -28,7 +28,7 @@ differ from it there; ``varies_inside`` asks whether any of the last kind
 exists, in the quarter turn the walk picks to meet its clamp first
 (a stream whose order is output walks unturned).
 ``_window_array`` counts the free fillings up to a budget by row states and,
-under it, writes them all into one numpy array without walking a filling.
+under it, writes them all into one numpy array a row plane at a time.
 """
 
 from functools import lru_cache, partial, reduce
@@ -285,27 +285,36 @@ class _CheckPlan:
     so a partial row is rejected as soon as it contradicts the clamp, and no
     filling is lost.  So the admissible rows r above a state depend only on
     the clamped symbols at ``reads[r]``, those of row r and those above it
-    that row r's checks read.  ``tables`` keeps them per (r, those symbols),
-    keyed by state, each row interned, for at most ``_PLAN_STATES`` states.
+    that row r's checks read.  ``tables`` keeps them per (``rows[r]``, those
+    symbols), keyed by state, each row interned, for at most ``_PLAN_STATES``
+    states: ``rows[r]`` is r, or with no clamp min(r, ``keep``), since every
+    row from ``keep`` up then checks the same cells, whole rows apart.
     """
 
     def __init__(self, spec, N, clamped, turn):
         self.width = width = 2 * N + 1
         self.checks = [[] for _ in range(width * width)]
-        reads = [{i for i in clamped if i // width == r} for r in range(width)]
+        reads = [set() for _ in range(width)]
+        for i in clamped:
+            reads[i // width].add(i)
         height = 1
         for support, allowed in spec.constraints():
             support = tuple(_TURNS[turn](*s) for s in support)
             ys = [y for _, y in support]
             height = max(height, max(ys) - min(ys) + 1)
             for get, cells in _box_placements(support, N):
-                last = next((c for c in cells if c not in clamped), cells[0])
+                for j, last in enumerate(cells):  # raster-last first
+                    if last not in clamped:
+                        break
+                else:
+                    j, last = 0, cells[0]
                 self.checks[last].append((get, allowed))
-                reads[last // width].update(c for c in cells if c > last)
+                reads[last // width].update(cells[:j])  # clamped, above last
         self.reads = [sorted(r) for r in reads]
         # a state is the last h - 1 rows placed, h the tallest row span of a
         # support, since a row's checks read no row below those
         self.keep = height - 1
+        self.rows = [r if clamped else min(r, self.keep) for r in range(width)]
         self.tables, self.interned, self.stored = {}, {}, 0
 
 
@@ -358,7 +367,7 @@ class _RowTransfer:
         for i, v in zip(self.clamped, values):
             self.symbols[i], self.choices[i] = v, (v,)
         self.keys = [(r, tuple(map(self.symbols.__getitem__, reads)))
-                     for r, reads in enumerate(self.plan.reads)]
+                     for r, reads in zip(self.plan.rows, self.plan.reads)]
         self.tables = [self.plan.tables.setdefault(key, {})
                        for key in self.keys]
 
@@ -490,7 +499,8 @@ def _window_array(spec, N, budget):
     state that ``islice(fillings(), budget + 1)`` would not.  Under the
     budget no filling is walked: row by row, each prefix of rows that some
     filling passes takes its state's rows in turn, with ``np.repeat`` over
-    offsets, so no level holds more prefixes than there are fillings.
+    offsets, so no level holds more prefixes than there are fillings, and
+    each row is one plane of a (row, filling, column) array, transposed.
     """
     import numpy as np  # on use: nothing else here needs it
     walk = _RowTransfer(spec, N, None)
@@ -515,7 +525,7 @@ def _window_array(spec, N, budget):
         return None
     width, index = 2 * N + 1, {v: i for i, v in enumerate(spec.alphabet)}
     dtype = np.min_scalar_type(len(spec.alphabet) - 1)
-    symbols = np.empty((total, width, width), dtype=dtype)
+    planes = np.empty((width, total, width), dtype=dtype)
     states, prefixes = [()], np.zeros(1, dtype=np.intp)  # prefixes' states
     for r in range(top + 1):
         # state i's rows that fillings take are rows[first[i]:first[i + 1]],
@@ -534,10 +544,10 @@ def _window_array(spec, N, budget):
         start, degree = np.take(first, prefixes), np.diff(first)[prefixes]
         taken = np.repeat(start - np.cumsum(degree) + degree, degree)
         taken += np.arange(len(taken))
-        symbols[:, r] = np.repeat(rows[taken], above[taken], axis=0)
+        np.take(rows, np.repeat(taken, above[taken]), axis=0, out=planes[r])
         prefixes = child[taken]
         states = list(number)
-    return symbols
+    return planes.transpose(1, 0, 2)
 
 
 class FullShiftZ:

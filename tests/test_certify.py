@@ -882,11 +882,11 @@ class TestDirectionStatus:
         # so it fails as soon as it resumes more row walks than they take
         vertical, budget = SFT((0, 1, 2), [{(0, 0): 2, (0, 1): 2}]), 1000
         subshifts._check_plan.cache_clear()  # each run expands its own rows
-        _, walk_resumes = _with_resumes(monkeypatch, lambda: list(
+        _, walk_resumes, _ = _with_resumes(monkeypatch, lambda: list(
             itertools.islice(subshifts._RowTransfer(vertical, 4, None)
                              .fillings(), budget + 1)))
         subshifts._check_plan.cache_clear()
-        cert, _ = _with_resumes(
+        cert, _, _ = _with_resumes(
             monkeypatch, lambda: direction_status(
                 vertical, (1, 0), 1, 4, method="enumerate", budget=budget),
             limit=walk_resumes)

@@ -67,8 +67,18 @@ class TestOriginInHull:
     def test_float_and_fraction_components_read(self):
         cert = origin_in_hull([(2.0, 0), (Fraction(-2), 0.0)])
         assert cert.coefficients == [Fraction(1, 2), Fraction(1, 2)]
+        # a finite float is read exactly: lambda was once the floats
+        # [0.49999999999999994, 0.4999999999999998]
         cert = origin_in_hull([(1.5, 0.5), (Fraction(-3, 2), -0.5)])
-        assert cert.variant == "in-hull" and cert.residual <= 1e-9
+        assert cert.coefficients == [Fraction(1, 2), Fraction(1, 2)]
+        assert cert.residual == 0
+        # floats alone get an integer separator
+        cert = origin_in_hull([(0.1, 0.2), (0.3, -0.1)])
+        assert cert.variant == "separated"
+        assert all(type(c) is int for c in cert.separator)
+        for x, y in [(0.1, 0.2), (0.3, -0.1)]:  # exactly, as Fractions
+            assert Fraction(x) * cert.separator[0] + \
+                Fraction(y) * cert.separator[1] > 0
 
     def test_numeric_dimension_three(self):
         vecs = [(1.0, 0.0, 0.0), (-1.0, 0.5, 0.0), (0.0, -1.0, 0.5),

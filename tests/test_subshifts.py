@@ -1,4 +1,5 @@
 import functools
+import heapq
 import itertools
 import math
 import re
@@ -221,6 +222,33 @@ class TestCheckPlan:
         stream = [f for f in enumerate_fillings(spec, 1, clamp=clamp)]
         assert stream == _brute_force(spec, 1, clamp)
 
+    # a free walk shares one table among its rows from the rule's height up;
+    # a clamped plan keeps a table per row, so the walks clamped at the
+    # raster-last site check it independently.  Of a stream longer than
+    # 60,000 fillings (three-cells-apart at N = 2 has 9,483,264) the first
+    # 60,000 are compared
+    @pytest.mark.parametrize("name, N", [
+        *itertools.product(["ledrappier", "hard-square", "tall",
+                            "three-cells-apart"], [2]),
+        ("ledrappier", 3)])
+    def test_free_stream_merges_the_corner_clamps(self, name, N):
+        spec, _ = CHECK_PLAN_CASES[name]
+        subshifts._check_plan.cache_clear()
+        free = _RowTransfer(spec, N, None).fillings()
+        corner = [_RowTransfer(spec, N, {(N, N): v}).fillings()
+                  for v in spec.alphabet]
+        want = list(itertools.islice(heapq.merge(*corner), 60_000))
+        assert list(itertools.islice(free, 60_000)) == want
+        assert next(free, None) is None or len(want) == 60_000
+
+    def test_a_clamped_plan_keeps_a_table_per_row(self):
+        free = _RowTransfer(TALL, 2, None)
+        assert [r for r, _ in free.keys] == [0, 1, 2, 2, 2]
+        for site in box_sites(2):
+            walk = _RowTransfer(TALL, 2, {site: 0})
+            assert [r for r, _ in walk.keys] == list(range(5)), site
+            assert len({id(table) for table in walk.tables}) == 5, site
+
     @pytest.mark.parametrize("spec", [ledrappier(), HARD_SQUARE],
                              ids=["ledrappier", "hard-square"])
     @given(symbols=st.dictionaries(
@@ -356,9 +384,10 @@ VERTICAL_3 = SFT((0, 1, 2), [{(0, 0): 2, (0, 1): 2}])
 
 
 def _with_resumes(monkeypatch, run, limit=None):
-    """``run()``, and how often it resumed a ``_RowTransfer._next_rows``
-    walk; given ``limit``, the test fails as soon as the resumes pass it."""
-    resumes = 0
+    """``run()``, how often it resumed a ``_RowTransfer._next_rows`` walk,
+    and how many such walks, row state expansions, it started; given
+    ``limit``, the test fails as soon as the resumes pass it."""
+    resumes = expansions = 0
     next_rows = _RowTransfer._next_rows
 
     def resumed():
@@ -368,6 +397,8 @@ def _with_resumes(monkeypatch, run, limit=None):
             pytest.fail(f"more than {limit} resumes of _next_rows")
 
     def counted(self, r, state):
+        nonlocal expansions
+        expansions += 1
         for row in next_rows(self, r, state):
             resumed()
             yield row
@@ -376,7 +407,7 @@ def _with_resumes(monkeypatch, run, limit=None):
     with monkeypatch.context() as m:
         m.setattr(_RowTransfer, "_next_rows", counted)
         result = run()
-    return result, resumes
+    return result, resumes, expansions
 
 
 class TestCountFillings:
@@ -400,16 +431,37 @@ class TestCountFillings:
         budget = DEFAULT_FILLING_BUDGET
         # each run starts from fresh tables, so it expands its own states
         subshifts._check_plan.cache_clear()
-        walked, walk_resumes = _with_resumes(monkeypatch, lambda: sum(
+        walked, walk_resumes, _ = _with_resumes(monkeypatch, lambda: sum(
             1 for _ in itertools.islice(_RowTransfer(spec, N, None).fillings(),
                                         budget + 1)))
         subshifts._check_plan.cache_clear()
-        array, array_resumes = _with_resumes(
+        array, array_resumes, _ = _with_resumes(
             monkeypatch, lambda: _window_array(spec, N, budget),
             limit=walk_resumes)
         # both windows have more fillings than the budget
         assert walked == budget + 1 and array is None
         assert array_resumes <= walk_resumes
+
+    # the row states a free walk from a fresh plan expands, with every row
+    # from the rule's height up read from one table (each row's own: 53,
+    # 129, 3,105); a state is expanded again only while it is still walked
+    @pytest.mark.parametrize("spec, N, want", [
+        (HARD_SQUARE, 2, 17), (ledrappier(), 2, 36), (TALL, 2, 1_059)],
+        ids=["hard-square", "ledrappier", "tall"])
+    def test_free_walk_expansions(self, monkeypatch, spec, N, want):
+        subshifts._check_plan.cache_clear()
+        _, _, expansions = _with_resumes(
+            monkeypatch, lambda: list(_RowTransfer(spec, N, None).fillings()))
+        assert expansions == want
+
+    def test_budget_refusal_expansions(self, monkeypatch):
+        # the hard square's N = 3 window passes the budget (each row's own
+        # tables: 108 expansions)
+        subshifts._check_plan.cache_clear()
+        array, _, expansions = _with_resumes(
+            monkeypatch,
+            lambda: _window_array(HARD_SQUARE, 3, DEFAULT_FILLING_BUDGET))
+        assert array is None and expansions == 40
 
     @pytest.mark.parametrize("spec, N", COUNT_CASES.values(),
                              ids=COUNT_CASES.keys())
@@ -417,8 +469,8 @@ class TestCountFillings:
         subshifts._check_plan.cache_clear()  # the count expands every state
         array = _window_array(spec, N, 10 ** 6)
         walk = _RowTransfer(spec, N, None)
-        rows, resumes = _with_resumes(monkeypatch,
-                                      lambda: list(walk.fillings()))
+        rows, resumes, _ = _with_resumes(monkeypatch,
+                                         lambda: list(walk.fillings()))
         assert resumes == 0
         index = {v: i for i, v in enumerate(spec.alphabet)}
         assert array.tolist() == [[[index[v] for v in row] for row in f]
@@ -550,15 +602,16 @@ def _clamps_over_one_site_set(draw, alphabet, N=1):
 
 def _stores(monkeypatch):
     """After each row state a walk stores: its plan's count of stored
-    states, and the most states that the plan's tables or the walk's hold."""
+    states, and the most states that the plan's tables or the walk's hold,
+    a table that several rows share counted once."""
     stores = []
     keep = _RowTransfer._keep
 
     def recorded(self, r, state):
         yield from keep(self, r, state)
+        held = {id(t): t for t in self.tables}.values()
         stores.append((self.plan.stored, max(
-            sum(map(len, self.plan.tables.values())),
-            sum(map(len, self.tables)))))
+            sum(map(len, self.plan.tables.values())), sum(map(len, held)))))
 
     monkeypatch.setattr(_RowTransfer, "_keep", recorded)
     return stores
@@ -613,7 +666,7 @@ class TestSharedTables:
         spec = ledrappier()
         clamp = {(-2, 2): 1, (0, 0): 1, (1, -2): 0}
         first = list(_RowTransfer(spec, 2, clamp).fillings())
-        second, resumes = _with_resumes(
+        second, resumes, _ = _with_resumes(
             monkeypatch, lambda: list(_RowTransfer(spec, 2, clamp).fillings()))
         assert resumes == 0 and second == first
 
