@@ -94,7 +94,7 @@ class Direction:
 def farey_directions(Q):
     """Primitive integer directions (a, b) with max(|a|, |b|) <= Q,
     covering all four sign quadrants, in counterclockwise order."""
-    if Q < 1:
+    if (Q := _integer(Q, "the Farey order")) < 1:
         raise InputError(f"Farey order must be >= 1, got {Q}")
     prims = [(a, b) for a in range(-Q, Q + 1) for b in range(-Q, Q + 1)
              if math.gcd(a, b) == 1]
@@ -112,7 +112,8 @@ def parse_pair(text):
 
 def parse_grid(descriptor):
     """Grid descriptors: "farey:Q", optionally "+diag" to register the
-    sqrt-normalized diagonal specials; or an explicit "a,b;c,d;..." list."""
+    sqrt-normalized diagonal specials; or an explicit "a,b;c,d;..." list,
+    which may name each direction (a primitive vector) only once."""
     descriptor = descriptor.strip()
     if descriptor.startswith("farey:"):
         rest = descriptor[len("farey:"):]
@@ -131,7 +132,10 @@ def parse_grid(descriptor):
             dirs = [Direction(d.a, d.b, "sqrt-normalized")
                     if (d.a, d.b) in specials else d for d in dirs]
         return dirs
-    return [Direction(*parse_pair(part)) for part in descriptor.split(";")]
+    dirs = [Direction(*parse_pair(part)) for part in descriptor.split(";")]
+    if twice := next((d for i, d in enumerate(dirs) if d in dirs[:i]), None):
+        raise InputError(f"grid {descriptor!r} names {twice!r} twice")
+    return dirs
 
 
 # ---------------------------------------------------------------------------

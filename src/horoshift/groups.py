@@ -20,24 +20,13 @@ inside it.  The two weighted families share ``WeightedSum``, whose one ball
 walk lists one element per node.
 """
 
-from fractions import Fraction
 from itertools import product
 import math
 
 from .errors import InputError, ResourceBudgetError
-from .subshifts import _integer
+from .subshifts import _fraction, _integer
 
 DEFAULT_BALL_BUDGET = 500_000
-
-
-def _as_fraction(r):
-    if isinstance(r, Fraction):
-        return r
-    if isinstance(r, int):
-        return Fraction(r)
-    if isinstance(r, float) and math.isfinite(r):
-        return Fraction(r)  # exact binary value
-    raise InputError(f"expected a finite int, float or Fraction, got {r!r}")
 
 
 class MetricGroup:
@@ -56,7 +45,7 @@ class MetricGroup:
 
     def dist_lt(self, g, h, radius, closed=False):
         """Exact comparison d(g, h) < radius (or <= when closed)."""
-        r = _as_fraction(radius)
+        r = _fraction(radius, "radius")
         if r < 0:
             return False
         return self.norm_exact(self.op(g, self.inv(h))) <= self._bound(r, closed)
@@ -68,7 +57,7 @@ class MetricGroup:
 
     def _ball_bound(self, radius, closed):
         """``_bound`` of a ball's radius, which must not be negative."""
-        r = _as_fraction(radius)
+        r = _fraction(radius, "radius")
         if r < 0:
             raise InputError(f"radius must be >= 0, got {radius}")
         return self._bound(r, closed)

@@ -20,9 +20,9 @@ from itertools import chain
 import math
 
 from .errors import InputError, ResourceBudgetError
-from .groups import DEFAULT_BALL_BUDGET, ZdLp, _as_fraction
+from .groups import DEFAULT_BALL_BUDGET, ZdLp
 from .separation import _cross
-from .subshifts import _integer, _site
+from .subshifts import _fraction, _integer, _site
 
 # sample indices of a truncated limit (see ``Sampled``)
 _SAMPLES = 48
@@ -41,12 +41,11 @@ class Linear:
     kind = "linear"
 
     def __init__(self, v):
-        v = tuple(v)
+        v = exact = fracs = [_fraction(c, "a component of v") for c in v]
         if not any(v):
             raise InputError("direction vector must be nonzero")
         # small denominators (integers too) are exact; else, scaled by the
         # largest, each lies a few ulps off a fraction of denominator <= 10**6
-        exact = fracs = [Fraction(c) for c in v]
         if any(f.denominator > 10 ** 9 for f in exact):
             top = max(map(abs, exact))
             exact = [f / top for f in exact]
@@ -111,7 +110,7 @@ class PolyhedralZ2:
             self.opening = opening
             self.side = None
         else:
-            if side not in (1, -1):
+            if (side := _integer(side, "side")) not in (1, -1):
                 raise InputError("half-plane needs side +1 or -1")
             self.side = side
             self.opening = None
@@ -392,7 +391,7 @@ def _tangency_check(group, M, eps):
     and sorted once, for every g checked."""
     if not isinstance(group, ZdLp) or group.p != 2:
         raise InputError("verify_tangency expects a ZdLp l2 group")
-    eps = _as_fraction(eps)
+    eps = _fraction(eps, "eps")
     if eps <= 0:
         raise InputError(f"eps must be > 0, got {eps}")
     ball = sorted(group.ball(group.identity(), M, closed=True))
@@ -517,7 +516,7 @@ def verify_cone_shift(cone, eta, g, r_max):
     which holds every cell with n2 < (r + eta)^2.  A box of more than
     ``groups.DEFAULT_BALL_BUDGET`` cells is refused before it is built.
     """
-    eta = _as_fraction(eta)
+    eta = _fraction(eta, "eta")
     if eta <= 0:
         raise InputError(f"eta must be > 0, got {eta}")
     if (r_max := _integer(r_max, "r_max")) < 1:
@@ -544,7 +543,7 @@ def _cone_shift_failures(cone, eta, g, r_max):
     radius with a failing cone point, (r, the first such point)."""
     import numpy as np   # on use, as in meeting_radius
 
-    eta = _as_fraction(eta)
+    eta = _fraction(eta, "eta")
     R = math.ceil(r_max + eta)
     if (2 * R + 1) ** 2 > DEFAULT_BALL_BUDGET:
         raise ResourceBudgetError(

@@ -6,8 +6,8 @@ input always produces byte-identical files.
 
 import math
 
-from .errors import InputError, field
-from .groups import ZdLp
+from .errors import InputError, ResourceBudgetError, field
+from .groups import DEFAULT_BALL_BUDGET, ZdLp
 from .serialize import direction_from_dict
 
 
@@ -38,11 +38,16 @@ def ball_raster(group, center, N):
     """Raster of the ball {x : d(center, x) < d(center, 0)} on [-N, N]^2,
     black inside and white outside: row 0 is y = N, column 0 is x = -N.
 
-    Only Z^2 with an l^p norm is drawn; any other group is refused.
+    Only Z^2 with an l^p norm is drawn; any other group is refused, and a
+    raster over ``DEFAULT_BALL_BUDGET`` pixels before any row is built.
     """
     if not (isinstance(group, ZdLp) and group.dim == 2):
         raise InputError("render horoball draws [-N, N]^2 and needs a Z^2 "
                          "group")
+    if (2 * N + 1) ** 2 > DEFAULT_BALL_BUDGET:
+        raise ResourceBudgetError(
+            f"raster [-{N}, {N}]^2 exceeds budget {DEFAULT_BALL_BUDGET}",
+            budget=DEFAULT_BALL_BUDGET)
     # row y is |x - cx| <= reach(|y - cy|), the largest dx with (dx, dy) of
     # exact norm <= r, or -1 for none
     center = group.check(center)

@@ -10,7 +10,9 @@ certificate is produced either way:
 The planar case runs on exact arithmetic.  Vectors may be given as number
 tuples or as symbolic ("sqrt-normalized", a, b), meaning (a, b)/|(a, b)|;
 sign tests are scale-invariant so the integer data suffices for them,
-while convex coefficients pick up the normalization factor.
+while convex coefficients pick up the normalization factor.  Every number
+component is read exactly, a finite float as the dyadic rational it is;
+a NaN or infinite one is refused.
 """
 
 import functools
@@ -18,15 +20,18 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
-from .subshifts import _integer
+from .subshifts import _fraction, _integer
 
 _TOL = 1e-9
 
 
 class _Vec:
-    """Input vector: exact integer/Fraction data plus the actual floats."""
+    """Input vector: exact integer data, with actual = exact * scale, and
+    the actual floats.  A number component is read exactly through
+    ``subshifts._fraction`` (a finite float is a dyadic rational), so a
+    NaN or infinite one is refused."""
 
-    __slots__ = ("exact", "scale", "actual", "is_exact")
+    __slots__ = ("exact", "scale", "actual")
 
     def __init__(self, desc):
         try:
@@ -44,28 +49,14 @@ class _Vec:
                 raise InputError("zero symbolic vector")
             self.exact = ints
             n = math.sqrt(sum(c * c for c in ints))
-            self.scale = 1.0 / n          # actual = exact * scale
+            self.scale = 1.0 / n
             self.actual = tuple(c / n for c in ints)
-            self.is_exact = True
             return
-        comps = tuple(desc)
-        if not all(type(c) is not bool and isinstance(c, (int, float, Fraction))
-                   for c in comps):
-            raise InputError(f"a vector must be numbers, got {desc!r}")
-        # a finite float is a dyadic rational, so it is read exactly too
-        if all(isinstance(c, (int, Fraction)) or math.isfinite(c)
-               for c in comps):
-            fr = tuple(Fraction(c) for c in comps)
-            den = math.lcm(*(f.denominator for f in fr)) if fr else 1
-            self.exact = tuple(int(f * den) for f in fr)
-            self.scale = Fraction(1, den)
-            self.actual = tuple(float(f) for f in fr)
-            self.is_exact = True
-        else:
-            self.exact = None
-            self.scale = 1.0
-            self.actual = tuple(float(c) for c in comps)
-            self.is_exact = False
+        fr = tuple(_fraction(c, "a vector component") for c in desc)
+        den = math.lcm(*(f.denominator for f in fr))
+        self.exact = tuple(int(f * den) for f in fr)
+        self.scale = Fraction(1, den)
+        self.actual = tuple(float(f) for f in fr)
 
     @property
     def dim(self):
@@ -73,7 +64,7 @@ class _Vec:
 
     def primitive(self):
         """(primitive integer direction, magnitude) with
-        actual = magnitude * primitive; exact vectors only, nonzero."""
+        actual = magnitude * primitive; nonzero vectors only."""
         g = math.gcd(*self.exact)
         return tuple(c // g for c in self.exact), g * self.scale
 
@@ -108,16 +99,13 @@ def _verify_in_hull(vecs, coeffs):
 
 
 def _verify_separated(vecs, c):
-    for v in vecs:
-        if v.is_exact and all(isinstance(ci, int) for ci in c):
-            if sum(a * b for a, b in zip(v.exact, c)) <= 0:
-                return False
-        else:
-            dot = sum(a * float(b) for a, b in zip(v.actual, c))
-            scale = math.sqrt(sum(float(b) ** 2 for b in c)) or 1.0
-            if dot <= _TOL * scale:
-                return False
-    return True
+    """<v, c> > 0 for every v: exactly for an integer c, else to within
+    the tolerance."""
+    if all(isinstance(ci, int) for ci in c):
+        return all(sum(a * b for a, b in zip(v.exact, c)) > 0 for v in vecs)
+    tol = _TOL * (math.sqrt(sum(float(b) ** 2 for b in c)) or 1.0)
+    return all(sum(a * float(b) for a, b in zip(v.actual, c)) > tol
+               for v in vecs)
 
 
 def _cross(u, v):
@@ -249,7 +237,7 @@ def origin_in_hull(vectors):
     d = vecs[0].dim
     if any(v.dim != d for v in vecs):
         raise InputError("mixed dimensions")
-    if d == 2 and all(v.is_exact for v in vecs):
+    if d == 2:
         return _exact_2d(vecs)
     return _numeric(vecs)
 

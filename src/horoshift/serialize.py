@@ -141,29 +141,19 @@ def parse_horoball(descriptor):
     return horoball_from_dict(load_json(descriptor))
 
 
-def _numbers(d, key, kind=(int, float), length=None):
-    """``d[key]`` as a tuple of numbers of the given kind (and length); a
-    JSON boolean is no number, although bool is an int in Python."""
-    v = field(d, key, list)
-    if (all(isinstance(c, kind) and type(c) is not bool for c in v)
-            and len(v) == (length or len(v))):
-        return tuple(v)
-    raise InputError(f"bad {key!r} vector {v!r}")
-
-
 def horoball_from_dict(d):
     kind = field(d, "kind")
     if kind == "linear":
-        return horoballs.l2_horoball(_numbers(d, "v"))
+        return horoballs.l2_horoball(field(d, "v", list))
     if kind in ("halfplane-diagonal", "halfplane-antidiagonal"):
         return horoballs.Horoball(
             horoballs.PolyhedralZ2(kind, side=field(d, "side")))
     if kind == "quarter-space":
         return horoballs.Horoball(
-            horoballs.PolyhedralZ2(kind, apex=_numbers(d, "apex", int, 2),
+            horoballs.PolyhedralZ2(kind, apex=field(d, "apex", list),
                                    opening=field(d, "opening")))
     if kind == "sampled-l1-ray":
-        return horoballs.sampled_l1_horoball_z2(_numbers(d, "ray", int, 2),
+        return horoballs.sampled_l1_horoball_z2(field(d, "ray", list),
                                                 d.get("n_star", 512))
     raise InputError(f"unknown horoball kind {kind!r}")
 

@@ -31,8 +31,10 @@ exists, in the quarter turn the walk picks to meet its clamp first
 under it, writes them all into one numpy array a row plane at a time.
 """
 
+from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain, compress, islice
+from math import isfinite
 from operator import index, itemgetter, ne, xor
 
 from .errors import InputError, ResourceBudgetError, field
@@ -75,6 +77,16 @@ def _integer(v, name):
         return index(v)
     except TypeError as e:
         raise InputError(f"{name} must be an integer, got {v!r}") from e
+
+
+def _fraction(v, name):
+    """``v``, an int, float or Fraction that is not a bool and, if a float,
+    is finite, as its exact Fraction; else an InputError naming it
+    ``name``."""
+    if (isinstance(v, (int, Fraction)) and type(v) is not bool
+            or isinstance(v, float) and isfinite(v)):
+        return Fraction(v)
+    raise InputError(f"{name} must be a finite number, got {v!r}")
 
 
 def _site(s):

@@ -67,6 +67,19 @@ class TestDirection:
         dirs = parse_grid("1,0;0,-1")
         assert [(d.a, d.b) for d in dirs] == [(1, 0), (0, -1)]
 
+    # (0,-2) is (0,-1): each direction was certified twice
+    @pytest.mark.parametrize("grid", ["0,-1;0,-2;1,0", "1,1;2,2",
+                                      "1,0;1,0"])
+    def test_parse_grid_direction_named_twice_refused(self, grid):
+        with pytest.raises(InputError, match=f"grid .{grid}. names"):
+            parse_grid(grid)
+
+    # 2.5 raised a bare TypeError and True was read as 1
+    @pytest.mark.parametrize("Q", [2.5, True, "2"], ids=repr)
+    def test_farey_order_must_be_an_integer(self, Q):
+        with pytest.raises(InputError, match="Farey order must be an integer"):
+            farey_directions(Q)
+
     def test_parse_grid_farey_order_zero_refused(self):
         with pytest.raises(InputError, match="Farey order must be >= 1"):
             parse_grid("farey:0")

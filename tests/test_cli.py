@@ -305,10 +305,38 @@ BAD_HOROBALLS = {
     "linear-3d": '{"kind":"linear","v":[1,0,5]}',
     # JSON true and false were recorded as the vector [1, 0]
     "linear-v-bool": '{"kind":"linear","v":[true,false]}',
+    # each ended in a traceback: Fraction's ValueError or OverflowError
+    "linear-v-nan": '{"kind":"linear","v":[NaN,1]}',
+    "linear-v-inf": '{"kind":"linear","v":[1e400,0]}',
+    # a TypeError; JSON true was written back as "side": true
+    "side-float": '{"kind":"halfplane-diagonal","side":1.0}',
+    "side-bool": '{"kind":"halfplane-diagonal","side":true}',
 }
 MALFORMED.update({name: ["horoball", "--system", "ledrappier", "--horoball",
                          horoball, "--k", "1", "--window", "1"]
                   for name, horoball in BAD_HOROBALLS.items()})
+# inputs refused as they are read, before any report is written; with a
+# non-finite vector origin-test and intersection ended in scipy's "array
+# must not contain infs or NaNs", and coverage wrote a report, with the
+# maximal gap NaN for [[NaN, 0], [-1, 0.5]]
+READ_REFUSED = {
+    f"vectors-{name}-{test}": ["convex", test, "--vectors", vectors]
+    for test in ("origin-test", "coverage", "intersection")
+    for name, vectors in (("nan", "[[NaN, 0], [-1, 0.5]]"),
+                          ("infinity", "[[1, 0], [-Infinity, 0.5]]"),
+                          ("1e400", "[[1e400, 0], [-1, 0.5]]"))}
+READ_REFUSED.update({
+    "skew-linear-v-nan": ["skew", "--horoball",
+                          '{"kind":"linear","v":[NaN,1]}',
+                          "--k", "1", "--window", "2"],
+    "largeness-linear-v-nan": ["verify", "largeness", "--horoball",
+                               '{"kind":"linear","v":[NaN,1]}'],
+    # (0,-1) was certified twice, in the CSV, the JSON and the witnesses
+    "grid-direction-twice": ["nd", "--system", "ledrappier", "--k", "1",
+                             "--window", "2", "--grid", "0,-1;0,-2;1,0"],
+    **{name: MALFORMED[name] for name in ("linear-v-nan", "linear-v-inf",
+                                          "side-float", "side-bool")}})
+MALFORMED.update(READ_REFUSED)
 # systems that ``direction --dir 1,0 --k 1 --window 1`` must reject
 BAD_SYSTEMS = {
     "forbidden-not-pattern": '{"kind":"sft","alphabet":[0,1],"forbidden":[5]}',
@@ -360,6 +388,14 @@ def test_malformed_descriptor_exit_2(tmp_path, capsys, argv):
             for arg in argv]
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", READ_REFUSED.values(),
+                         ids=READ_REFUSED.keys())
+def test_refused_input_writes_nothing(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not os.listdir(tmp_path)
 
 
 # the retired kernel method: its margin-window witnesses were false off the
@@ -420,6 +456,21 @@ class TestSkewConvexRender:
         raw = (a / "horoball.pgm").read_bytes()
         assert raw == (b / "horoball.pgm").read_bytes()
         assert raw.startswith(b"P5\n41 41\n255\n")
+
+    # (2N + 1)^2 pixels against the 500,000 of the ball budget: the
+    # raster grew with no bound, to 16 MB of PGM at N = 2000
+    def test_render_horoball_largest_window(self, tmp_path):
+        assert run(tmp_path, "render", "horoball", "--window", "353") == 0
+        raw = (tmp_path / "horoball.pgm").read_bytes()
+        assert raw.startswith(b"P5\n707 707\n255\n")
+
+    def test_render_horoball_budget_exit_3_partial_report(self, tmp_path):
+        assert run(tmp_path, "render", "horoball", "--window", "354") == 3
+        d = read_json(tmp_path, "partial_report.json")
+        assert d == {"error": "budget-exhausted", "budget": 500_000,
+                     "count": None}
+        assert sorted(os.listdir(tmp_path)) == ["partial_report.json",
+                                                "run.log"]
 
     def test_render_nd_from_report(self, tmp_path):
         assert run(tmp_path, "nd", "--system", "ledrappier", "--k", "2",

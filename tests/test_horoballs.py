@@ -33,6 +33,14 @@ class TestLinear:
         assert abs(math.hypot(*j.v) - 1) < 1e-12
         assert abs(j.value((3, 4)) - 5) < 1e-12
 
+    # Fraction(nan) raised a bare ValueError, Fraction(inf) an OverflowError
+    @pytest.mark.parametrize("v", [(math.nan, 1), (1, math.inf),
+                                   (-math.inf, 0), (True, 0), ("1", 0)],
+                             ids=repr)
+    def test_component_must_be_a_finite_number(self, v):
+        with pytest.raises(InputError, match="a component of v must be"):
+            Linear(v)
+
     def test_zero_rejected(self):
         with pytest.raises(InputError):
             Linear((0, 0))
@@ -149,6 +157,18 @@ class TestPolyhedralZ2:
     def test_apex_must_be_an_integer_pair(self, apex):
         with pytest.raises(InputError):
             PolyhedralZ2("quarter-space", apex=apex, opening="+x")
+
+    # each was kept: 1.0 as the normal (1.0, -1.0), which ended the CLI in a
+    # TypeError, and True written back as "side": true
+    @pytest.mark.parametrize("side", [1.0, True, -1.0, False, "1", None, 2],
+                             ids=repr)
+    def test_side_must_be_one_or_minus_one(self, side):
+        with pytest.raises(InputError):
+            PolyhedralZ2("halfplane-diagonal", side=side)
+
+    def test_side_kept_as_an_int(self):
+        j = PolyhedralZ2("halfplane-antidiagonal", side=np.int64(-1))
+        assert type(j.side) is int and j.halfplane_normal() == (-1, -1)
 
     # (1.9, 0.5) was read as (1, 0), where the +x quarter space is -1
     @pytest.mark.parametrize("p", [(1.9, 0.5), (True, 0), (1,)], ids=str)

@@ -11,6 +11,8 @@ from horoshift import (DirectSumZ2, Direction, FullShift, InputError,
                        WeightedFreeAbelian, ZdLp, ball_sequence_check,
                        ledrappier, nd_set, serialize)
 from horoshift.cli import main
+from horoshift.errors import ResourceBudgetError
+from horoshift.groups import DEFAULT_BALL_BUDGET
 from horoshift.horoballs import PolyhedralZ2, polyhedral_from_ray
 from horoshift.render import ball_raster, direction_circle_svg, write_pgm
 from horoshift.serialize import (coverage_report_to_dict,
@@ -105,6 +107,13 @@ class TestPGM:
         assert group is not None
         with pytest.raises(InputError, match="needs a Z\\^2 group"):
             ball_raster(group, (1, 0), 2)
+
+    def test_ball_raster_refused_over_budget(self, monkeypatch):
+        # refused before the exact norm of the centre is taken
+        monkeypatch.setattr(ZdLp, "norm_exact", None)
+        with pytest.raises(ResourceBudgetError) as exc:
+            ball_raster(ZdLp(2, 1), (100, 0), 354)
+        assert exc.value.budget == DEFAULT_BALL_BUDGET
 
     def test_pgm_bytes_stable(self, tmp_path):
         g = ZdLp(2, 1)

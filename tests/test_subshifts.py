@@ -3,6 +3,7 @@ import heapq
 import itertools
 import math
 import re
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,8 +18,25 @@ from horoshift import (FullShift, FullShiftZ, InputError, LinearGF2,
                        enumerate_fillings, ledrappier, skew_exponent,
                        validate)
 from horoshift.subshifts import (DEFAULT_FILLING_BUDGET, _RowTransfer,
-                                 _window_array, box_sites, solve_forward,
-                                 spec_from_dict, varies_inside)
+                                 _fraction, _window_array, box_sites,
+                                 solve_forward, spec_from_dict, varies_inside)
+
+
+class TestFraction:
+    @pytest.mark.parametrize("v, exact", [
+        (3, Fraction(3)), (-2, Fraction(-2)), (Fraction(5, 7), Fraction(5, 7)),
+        (0.1, Fraction(3602879701896397, 36028797018963968)),
+        (np.float64(-2.5), Fraction(-5, 2)), (-0.0, Fraction(0))], ids=repr)
+    def test_number_read_exactly(self, v, exact):
+        f = _fraction(v, "x")
+        assert type(f) is Fraction and f == exact
+
+    @pytest.mark.parametrize("v", [True, False, "1", None, math.nan,
+                                   math.inf, -math.inf, np.float64("nan")],
+                             ids=repr)
+    def test_non_number_refused(self, v):
+        with pytest.raises(InputError, match="^x must be a finite number"):
+            _fraction(v, "x")
 
 
 class TestSpecs:
